@@ -109,10 +109,24 @@ def _t2_inv(P: Pairing, beta: Automorphism, x: LinComb) -> LinComb:
 
 
 def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
-    """The twist at a grading: labels (lb, la) -> sum over (la', lb')."""
-    alpha, beta = grading
-    swapped = x_ba.map_labels(lambda t: (t[1], t[0]))
-    return _t1(P, alpha, _t2_inv(P, beta, swapped))
+    """The twist at a grading: labels (lb, la) -> sum over (la', lb').
+
+    The twist is linear and its covers are absorbed, so it is fixed by its
+    value on each basis term; those values are computed once per pairing
+    and kept in ``P._twc`` as term tuples."""
+    memo = P._twc
+    out: Dict = {}
+    for (lb, la), c in x_ba.terms.items():
+        key = (grading, lb, la)
+        base = memo.get(key)
+        if base is None:
+            alpha, beta = grading
+            unit = LinComb.unit((la, lb), P.field.one())
+            base = tuple(_t1(P, alpha, _t2_inv(P, beta, unit)).terms.items())
+            memo[key] = base
+        for label, c2 in base:
+            _acc(out, label, c * c2)
+    return LinComb(out)
 
 
 def twist_inv(P: Pairing, grading: AutPair, x_ab: LinComb) -> LinComb:

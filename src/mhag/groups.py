@@ -271,11 +271,15 @@ class Automorphism:
     Constructors validate the homomorphism and bijection properties.
     """
 
-    __slots__ = ("group", "_map", "_sign", "_key")
+    __slots__ = ("group", "_map", "_sign", "_key", "_inv", "_comp")
 
     def __init__(self, group: Group, mapping: Optional[Dict] = None, sign: int = 1,
                  _validated: bool = False):
         self.group = group
+        # Derived automorphisms, made once each: the inverse, and
+        # compositions keyed by the right factor's key.
+        self._inv: Optional[Automorphism] = None
+        self._comp: Dict = {}
         if group.is_finite:
             if mapping is None:
                 mapping = {x: x for x in group.elements()}
@@ -315,16 +319,25 @@ class Automorphism:
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if self.group is not other.group and self.group != other.group:
             raise GroupError("automorphism-group-mismatch")
-        if self._map is not None:
-            m = {x: self._map[y] for x, y in other._map.items()}
-            return Automorphism(self.group, m, _validated=True)
-        return Automorphism(self.group, sign=self._sign * other._sign)
+        out = self._comp.get(other._key)
+        if out is None:
+            if self._map is not None:
+                m = {x: self._map[y] for x, y in other._map.items()}
+                out = Automorphism(self.group, m, _validated=True)
+            else:
+                out = Automorphism(self.group, sign=self._sign * other._sign)
+            self._comp[other._key] = out
+        return out
 
     def inverse(self) -> "Automorphism":
-        if self._map is not None:
-            return Automorphism(self.group, {v: k for k, v in self._map.items()},
-                                _validated=True)
-        return Automorphism(self.group, sign=self._sign)
+        if self._inv is None:
+            if self._map is not None:
+                self._inv = Automorphism(
+                    self.group, {v: k for k, v in self._map.items()},
+                    _validated=True)
+            else:
+                self._inv = Automorphism(self.group, sign=self._sign)
+        return self._inv
 
     def is_identity(self) -> bool:
         if self._map is not None:

@@ -176,8 +176,28 @@ class MhaInstance:
         return self._t_linear(self._tic, self._t_inv_basis, i, xy)
 
     def t_pair(self, i: int, x: LinComb, y: LinComb) -> LinComb:
-        return self.t_map(i, x.map_labels(lambda l: (l,)).tensor(
-            y.map_labels(lambda l: (l,))))
+        """T_i on x (x) y, read term by term from the T-map table."""
+        out: Dict = {}
+        table = self._tc
+        for lx, cx in x.terms.items():
+            for ly, cy in y.terms.items():
+                key = (i, lx, ly)
+                base = table.get(key)
+                if base is None:
+                    base = self._t_basis(i, lx, ly)
+                    table[key] = base
+                c = cx * cy
+                for lz, cz in base.terms.items():
+                    acc = out.get(lz)
+                    if acc is None:
+                        out[lz] = c * cz
+                    else:
+                        acc = acc + c * cz
+                        if acc == 0:
+                            del out[lz]
+                        else:
+                            out[lz] = acc
+        return LinComb(out)
 
     def counit(self, x: LinComb):
         total = self.field.zero()

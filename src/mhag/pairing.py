@@ -18,7 +18,7 @@ the graded layer leans on.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .groups import AutPair, Automorphism, Group
 from .linear import LinComb, lc_combine
@@ -41,6 +41,11 @@ class Pairing:
     B: MhaInstance
     field: Field
     name: str
+
+    def __init__(self):
+        # Basis twists, keyed (grading, b_label, a_label): see
+        # crossed.twist_map.
+        self._twc: Dict = {}
 
     def pair_basis(self, la, lb):
         raise NotImplementedError
@@ -353,6 +358,7 @@ class GroupPairing(Pairing):
     """Functions-on-H paired with the group algebra of H by evaluation."""
 
     def __init__(self, group: Group, field: Optional[Field] = None):
+        super().__init__()
         self.group = group
         self.field = field or RationalField()
         self.A = FunctionAlgebra(group, self.field)
@@ -381,6 +387,7 @@ class FiniteDimPairing(Pairing):
 
     def __init__(self, A: FiniteDimHopf, B: FiniteDimHopf,
                  matrix: Optional[List[List]] = None):
+        super().__init__()
         if A.field != B.field:
             raise PairingError("pairing-field-mismatch")
         self.A = A
@@ -414,6 +421,7 @@ class DrinfeldPairing(Pairing):
     """The mirrored double paired with the double by matching labels."""
 
     def __init__(self, group: Group, field: Optional[Field] = None):
+        super().__init__()
         self.group = group
         self.field = field or RationalField()
         self.A = DualDrinfeld(group, self.field)

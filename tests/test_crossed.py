@@ -1,15 +1,18 @@
 """Diagonal crossed product components: twists, embeddings, products."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from mhag import GroupPairing, commutation_residual, dcp_mul, twist_inv, twist_map
-from mhag.crossed import (a_embed_left, a_embed_right, b_embed_left,
-                          b_embed_right, crossed_value)
+from mhag import (DrinfeldPairing, EnumSpec, GroupPairing, IntGroup,
+                  PrimeField, commutation_residual, dcp_mul, twist_inv,
+                  twist_map)
+from mhag.crossed import (_t1, _t2_inv, a_embed_left, a_embed_right,
+                          b_embed_left, b_embed_right, crossed_value)
 from mhag.groups import (AutPair, PermGroup, TableGroup, identity_aut,
-                         inner_aut, map_aut)
+                         inner_aut, map_aut, negation_aut)
 from mhag.linear import LinComb
 from mhag.oracle import group_mul
 
@@ -58,6 +61,60 @@ class TestTwist:
                  for lab, c in v.terms.items()]
         total = parts[0].add(parts[1])
         assert twist_map(PZ4, g, v) == total
+
+
+def _memo_cases():
+    """(name, pairing factory, gradings, coefficients) covering S3 under
+    inner gradings, Z under the sign gradings and the double of S3 over a
+    prime field."""
+    Z = IntGroup()
+    i, neg = identity_aut(Z), negation_aut(Z)
+    F = PrimeField(10007)
+    return [
+        ("s3-inner", lambda: GroupPairing(S3), s3_gradings(),
+         [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
+        ("z-sign", lambda: GroupPairing(Z),
+         [AutPair(a, b) for a in (i, neg) for b in (i, neg)],
+         [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
+        ("double-f10007", lambda: DrinfeldPairing(S3, F),
+         [AutPair(identity_aut(S3), identity_aut(S3)), s3_gradings()[0]],
+         [F.from_int(3), F.from_int(-2), F.parse("1/2"), F.one()]),
+    ]
+
+
+class TestTwistMemo:
+    """twist_map reads basis twists from a per-pairing table; on any
+    input it must equal the twist computed straight from the T-maps."""
+
+    @pytest.mark.parametrize("name,make,gradings,coeffs", _memo_cases(),
+                             ids=[c[0] for c in _memo_cases()])
+    def test_multi_term_inputs_match_reference(self, name, make, gradings,
+                                               coeffs):
+        P = make()
+        enum = EnumSpec(window=3)
+        a_labels = P.A.basis_labels(enum)
+        b_labels = P.B.basis_labels(enum)
+        rng = random.Random(name)
+        for g in gradings:
+            for size in (2, 3, 4):
+                # Overlapping inputs, so later calls hit earlier entries.
+                for _ in range(4):
+                    x_ba = LinComb.from_pairs(
+                        ((rng.choice(b_labels), rng.choice(a_labels)), c)
+                        for c in coeffs[:size])
+                    swapped = x_ba.map_labels(lambda t: (t[1], t[0]))
+                    ref = _t1(P, g.alpha, _t2_inv(P, g.beta, swapped))
+                    assert twist_map(P, g, x_ba) == ref
+                    assert twist_map(P, g, x_ba) == ref
+        assert P._twc
+
+    def test_table_belongs_to_the_pairing(self):
+        g = s3_gradings()[0]
+        P, Q = GroupPairing(S3), GroupPairing(S3)
+        lb, la = (1, 2, 0), (0, 2, 1)
+        twist_map(P, g, LinComb.unit((lb, la)))
+        assert (g, lb, la) in P._twc
+        assert not Q._twc
 
 
 class TestEmbeddings:

@@ -7,7 +7,8 @@ import pytest
 from mhag import (AutPair, GroupError, IntGroup, TableGroup, aut_pair_identity,
                   aut_pair_inv, aut_pair_mul, group_from_json, identity_aut,
                   inner_aut)
-from mhag.groups import (PermGroup, aut_from_json, map_aut, negation_aut)
+from mhag.groups import (Automorphism, PermGroup, aut_from_json, map_aut,
+                         negation_aut)
 
 
 def _check_group_laws(g):
@@ -113,6 +114,44 @@ class TestAutomorphisms:
         neg = negation_aut(z)
         assert neg.apply(5) == -5
         assert neg.compose(neg).apply(5) == 5
+
+
+class TestDerivationCache:
+    """compose and inverse keep their results per automorphism; a cached
+    result must equal the automorphism built afresh from the image maps."""
+
+    s3 = PermGroup.symmetric(3)
+
+    def test_finite_compose_and_inverse_match_fresh_maps(self):
+        els = self.s3.elements()
+        auts = [inner_aut(self.s3, g) for g in els]
+        for f, g in itertools.product(auts, repeat=2):
+            fresh = Automorphism(self.s3, {x: f(g(x)) for x in els})
+            first = f.compose(g)
+            assert first == fresh and f.compose(g) is first
+            for x in els:
+                assert first(x) == fresh(x)
+        for f in auts:
+            fresh = Automorphism(self.s3, {f(x): x for x in els})
+            assert f.inverse() == fresh and f.inverse() is f.inverse()
+            assert f.compose(f.inverse()).is_identity()
+
+    def test_integer_signs(self):
+        z = IntGroup()
+        i, neg = identity_aut(z), negation_aut(z)
+        for f, g in itertools.product((i, neg), repeat=2):
+            for _ in range(2):
+                assert f.compose(g)(7) == f(g(7))
+        assert neg.inverse()(3) == -3 and i.inverse().is_identity()
+
+    def test_compose_across_groups_still_raises(self):
+        c4, other_c4 = TableGroup.cyclic(4), TableGroup.cyclic(4)
+        f = identity_aut(c4)
+        f.compose(identity_aut(c4))     # caches the key (0, 1, 2, 3)
+        with pytest.raises(GroupError):
+            f.compose(identity_aut(other_c4))
+        with pytest.raises(GroupError):
+            f.compose(identity_aut(self.s3))
 
 
 def test_aut_from_json_kinds():
