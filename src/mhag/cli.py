@@ -11,19 +11,14 @@ Exit codes: 0 all checks passed, 1 at least one axiom failed (the report
 is still written), 2 malformed input (bad file, schema, arguments).
 
 Reports and exports are deterministic: the same session file, seed, and
-window always produce byte-identical output.  The environment variable
-``MHAG_THREADS`` caps the number of worker threads used to evaluate
-checks; results are merged in a fixed order, so the thread count never
-changes the report.
+window always produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from .cograded import (comul_covered, crossing_apply, graded_antipode,
@@ -59,38 +54,15 @@ def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _workers() -> int:
-    raw = os.environ.get("MHAG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SessionError(f"MHAG_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def run_verify(S: Session, suites: List[str],
-               max_workers: int = 1) -> Dict:
-    """Run the named suites and assemble the overall report.
-
-    Checks are evaluated in listed order; with several workers they run
-    concurrently but are merged back in the same order, so the first
-    counterexample of each check — and the report as a whole — does not
-    depend on the worker count.
-    """
+def run_verify(S: Session, suites: List[str]) -> Dict:
+    """Run the named suites, checks in listed order, and assemble the
+    overall report."""
     groups = [(name, suite_axioms(S, name)) for name in suites]
-    runners = [run for _, checks in groups for _, run in checks]
-    if max_workers > 1 and len(runners) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda r: r(), runners))
-    else:
-        results = [run() for run in runners]
     report: Dict = {"suites": [], "status": "pass"}
-    pos = 0
     for name, checks in groups:
         axioms = []
-        for _ in checks:
-            rep = results[pos]
-            pos += 1
+        for _, run in checks:
+            rep = run()
             axioms.append(rep.to_json())
             if rep.status != "pass":
                 report["status"] = "fail"
@@ -112,7 +84,7 @@ def _cmd_verify(args, suites: Optional[List[str]] = None) -> int:
                 raise SessionError("empty --suite list")
         else:
             suites = list(SUITE_NAMES)
-    report = run_verify(S, suites, _workers())
+    report = run_verify(S, suites)
     _emit(_dump(report), args.out)
     return 0 if report["status"] == "pass" else 1
 

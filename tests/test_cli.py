@@ -90,20 +90,6 @@ class TestVerify:
         assert (rc1, rc2) == (0, 0)
         assert out1 == out2
 
-    def test_thread_env_does_not_change_bytes(self, capsys, monkeypatch,
-                                              z_spec):
-        args = ("verify", "--spec", z_spec, "--suite", "hopf")
-        _, base, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("MHAG_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert base == threaded
-
-    def test_bad_thread_env_exits_two(self, capsys, monkeypatch, z2_spec):
-        monkeypatch.setenv("MHAG_THREADS", "many")
-        rc, _, err = run_cli(capsys, "verify", "--spec", z2_spec)
-        assert rc == 2
-        assert "MHAG_THREADS" in err
-
     def test_seed_flag_changes_sampled_cases(self, capsys, z_spec):
         _, a, _ = run_cli(capsys, "verify", "--spec", z_spec,
                           "--suite", "lemma42", "--seed", "1")
