@@ -285,6 +285,13 @@ def session_from_json(data, seed: Optional[int] = None,
             max_cases=count)
     except (TypeError, ValueError) as exc:
         raise SessionError(f"session-enum: {exc}") from exc
+    # A check with no cases would report a vacuous pass.
+    if enum.max_cases < 1:
+        raise SessionError(
+            f"session-enum: count must be at least 1, got {enum.max_cases}")
+    if enum.window < 0:
+        raise SessionError(
+            f"session-enum: window must be at least 0, got {enum.window}")
 
     corrupt = data.get("corrupt")
     if corrupt is not None and corrupt not in CORRUPTIONS:

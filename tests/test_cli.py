@@ -243,6 +243,23 @@ class TestInputDiagnostics:
         rc, _, err = run_cli(capsys, "verify", "--spec", spec)
         assert rc == 2 and "session-instance" in err
 
+    @pytest.mark.parametrize("enum, flags, field", [
+        ({"count": -5}, (), "count"),
+        ({"count": 0}, (), "count"),
+        ({"window": -1}, (), "window"),
+        ({}, ("--window", "-1"), "window"),
+    ])
+    def test_vacuous_enumeration_rejected(self, capsys, tmp_path, enum,
+                                          flags, field):
+        """Without any case a sampled check would report a vacuous pass."""
+        spec = write_spec(tmp_path, session_spec(
+            group_instance("Z"), enum={**sampled(40, 3), **enum}))
+        rc, out, err = run_cli(capsys, "verify", "--spec", spec,
+                               "--suite", "hopf", *flags)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: session-enum: ") and field in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
