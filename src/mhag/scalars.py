@@ -90,12 +90,13 @@ class FpElement:
         if isinstance(other, FpElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # Only the normalised residue: equal values must hash equal.
+            return 0 <= other < self.p and other == self.value
         return NotImplemented
 
     def __hash__(self):
-        # Hash-compatible with the equal int residue so dict lookups by either
-        # representation agree with __eq__.
+        # Hash-compatible with the one int that compares equal, so dict
+        # lookups by either representation agree with __eq__.
         return hash(self.value)
 
     def __bool__(self):

@@ -69,6 +69,19 @@ class TestPrimeField:
             x = self.F.from_int(n)
             assert self.F.parse(self.F.to_str(x)) == x
 
+    @given(st.integers(-50, 50), st.integers(-50, 50))
+    def test_int_equality_agrees_with_hash(self, a, n):
+        x = self.F.from_int(a)
+        assert (x == n) == (0 <= n < 7 and n == x.value)
+        if x == n:
+            assert hash(x) == hash(n)
+        assert ({x: "v"}.get(n) is not None) == (x == n)
+
+    def test_only_the_normalised_residue_is_equal(self):
+        assert FpElement(1, 5) == 1 and not FpElement(1, 5) == 6
+        assert FpElement(4, 5) != -1 and FpElement(0, 5) == 0
+        assert {FpElement(1, 5): "x"}.get(6) is None
+
     def test_cross_modulus_mix_rejected(self):
         with pytest.raises(ValueError):
             FpElement(1, 7) + FpElement(1, 5)
