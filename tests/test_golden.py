@@ -9,10 +9,11 @@ meant to alter reports, and say so where that change is recorded.
 """
 
 import hashlib
+import math
 
 import pytest
 
-from mhag import SUITE_NAMES, export_structure, run_verify
+from mhag import SUITE_NAMES, LinComb, export_structure, run_verify, suites
 from mhag.cli import _dump
 from mhag.session import CORRUPTIONS
 
@@ -56,6 +57,25 @@ DOUBLE_F10007_VERIFY = (
     "f2a059e37fc41712651afb958812ee4f79e2ea95533fd5d3ee5411886c66210a")
 S3_EXPORT = "f743d69c610801f60f4bf69a421b008e77e3c5805ac81c5870502bc4f6dd8e7e"
 
+# With every value comparison forced false, each check that compares
+# values fails at its first case and renders a counterexample, so these
+# digests pin the rendering of almost every check.
+RENDER = {
+    "symmetric-3":
+        "39aed1c5cb27c131dda33cab6d5054bdd23fe1f893d9d4f84dc60ded45a469ef",
+    "integers":
+        "23a460c176b428863cd7a133e9bcd00f948ca402fa4d8a11935084b24c88c542",
+    "finite-dim-symmetric-3":
+        "4e8bfe5197f93304775bdb6ca73aa2620f284d99d08158865cef68aa16a72bf2",
+    "double-f10007":
+        "b95a8fdf2003e85f85449a66716ee845dfb46e3ea384ecb3d5f68468fb556cf8",
+}
+
+# (tag, primary pool sizes, secondary pool sizes, budget) of every
+# scheduled enumeration of an exhaustive S3 session with two gradings.
+S3_SCHEDULE = (
+    "8714a8971c0ef10487996b0b3ff0ad0e4df4e846af1d62609402564c870c5760")
+
 
 def _digest(payload) -> str:
     return hashlib.sha256(_dump(payload).encode("utf-8")).hexdigest()
@@ -95,3 +115,49 @@ def test_drinfeld_double_prime_field_sampled():
 def test_s3_export():
     spec = session_spec(group_instance("symmetric", 3), gradings=S3_GRADINGS)
     assert _digest(export_structure(make_session(spec))) == S3_EXPORT
+
+
+def _render_specs():
+    double = session_spec({"kind": "drinfeld-double",
+                           "group": {"kind": "symmetric", "n": 3}},
+                          enum={"mode": "sampled", "count": 8, "seed": 5})
+    double["scalars"] = {"prime": 10007}
+    return {
+        "symmetric-3": session_spec(
+            group_instance("symmetric", 3), gradings=S3_GRADINGS,
+            enum={"mode": "sampled", "count": 15, "seed": 7}),
+        "integers": session_spec(group_instance("Z"), gradings=Z_GRADINGS,
+                                 enum=sampled(100, 11, window=5)),
+        "finite-dim-symmetric-3": session_spec(
+            {"kind": "finite-dim-hopf",
+             "group": {"kind": "symmetric", "n": 3}},
+            gradings=S3_GRADINGS,
+            enum={"mode": "sampled", "count": 15, "seed": 7}),
+        "double-f10007": double,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RENDER))
+def test_counterexample_rendering(name, monkeypatch):
+    S = make_session(_render_specs()[name])
+    monkeypatch.setattr(LinComb, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(LinComb, "__ne__", lambda self, other: True)
+    assert _digest(run_verify(S, list(SUITE_NAMES))) == RENDER[name]
+
+
+def test_exhaustive_schedule(monkeypatch):
+    S = make_session(session_spec(group_instance("symmetric", 3),
+                                  gradings=S3_GRADINGS))
+    calls = []
+
+    def record(S, tag, primary, secondary=None, budget=suites.BUDGET):
+        calls.append([tag, [len(p) for p in primary],
+                      [len(p) for p in secondary or []], budget])
+        return []
+
+    monkeypatch.setattr(suites, "_cases", record)
+    run_verify(S, list(SUITE_NAMES))
+    capped = [c for c in calls
+              if c[2] and math.prod(c[1] + c[2]) > c[3]]
+    assert (len(calls), len(capped)) == (45, 6)
+    assert _digest(calls) == S3_SCHEDULE
