@@ -31,7 +31,6 @@ from .scalars import PrimeField, RationalField, field_from_json
 from .session import (Session, SessionError, session_from_json,
                       session_from_path)
 from .suites import SUITE_NAMES, AxiomReport, run_suite, suite_axioms
-from .cli import eval_op, export_structure, run_verify
 
 __version__ = "0.1.0"
 
@@ -54,3 +53,13 @@ __all__ = [
     "twist_inv", "twist_map", "w_intertwiner_residual_a",
     "w_intertwiner_residual_b",
 ]
+
+
+def __getattr__(name):
+    # The CLI entry points load on first use: importing ``mhag.cli`` here
+    # would make ``python -m mhag.cli`` warn that runpy found the module
+    # already imported.
+    if name in ("eval_op", "export_structure", "run_verify"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -98,8 +98,7 @@ def export_structure(S: Session) -> Dict:
     of every graded component and the covered comultiplication images of
     all basis elements for every grading split, in basis-lexicographic
     order."""
-    finite = S.group.is_finite if S.group is not None else True
-    if not finite:
+    if not S.finite:
         raise SessionError("export requires a finite instance")
     P = S.P
     crossed = sorted(S.crossed_labels(), key=label_key)
@@ -156,10 +155,18 @@ def _parse_value(S: Session, spec, pattern: str) -> LinComb:
                 f"term {term!r} must list {len(pattern)} labels plus an "
                 f"optional coefficient")
         labels = term[:len(pattern)]
-        coeff = (S.field.parse(str(term[len(pattern)]))
-                 if len(term) > len(pattern) else S.field.one())
-        lab = tuple(A.parse_label(l) if ch == "a" else B.parse_label(l)
-                    for ch, l in zip(pattern, labels))
+        try:
+            coeff = (S.field.parse(str(term[len(pattern)]))
+                     if len(term) > len(pattern) else S.field.one())
+        except ZeroDivisionError:
+            raise SessionError(
+                f"term {term!r} has a zero denominator") from None
+        try:
+            lab = tuple(A.parse_label(l) if ch == "a" else B.parse_label(l)
+                        for ch, l in zip(pattern, labels))
+        except TypeError:
+            raise SessionError(
+                f"term {term!r} has a malformed label") from None
         if len(pattern) == 1:
             lab = lab[0]
         terms[lab] = terms.get(lab, S.field.zero()) + coeff
@@ -168,7 +175,8 @@ def _parse_value(S: Session, spec, pattern: str) -> LinComb:
 
 
 def _grading(S: Session, idx) -> "object":
-    if not isinstance(idx, int) or not 0 <= idx < len(S.gradings):
+    if (not isinstance(idx, int) or isinstance(idx, bool)
+            or not 0 <= idx < len(S.gradings)):
         raise SessionError(
             f"grading index {idx!r} out of range 0..{len(S.gradings) - 1}")
     return S.gradings[idx]

@@ -281,30 +281,6 @@ def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb,
     return target, LinComb(out)
 
 
-def comul_twisted_covered(P: Pairing, x: LinComb, left_g: AutPair,
-                          right_g: AutPair, cover: LinComb,
-                          skew: bool = False,
-                          pair_mul: Optional[PairMul] = None
-                          ) -> Tuple[AutPair, LinComb]:
-    """Twisted covered comultiplication: the crossing action at the inverse
-    of ``right_g`` is applied to the first slot of the right-covered
-    comultiplication.  Returns the new first-slot grading and the value."""
-    base = comul_covered(P, x, left_g, right_g, cover, side="right",
-                         pair_mul=pair_mul)
-    actor = aut_pair_inv(right_g)
-    mul = pair_mul or aut_pair_mul
-    pre, b_aut = _xi_maps(actor, left_g, skew)
-    new_first = mul(mul(actor, left_g), aut_pair_inv(actor))
-    out: Dict[Tuple, object] = {}
-    for (la1, lb1, la2, lb2), c in base.terms.items():
-        av = P.precompose_A(pre, P.A.lc(la1))
-        bv = P.B.apply_aut(b_aut, P.B.lc(lb1))
-        for la1n, c2 in av.terms.items():
-            for lb1n, c3 in bv.terms.items():
-                _acc(out, (la1n, lb1n, la2, lb2), c * c2 * c3)
-    return new_first, LinComb(out)
-
-
 def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,
                      right_g: AutPair, u: LinComb, v: LinComb,
                      pair_mul: Optional[PairMul] = None) -> LinComb:
@@ -318,20 +294,4 @@ def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,
         s1 = dcp_mul(P, left_g, LinComb.unit((la1, lb1)), u)
         for (la1n, lb1n), c2 in s1.terms.items():
             _acc(out, (la1n, lb1n, la2, lb2), c * c2)
-    return LinComb(out)
-
-
-def comul_apply_full_right(P: Pairing, x: LinComb, left_g: AutPair,
-                           right_g: AutPair, u: LinComb, v: LinComb,
-                           pair_mul: Optional[PairMul] = None) -> LinComb:
-    """``(u (x) v) * Delta(x)`` as an honest 4-tuple tensor: the left cover
-    ``u`` truncates the legs, then ``v`` multiplies the second slot from
-    the left inside its component."""
-    half = comul_covered(P, x, left_g, right_g, u, side="left",
-                         pair_mul=pair_mul)
-    out: Dict[Tuple, object] = {}
-    for (la1, lb1, la2, lb2), c in half.terms.items():
-        s2 = dcp_mul(P, right_g, v, LinComb.unit((la2, lb2)))
-        for (la2n, lb2n), c2 in s2.terms.items():
-            _acc(out, (la1, lb1, la2n, lb2n), c * c2)
     return LinComb(out)

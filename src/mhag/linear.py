@@ -184,56 +184,6 @@ def lc_combine(parts: Iterable[LinComb]) -> LinComb:
     return LinComb(out)
 
 
-def lc_tensor(*factors: LinComb) -> LinComb:
-    """Tensor of several factors (flat tuple labels)."""
-    it = iter(factors)
-    acc = next(it)
-    for f in it:
-        acc = acc.tensor(f)
-    return acc
-
-
 def wrap1(x: LinComb) -> LinComb:
     """Wrap plain labels into 1-tuples so the value can enter tensor space."""
     return LinComb({(label,): c for label, c in x.terms.items()})
-
-
-def unwrap1(x: LinComb) -> LinComb:
-    """Inverse of :func:`wrap1`."""
-    return LinComb({label[0]: c for label, c in x.terms.items()})
-
-
-def exact_rank(rows: Iterable[LinComb]) -> int:
-    """Rank of a family of vectors, by fraction-free-ish Gaussian elimination
-    over sparse dict rows.  Exact: pivots divide, using the scalars' own
-    division (Fraction / FpElement)."""
-    pivots: Dict = {}  # pivot label -> reduced row (dict)
-    rank = 0
-    for row in rows:
-        work = dict(row.terms)
-        while work:
-            # eliminate against existing pivots
-            lead = min(work.keys(), key=label_key)
-            if lead in pivots:
-                piv = pivots[lead]
-                factor = work[lead]
-                for label, c in piv.items():
-                    acc = work.get(label, 0) - factor * c
-                    if acc == 0:
-                        work.pop(label, None)
-                    else:
-                        work[label] = acc
-            else:
-                inv_candidates = work[lead]
-                # normalise so the pivot coefficient is 1
-                if isinstance(inv_candidates, int):
-                    from fractions import Fraction as _F
-
-                    scale = _F(1, 1) / _F(inv_candidates, 1)
-                else:
-                    scale = 1 / inv_candidates
-                pivots[lead] = {label: scale * c for label, c in work.items()}
-                rank += 1
-                break
-        # row reduced to zero: contributes nothing
-    return rank

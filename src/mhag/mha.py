@@ -21,7 +21,6 @@ axiom validation and exact dualisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -41,22 +40,6 @@ def sdiv(a, b):
         return a / b
     f = Fraction(a) / Fraction(b)
     return int(f) if f.denominator == 1 else f
-
-
-@dataclass
-class Multiplier:
-    """A two-sided multiplier: a pair of compatible module maps.
-
-    ``left(x)`` evaluates M * x and ``right(x)`` evaluates x * M.  Multipliers
-    are how unit-like and R-matrix-like objects act without being elements.
-    """
-
-    left: Callable[[LinComb], LinComb]
-    right: Callable[[LinComb], LinComb]
-
-    def materialize(self, unit_lc: LinComb) -> LinComb:
-        """M * 1, for unital algebras (where M is then an honest element)."""
-        return self.left(unit_lc)
 
 
 class MhaInstance:
@@ -141,13 +124,6 @@ class MhaInstance:
                             out[lz] = acc
         return LinComb(out)
 
-    def mul_many(self, *xs: LinComb) -> LinComb:
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.mul(acc, x)
-        return acc
-
     def _t_linear(self, table, fn, i: int, xy: LinComb) -> LinComb:
         out: Dict = {}
         for (lx, ly), c in xy.terms.items():
@@ -216,18 +192,6 @@ class MhaInstance:
         if phi.is_identity():
             return x
         return x.map_labels(lambda l: self.aut_label(phi, l))
-
-    def parse_value(self, data) -> LinComb:
-        """Decode ``[[label, coeff], ...]`` into a value."""
-        pairs = []
-        for item in data:
-            label, coeff = item
-            pairs.append((self.parse_label(label), self.field.parse(coeff)))
-        return LinComb.from_pairs(pairs)
-
-    def value_to_json(self, x: LinComb):
-        return [[self.label_to_json(label), self.field.to_str(c)]
-                for label, c in x.sorted_items()]
 
 
 # ---------------------------------------------------------------------------

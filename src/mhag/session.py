@@ -152,6 +152,10 @@ class Session:
     def exhaustive(self) -> bool:
         return self.mode == "exhaustive"
 
+    @property
+    def finite(self) -> bool:
+        return self.group.is_finite if self.group is not None else True
+
     def unit_grading(self) -> AutPair:
         carrier = self.group if self.group is not None else TableGroup.cyclic(1)
         return aut_pair_identity(carrier)
@@ -164,28 +168,6 @@ class Session:
 
     def crossed_labels(self) -> List[Tuple]:
         return [(la, lb) for la in self.a_labels() for lb in self.b_labels()]
-
-    def cases(self, tag: str, pools: List[List], cap: Optional[int] = None
-              ) -> List[Tuple]:
-        """Deterministic case enumeration over a product of label pools:
-        the full product when exhaustive, otherwise seeded tuples."""
-        total = 1
-        for pool in pools:
-            if not pool:
-                return []
-            total *= len(pool)
-        limit = cap if cap is not None else self.enum.max_cases
-        if self.exhaustive or total <= limit:
-            out: List[Tuple] = [()]
-            for pool in pools:
-                out = [prev + (x,) for prev in out for x in pool]
-            return out
-        rng = self.enum.rng(tag)
-        return [tuple(rng.choice(pool) for pool in pools)
-                for _ in range(limit)]
-
-    def grading_pairs(self) -> List[Tuple[AutPair, AutPair]]:
-        return [(p, q) for p in self.gradings for q in self.gradings]
 
 
 def session_from_json(data, seed: Optional[int] = None,

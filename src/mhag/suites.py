@@ -7,6 +7,12 @@ inputs together with both evaluated sides.  A report serializes to
 ``{"axiom": name, "status": "pass"|"fail", "cases": n,
 "counterexample": {...}|null}``.
 
+Almost every check is one :class:`_Identity` row of data (pools, budget,
+a residual giving both sides on a case, and how a counterexample renders)
+run by :func:`_identity_check`.  Only the checks that are not one identity
+(exact ranks, the pairing duality diagnostic and the closed form of the
+R-multiplier) keep their own code.
+
 Enumeration is driven by the session: exhaustive sessions take the full
 product of the relevant label pools, sampled sessions draw seeded tuples.
 When an exhaustive product exceeds a per-check budget, a deterministic
@@ -27,13 +33,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cograded import (comul_covered, crossing_apply, graded_antipode,
                        graded_counit)
 from .crossed import (_acc, b_embed_left, commutation_residual, dcp_mul,
                       twist_inv, twist_map)
-from .groups import AutPair, aut_pair_inv, aut_pair_mul
+from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, label_key
 from .oracle import (double_antipode, double_comul_covered_brute, double_mul,
                      dual_basis_r_terms, group_antipode, group_comul_covered,
@@ -154,8 +161,55 @@ def _check(name: str, cases_fn: Callable[[], object],
 
 
 # ---------------------------------------------------------------------------
-# Rendering helpers for counterexamples
+# Identity checks as data, and their one runner
 # ---------------------------------------------------------------------------
+
+class _Identity(NamedTuple):
+    """One identity check.
+
+    ``residual(*case)`` returns ``(lhs, rhs)``, or ``(lhs, rhs, targets)``
+    with computed gradings to show among the inputs.  A side is a value or
+    a list of values compared term by term (a single rhs against each).
+    With ``budget`` None every tuple of the pools is a case; otherwise
+    :func:`_cases` schedules them.  ``inputs`` names the case slots, one
+    ``key:kind`` word each: n letters ``g`` take n gradings, a label
+    pattern ('a', 'ab', ...) one label, an empty kind a raw value, and
+    ``-`` hides a slot.  ``out`` is the pattern of both sides or a pair
+    (see :func:`_show`).  With ``split`` the lhs is a pair shown as the two
+    sides of the counterexample, and the rhs is what both must equal.
+    """
+
+    name: str
+    primary: List[List]
+    secondary: List[List]
+    budget: Optional[int]
+    residual: Callable
+    inputs: str
+    out: object
+    split: bool = False
+
+
+class _With:
+    """A side shown as ``value`` whose ``also`` parts (target gradings, for
+    instance) must agree as well but are not rendered."""
+
+    __slots__ = ("value", "also")
+
+    def __init__(self, value, *also):
+        self.value = value
+        self.also = also
+
+    def __eq__(self, other):
+        return (all(a == b for a, b in zip(self.also, other.also))
+                and self.value == other.value)
+
+
+def _holds(lhs, rhs) -> bool:
+    if isinstance(lhs, list):
+        rhs = rhs if isinstance(rhs, list) else [rhs] * len(lhs)
+        return all(l == r for l, r in zip(lhs, rhs))
+    return lhs == rhs
+
 
 def _fmt(S: Session, pattern: str, value: LinComb) -> List:
     """Render a value whose labels follow ``pattern`` ('a'/'b' per slot)."""
@@ -180,12 +234,74 @@ def _ce(inputs: Dict, lhs, rhs) -> Dict:
     return {"inputs": inputs, "lhs": lhs, "rhs": rhs}
 
 
+def _show(S: Session, pattern: str, side):
+    """Render one side: pattern 'g' a grading, 'k' a scalar, '=ab' the
+    label of a one-term value, and a label pattern a value."""
+    if isinstance(side, list):
+        return [_show(S, pattern, part) for part in side]
+    if isinstance(side, _With):
+        side = side.value
+    if pattern == "g":
+        return _gj(side)
+    if pattern == "k":
+        return S.field.to_str(side)
+    if pattern[0] == "=":
+        return _fmt(S, pattern[1:], side)[0][:-1]
+    return _fmt(S, pattern, side)
+
+
+def _show_inputs(S: Session, spec: str, case: Tuple) -> Dict:
+    shown: Dict = {}
+    i = 0
+    for word in spec.split():
+        key, _, kind = word.partition(":")
+        width = len(kind) if kind.startswith("g") else 1
+        part = case[i:i + width]
+        i += width
+        if key == "-":
+            continue
+        if not kind:
+            shown[key] = part[0]
+        elif kind.startswith("g"):
+            shown[key] = _gj(*part)
+        else:
+            shown[key] = _lab(S, kind, part[0])
+    return shown
+
+
+def _identity_check(S: Session, row: _Identity
+                    ) -> Tuple[str, Callable[[], AxiomReport]]:
+    """The named check of one row: enumerate, test ``lhs == rhs`` and
+    render the first failing case."""
+
+    def cases():
+        if row.budget is None:
+            return itertools.product(*row.primary, *row.secondary)
+        return _cases(S, row.name, row.primary, row.secondary, row.budget)
+
+    def ev(*case):
+        lhs, rhs, *targets = row.residual(*case)
+        if _holds(lhs, rhs):
+            return None
+        inputs = _show_inputs(S, row.inputs, case)
+        for key, gradings in (targets[0] if targets else {}).items():
+            inputs[key] = _gj(*gradings)
+        if row.split:
+            lhs, rhs = lhs
+        pats = (row.out, row.out) if isinstance(row.out, str) else row.out
+        return _ce(inputs, _show(S, pats[0], lhs), _show(S, pats[1], rhs))
+
+    return _check(row.name, cases, ev)
+
+
 class _Rank:
     """Incremental exact rank over the session field (sparse Gaussian)."""
 
-    def __init__(self, field):
+    def __init__(self, field, rows=()):
         self.field = field
         self.pivots: Dict = {}          # pivot label -> reduced row dict
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -210,22 +326,29 @@ class _Rank:
                     work[l] = acc
 
 
+# Input specs shared by several rows.
+_GX = "grading:g x:ab"
+_GXY = _GX + " y:ab"
+_GGUV = "gradings:gg u:ab v:ab"
+_GGGUVZ = "gradings:ggg u:ab v:ab z:ab"
+
+
 # ---------------------------------------------------------------------------
 # hopf suite: the graded Hopf axioms of the crossed construction
 # ---------------------------------------------------------------------------
 
-def _hopf_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
+def _hopf_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
     mul = S.pair_mul
     cfl = S.cop_first_leg
     inv = aut_pair_inv
+    unit = LinComb.unit
     e = S.unit_grading()
     G = list(S.gradings)
     crossed = S.crossed_labels()
     unital = B.is_unital
-    finite = S.group.is_finite if S.group is not None else True
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
+    checks: List = []
 
     def comul(x, p, q, cover, side):
         return comul_covered(P, x, p, q, cover, side=side,
@@ -237,237 +360,148 @@ def _hopf_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
         cache_l: Dict = {}
         cache_r: Dict = {}
 
-        def ev_coassoc(p, q, r, xl, yl, zl):
+        def coassoc(p, q, r, xl, yl, zl):
             pq, qr = mul(p, q), mul(q, r)
             lhs: Dict = {}
-            outer = comul(LinComb.unit(xl), pq, r, LinComb.unit(zl), "right")
+            outer = comul(unit(xl), pq, r, unit(zl), "right")
             for (a1, b1, a2, b2), c in outer.terms.items():
                 key = (a1, b1, p, q, yl)
                 inner = cache_l.get(key)
                 if inner is None:
-                    inner = comul(LinComb.unit((a1, b1)), p, q,
-                                  LinComb.unit(yl), "left")
+                    inner = comul(unit((a1, b1)), p, q, unit(yl), "left")
                     cache_l[key] = inner
                 for lab, c2 in inner.terms.items():
                     _acc(lhs, lab + (a2, b2), c * c2)
             rhs: Dict = {}
-            outer2 = comul(LinComb.unit(xl), p, qr, LinComb.unit(yl), "left")
+            outer2 = comul(unit(xl), p, qr, unit(yl), "left")
             for (a1, b1, a2, b2), c in outer2.terms.items():
                 key = (a2, b2, q, r, zl)
                 inner = cache_r.get(key)
                 if inner is None:
-                    inner = comul(LinComb.unit((a2, b2)), q, r,
-                                  LinComb.unit(zl), "right")
+                    inner = comul(unit((a2, b2)), q, r, unit(zl), "right")
                     cache_r[key] = inner
                 for lab, c2 in inner.terms.items():
                     _acc(rhs, (a1, b1) + lab, c * c2)
-            L, R = LinComb(lhs), LinComb(rhs)
-            if L == R:
-                return None
-            return _ce({"gradings": _gj(p, q, r),
-                        "x": _lab(S, "ab", xl), "left-cover": _lab(S, "ab", yl),
-                        "right-cover": _lab(S, "ab", zl)},
-                       _fmt(S, "ababab", L), _fmt(S, "ababab", R))
+            return LinComb(lhs), LinComb(rhs)
 
-        checks.append(_check(
-            "coassociativity",
-            lambda: _cases(S, "coassociativity", [G, G, G],
-                           [crossed, crossed, crossed], 80_000),
-            ev_coassoc))
+        checks.append(_Identity(
+            "coassociativity", [G, G, G], [crossed, crossed, crossed],
+            80_000, coassoc,
+            "gradings:ggg x:ab left-cover:ab right-cover:ab", "ababab"))
 
-    # Counit law, right-covered: the counit of the first leg of a split
-    # through the unit grading collapses the coproduct to a product.
-    def ev_counit_right(q, xl, yl):
-        x, y = LinComb.unit(xl), LinComb.unit(yl)
-        half = comul(x, e, q, y, "right")
+    # Counit laws: the counit of the leg split off through the unit
+    # grading collapses the coproduct to a product.  The left-covered law
+    # needs a unital B-instance.
+    def counit_right(q, xl, yl):
+        x, y = unit(xl), unit(yl)
         out: Dict = {}
-        for (a1, b1, a2, b2), c in half.terms.items():
-            _acc(out, (a2, b2),
-                 c * A.counit(A.lc(a1)) * B.counit(B.lc(b1)))
-        L, R = LinComb(out), dcp_mul(P, q, x, y)
-        if L == R:
-            return None
-        return _ce({"grading": _gj(q), "x": _lab(S, "ab", xl),
-                    "cover": _lab(S, "ab", yl)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
+        for (a1, b1, a2, b2), c in comul(x, e, q, y, "right").terms.items():
+            _acc(out, (a2, b2), c * A.counit(A.lc(a1)) * B.counit(B.lc(b1)))
+        return LinComb(out), dcp_mul(P, q, x, y)
 
-    checks.append(_check(
-        "counit-right",
-        lambda: _cases(S, "counit-right", [G], [crossed, crossed],
-                       BUDGET_HEAVY),
-        ev_counit_right))
+    def counit_left(q, xl, yl):
+        x, y = unit(xl), unit(yl)
+        out: Dict = {}
+        for (a1, b1, a2, b2), c in comul(x, q, e, y, "left").terms.items():
+            _acc(out, (a1, b1), c * A.counit(A.lc(a2)) * B.counit(B.lc(b2)))
+        return LinComb(out), dcp_mul(P, q, y, x)
 
-    # Counit law, left-covered (needs a unital B-instance).
-    if unital:
-        def ev_counit_left(q, xl, yl):
-            x, y = LinComb.unit(xl), LinComb.unit(yl)
-            half = comul(x, q, e, y, "left")
-            out: Dict = {}
-            for (a1, b1, a2, b2), c in half.terms.items():
-                _acc(out, (a1, b1),
-                     c * A.counit(A.lc(a2)) * B.counit(B.lc(b2)))
-            L, R = LinComb(out), dcp_mul(P, q, y, x)
-            if L == R:
-                return None
-            return _ce({"grading": _gj(q), "x": _lab(S, "ab", xl),
-                        "cover": _lab(S, "ab", yl)},
-                       _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-        checks.append(_check(
-            "counit-left",
-            lambda: _cases(S, "counit-left", [G], [crossed, crossed],
-                           BUDGET_HEAVY),
-            ev_counit_left))
-
-    # Antipode law, first display: multiply the antipode of the first leg
-    # against the second; the unit-grading input collapses to its counit.
-    def ev_antipode_left(g, xl, yl):
+    # Antipode laws: multiply the antipode of one leg against the other;
+    # the unit-grading input collapses to its counit.  The second display
+    # uses a left cover, so it needs a unital B-instance.
+    def antipode_left(g, xl, yl):
         gi = inv(g)
-        x, y = LinComb.unit(xl), LinComb.unit(yl)
-        half = comul(x, gi, g, y, "right")
+        x, y = unit(xl), unit(yl)
         acc: Dict = {}
-        for (a1, b1, a2, b2), c in half.terms.items():
-            sv = graded_antipode(P, gi, LinComb.unit((a1, b1)))
-            prod = dcp_mul(P, g, sv, LinComb.unit((a2, b2)))
-            for lab, c2 in prod.terms.items():
+        for (a1, b1, a2, b2), c in comul(x, gi, g, y, "right").terms.items():
+            sv = graded_antipode(P, gi, unit((a1, b1)))
+            for lab, c2 in dcp_mul(P, g, sv, unit((a2, b2))).terms.items():
                 _acc(acc, lab, c * c2)
-        L = LinComb(acc)
-        R = y.scale(graded_counit(P, x))
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", xl),
-                    "cover": _lab(S, "ab", yl)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
+        return LinComb(acc), y.scale(graded_counit(P, x))
 
-    checks.append(_check(
-        "antipode-left",
-        lambda: _cases(S, "antipode-left", [G], [crossed, crossed],
-                       BUDGET_HEAVY),
-        ev_antipode_left))
+    def antipode_right(g, xl, yl):
+        gi = inv(g)
+        x, y = unit(xl), unit(yl)
+        acc: Dict = {}
+        for (a1, b1, a2, b2), c in comul(x, g, gi, y, "left").terms.items():
+            sv = graded_antipode(P, gi, unit((a2, b2)))
+            for lab, c2 in dcp_mul(P, g, unit((a1, b1)), sv).terms.items():
+                _acc(acc, lab, c * c2)
+        return LinComb(acc), y.scale(graded_counit(P, x))
 
-    # Antipode law, second display (left cover, so needs a unital B).
-    if unital:
-        def ev_antipode_right(g, xl, yl):
-            gi = inv(g)
-            x, y = LinComb.unit(xl), LinComb.unit(yl)
-            half = comul(x, g, gi, y, "left")
-            acc: Dict = {}
-            for (a1, b1, a2, b2), c in half.terms.items():
-                sv = graded_antipode(P, gi, LinComb.unit((a2, b2)))
-                prod = dcp_mul(P, g, LinComb.unit((a1, b1)), sv)
-                for lab, c2 in prod.terms.items():
-                    _acc(acc, lab, c * c2)
-            L = LinComb(acc)
-            R = y.scale(graded_counit(P, x))
-            if L == R:
-                return None
-            return _ce({"grading": _gj(g), "x": _lab(S, "ab", xl),
-                        "cover": _lab(S, "ab", yl)},
-                       _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-        checks.append(_check(
-            "antipode-right",
-            lambda: _cases(S, "antipode-right", [G], [crossed, crossed],
-                           BUDGET_HEAVY),
-            ev_antipode_right))
+    for name, residual, needs_unital in (
+            ("counit-right", counit_right, False),
+            ("counit-left", counit_left, True),
+            ("antipode-left", antipode_left, False),
+            ("antipode-right", antipode_right, True)):
+        if unital or not needs_unital:
+            checks.append(_Identity(name, [G], [crossed, crossed],
+                                    BUDGET_HEAVY, residual,
+                                    "grading:g x:ab cover:ab", "ab"))
 
     # Multiplicativity of the graded comultiplication.
     cache_dm: Dict = {}
 
-    def ev_delta_mult(p, q, xl, yl, vl):
+    def delta_mult(p, q, xl, yl, vl):
         pq = mul(p, q)
-        prod = dcp_mul(P, pq, LinComb.unit(xl), LinComb.unit(yl))
         lhs: Dict = {}
-        for lab, c in prod.terms.items():
-            half = comul(LinComb.unit(lab), p, q, LinComb.unit(vl), "right")
+        for lab, c in dcp_mul(P, pq, unit(xl), unit(yl)).terms.items():
+            half = comul(unit(lab), p, q, unit(vl), "right")
             for lab2, c2 in half.terms.items():
                 _acc(lhs, lab2, c * c2)
         rhs: Dict = {}
-        sy = comul(LinComb.unit(yl), p, q, LinComb.unit(vl), "right")
+        sy = comul(unit(yl), p, q, unit(vl), "right")
         for (s1a, s1b, s2a, s2b), c in sy.terms.items():
             key = (xl, p, q, s2a, s2b)
             half = cache_dm.get(key)
             if half is None:
-                half = comul(LinComb.unit(xl), p, q,
-                             LinComb.unit((s2a, s2b)), "right")
+                half = comul(unit(xl), p, q, unit((s2a, s2b)), "right")
                 cache_dm[key] = half
             for (u1a, u1b, u2a, u2b), c2 in half.terms.items():
-                m1 = dcp_mul(P, p, LinComb.unit((u1a, u1b)),
-                             LinComb.unit((s1a, s1b)))
+                m1 = dcp_mul(P, p, unit((u1a, u1b)), unit((s1a, s1b)))
                 for lab1, c3 in m1.terms.items():
                     _acc(rhs, lab1 + (u2a, u2b), c * c2 * c3)
-        L, R = LinComb(lhs), LinComb(rhs)
-        if L == R:
-            return None
-        return _ce({"gradings": _gj(p, q), "x": _lab(S, "ab", xl),
-                    "y": _lab(S, "ab", yl), "cover": _lab(S, "ab", vl)},
-                   _fmt(S, "abab", L), _fmt(S, "abab", R))
+        return LinComb(lhs), LinComb(rhs)
 
-    checks.append(_check(
-        "delta-multiplicative",
-        lambda: _cases(S, "delta-multiplicative", [G, G],
-                       [crossed, crossed, crossed], BUDGET_HEAVY),
-        ev_delta_mult))
+    checks.append(_Identity(
+        "delta-multiplicative", [G, G], [crossed, crossed, crossed],
+        BUDGET_HEAVY, delta_mult, "gradings:gg x:ab y:ab cover:ab", "abab"))
 
-    # The antipode reverses componentwise products into the inverse grading.
-    def ev_antihom(g, xl, yl):
+    # The antipode reverses componentwise products into the inverse
+    # grading, and it and its inverse are mutually inverse bijections.
+    def antihom(g, xl, yl):
+        return (graded_antipode(P, g, dcp_mul(P, g, unit(xl), unit(yl))),
+                dcp_mul(P, inv(g), graded_antipode(P, g, unit(yl)),
+                        graded_antipode(P, g, unit(xl))))
+
+    def roundtrip(g, xl):
         gi = inv(g)
-        L = graded_antipode(P, g,
-                            dcp_mul(P, g, LinComb.unit(xl), LinComb.unit(yl)))
-        R = dcp_mul(P, gi, graded_antipode(P, g, LinComb.unit(yl)),
-                    graded_antipode(P, g, LinComb.unit(xl)))
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", xl),
-                    "y": _lab(S, "ab", yl)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
+        x = unit(xl)
+        back = graded_antipode(P, gi, graded_antipode(P, g, x), inverse=True)
+        again = graded_antipode(P, gi, graded_antipode(P, g, x, inverse=True))
+        return [back, again], x
 
-    checks.append(_check(
-        "antipode-antihom",
-        lambda: _cases(S, "antipode-antihom", [G], [crossed, crossed],
-                       BUDGET),
-        ev_antihom))
-
-    # The antipode and its inverse are mutually inverse bijections.
-    def ev_roundtrip(g, xl):
-        gi = inv(g)
-        x = LinComb.unit(xl)
-        fwd = graded_antipode(P, g, x)
-        back = graded_antipode(P, gi, fwd, inverse=True)
-        pre = graded_antipode(P, g, x, inverse=True)
-        again = graded_antipode(P, gi, pre)
-        if back == x and again == x:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", xl)},
-                   _fmt(S, "ab", back), _fmt(S, "ab", again))
-
-    checks.append(_check(
-        "antipode-roundtrip",
-        lambda: _cases(S, "antipode-roundtrip", [G], [crossed], BUDGET),
-        ev_roundtrip))
+    checks += [
+        _Identity("antipode-antihom", [G], [crossed, crossed], BUDGET,
+                  antihom, _GXY, "ab"),
+        _Identity("antipode-roundtrip", [G], [crossed], BUDGET, roundtrip,
+                  _GX, "ab", split=True)]
 
     # Covered coproduct images span the full component tensor square
     # (finite instances; both cover sides when B is unital).
     dim2 = len(crossed) ** 2
-    if finite and dim2 <= RANK_DIM_CAP:
+    if S.finite and dim2 <= RANK_DIM_CAP:
         pair_budget = max(1, BUDGET // max(dim2, 1))
         gps = [(p, q) for p in G for q in G][:pair_budget]
 
         def ev_surjective(p, q):
-            sides = ("right", "left") if unital else ("right",)
-            for side in sides:
-                tracker = _Rank(S.field)
-                for xl in crossed:
-                    for yl in crossed:
-                        tracker.add(comul(LinComb.unit(xl), p, q,
-                                          LinComb.unit(yl), side))
-                        if tracker.rank == dim2:
-                            break
-                    if tracker.rank == dim2:
-                        break
-                if tracker.rank != dim2:
+            for side in ("right", "left") if unital else ("right",):
+                rank = _Rank(S.field, (comul(unit(xl), p, q, unit(yl), side)
+                                       for xl in crossed
+                                       for yl in crossed)).rank
+                if rank != dim2:
                     return {"inputs": {"gradings": _gj(p, q), "side": side},
-                            "rank": tracker.rank, "dimension": dim2}
+                            "rank": rank, "dimension": dim2}
             return None
 
         checks.append(_check("axiom-ii-surjectivity", lambda: list(gps),
@@ -480,195 +514,110 @@ def _hopf_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
 # cograded suite: grading group, base instances, pairing, crossed product
 # ---------------------------------------------------------------------------
 
-def _cograded_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
+def _t_roundtrip(inst, i, x, y):
+    u = LinComb.unit((x, y))
+    return [inst.t_map_inv(i, inst.t_map(i, u)),
+            inst.t_map(i, inst.t_map_inv(i, u))], u
+
+
+def _base_coassoc(inst, x, y, z):
+    lhs: Dict = {}
+    for (u, w), c in inst.t_map(1, LinComb.unit((y, z))).terms.items():
+        for (s, t), c2 in inst.t_map(2, LinComb.unit((x, u))).terms.items():
+            _acc(lhs, (s, t, w), c * c2)
+    rhs: Dict = {}
+    for (s, t), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
+        for (u, w), c2 in inst.t_map(1, LinComb.unit((t, z))).terms.items():
+            _acc(rhs, (s, u, w), c * c2)
+    return LinComb(lhs), LinComb(rhs)
+
+
+def _base_counit(inst, x, y):
+    l1: Dict = {}
+    for (u, w), c in inst.t_map(1, LinComb.unit((x, y))).terms.items():
+        _acc(l1, w, c * inst.counit(inst.lc(u)))
+    l2: Dict = {}
+    for (u, w), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
+        _acc(l2, u, c * inst.counit(inst.lc(w)))
+    return [LinComb(l1), LinComb(l2)], inst.mul(inst.lc(x), inst.lc(y))
+
+
+def _base_antipode(inst, x, y):
+    l1: Dict = {}
+    for (u, w), c in inst.t_map(1, LinComb.unit((x, y))).terms.items():
+        prod = inst.mul(inst.antipode(inst.lc(u)), inst.lc(w))
+        for lab, c2 in prod.terms.items():
+            _acc(l1, lab, c * c2)
+    r1 = inst.lc(y).scale(inst.counit(inst.lc(x)))
+    l2: Dict = {}
+    for (u, w), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
+        prod = inst.mul(inst.lc(u), inst.antipode(inst.lc(w)))
+        for lab, c2 in prod.terms.items():
+            _acc(l2, lab, c * c2)
+    r2 = inst.lc(x).scale(inst.counit(inst.lc(y)))
+    return [LinComb(l1), LinComb(l2)], [r1, r2]
+
+
+def _base_aut_compat(inst, phi, x, y):
+    px, py = inst.aut_label(phi, x), inst.aut_label(phi, y)
+    t1 = inst.t_map(1, LinComb.unit((px, py)))
+    t1ref = inst.t_map(1, LinComb.unit((x, y))).map_labels(
+        lambda lab: (inst.aut_label(phi, lab[0]),
+                     inst.aut_label(phi, lab[1])))
+    return (_With(t1, inst.counit(inst.lc(px)), inst.antipode(inst.lc(px))),
+            _With(t1ref, inst.counit(inst.lc(x)),
+                  inst.apply_aut(phi, inst.antipode(inst.lc(x)))))
+
+
+def _cograded_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
     mul = S.pair_mul
     inv = aut_pair_inv
+    unit = LinComb.unit
     e = S.unit_grading()
     G = list(S.gradings)
     crossed = S.crossed_labels()
     a_labels = S.a_labels()
     b_labels = S.b_labels()
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
+    bases = ((A, a_labels, "a"), (B, b_labels, "b"))
 
-    # Grading-group laws for the configured pair product.
-    def ev_assoc(p, q, r):
-        if mul(mul(p, q), r) == mul(p, mul(q, r)):
-            return None
-        return _ce({"gradings": _gj(p, q, r)},
-                   _gj(mul(mul(p, q), r)), _gj(mul(p, mul(q, r))))
-
-    checks.append(_check(
-        "grading-group-associative",
-        lambda: _cases(S, "grading-group-associative", [G, G, G], None,
-                       BUDGET),
-        ev_assoc))
-
-    def ev_identity(p):
-        if mul(e, p) == p and mul(p, e) == p:
-            return None
-        return _ce({"grading": _gj(p)}, _gj(mul(e, p)), _gj(mul(p, e)))
-
-    checks.append(_check("grading-group-identity", lambda: [(p,) for p in G],
-                         ev_identity))
-
-    def ev_inverse(p):
-        if mul(p, inv(p)) == e and mul(inv(p), p) == e:
-            return None
-        return _ce({"grading": _gj(p)}, _gj(mul(p, inv(p))),
-                   _gj(mul(inv(p), p)))
-
-    checks.append(_check("grading-group-inverse", lambda: [(p,) for p in G],
-                         ev_inverse))
-
-    # T-map roundtrips on both base instances.
-    def make_troundtrip(inst, labels, pat):
-        def ev(i, x, y):
-            u = LinComb.unit((x, y))
-            fwd = inst.t_map_inv(i, inst.t_map(i, u))
-            back = inst.t_map(i, inst.t_map_inv(i, u))
-            if fwd == u and back == u:
-                return None
-            return _ce({"map": i, "x": _lab(S, pat[0], x),
-                        "y": _lab(S, pat[1], y)},
-                       _fmt(S, pat, fwd), _fmt(S, pat, back))
-        return ev
-
-    checks.append(_check(
-        "base-t-roundtrip-a",
-        lambda: _cases(S, "base-t-roundtrip-a",
-                       [[1, 2, 3, 4]], [a_labels, a_labels], BUDGET),
-        make_troundtrip(A, a_labels, "aa")))
-    checks.append(_check(
-        "base-t-roundtrip-b",
-        lambda: _cases(S, "base-t-roundtrip-b",
-                       [[1, 2, 3, 4]], [b_labels, b_labels], BUDGET),
-        make_troundtrip(B, b_labels, "bb")))
-
-    # Base coassociativity through covered composites.
-    def make_coassoc(inst, pat):
-        def ev(x, y, z):
-            lhs: Dict = {}
-            for (u, w), c in inst.t_map(1, LinComb.unit((y, z))).terms.items():
-                for (s, t), c2 in inst.t_map(2, LinComb.unit((x, u))
-                                             ).terms.items():
-                    _acc(lhs, (s, t, w), c * c2)
-            rhs: Dict = {}
-            for (s, t), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
-                for (u, w), c2 in inst.t_map(1, LinComb.unit((t, z))
-                                             ).terms.items():
-                    _acc(rhs, (s, u, w), c * c2)
-            L, R = LinComb(lhs), LinComb(rhs)
-            if L == R:
-                return None
-            return _ce({"x": _lab(S, pat, x), "y": _lab(S, pat, y),
-                        "z": _lab(S, pat, z)},
-                       _fmt(S, pat * 3, L), _fmt(S, pat * 3, R))
-        return ev
-
-    checks.append(_check(
-        "base-coassociativity-a",
-        lambda: _cases(S, "base-coassociativity-a", [a_labels],
-                       [a_labels, a_labels], BUDGET),
-        make_coassoc(A, "a")))
-    checks.append(_check(
-        "base-coassociativity-b",
-        lambda: _cases(S, "base-coassociativity-b", [b_labels],
-                       [b_labels, b_labels], BUDGET),
-        make_coassoc(B, "b")))
-
-    # Base counit laws through the covered composites.
-    def make_counit(inst, pat):
-        def ev(x, y):
-            l1: Dict = {}
-            for (u, w), c in inst.t_map(1, LinComb.unit((x, y))).terms.items():
-                _acc(l1, w, c * inst.counit(inst.lc(u)))
-            l2: Dict = {}
-            for (u, w), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
-                _acc(l2, u, c * inst.counit(inst.lc(w)))
-            prod = inst.mul(inst.lc(x), inst.lc(y))
-            if LinComb(l1) == prod and LinComb(l2) == prod:
-                return None
-            return _ce({"x": _lab(S, pat, x), "y": _lab(S, pat, y)},
-                       [_fmt(S, pat, LinComb(l1)), _fmt(S, pat, LinComb(l2))],
-                       _fmt(S, pat, prod))
-        return ev
-
-    checks.append(_check(
-        "base-counit-a",
-        lambda: _cases(S, "base-counit-a", [a_labels], [a_labels], BUDGET),
-        make_counit(A, "a")))
-    checks.append(_check(
-        "base-counit-b",
-        lambda: _cases(S, "base-counit-b", [b_labels], [b_labels], BUDGET),
-        make_counit(B, "b")))
-
-    # Base antipode laws through the covered composites.
-    def make_antipode(inst, pat):
-        def ev(x, y):
-            l1: Dict = {}
-            for (u, w), c in inst.t_map(1, LinComb.unit((x, y))).terms.items():
-                prod = inst.mul(inst.antipode(inst.lc(u)), inst.lc(w))
-                for lab, c2 in prod.terms.items():
-                    _acc(l1, lab, c * c2)
-            r1 = inst.lc(y).scale(inst.counit(inst.lc(x)))
-            l2: Dict = {}
-            for (u, w), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
-                prod = inst.mul(inst.lc(u), inst.antipode(inst.lc(w)))
-                for lab, c2 in prod.terms.items():
-                    _acc(l2, lab, c * c2)
-            r2 = inst.lc(x).scale(inst.counit(inst.lc(y)))
-            if LinComb(l1) == r1 and LinComb(l2) == r2:
-                return None
-            return _ce({"x": _lab(S, pat, x), "y": _lab(S, pat, y)},
-                       [_fmt(S, pat, LinComb(l1)), _fmt(S, pat, LinComb(l2))],
-                       [_fmt(S, pat, r1), _fmt(S, pat, r2)])
-        return ev
-
-    checks.append(_check(
-        "base-antipode-a",
-        lambda: _cases(S, "base-antipode-a", [a_labels], [a_labels], BUDGET),
-        make_antipode(A, "a")))
-    checks.append(_check(
-        "base-antipode-b",
-        lambda: _cases(S, "base-antipode-b", [b_labels], [b_labels], BUDGET),
-        make_antipode(B, "b")))
-
-    # The grading automorphisms respect coproduct, counit, and antipode.
+    # The grading automorphisms that the base instances must respect.
     auts = []
     for g in G:
         for phi in (g.alpha, g.beta):
             if all(phi is not psi and phi != psi for psi in auts):
                 auts.append(phi)
 
-    def make_aut_compat(inst, pat):
-        def ev(phi, x, y):
-            px, py = inst.aut_label(phi, x), inst.aut_label(phi, y)
-            t1 = inst.t_map(1, LinComb.unit((px, py)))
-            t1ref = inst.t_map(1, LinComb.unit((x, y))).map_labels(
-                lambda lab: (inst.aut_label(phi, lab[0]),
-                             inst.aut_label(phi, lab[1])))
-            ok = (t1 == t1ref
-                  and inst.counit(inst.lc(px)) == inst.counit(inst.lc(x))
-                  and inst.antipode(inst.lc(px))
-                  == inst.apply_aut(phi, inst.antipode(inst.lc(x))))
-            if ok:
-                return None
-            return _ce({"x": _lab(S, pat, x), "y": _lab(S, pat, y)},
-                       _fmt(S, pat * 2, t1), _fmt(S, pat * 2, t1ref))
-        return ev
-
-    checks.append(_check(
-        "base-aut-compat-a",
-        lambda: _cases(S, "base-aut-compat-a", [auts], [a_labels, a_labels],
-                       BUDGET),
-        make_aut_compat(A, "a")))
-    checks.append(_check(
-        "base-aut-compat-b",
-        lambda: _cases(S, "base-aut-compat-b", [auts], [b_labels, b_labels],
-                       BUDGET),
-        make_aut_compat(B, "b")))
+    # Grading-group laws for the configured pair product, then the Hopf
+    # laws of both base instances through their covered composites.
+    checks: List = [
+        _Identity("grading-group-associative", [G, G, G], [], BUDGET,
+                  lambda p, q, r: (mul(mul(p, q), r), mul(p, mul(q, r))),
+                  "gradings:ggg", "g"),
+        _Identity("grading-group-identity", [G], [], None,
+                  lambda p: ([mul(e, p), mul(p, e)], p),
+                  "grading:g", "g", split=True),
+        _Identity("grading-group-inverse", [G], [], None,
+                  lambda p: ([mul(p, inv(p)), mul(inv(p), p)], e),
+                  "grading:g", "g", split=True)]
+    checks += [_Identity(f"base-t-roundtrip-{c}", [[1, 2, 3, 4]], [ls, ls],
+                         BUDGET, partial(_t_roundtrip, inst),
+                         f"map: x:{c} y:{c}", c + c, split=True)
+               for inst, ls, c in bases]
+    checks += [_Identity(f"base-coassociativity-{c}", [ls], [ls, ls], BUDGET,
+                         partial(_base_coassoc, inst), f"x:{c} y:{c} z:{c}",
+                         c * 3)
+               for inst, ls, c in bases]
+    checks += [_Identity(f"base-{law}-{c}", [ls], [ls], BUDGET,
+                         partial(residual, inst), f"x:{c} y:{c}", c)
+               for law, residual in (("counit", _base_counit),
+                                     ("antipode", _base_antipode))
+               for inst, ls, c in bases]
+    checks += [_Identity(f"base-aut-compat-{c}", [auts], [ls, ls], BUDGET,
+                         partial(_base_aut_compat, inst), f"- x:{c} y:{c}",
+                         c + c)
+               for inst, ls, c in bases]
 
     # Duality laws of the pairing on the enumerated label families.
     def run_duality() -> AxiomReport:
@@ -681,142 +630,83 @@ def _cograded_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
 
     checks.append(("pairing-duality", run_duality))
 
-    # Module laws of the four pairing actions.
-    def ev_module_a(b1, b2, al):
-        av = A.lc(al)
-        bb = B.mul(B.lc(b1), B.lc(b2))
-        lhs1 = P.act("b>>a", bb, av)
-        rhs1 = P.act("b>>a", B.lc(b1), P.act("b>>a", B.lc(b2), av))
-        lhs2 = P.act("a<<b", bb, av)
-        rhs2 = P.act("a<<b", B.lc(b2), P.act("a<<b", B.lc(b1), av))
-        lhs3 = P.act("a<<b", B.lc(b2), P.act("b>>a", B.lc(b1), av))
-        rhs3 = P.act("b>>a", B.lc(b1), P.act("a<<b", B.lc(b2), av))
-        if lhs1 == rhs1 and lhs2 == rhs2 and lhs3 == rhs3:
-            return None
-        return _ce({"b1": _lab(S, "b", b1), "b2": _lab(S, "b", b2),
-                    "a": _lab(S, "a", al)},
-                   [_fmt(S, "a", lhs1), _fmt(S, "a", lhs2),
-                    _fmt(S, "a", lhs3)],
-                   [_fmt(S, "a", rhs1), _fmt(S, "a", rhs2),
-                    _fmt(S, "a", rhs3)])
+    # Module laws of the pairing actions ``left`` and ``right`` of the
+    # instance X on the instance Y (B on A, then A on B).
+    def module_laws(X, Y, left, right, m1, m2, yl):
+        v = Y.lc(yl)
+        mm = X.mul(X.lc(m1), X.lc(m2))
+        return ([P.act(left, mm, v), P.act(right, mm, v),
+                 P.act(right, X.lc(m2), P.act(left, X.lc(m1), v))],
+                [P.act(left, X.lc(m1), P.act(left, X.lc(m2), v)),
+                 P.act(right, X.lc(m2), P.act(right, X.lc(m1), v)),
+                 P.act(left, X.lc(m1), P.act(right, X.lc(m2), v))])
 
-    checks.append(_check(
-        "pairing-module-a",
-        lambda: _cases(S, "pairing-module-a", [b_labels],
-                       [b_labels, a_labels], BUDGET),
-        ev_module_a))
-
-    def ev_module_b(a1, a2, bl):
-        bv = B.lc(bl)
-        aa = A.mul(A.lc(a1), A.lc(a2))
-        lhs1 = P.act("a>>b", aa, bv)
-        rhs1 = P.act("a>>b", A.lc(a1), P.act("a>>b", A.lc(a2), bv))
-        lhs2 = P.act("b<<a", aa, bv)
-        rhs2 = P.act("b<<a", A.lc(a2), P.act("b<<a", A.lc(a1), bv))
-        lhs3 = P.act("b<<a", A.lc(a2), P.act("a>>b", A.lc(a1), bv))
-        rhs3 = P.act("a>>b", A.lc(a1), P.act("b<<a", A.lc(a2), bv))
-        if lhs1 == rhs1 and lhs2 == rhs2 and lhs3 == rhs3:
-            return None
-        return _ce({"a1": _lab(S, "a", a1), "a2": _lab(S, "a", a2),
-                    "b": _lab(S, "b", bl)},
-                   [_fmt(S, "b", lhs1), _fmt(S, "b", lhs2),
-                    _fmt(S, "b", lhs3)],
-                   [_fmt(S, "b", rhs1), _fmt(S, "b", rhs2),
-                    _fmt(S, "b", rhs3)])
-
-    checks.append(_check(
-        "pairing-module-b",
-        lambda: _cases(S, "pairing-module-b", [a_labels],
-                       [a_labels, b_labels], BUDGET),
-        ev_module_b))
+    checks += [
+        _Identity("pairing-module-a", [b_labels], [b_labels, a_labels],
+                  BUDGET, partial(module_laws, B, A, "b>>a", "a<<b"),
+                  "b1:b b2:b a:a", "a"),
+        _Identity("pairing-module-b", [a_labels], [a_labels, b_labels],
+                  BUDGET, partial(module_laws, A, B, "a>>b", "b<<a"),
+                  "a1:a a2:a b:b", "b")]
 
     # Non-degeneracy of the pairing on the enumerated square of labels.
     def run_nondegenerate() -> AxiomReport:
-        tracker = _Rank(S.field)
         zero = S.field.zero()
-        for la in a_labels:
-            row = {lb: P.pair_basis(la, lb) for lb in b_labels}
-            tracker.add(LinComb({l: c for l, c in row.items()
-                                 if not (c == zero)}))
+        rows = ({lb: P.pair_basis(la, lb) for lb in b_labels}
+                for la in a_labels)
+        rank = _Rank(S.field, (LinComb({l: c for l, c in row.items()
+                                        if not (c == zero)})
+                               for row in rows)).rank
         n = len(a_labels)
-        if tracker.rank == n:
+        if rank == n:
             return AxiomReport("pairing-nondegenerate", "pass", n, None)
         return AxiomReport("pairing-nondegenerate", "fail", n,
-                           {"rank": tracker.rank, "dimension": n})
+                           {"rank": rank, "dimension": n})
 
     checks.append(("pairing-nondegenerate", run_nondegenerate))
 
-    # Componentwise associativity of the crossed product.
-    def ev_dcp_assoc(g, xl, yl, zl):
-        x, y, z = (LinComb.unit(l) for l in (xl, yl, zl))
-        L = dcp_mul(P, g, dcp_mul(P, g, x, y), z)
-        R = dcp_mul(P, g, x, dcp_mul(P, g, y, z))
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", xl),
-                    "y": _lab(S, "ab", yl), "z": _lab(S, "ab", zl)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
+    # Componentwise associativity of the crossed product, the commutation
+    # rule between the two embedded factors, and the factor-exchange twist
+    # against its inverse.
+    def dcp_assoc(g, xl, yl, zl):
+        x, y, z = (unit(l) for l in (xl, yl, zl))
+        return (dcp_mul(P, g, dcp_mul(P, g, x, y), z),
+                dcp_mul(P, g, x, dcp_mul(P, g, y, z)))
 
-    checks.append(_check(
-        "dcp-associativity",
-        lambda: _cases(S, "dcp-associativity", [G],
-                       [crossed, crossed, crossed], BUDGET_HEAVY),
-        ev_dcp_assoc))
+    def twist_roundtrip(g, la, lb):
+        ba, ab = unit((lb, la)), unit((la, lb))
+        return ([twist_inv(P, g, twist_map(P, g, ba)),
+                 twist_map(P, g, twist_inv(P, g, ab))], [ba, ab])
 
-    # The commutation rule between the two embedded factors.
-    def ev_commutation(g, al, bl, yl):
-        L, R = commutation_residual(P, g, A.lc(al), B.lc(bl),
-                                    LinComb.unit(yl))
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "a": _lab(S, "a", al),
-                    "b": _lab(S, "b", bl), "cover": _lab(S, "ab", yl)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-    checks.append(_check(
-        "commutation-rule",
-        lambda: _cases(S, "commutation-rule", [G],
-                       [a_labels, b_labels, crossed], BUDGET),
-        ev_commutation))
-
-    # The factor-exchange twist and its inverse are mutually inverse.
-    def ev_twist(g, la, lb):
-        ba = LinComb.unit((lb, la))
-        ab = LinComb.unit((la, lb))
-        r1 = twist_inv(P, g, twist_map(P, g, ba))
-        r2 = twist_map(P, g, twist_inv(P, g, ab))
-        if r1 == ba and r2 == ab:
-            return None
-        return _ce({"grading": _gj(g), "a": _lab(S, "a", la),
-                    "b": _lab(S, "b", lb)},
-                   _fmt(S, "ba", r1), _fmt(S, "ab", r2))
-
-    checks.append(_check(
-        "twist-roundtrip",
-        lambda: _cases(S, "twist-roundtrip", [G], [a_labels, b_labels],
-                       BUDGET),
-        ev_twist))
+    checks += [
+        _Identity("dcp-associativity", [G], [crossed, crossed, crossed],
+                  BUDGET_HEAVY, dcp_assoc, _GXY + " z:ab", "ab"),
+        _Identity("commutation-rule", [G], [a_labels, b_labels, crossed],
+                  BUDGET,
+                  lambda g, al, bl, yl: commutation_residual(
+                      P, g, A.lc(al), B.lc(bl), unit(yl)),
+                  "grading:g a:a b:b cover:ab", "ab"),
+        _Identity("twist-roundtrip", [G], [a_labels, b_labels], BUDGET,
+                  twist_roundtrip, "grading:g a:a b:b", ("ba", "ab"),
+                  split=True)]
 
     # The crossed component algebras carry no one-sided annihilators
     # (exact rank of the product tables; finite instances only — window
     # truncation is not sound for this check).
-    finite = S.group.is_finite if S.group is not None else True
     dim = len(crossed)
-    if finite and dim ** 2 <= RANK_DIM_CAP * 4:
+    if S.finite and dim ** 2 <= RANK_DIM_CAP * 4:
         n_gradings = max(1, min(len(G), BUDGET // max(dim * dim, 1)))
         rank_gradings = G[:n_gradings]
 
         def ev_crossed_nondeg(g):
             for orient in ("left", "right"):
                 tracker = _Rank(S.field)
-                for i, xi in enumerate(crossed):
+                for xi in crossed:
                     row: Dict = {}
                     for j, xj in enumerate(crossed):
-                        prod = (dcp_mul(P, g, LinComb.unit(xi),
-                                        LinComb.unit(xj)) if orient == "left"
-                                else dcp_mul(P, g, LinComb.unit(xj),
-                                             LinComb.unit(xi)))
-                        for lab, c in prod.terms.items():
+                        x, y = (xi, xj) if orient == "left" else (xj, xi)
+                        for lab, c in dcp_mul(P, g, unit(x),
+                                              unit(y)).terms.items():
                             _acc(row, (j,) + lab, c)
                     tracker.add(LinComb(row))
                 if tracker.rank != dim:
@@ -829,20 +719,13 @@ def _cograded_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
                              ev_crossed_nondeg))
 
     # The finite right cover produced for a value really acts as a unit.
-    def ev_right_unit(g, yl):
-        y = LinComb.unit(yl)
-        c0 = P.crossed_right_unit(g, y)
-        out = b_embed_left(P, g, c0, y)
-        if out == y:
-            return None
-        return _ce({"grading": _gj(g), "value": _lab(S, "ab", yl)},
-                   _fmt(S, "ab", out), _fmt(S, "ab", y))
+    def right_unit(g, yl):
+        y = unit(yl)
+        return b_embed_left(P, g, P.crossed_right_unit(g, y), y), y
 
-    checks.append(_check(
-        "crossed-right-unit",
-        lambda: _cases(S, "crossed-right-unit", [G], [crossed], BUDGET),
-        ev_right_unit))
-
+    checks.append(_Identity("crossed-right-unit", [G], [crossed], BUDGET,
+                            right_unit, "grading:g value:ab",
+                            "ab"))
     return checks
 
 
@@ -850,260 +733,160 @@ def _cograded_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
 # crossing suite: the componentwise conjugation action
 # ---------------------------------------------------------------------------
 
-def _crossing_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
+def _crossing_suite(S: Session) -> List:
     P = S.P
     mul = S.pair_mul
     cfl = S.cop_first_leg
     skew = S.skew
     inv = aut_pair_inv
+    unit = LinComb.unit
     e = S.unit_grading()
     G = list(S.gradings)
     crossed = S.crossed_labels()
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
 
     def xi(actor, source, value):
         return crossing_apply(P, actor, source, value, skew=skew,
                               pair_mul=mul)
 
     # Componentwise algebra morphism onto the conjugated component.
-    def ev_morphism(t, q, xl, yl):
-        tgt1, xv = xi(t, q, LinComb.unit(xl))
-        tgt2, yv = xi(t, q, LinComb.unit(yl))
-        tgt3, pv = xi(t, q, dcp_mul(P, q, LinComb.unit(xl),
-                                    LinComb.unit(yl)))
-        R = dcp_mul(P, tgt1, xv, yv)
-        if tgt1 == tgt2 == tgt3 and pv == R:
-            return None
-        return _ce({"actor": _gj(t), "source": _gj(q),
-                    "x": _lab(S, "ab", xl), "y": _lab(S, "ab", yl)},
-                   _fmt(S, "ab", pv), _fmt(S, "ab", R))
-
-    checks.append(_check(
-        "xi-algebra-morphism",
-        lambda: _cases(S, "xi-algebra-morphism", [G, G], [crossed, crossed],
-                       BUDGET_HEAVY),
-        ev_morphism))
+    def morphism(t, q, xl, yl):
+        x, y = unit(xl), unit(yl)
+        tgt1, xv = xi(t, q, x)
+        tgt2, yv = xi(t, q, y)
+        tgt3, pv = xi(t, q, dcp_mul(P, q, x, y))
+        return _With(pv, tgt2, tgt3), _With(dcp_mul(P, tgt1, xv, yv),
+                                             tgt1, tgt1)
 
     # Group action: composing two conjugations equals the composite actor.
-    def ev_composition(t, s, q, xl):
-        g1, v1 = xi(s, q, LinComb.unit(xl))
+    def composition(t, s, q, xl):
+        x = unit(xl)
+        g1, v1 = xi(s, q, x)
         g2, v2 = xi(t, g1, v1)
-        g3, v3 = xi(mul(t, s), q, LinComb.unit(xl))
-        if g2 == g3 and v2 == v3:
-            return None
-        return _ce({"outer": _gj(t), "inner": _gj(s), "source": _gj(q),
-                    "x": _lab(S, "ab", xl), "targets": _gj(g2, g3)},
-                   _fmt(S, "ab", v2), _fmt(S, "ab", v3))
+        g3, v3 = xi(mul(t, s), q, x)
+        return _With(v2, g2), _With(v3, g3), {"targets": (g2, g3)}
 
-    checks.append(_check(
-        "xi-composition",
-        lambda: _cases(S, "xi-composition", [G, G, G], [crossed],
-                       BUDGET_HEAVY),
-        ev_composition))
+    # The unit grading acts as the identity; the inverse actor undoes the
+    # action.
+    def unit_acts(q, xl):
+        x = unit(xl)
+        tgt, v = xi(e, q, x)
+        return _With(v, tgt), _With(x, q)
 
-    # The unit grading acts as the identity.
-    def ev_unit(q, xl):
-        tgt, v = xi(e, q, LinComb.unit(xl))
-        if tgt == q and v == LinComb.unit(xl):
-            return None
-        return _ce({"source": _gj(q), "x": _lab(S, "ab", xl)},
-                   _fmt(S, "ab", v), _lab(S, "ab", xl))
-
-    checks.append(_check(
-        "xi-unit",
-        lambda: _cases(S, "xi-unit", [G], [crossed], BUDGET),
-        ev_unit))
-
-    # The inverse actor undoes the action.
-    def ev_inverse(t, q, xl):
-        g1, v1 = xi(t, q, LinComb.unit(xl))
+    def inverse(t, q, xl):
+        x = unit(xl)
+        g1, v1 = xi(t, q, x)
         g2, v2 = xi(inv(t), g1, v1)
-        if g2 == q and v2 == LinComb.unit(xl):
-            return None
-        return _ce({"actor": _gj(t), "source": _gj(q),
-                    "x": _lab(S, "ab", xl), "target": _gj(g2)},
-                   _fmt(S, "ab", v2), _lab(S, "ab", xl))
-
-    checks.append(_check(
-        "xi-inverse-roundtrip",
-        lambda: _cases(S, "xi-inverse-roundtrip", [G, G], [crossed], BUDGET),
-        ev_inverse))
+        return _With(v2, g2), _With(x, q), {"target": (g2,)}
 
     # Compatibility with the graded comultiplication.
-    def ev_comul_compat(t, p, q, xl, yl):
-        pq = mul(p, q)
+    def comul_compat(t, p, q, xl, yl):
         tp = mul(mul(t, p), inv(t))
         tq = mul(mul(t, q), inv(t))
-        _, xv = xi(t, pq, LinComb.unit(xl))
-        _, yv = xi(t, q, LinComb.unit(yl))
-        L = comul_covered(P, xv, tp, tq, yv, side="right",
-                          cop_first_leg=cfl, pair_mul=mul)
-        base = comul_covered(P, LinComb.unit(xl), p, q, LinComb.unit(yl),
-                             side="right", cop_first_leg=cfl, pair_mul=mul)
-        R = _xi_on_legs(P, t, p, base, 0, 1, skew)
-        R = _xi_on_legs(P, t, q, R, 2, 3, skew)
-        if L == R:
-            return None
-        return _ce({"actor": _gj(t), "gradings": _gj(p, q),
-                    "x": _lab(S, "ab", xl), "cover": _lab(S, "ab", yl)},
-                   _fmt(S, "abab", L), _fmt(S, "abab", R))
-
-    checks.append(_check(
-        "xi-comul-compat",
-        lambda: _cases(S, "xi-comul-compat", [G, G, G], [crossed, crossed],
-                       BUDGET_HEAVY),
-        ev_comul_compat))
+        _, xv = xi(t, mul(p, q), unit(xl))
+        _, yv = xi(t, q, unit(yl))
+        lhs = comul_covered(P, xv, tp, tq, yv, side="right",
+                            cop_first_leg=cfl, pair_mul=mul)
+        base = comul_covered(P, unit(xl), p, q, unit(yl), side="right",
+                             cop_first_leg=cfl, pair_mul=mul)
+        rhs = _xi_on_legs(P, t, p, base, 0, 1, skew)
+        return lhs, _xi_on_legs(P, t, q, rhs, 2, 3, skew)
 
     # Compatibility with the counit on the unit component.
-    def ev_counit_compat(t, xl):
-        _, xv = xi(t, e, LinComb.unit(xl))
-        L = graded_counit(P, xv)
-        R = graded_counit(P, LinComb.unit(xl))
-        if L == R:
-            return None
-        return _ce({"actor": _gj(t), "x": _lab(S, "ab", xl)},
-                   S.field.to_str(L), S.field.to_str(R))
+    def counit_compat(t, xl):
+        x = unit(xl)
+        return graded_counit(P, xi(t, e, x)[1]), graded_counit(P, x)
 
-    checks.append(_check(
-        "xi-counit-compat",
-        lambda: _cases(S, "xi-counit-compat", [G], [crossed], BUDGET),
-        ev_counit_compat))
-
-    return checks
+    return [
+        _Identity("xi-algebra-morphism", [G, G], [crossed, crossed],
+                  BUDGET_HEAVY, morphism, "actor:g source:g x:ab y:ab", "ab"),
+        _Identity("xi-composition", [G, G, G], [crossed], BUDGET_HEAVY,
+                  composition, "outer:g inner:g source:g x:ab", "ab"),
+        _Identity("xi-unit", [G], [crossed], BUDGET, unit_acts,
+                  "source:g x:ab", ("ab", "=ab")),
+        _Identity("xi-inverse-roundtrip", [G, G], [crossed], BUDGET, inverse,
+                  "actor:g source:g x:ab", ("ab", "=ab")),
+        _Identity("xi-comul-compat", [G, G, G], [crossed, crossed],
+                  BUDGET_HEAVY, comul_compat,
+                  "actor:g gradings:gg x:ab cover:ab", "abab"),
+        _Identity("xi-counit-compat", [G], [crossed], BUDGET, counit_compat,
+                  "actor:g x:ab", "k")]
 
 
 # ---------------------------------------------------------------------------
 # quasitriangular suite: the R-multiplier axioms and the canonical multiplier
 # ---------------------------------------------------------------------------
 
-def _quasitriangular_suite(S: Session
-                           ) -> List[Tuple[str, Callable[[], AxiomReport]]]:
+def _quasitriangular_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
     mul = S.pair_mul
     skew = S.skew
+    unit = LinComb.unit
     G = list(S.gradings)
     crossed = S.crossed_labels()
     a_labels = S.a_labels()
     b_labels = S.b_labels()
     w = S.w
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
 
-    def residual_check(name, pools_primary, pools_secondary, budget, fn,
-                       render):
-        def ev(*case):
-            L, R = fn(*case)
-            if L == R:
-                return None
-            return render(case, L, R)
-        return _check(name,
-                      lambda: _cases(S, name, pools_primary, pools_secondary,
-                                     budget),
-                      ev)
-
-    # Axiom: crossing-conjugation moves the R-multiplier between grading
-    # pairs.
-    checks.append(residual_check(
-        "qt-conjugation", [G, G, G], [crossed, crossed], BUDGET_HEAVY,
-        lambda t, p, q, ul, vl: qt_conjugation_residual(
-            P, t, p, q, LinComb.unit(ul + vl), skew=skew, pair_mul=mul, w=w),
-        lambda case, L, R: _ce(
-            {"actor": _gj(case[0]), "gradings": _gj(case[1], case[2]),
-             "u": _lab(S, "ab", case[3]), "v": _lab(S, "ab", case[4])},
-            _fmt(S, "abab", L), _fmt(S, "abab", R))))
-
-    # Axiom: coproduct on the first leg factors through 13-23.
-    checks.append(residual_check(
-        "qt-coproduct-first", [G, G, G], [crossed, crossed, crossed],
-        BUDGET_HEAVY,
-        lambda p, q, r, ul, vl, zl: qt_coproduct_first_residual(
-            P, p, q, r, LinComb.unit(ul + vl + zl), skew=skew, pair_mul=mul,
-            w=w),
-        lambda case, L, R: _ce(
-            {"gradings": _gj(case[0], case[1], case[2]),
-             "u": _lab(S, "ab", case[3]), "v": _lab(S, "ab", case[4]),
-             "z": _lab(S, "ab", case[5])},
-            _fmt(S, "ababab", L), _fmt(S, "ababab", R))))
-
-    # Axiom: coproduct on the second leg factors through 13-12.
-    checks.append(residual_check(
-        "qt-coproduct-second", [G, G, G], [crossed, crossed, crossed],
-        BUDGET_HEAVY,
-        lambda p, q, r, ul, vl, zl: qt_coproduct_second_residual(
-            P, p, q, r, LinComb.unit(ul + vl + zl), pair_mul=mul, w=w),
-        lambda case, L, R: _ce(
-            {"gradings": _gj(case[0], case[1], case[2]),
-             "u": _lab(S, "ab", case[3]), "v": _lab(S, "ab", case[4]),
-             "z": _lab(S, "ab", case[5])},
-            _fmt(S, "ababab", L), _fmt(S, "ababab", R))))
-
-    # Axiom: the R-multiplier intertwines the coproduct with its twisted
-    # co-opposite.
-    checks.append(residual_check(
-        "qt-intertwine", [G, G], [crossed, crossed, crossed], BUDGET_HEAVY,
-        lambda p, q, xl, ul, vl: qt_intertwine_residual(
-            P, p, q, LinComb.unit(xl), LinComb.unit(ul), LinComb.unit(vl),
-            skew=skew, pair_mul=mul, w=w),
-        lambda case, L, R: _ce(
-            {"gradings": _gj(case[0], case[1]), "x": _lab(S, "ab", case[2]),
-             "u": _lab(S, "ab", case[3]), "v": _lab(S, "ab", case[4])},
-            _fmt(S, "abab", L), _fmt(S, "abab", R))))
-
-    # The canonical multiplier reproduces the pairing.
-    def ev_w_pairing(la, lb):
-        L = w.pair_against(A.lc(la), B.lc(lb))
-        R = P.pair(A.lc(la), B.lc(lb))
-        if L == R:
-            return None
-        return _ce({"a": _lab(S, "a", la), "b": _lab(S, "b", lb)},
-                   S.field.to_str(L), S.field.to_str(R))
-
-    checks.append(_check(
-        "w-pairing",
-        lambda: _cases(S, "w-pairing", [a_labels], [b_labels], BUDGET),
-        ev_w_pairing))
-
-    # Coproduct identities of the canonical multiplier on both legs.
-    checks.append(residual_check(
-        "w-coproduct-b", [b_labels], [b_labels, a_labels], BUDGET_HEAVY,
-        lambda m, m2, n: w_coproduct_b_residual(P, B.lc(m), B.lc(m2),
-                                                A.lc(n), w),
-        lambda case, L, R: _ce(
-            {"m": _lab(S, "b", case[0]), "m2": _lab(S, "b", case[1]),
-             "n": _lab(S, "a", case[2])},
-            _fmt(S, "bba", L), _fmt(S, "bba", R))))
-
-    checks.append(residual_check(
-        "w-coproduct-a", [b_labels], [a_labels, a_labels], BUDGET_HEAVY,
-        lambda m, n1, n2: w_coproduct_a_residual(P, B.lc(m), A.lc(n1),
-                                                 A.lc(n2), w),
-        lambda case, L, R: _ce(
-            {"m": _lab(S, "b", case[0]), "n1": _lab(S, "a", case[1]),
-             "n2": _lab(S, "a", case[2])},
-            _fmt(S, "baa", L), _fmt(S, "baa", R))))
-
-    # The antipode twist of the canonical multiplier is a two-sided inverse.
-    def ev_w_inverse(m, n):
+    def w_invertible(m, n):
         left, right, expected = w_inverse_residual(P, B.lc(m), A.lc(n), w)
-        if left == expected and right == expected:
-            return None
-        return _ce({"m": _lab(S, "b", m), "n": _lab(S, "a", n)},
-                   [_fmt(S, "ba", left), _fmt(S, "ba", right)],
-                   _fmt(S, "ba", expected))
+        return [left, right], expected
 
-    checks.append(_check(
-        "w-invertible",
-        lambda: _cases(S, "w-invertible", [b_labels], [a_labels], BUDGET),
-        ev_w_inverse))
-
-    return checks
+    return [
+        # Crossing-conjugation moves the R-multiplier between grading pairs.
+        _Identity("qt-conjugation", [G, G, G], [crossed, crossed],
+                  BUDGET_HEAVY,
+                  lambda t, p, q, ul, vl: qt_conjugation_residual(
+                      P, t, p, q, unit(ul + vl), skew=skew, pair_mul=mul,
+                      w=w),
+                  "actor:g " + _GGUV, "abab"),
+        # The coproduct on the first leg factors through 13-23, on the
+        # second leg through 13-12.
+        _Identity("qt-coproduct-first", [G, G, G],
+                  [crossed, crossed, crossed], BUDGET_HEAVY,
+                  lambda p, q, r, ul, vl, zl: qt_coproduct_first_residual(
+                      P, p, q, r, unit(ul + vl + zl), skew=skew,
+                      pair_mul=mul, w=w),
+                  _GGGUVZ, "ababab"),
+        _Identity("qt-coproduct-second", [G, G, G],
+                  [crossed, crossed, crossed], BUDGET_HEAVY,
+                  lambda p, q, r, ul, vl, zl: qt_coproduct_second_residual(
+                      P, p, q, r, unit(ul + vl + zl), pair_mul=mul, w=w),
+                  _GGGUVZ, "ababab"),
+        # The R-multiplier intertwines the coproduct with its twisted
+        # co-opposite.
+        _Identity("qt-intertwine", [G, G], [crossed, crossed, crossed],
+                  BUDGET_HEAVY,
+                  lambda p, q, xl, ul, vl: qt_intertwine_residual(
+                      P, p, q, unit(xl), unit(ul), unit(vl), skew=skew,
+                      pair_mul=mul, w=w),
+                  "gradings:gg x:ab u:ab v:ab", "abab"),
+        # The canonical multiplier reproduces the pairing, satisfies the
+        # coproduct identities on both legs, and its antipode twist is a
+        # two-sided inverse.
+        _Identity("w-pairing", [a_labels], [b_labels], BUDGET,
+                  lambda la, lb: (w.pair_against(A.lc(la), B.lc(lb)),
+                                  P.pair(A.lc(la), B.lc(lb))),
+                  "a:a b:b", "k"),
+        _Identity("w-coproduct-b", [b_labels], [b_labels, a_labels],
+                  BUDGET_HEAVY,
+                  lambda m, m2, n: w_coproduct_b_residual(
+                      P, B.lc(m), B.lc(m2), A.lc(n), w),
+                  "m:b m2:b n:a", "bba"),
+        _Identity("w-coproduct-a", [b_labels], [a_labels, a_labels],
+                  BUDGET_HEAVY,
+                  lambda m, n1, n2: w_coproduct_a_residual(
+                      P, B.lc(m), A.lc(n1), A.lc(n2), w),
+                  "m:b n1:a n2:a", "baa"),
+        _Identity("w-invertible", [b_labels], [a_labels], BUDGET,
+                  w_invertible, "m:b n:a", "ba")]
 
 
 # ---------------------------------------------------------------------------
 # lemma42 suite: the canonical-multiplier intertwiner identities
 # ---------------------------------------------------------------------------
 
-def _lemma42_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
+def _lemma42_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
     mul = S.pair_mul
@@ -1112,247 +895,103 @@ def _lemma42_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
     a_labels = S.a_labels()
     b_labels = S.b_labels()
     w = S.w
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
-
-    def ev_a(p, al, ul, ml):
-        L, R = w_intertwiner_residual_a(P, p, A.lc(al), LinComb.unit(ul),
-                                        A.lc(ml), pair_mul=mul, w=w)
-        if L == R:
-            return None
-        return _ce({"grading": _gj(p), "a": _lab(S, "a", al),
-                    "cover": _lab(S, "ab", ul), "m": _lab(S, "a", ml)},
-                   _fmt(S, "aba", L), _fmt(S, "aba", R))
-
-    checks.append(_check(
-        "w-intertwiner-a",
-        lambda: _cases(S, "w-intertwiner-a", [G],
-                       [a_labels, crossed, a_labels], BUDGET_HEAVY),
-        ev_a))
-
-    def ev_b(p, q, bl, ml, ul):
-        L, R = w_intertwiner_residual_b(P, p, q, B.lc(bl), B.lc(ml),
-                                        LinComb.unit(ul), pair_mul=mul, w=w)
-        if L == R:
-            return None
-        return _ce({"gradings": _gj(p, q), "b": _lab(S, "b", bl),
-                    "m": _lab(S, "b", ml), "cover": _lab(S, "ab", ul)},
-                   _fmt(S, "bab", L), _fmt(S, "bab", R))
-
-    checks.append(_check(
-        "w-intertwiner-b",
-        lambda: _cases(S, "w-intertwiner-b", [G, G],
-                       [b_labels, b_labels, crossed], BUDGET_HEAVY),
-        ev_b))
-
-    return checks
+    return [
+        _Identity("w-intertwiner-a", [G], [a_labels, crossed, a_labels],
+                  BUDGET_HEAVY,
+                  lambda p, al, ul, ml: w_intertwiner_residual_a(
+                      P, p, A.lc(al), LinComb.unit(ul), A.lc(ml),
+                      pair_mul=mul, w=w),
+                  "grading:g a:a cover:ab m:a", "aba"),
+        _Identity("w-intertwiner-b", [G, G], [b_labels, b_labels, crossed],
+                  BUDGET_HEAVY,
+                  lambda p, q, bl, ml, ul: w_intertwiner_residual_b(
+                      P, p, q, B.lc(bl), B.lc(ml), LinComb.unit(ul),
+                      pair_mul=mul, w=w),
+                  "gradings:gg b:b m:b cover:ab", "bab")]
 
 
 # ---------------------------------------------------------------------------
 # oracle suite: closed forms against the generic engine
 # ---------------------------------------------------------------------------
 
-def _oracle_suite(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
-    if S.kind == "group":
-        return _oracle_group(S, S.P, identity=None)
-    if S.kind == "drinfeld-double":
-        return _oracle_double(S)
-    if S.kind == "finite-dim-hopf" and S.group is not None:
-        return _oracle_finite_dim(S)
-    return []
+def _oracle_suite(S: Session) -> List:
+    """The engine against closed forms.
 
-
-def _oracle_group(S: Session, shadow, identity
-                  ) -> List[Tuple[str, Callable[[], AxiomReport]]]:
-    """Engine-vs-closed-form checks.
-
-    ``shadow`` is the pairing on which the closed forms are evaluated;
-    ``identity`` maps engine labels to shadow labels (``None`` when the
-    engine pairing is the shadow).  ``to_engine`` sends a shadow crossed
-    label back into engine coordinates for the comparison.
+    ``oracle-mul``, ``oracle-comul`` and ``oracle-antipode`` are the same
+    rows on the Drinfeld double and on a group pairing; only the closed
+    form differs.  For a structure-constant instance built from a finite
+    group, ``els`` lists the group elements that the basis indices stand
+    for: the closed forms run on the group pairing of those elements, and
+    their values are translated back to indices.
     """
     P = S.P
     mul = S.pair_mul
     cfl = S.cop_first_leg
+    unit = LinComb.unit
     G = list(S.gradings)
     crossed = S.crossed_labels()
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
 
-    if identity is None:
-        def fwd(lab):
-            return lab
+    def shared(mul_cf, comul_cf, antipode_cf, comul_budget):
+        return (
+            _Identity("oracle-mul", [G], [crossed, crossed], BUDGET,
+                      lambda g, x, y: (dcp_mul(P, g, unit(x), unit(y)),
+                                       mul_cf(g, x, y)), _GXY, "ab"),
+            _Identity("oracle-comul", [G, G], [crossed, crossed],
+                      comul_budget,
+                      lambda p, q, x, c: (
+                          comul_covered(P, unit(x), p, q, unit(c),
+                                        side="right", cop_first_leg=cfl,
+                                        pair_mul=mul),
+                          comul_cf(p, q, x, c)),
+                      "gradings:gg x:ab cover:ab", "abab"),
+            _Identity("oracle-antipode", [G], [crossed], BUDGET,
+                      lambda g, x: (graded_antipode(P, g, unit(x)),
+                                    antipode_cf(g, x)), _GX, "ab"))
 
-        def back(lab):
-            return lab
+    if S.kind == "drinfeld-double":
+        mul_row, comul_row, antipode_row = shared(
+            lambda g, x, y: double_mul(P, g, x, y),
+            lambda p, q, x, c: double_comul_covered_brute(
+                P, p, q, unit(x), unit(c), pair_mul=None),
+            lambda g, x: double_antipode(P, g, x), 20_000)
+        return [mul_row, antipode_row] + ([comul_row] if S.finite else [])
+    if S.kind == "group":
+        Q, els = P, None
+    elif S.kind == "finite-dim-hopf" and S.group is not None:
+        Q, els = GroupPairing(S.group, S.field), S.group.elements()
+        idx = {g: i for i, g in enumerate(els)}
     else:
-        to_shadow, to_engine = identity
+        return []
 
-        def fwd(lab):
-            return to_shadow(lab)
+    def on(*labels):             # engine crossed labels as labels of Q
+        if els is None:
+            return labels
+        return [(els[a], els[b]) for a, b in labels]
 
-        def back(lab):
-            return to_engine(lab)
+    def back(value: LinComb) -> LinComb:    # a value of Q in engine labels
+        if els is None:
+            return value
+        return value.map_labels(lambda lab: tuple(idx[g] for g in lab))
 
-    def back_value(value: LinComb, width: int) -> LinComb:
-        def relabel(lab):
-            out: Tuple = ()
-            for i in range(0, 2 * width, 2):
-                out = out + back(lab[i:i + 2])
-            return out
-        return value.map_labels(relabel)
+    mul_row, comul_row, antipode_row = shared(
+        lambda g, x, y: back(group_mul(Q, g, *on(x, y))),
+        lambda p, q, x, c: back(group_comul_covered(Q, p, q, *on(x, c))),
+        lambda g, x: back(group_antipode(Q, g, *on(x))[1]), BUDGET_HEAVY)
+    checks = [
+        mul_row, comul_row,
+        _Identity("oracle-counit", [crossed], [], None,
+                  lambda x: (graded_counit(P, unit(x)),
+                             group_counit(Q, *on(x))), "x:ab", "k"),
+        antipode_row,
+        _Identity("oracle-r", [G, G], [crossed, crossed], BUDGET_HEAVY,
+                  lambda p, q, u, v: (
+                      r_apply(P, p, q, unit(u + v), "left", S.w),
+                      back(group_r_apply_left(Q, p, q, *on(u, v)))),
+                  _GGUV, "abab")]
+    if els is None:
+        return checks
 
-    def ev_mul(g, t1, t2):
-        L = dcp_mul(P, g, LinComb.unit(t1), LinComb.unit(t2))
-        R = back_value(group_mul(shadow, g, fwd(t1), fwd(t2)), 1)
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", t1),
-                    "y": _lab(S, "ab", t2)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-    checks.append(_check(
-        "oracle-mul",
-        lambda: _cases(S, "oracle-mul", [G], [crossed, crossed], BUDGET),
-        ev_mul))
-
-    def ev_comul(p, q, t, cover):
-        L = comul_covered(P, LinComb.unit(t), p, q, LinComb.unit(cover),
-                          side="right", cop_first_leg=cfl, pair_mul=mul)
-        R = back_value(group_comul_covered(shadow, p, q, fwd(t), fwd(cover)),
-                       2)
-        if L == R:
-            return None
-        return _ce({"gradings": _gj(p, q), "x": _lab(S, "ab", t),
-                    "cover": _lab(S, "ab", cover)},
-                   _fmt(S, "abab", L), _fmt(S, "abab", R))
-
-    checks.append(_check(
-        "oracle-comul",
-        lambda: _cases(S, "oracle-comul", [G, G], [crossed, crossed],
-                       BUDGET_HEAVY),
-        ev_comul))
-
-    def ev_counit(t):
-        L = graded_counit(P, LinComb.unit(t))
-        R = group_counit(shadow, fwd(t))
-        if L == R:
-            return None
-        return _ce({"x": _lab(S, "ab", t)}, S.field.to_str(L),
-                   S.field.to_str(R))
-
-    checks.append(_check("oracle-counit", lambda: [(t,) for t in crossed],
-                         ev_counit))
-
-    def ev_antipode(g, t):
-        L = graded_antipode(P, g, LinComb.unit(t))
-        _, raw = group_antipode(shadow, g, fwd(t))
-        R = back_value(raw, 1)
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", t)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-    checks.append(_check(
-        "oracle-antipode",
-        lambda: _cases(S, "oracle-antipode", [G], [crossed], BUDGET),
-        ev_antipode))
-
-    def ev_r(p, q, tu, tv):
-        L = r_apply(P, p, q, LinComb.unit(tu + tv), "left", S.w)
-        R = back_value(group_r_apply_left(shadow, p, q, fwd(tu), fwd(tv)), 2)
-        if L == R:
-            return None
-        return _ce({"gradings": _gj(p, q), "u": _lab(S, "ab", tu),
-                    "v": _lab(S, "ab", tv)},
-                   _fmt(S, "abab", L), _fmt(S, "abab", R))
-
-    checks.append(_check(
-        "oracle-r",
-        lambda: _cases(S, "oracle-r", [G, G], [crossed, crossed],
-                       BUDGET_HEAVY),
-        ev_r))
-
-    return checks
-
-
-def _oracle_double(S: Session) -> List[Tuple[str, Callable[[], AxiomReport]]]:
-    P = S.P
-    mul = S.pair_mul
-    cfl = S.cop_first_leg
-    G = list(S.gradings)
-    crossed = S.crossed_labels()
-    finite = S.group.is_finite if S.group is not None else True
-    checks: List[Tuple[str, Callable[[], AxiomReport]]] = []
-
-    def ev_mul(g, t1, t2):
-        L = dcp_mul(P, g, LinComb.unit(t1), LinComb.unit(t2))
-        R = double_mul(P, g, t1, t2)
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", t1),
-                    "y": _lab(S, "ab", t2)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-    checks.append(_check(
-        "oracle-mul",
-        lambda: _cases(S, "oracle-mul", [G], [crossed, crossed], BUDGET),
-        ev_mul))
-
-    def ev_antipode(g, t):
-        L = graded_antipode(P, g, LinComb.unit(t))
-        R = double_antipode(P, g, t)
-        if L == R:
-            return None
-        return _ce({"grading": _gj(g), "x": _lab(S, "ab", t)},
-                   _fmt(S, "ab", L), _fmt(S, "ab", R))
-
-    checks.append(_check(
-        "oracle-antipode",
-        lambda: _cases(S, "oracle-antipode", [G], [crossed], BUDGET),
-        ev_antipode))
-
-    if finite:
-        def ev_comul(p, q, t, cover):
-            L = comul_covered(P, LinComb.unit(t), p, q, LinComb.unit(cover),
-                              side="right", cop_first_leg=cfl, pair_mul=mul)
-            R = double_comul_covered_brute(P, p, q, LinComb.unit(t),
-                                           LinComb.unit(cover), pair_mul=None)
-            if L == R:
-                return None
-            return _ce({"gradings": _gj(p, q), "x": _lab(S, "ab", t),
-                        "cover": _lab(S, "ab", cover)},
-                       _fmt(S, "abab", L), _fmt(S, "abab", R))
-
-        checks.append(_check(
-            "oracle-comul",
-            lambda: _cases(S, "oracle-comul", [G, G], [crossed, crossed],
-                           20_000),
-            ev_comul))
-
-    return checks
-
-
-def _oracle_finite_dim(S: Session
-                       ) -> List[Tuple[str, Callable[[], AxiomReport]]]:
-    """Closed-form checks for a structure-constant instance built from a
-    finite group: identify basis indices with group elements and compare
-    every structure map, plus the dual-basis form of the R-multiplier."""
-    P = S.P
-    group = S.group
-    els = group.elements()
-    idx = {g: i for i, g in enumerate(els)}
-    shadow = GroupPairing(group, S.field)
-
-    def to_shadow(lab):
-        return (els[lab[0]], els[lab[1]])
-
-    def to_engine(lab):
-        return (idx[lab[0]], idx[lab[1]])
-
-    checks = _oracle_group(S, shadow, identity=(to_shadow, to_engine))
-
-    G = list(S.gradings)
-    B = P.B
-
+    # The dual-basis form of the R-multiplier (structure constants only).
     def ev_r_closed(p):
         engine = []
         for b_val, a_lab, coeff in dual_basis_r_terms(P, p):
@@ -1365,13 +1004,12 @@ def _oracle_finite_dim(S: Session
         engine = sorted(engine, key=lambda t: (t[0], t[1]))
         if engine == expected:
             return None
-        fmt = lambda terms: [[B.label_to_json(lb), P.A.label_to_json(la),
+        fmt = lambda terms: [[P.B.label_to_json(lb), P.A.label_to_json(la),
                               S.field.to_str(c)] for lb, la, c in terms]
         return _ce({"grading": _gj(p)}, fmt(engine), fmt(expected))
 
     checks.append(_check("oracle-r-closed-form", lambda: [(p,) for p in G],
                          ev_r_closed))
-
     return checks
 
 
@@ -1397,7 +1035,8 @@ def suite_axioms(S: Session, suite: str,
     if suite not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"expected one of {SUITE_NAMES}")
-    checks = _SUITE_BUILDERS[suite](S)
+    checks = [_identity_check(S, c) if isinstance(c, _Identity) else c
+              for c in _SUITE_BUILDERS[suite](S)]
     if only is not None:
         wanted = set(only)
         checks = [c for c in checks if c[0] in wanted]

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, report/export determinism, eval
 ops, and input diagnostics."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -12,11 +14,13 @@ from importlib.metadata import entry_points
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhag
 from mhag.cli import main
 
-from conftest import (IDENT, NEG, group_instance, inner, sampled,
+from conftest import (IDENT, NEG, cyc_inv, group_instance, inner, sampled,
                       session_spec, write_spec)
 
 try:
@@ -221,10 +225,67 @@ class TestEval:
                           {"grading": 7, "x": [[0, 0]]})
         assert rc == 2 and "grading index" in err
 
+    @pytest.mark.parametrize("params, message", [
+        ({"grading": False, "x": [[0, 0]]}, "grading index False"),
+        ({"grading": 0, "x": [[[0, {}], 1]]}, "malformed label"),
+        ({"grading": 0, "x": [[0, 1, "1/0"]]}, "zero denominator"),
+    ])
+    def test_malformed_arguments_exit_two(self, capsys, z2_spec, params,
+                                          message):
+        rc, err = self.ev(capsys, z2_spec, "antipode", params)
+        assert rc == 2 and message in err and err.count("\n") == 1
+
     def test_bad_args_json(self, capsys, z2_spec):
         rc, _, err = run_cli(capsys, "eval", "--spec", z2_spec,
                              "--op", "counit", "--args", "{oops")
         assert rc == 2 and "--args" in err
+
+
+# The arguments each eval op reads.
+EVAL_KEYS = {
+    "dcp-mul": ["grading", "x", "y"],
+    "comul-covered": ["left", "right", "x", "cover", "side"],
+    "antipode": ["grading", "x", "inverse"],
+    "counit": ["x"],
+    "twist": ["grading", "ba", "ab"],
+    "crossing": ["actor", "source", "x"],
+    "r-apply": ["left", "right", "uv", "side"],
+    "pair": ["a", "b"],
+    "commutation-residual": ["grading", "a", "b", "cover"],
+}
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                  st.sampled_from(["1/0", "2", "-1/2", "x", "left", "right"]))
+_json = st.recursive(
+    _leaf, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=2), kids, max_size=2), max_leaves=8)
+# Mostly well-formed term lists, so that the ops themselves run too.
+_terms = st.lists(st.lists(st.one_of(st.integers(0, 1), _json), min_size=1,
+                           max_size=5), max_size=3)
+
+
+@pytest.fixture(scope="module")
+def z2_two_gradings(tmp_path_factory):
+    return write_spec(tmp_path_factory.mktemp("eval"), session_spec(
+        group_instance("cyclic", 2),
+        gradings=[[IDENT, IDENT], [cyc_inv(2), cyc_inv(2)]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_eval_arguments_exit_zero_or_two(z2_two_gradings, data):
+    """Any JSON arguments end in a result or a one-line error, never in a
+    traceback or the exit code of a failed axiom."""
+    op = data.draw(st.sampled_from(sorted(EVAL_KEYS)))
+    params = data.draw(st.fixed_dictionaries(
+        {}, optional={k: st.one_of(_terms, _json) for k in EVAL_KEYS[op]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["eval", "--spec", z2_two_gradings, "--op", op,
+                   "--args", json.dumps(params)])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 class TestInputDiagnostics:
@@ -310,6 +371,7 @@ def test_installed_script_smoke(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
+    assert "RuntimeWarning" not in proc.stderr
 
     target = _console_script_target("mhag")
     assert re.fullmatch(r"[\w.]+:\w+", target), target

@@ -1,5 +1,7 @@
 """Golden report digests: the SHA-256 of the rendered `verify` report or
-`export` document for a few small fixed sessions.
+`export` document for a few small fixed sessions, plus two digests of what
+passing reports do not show: every check's counterexample rendering, and
+the case schedule (pool sizes and budgets) of an exhaustive session.
 
 A refactor or speed-up of the engine must leave every digest unchanged:
 the reports are byte-identical by contract, so a moved digest means the

@@ -1,4 +1,4 @@
-"""Sparse exact linear combinations: algebra laws, tensors, rank."""
+"""Sparse exact linear combinations: algebra laws and tensors."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mhag import LinComb, label_key
-from mhag.linear import exact_rank, lc_combine, lc_tensor, unwrap1, wrap1
+from mhag.linear import lc_combine, wrap1
 
 labels = st.sampled_from(["x", "y", "z", 0, 1, (0, "x")])
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -52,7 +52,7 @@ def test_tensor_labels_concatenate():
     b = LinComb.unit(("q", "r"), Fraction(3))
     t = a.tensor(b)
     assert t.terms == {("p", "q", "r"): Fraction(6)}
-    assert lc_tensor(a, b, a).support() == [("p", "q", "r", "p")]
+    assert t.tensor(a).support() == [("p", "q", "r", "p")]
 
 
 def test_map_helpers():
@@ -61,7 +61,7 @@ def test_map_helpers():
     assert doubled.coeff("y") == Fraction(4)
     renamed = v.map_labels(lambda lab: lab.upper())
     assert sorted(renamed.support()) == ["X", "Y"]
-    assert unwrap1(wrap1(v)) == v
+    assert wrap1(v).terms == {("x",): Fraction(1), ("y",): Fraction(2)}
     assert lc_combine([v, v.neg()]).is_zero()
 
 
@@ -76,40 +76,3 @@ def test_label_key_total_order():
     once = sorted(ls, key=label_key)
     assert sorted(list(reversed(ls)), key=label_key) == once
     assert once[:3] == [-3, 0, 5]  # ints first, by value
-
-
-def _ref_rank(rows, cols):
-    """Independent dense Gaussian elimination over Fractions."""
-    m = [[Fraction(r.coeff(c)) for c in cols] for r in rows]
-    rank, col = 0, 0
-    while rank < len(m) and col < len(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col] / m[rank][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                min_size=0, max_size=5))
-def test_exact_rank_matches_dense_reference(rows_ints):
-    cols = ["u", "v", "w"]
-    rows = [LinComb.from_pairs((c, Fraction(n)) for c, n in zip(cols, row))
-            for row in rows_ints]
-    assert exact_rank(rows) == _ref_rank(rows, cols)
-
-
-def test_exact_rank_known_cases():
-    r1 = LinComb.from_pairs([("u", Fraction(1)), ("v", Fraction(2))])
-    r2 = LinComb.from_pairs([("u", Fraction(2)), ("v", Fraction(4))])
-    assert exact_rank([r1, r2]) == 1
-    eye = [LinComb.unit(c, Fraction(1)) for c in "uvw"]
-    assert exact_rank(eye) == 3
-    assert exact_rank([]) == 0

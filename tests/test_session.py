@@ -100,22 +100,6 @@ class TestEnumPlans:
         S = session_from_json(spec, seed=99, window=6)
         assert S.enum.seed == 99 and S.enum.window == 6
 
-    def test_cases_exhaustive_full_product(self):
-        S = make_session(session_spec(group_instance("cyclic", 3)))
-        cases = S.cases("t", [[1, 2], ["a", "b", "c"]])
-        assert len(cases) == 6
-        assert cases[0] == (1, "a")
-
-    def test_cases_sampled_capped_and_deterministic(self):
-        spec = session_spec(group_instance("Z"), enum=sampled(7, 5, window=3),
-                            gradings=[[NEG, NEG]])
-        S1, S2 = session_from_json(spec), session_from_json(spec)
-        pools = [list(range(100)), list(range(50))]
-        c1 = S1.cases("tag", pools)
-        assert len(c1) == 7
-        assert c1 == S2.cases("tag", pools)
-        assert c1 != S2.cases("other-tag", pools)
-
 
 class TestCorruptionSwitches:
     def base(self, corrupt):

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhag import (LinComb, RationalField, SUITE_NAMES, run_suite,
@@ -264,7 +264,8 @@ class TestIncrementalRank:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(min_value=-4, max_value=4),
                              min_size=3, max_size=3),
-                    min_size=1, max_size=6))
+                    min_size=0, max_size=6))
+    @example(rows=[])
     def test_matches_dense_reference(self, rows):
         F = RationalField()
         rk = _Rank(F)
