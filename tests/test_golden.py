@@ -1,5 +1,6 @@
 """Golden report digests: the SHA-256 of the rendered `verify` report or
-`export` document for a few small fixed sessions, plus two digests of what
+`export` document for a few small fixed sessions and for the benchmark's
+four workloads at one seed, plus two digests of what
 passing reports do not show: every check's counterexample rendering, and
 the case schedule (pool sizes and budgets) of an exhaustive session.
 
@@ -55,6 +56,22 @@ Z_VERIFY = {
         "e710df09a4206e0078699f3c4fe54e630e45d89e04ada8bf5ee5ed2fa9f6ddc1",
 }
 
+# A structure-constant instance is the only kind whose oracle suite reads
+# the canonical multiplier (the dual-basis closed form of the R-multiplier).
+FINITE_DIM_S3_VERIFY = {
+    None: "d9838ea409a85a9d9fc216630afd4d6dbc51b38cfd9d2c8022fdf7af55a7c4a3",
+    "antipode-sign":
+        "4f05794ec5f55028457576472675a97dc5f8e3ad0678451e4b221fc54c446cc4",
+    "drop-r-term":
+        "ae204385a4d424b071c2271296023a3b36e79b10f0b1ba1152f8f577c72f314b",
+    "swap-delta-legs":
+        "326d7b33655f4de1394e50f721355d5d92a44214789b653330cd8fabaa081834",
+    "pair-mul-twist":
+        "e4508087cb7080125291e654ebde7bfcfab1a209001c8a9ce3cf5982a7328dad",
+    "xi-composite":
+        "180371a8bc62333929089a50ad3f5591c94334f6dc4e54f35851e69ad069eac6",
+}
+
 DOUBLE_F10007_VERIFY = (
     "f2a059e37fc41712651afb958812ee4f79e2ea95533fd5d3ee5411886c66210a")
 S3_EXPORT = "f743d69c610801f60f4bf69a421b008e77e3c5805ac81c5870502bc4f6dd8e7e"
@@ -79,6 +96,47 @@ S3_SCHEDULE = (
     "8714a8971c0ef10487996b0b3ff0ad0e4df4e846af1d62609402564c870c5760")
 
 
+# The benchmark's four workloads at seed 101, as the session files that
+# perfbench/workloads.py writes for that seed: (session, suites run, or
+# None for an export, digest).
+_S3 = {"kind": "symmetric", "n": 3}
+WORKLOADS_SEED_101 = {
+    "finite-exhaustive": (
+        {"scalars": "rational",
+         "instance": {"kind": "group", "group": _S3},
+         "gradings": [["identity", "identity"],
+                      [inner((1, 0, 2)), inner((2, 0, 1))]],
+         "enum": {"mode": "exhaustive"}},
+        ["cograded", "lemma42", "oracle"],
+        "a7f3df475fd9dcd1e6bad05163b0e6455eccda759b631daa7fb3c83af251e08c"),
+    "integers-sampled": (
+        {"scalars": "rational",
+         "instance": {"kind": "group", "group": "Z"},
+         "gradings": [["identity", "identity"], ["identity", "negation"],
+                      ["negation", "identity"], ["negation", "negation"]],
+         "enum": {"mode": "sampled", "count": 400, "seed": 2496029389,
+                  "window": 12}},
+        list(SUITE_NAMES),
+        "161678f78f022edb48e4a99ac6cc5b93444abcf97fae27caf3ca1d18da31b1cc"),
+    "double-sampled-prime": (
+        {"scalars": {"prime": 10007},
+         "instance": {"kind": "drinfeld-double", "group": _S3},
+         "gradings": [["identity", "identity"]],
+         "enum": {"mode": "sampled", "count": 40, "seed": 2496029389}},
+        list(SUITE_NAMES),
+        "dd7283d000226a1ba473f433bfefb8374088921eb6f693938b356fcb4dbd6885"),
+    "finite-export": (
+        {"scalars": "rational",
+         "instance": {"kind": "group", "group": _S3},
+         "gradings": [["identity", "identity"],
+                      [inner((1, 0, 2)), inner((0, 2, 1))],
+                      [inner((2, 1, 0)), inner((2, 1, 0))]],
+         "enum": {"mode": "exhaustive"}},
+        None,
+        "b2c017eaf64b7b7ca148fff0a25dbceed92aadf01e819aedd82f34b8fbf7a229"),
+}
+
+
 def _digest(payload) -> str:
     return hashlib.sha256(_dump(payload).encode("utf-8")).hexdigest()
 
@@ -88,7 +146,8 @@ def _verify_digest(spec) -> str:
 
 
 def test_digest_tables_cover_every_corruption():
-    assert set(S3_VERIFY) == set(Z_VERIFY) == {None, *CORRUPTIONS}
+    assert (set(S3_VERIFY) == set(Z_VERIFY) == set(FINITE_DIM_S3_VERIFY)
+            == {None, *CORRUPTIONS})
 
 
 @pytest.mark.parametrize("corrupt", [None, *CORRUPTIONS])
@@ -104,6 +163,24 @@ def test_integers_sampled_all_suites(corrupt):
     spec = session_spec(group_instance("Z"), gradings=Z_GRADINGS,
                         enum=sampled(100, 11, window=5), corrupt=corrupt)
     assert _verify_digest(spec) == Z_VERIFY[corrupt]
+
+
+@pytest.mark.parametrize("corrupt", [None, *CORRUPTIONS])
+def test_finite_dim_s3_sampled_all_suites(corrupt):
+    spec = session_spec({"kind": "finite-dim-hopf", "group": _S3},
+                        gradings=S3_GRADINGS,
+                        enum={"mode": "sampled", "count": 15, "seed": 7},
+                        corrupt=corrupt)
+    assert _verify_digest(spec) == FINITE_DIM_S3_VERIFY[corrupt]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS_SEED_101))
+def test_benchmark_workload(name):
+    spec, suite_names, digest = WORKLOADS_SEED_101[name]
+    S = make_session(spec)
+    out = (export_structure(S) if suite_names is None
+           else run_verify(S, suite_names))
+    assert _digest(out) == digest
 
 
 def test_drinfeld_double_prime_field_sampled():
