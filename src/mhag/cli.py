@@ -120,8 +120,7 @@ def export_structure(S: Session) -> Dict:
                 for cover in crossed:
                     half = comul_covered(
                         P, LinComb.unit(x), p, q, LinComb.unit(cover),
-                        side="right", cop_first_leg=S.cop_first_leg,
-                        pair_mul=S.pair_mul)
+                        side="right")
                     images.append([_lab(S, "ab", x), _lab(S, "ab", cover),
                                    _fmt(S, "abab", half)])
             splits.append({"left": grading_to_json(p),
@@ -202,9 +201,7 @@ def eval_op(S: Session, op: str, params: Dict) -> Dict:
         q = _grading(S, need("right"))
         side = params.get("side", "right")
         out = comul_covered(P, _parse_value(S, need("x"), "ab"), p, q,
-                            _parse_value(S, need("cover"), "ab"), side=side,
-                            cop_first_leg=S.cop_first_leg,
-                            pair_mul=S.pair_mul)
+                            _parse_value(S, need("cover"), "ab"), side=side)
         return {"op": op, "result": _fmt(S, "abab", out)}
     if op == "antipode":
         g = _grading(S, need("grading"))
@@ -224,16 +221,15 @@ def eval_op(S: Session, op: str, params: Dict) -> Dict:
     if op == "crossing":
         t = _grading(S, need("actor"))
         q = _grading(S, need("source"))
-        target, out = crossing_apply(P, t, q, _parse_value(S, need("x"),
-                                                           "ab"),
-                                     skew=S.skew, pair_mul=S.pair_mul)
+        target, out = crossing_apply(P, t, q,
+                                     _parse_value(S, need("x"), "ab"))
         return {"op": op, "target": grading_to_json(target),
                 "result": _fmt(S, "ab", out)}
     if op == "r-apply":
         p = _grading(S, need("left"))
         q = _grading(S, need("right"))
         uv = _parse_value(S, need("uv"), "abab")
-        out = r_apply(P, p, q, uv, params.get("side", "left"), S.w)
+        out = r_apply(P, p, q, uv, params.get("side", "left"))
         return {"op": op, "result": _fmt(S, "abab", out)}
     if op == "pair":
         val = P.pair(_parse_value(S, need("a"), "a"),

@@ -18,19 +18,20 @@ Conventions
   is the slot at ``left_g``, the second the slot at ``right_g``.
 * All sums are exact; covers are chosen so every intermediate is an
   honest element (never a formal multiplier).
+* The grading-group product, the coproduct-leg order and the crossing
+  action's B-leg map are read from the pairing (``P.pair_mul``,
+  ``P.cop_first_leg``, ``P.skew``), where a session may plant a defect.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .crossed import (EngineError, _acc, a_embed_left, b_embed_left, dcp_mul,
-                      twist_inv, twist_map)
-from .groups import (AutPair, aut_pair_identity, aut_pair_inv, aut_pair_mul)
+from .crossed import (EngineError, _acc, b_embed_left, dcp_mul, twist_inv,
+                      twist_map)
+from .groups import AutPair, aut_pair_inv
 from .linear import LinComb
 from .pairing import Pairing
-
-PairMul = Callable[[AutPair, AutPair], AutPair]
 
 
 class GradedElem:
@@ -110,19 +111,16 @@ def graded_counit(P: Pairing, value: LinComb):
     return total
 
 
-def _second_leg_aut(left_g: AutPair, right_g: AutPair,
-                    pair_mul: Optional[PairMul]) -> "Automorphism":
+def _second_leg_aut(P: Pairing, left_g: AutPair,
+                    right_g: AutPair) -> "Automorphism":
     """The automorphism applied to the second comultiplication leg of the
-    B-part.  Derived from the grading-group product so that a corrupted
-    product law propagates faithfully into the comultiplication."""
-    mul = pair_mul or aut_pair_mul
-    return right_g.beta.inverse().compose(mul(left_g, right_g).beta)
+    B-part.  Derived from the pairing's grading-group product so that a
+    corrupted product law propagates faithfully into the comultiplication."""
+    return right_g.beta.inverse().compose(P.pair_mul(left_g, right_g).beta)
 
 
 def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
-                  cover: LinComb, side: str = "right",
-                  cop_first_leg: bool = True,
-                  pair_mul: Optional[PairMul] = None) -> LinComb:
+                  cover: LinComb, side: str = "right") -> LinComb:
     """Covered graded comultiplication of a homogeneous value ``x`` (at the
     product grading ``left_g * right_g``) for the split ``(left_g, right_g)``.
 
@@ -132,13 +130,12 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
 
     Output labels are flat 4-tuples ``(A, B, A, B)``.
 
-    ``cop_first_leg=False`` swaps which co-opposite leg of the A-part is
-    emitted on which slot (a deliberate corruption hook for mutation
-    testing).
+    ``P.cop_first_leg`` false swaps which co-opposite leg of the A-part is
+    emitted on which slot (a defect planted for mutation testing).
     """
     A, B = P.A, P.B
     gamma = right_g.alpha
-    gamma_p = _second_leg_aut(left_g, right_g, pair_mul)
+    gamma_p = _second_leg_aut(P, left_g, right_g)
     out: Dict[Tuple, object] = {}
 
     if side == "right":
@@ -155,7 +152,7 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                 for (a_t, b_t), c2 in s2.terms.items():
                     legs3 = A.t_pair(3, A.lc(la), A.lc(a_t))
                     for (a1c, a2), c3 in legs3.terms.items():
-                        first, second = ((a2, a1c) if cop_first_leg
+                        first, second = ((a2, a1c) if P.cop_first_leg
                                          else (a1c, a2))
                         for lb1g, c4 in gb1.terms.items():
                             _acc(out, (first, lb1g, second, b_t),
@@ -197,7 +194,7 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                                 continue
                             g_b2 = B.apply_aut(gamma_p, B.lc(b2))
                             for la1, c5 in x1.terms.items():
-                                first, second = ((t, la1) if cop_first_leg
+                                first, second = ((t, la1) if P.cop_first_leg
                                                  else (la1, t))
                                 for wl, c6 in w_gb1.terms.items():
                                     for lb2g, c7 in g_b2.terms.items():
@@ -245,14 +242,14 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     return LinComb(out)
 
 
-def _xi_maps(actor: AutPair, source: AutPair, skew: bool = False):
+def _xi_maps(P: Pairing, actor: AutPair, source: AutPair):
     """The two leg maps of the crossing action of ``actor`` on a component
     at ``source``: precomposition on the A-leg and an automorphism on the
-    B-leg.  ``skew=True`` drops the source-conjugation from the B-leg
-    (a deliberate corruption hook)."""
+    B-leg.  ``P.skew`` drops the source-conjugation from the B-leg (a
+    defect planted for mutation testing)."""
     alpha, beta = actor
     pre = beta.compose(alpha.inverse())
-    if skew:
+    if P.skew:
         b_aut = alpha.compose(beta.inverse())
     else:
         gamma = source.alpha
@@ -261,15 +258,13 @@ def _xi_maps(actor: AutPair, source: AutPair, skew: bool = False):
     return pre, b_aut
 
 
-def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb,
-                   skew: bool = False,
-                   pair_mul: Optional[PairMul] = None
+def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb
                    ) -> Tuple[AutPair, LinComb]:
     """Apply the crossing action of ``actor`` to a component value at
     ``source``; returns the target grading (the conjugate of ``source``
     by ``actor``) together with the transformed value."""
-    mul = pair_mul or aut_pair_mul
-    pre, b_aut = _xi_maps(actor, source, skew)
+    mul = P.pair_mul
+    pre, b_aut = _xi_maps(P, actor, source)
     target = mul(mul(actor, source), aut_pair_inv(actor))
     out: Dict[Tuple, object] = {}
     for (la, lb), c in x.terms.items():
@@ -282,15 +277,19 @@ def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb,
 
 
 def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,
-                     right_g: AutPair, u: LinComb, v: LinComb,
-                     pair_mul: Optional[PairMul] = None) -> LinComb:
+                     right_g: AutPair, u: LinComb, v: LinComb) -> LinComb:
     """``Delta(x) * (u (x) v)`` as an honest 4-tuple tensor: the right
     cover ``v`` truncates the legs, then ``u`` multiplies the first slot
-    from the right inside its component."""
-    half = comul_covered(P, x, left_g, right_g, v, side="right",
-                         pair_mul=pair_mul)
+    from the right inside its component.
+
+    The A-legs always come out in honest order, whatever
+    ``P.cop_first_leg`` says, so the intertwining check never sees a
+    swapped coproduct; the golden reports pin that blind spot."""
+    half = comul_covered(P, x, left_g, right_g, v, side="right")
     out: Dict[Tuple, object] = {}
     for (la1, lb1, la2, lb2), c in half.terms.items():
+        if not P.cop_first_leg:
+            la1, la2 = la2, la1
         s1 = dcp_mul(P, left_g, LinComb.unit((la1, lb1)), u)
         for (la1n, lb1n), c2 in s1.terms.items():
             _acc(out, (la1n, lb1n, la2, lb2), c * c2)

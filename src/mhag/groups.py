@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .scalars import json_int
+
 
 class GroupError(ValueError):
     """Raised for malformed group data (with a named diagnostic)."""
@@ -132,7 +134,7 @@ class TableGroup(Group):
     def parse_element(self, data):
         if isinstance(data, list):
             data = tuple(data)
-        if data not in self._set:
+        if _holds_bool(data) or data not in self._set:
             raise GroupError(f"element-unknown: {data!r}")
         return data
 
@@ -209,7 +211,7 @@ class PermGroup(Group):
 
     def parse_element(self, data):
         x = tuple(data)
-        if x not in self._set:
+        if _holds_bool(x) or x not in self._set:
             raise GroupError(f"element-unknown: {data!r}")
         return x
 
@@ -286,9 +288,9 @@ class Automorphism:
             self._map = mapping
             self._sign = 0
             order = group.elements()
-            self._key = tuple(mapping[x] for x in order)
             if not _validated:
                 self._validate_finite(order)
+            self._key = tuple(mapping[x] for x in order)
         else:
             if sign not in (1, -1):
                 raise GroupError("int-automorphism: sign must be +1 or -1")
@@ -421,6 +423,14 @@ def aut_pair_identity(group: Group) -> AutPair:
 
 # -- JSON parsing -----------------------------------------------------------
 
+def _holds_bool(data) -> bool:
+    """Whether a JSON element holds a boolean, which a set lookup would take
+    for the integer 0 or 1."""
+    if isinstance(data, (list, tuple)):
+        return any(_holds_bool(v) for v in data)
+    return isinstance(data, bool)
+
+
 def group_from_json(spec) -> Group:
     """Build a group backend from a JSON fragment.
 
@@ -439,14 +449,15 @@ def group_from_json(spec) -> Group:
         raise GroupError(f"group-spec-unreadable: {spec!r}")
     kind = spec.get("kind")
     if kind == "cyclic":
-        return TableGroup.cyclic(int(spec["n"]))
+        return TableGroup.cyclic(json_int(spec["n"], "n"))
     if kind == "symmetric":
-        return PermGroup.symmetric(int(spec["n"]))
+        return PermGroup.symmetric(json_int(spec["n"], "n"))
     if kind == "perm":
         degree = spec.get("degree", spec.get("n"))
         if degree is None:
             raise GroupError("perm-spec: missing degree")
-        return PermGroup(int(degree), [tuple(g) for g in spec["generators"]])
+        return PermGroup(json_int(degree, "degree"),
+                         [tuple(g) for g in spec["generators"]])
     if kind == "table":
         elements = [tuple(e) if isinstance(e, list) else e for e in spec["elements"]]
         n = len(elements)
@@ -512,9 +523,12 @@ def aut_from_json(group: Group, spec) -> Automorphism:
             if len(images) != len(order):
                 raise GroupError("aut-images-shape: image list length must equal group order")
             m = {x: group.parse_element(v) for x, v in zip(order, images)}
-        else:
+        elif isinstance(images, dict):
             m = {group.parse_element(k_parsed): group.parse_element(v)
                  for k_parsed, v in _iter_map_items(images)}
+        else:
+            raise GroupError("aut-images-shape: images must be a list or an "
+                             "object")
         return map_aut(group, m)
     raise GroupError(f"aut-kind-unknown: {kind!r}")
 

@@ -14,13 +14,12 @@ coordinate.  Double-instance formulas act on labels
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .cograded import PairMul
 from .crossed import _acc
 from .groups import AutPair, aut_pair_inv, aut_pair_mul
 from .linear import LinComb
-from .pairing import Pairing
+from .pairing import Pairing, _FiniteW
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +38,13 @@ def group_mul(P: Pairing, grading: AutPair, t1: Tuple, t2: Tuple) -> LinComb:
 
 
 def group_comul_covered(P: Pairing, left_g: AutPair, right_g: AutPair,
-                        t: Tuple, cover: Tuple,
-                        pair_mul: Optional[PairMul] = None) -> LinComb:
+                        t: Tuple, cover: Tuple) -> LinComb:
     """Right-covered graded coproduct of a crossed basis term: a single
     4-tuple term whose split point is pinned by the cover."""
     g = P.group
     gamma, delta = right_g
-    mul = pair_mul or aut_pair_mul
-    gamma_p = right_g.beta.inverse().compose(mul(left_g, right_g).beta)
+    gamma_p = right_g.beta.inverse().compose(
+        aut_pair_mul(left_g, right_g).beta)
     (p, h), (m, l) = t, cover
     gph = gamma_p(h)
     z = g.op(g.op(delta(gph), m), g.inv(gamma(gph)))
@@ -148,15 +146,14 @@ def double_antipode(P: Pairing, grading: AutPair, t: Tuple) -> LinComb:
 
 
 def double_comul_covered_brute(P: Pairing, left_g: AutPair, right_g: AutPair,
-                               x: LinComb, cover: LinComb,
-                               pair_mul: Optional[PairMul] = None) -> LinComb:
+                               x: LinComb, cover: LinComb) -> LinComb:
     """Right-covered graded coproduct over the double pairing by eager
     expansion (finite groups only): both factor coproducts are expanded in
     full and the cover is absorbed with the closed-form product."""
     A, B = P.A, P.B
     gamma = right_g.alpha
-    mul = pair_mul or aut_pair_mul
-    gamma_p = right_g.beta.inverse().compose(mul(left_g, right_g).beta)
+    gamma_p = right_g.beta.inverse().compose(
+        aut_pair_mul(left_g, right_g).beta)
     out: Dict[Tuple, object] = {}
     for (la, lb), cx in x.terms.items():
         cc_a = A.comul_eager(A.lc(la))
@@ -181,9 +178,11 @@ def double_comul_covered_brute(P: Pairing, left_g: AutPair, right_g: AutPair,
 def dual_basis_r_terms(P: Pairing, left_g: AutPair):
     """The dual-basis form of the R-multiplier for a finite-dimensional
     pairing: pairs ``(B-value, A-label, coeff)`` with the B leg already
-    twisted by the inverse of the first grading's second automorphism."""
+    twisted by the inverse of the first grading's second automorphism.
+    The dual bases are solved afresh from the pairing matrix, so a defect
+    planted on ``P.w`` does not reach them."""
     binv = left_g.beta.inverse()
     out = []
-    for wb, wa, cw in P.w.all_terms():
+    for wb, wa, cw in _FiniteW(P).all_terms():
         out.append((P.B.apply_aut(binv, P.B.lc(wb)), wa, cw))
     return out

@@ -14,13 +14,17 @@ The pairing also owns the canonical duality multiplier W (the element
 "crossed right unit": a finite element of B whose embedded image acts as the
 identity on a given finite crossed-product value — the cover everything in
 the graded layer leans on.
+
+The graded layers read W, the grading law ``pair_mul`` and the flags
+``cop_first_leg`` and ``skew`` from the pairing.  They are built honest;
+:mod:`mhag.session` plants a named defect on a session's own pairing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .groups import AutPair, Automorphism, Group
+from .groups import AutPair, Automorphism, Group, aut_pair_mul
 from .linear import LinComb, lc_combine
 from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf, FunctionAlgebra,
                   GroupAlgebra, MhaInstance, StructureError, sdiv)
@@ -41,11 +45,18 @@ class Pairing:
     B: MhaInstance
     field: Field
     name: str
+    w: "CanonicalW"
 
     def __init__(self):
         # Basis twists, keyed (grading, b_label, a_label): see
         # crossed.twist_map.
         self._twc: Dict = {}
+        # The grading-group product, whether the co-opposite A-leg goes on
+        # the first coproduct slot, and whether the crossing action drops
+        # its source-conjugation on the B-leg.
+        self.pair_mul = aut_pair_mul
+        self.cop_first_leg = True
+        self.skew = False
 
     def pair_basis(self, la, lb):
         raise NotImplementedError
@@ -134,11 +145,6 @@ class Pairing:
         crossed product of c against the given (A-label, B-label) value at the
         given grading returns the value unchanged.  Default: the unit of B."""
         return self.B.unit()
-
-    # -- canonical multiplier -------------------------------------------------------
-    @property
-    def w(self) -> "CanonicalW":
-        raise NotImplementedError
 
     # -- validation (duality laws on sampled/basis labels) -------------------------
     def check_duality(self, a_labels, b_labels) -> Optional[str]:
@@ -364,7 +370,7 @@ class GroupPairing(Pairing):
         self.A = FunctionAlgebra(group, self.field)
         self.B = GroupAlgebra(group, self.field)
         self.name = "group"
-        self._w = _GroupW(self)
+        self.w = _GroupW(self)
 
     def pair_basis(self, la, lb):
         return self.field.one() if la == lb else self.field.zero()
@@ -374,10 +380,6 @@ class GroupPairing(Pairing):
 
     def act_unit_B(self, a_labels):
         return self.B.unit()
-
-    @property
-    def w(self):
-        return self._w
 
 
 class FiniteDimPairing(Pairing):
@@ -395,7 +397,7 @@ class FiniteDimPairing(Pairing):
         self.field = A.field
         self.matrix = matrix
         self.name = "finite-dim"
-        self._w = _FiniteW(self)
+        self.w = _FiniteW(self)
 
     @staticmethod
     def from_instance(B: FiniteDimHopf) -> "FiniteDimPairing":
@@ -412,10 +414,6 @@ class FiniteDimPairing(Pairing):
     def act_unit_B(self, a_labels):
         return self.B.unit()
 
-    @property
-    def w(self):
-        return self._w
-
 
 class DrinfeldPairing(Pairing):
     """The mirrored double paired with the double by matching labels."""
@@ -427,7 +425,7 @@ class DrinfeldPairing(Pairing):
         self.A = DualDrinfeld(group, self.field)
         self.B = DrinfeldDouble(group, self.field)
         self.name = "double"
-        self._w = _DrinfeldW(self)
+        self.w = _DrinfeldW(self)
 
     def pair_basis(self, la, lb):
         h, p = la
@@ -462,7 +460,3 @@ class DrinfeldPairing(Pairing):
                      gamma.inverse()(g.conj(g.inv(p), h)))
             ws.append(w)
         return lc_combine(self.B.lc((w, e)) for w in dict.fromkeys(ws))
-
-    @property
-    def w(self):
-        return self._w

@@ -212,6 +212,14 @@ class PrimeField(Field):
         return hash(("PrimeField", self.p))
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer.  Booleans and floats are refused:
+    ``int()`` would quietly read them as 0, 1 or a truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def field_from_json(spec) -> Field:
     """Build a field from a JSON fragment: ``"rational"``/``"Q"`` or
     ``{"prime": p}``."""
@@ -219,9 +227,9 @@ def field_from_json(spec) -> Field:
         return RationalField()
     if isinstance(spec, dict):
         if "prime" in spec:
-            return PrimeField(int(spec["prime"]))
+            return PrimeField(json_int(spec["prime"], "prime"))
         if spec.get("kind") == "Fp":
-            return PrimeField(int(spec["p"]))
+            return PrimeField(json_int(spec["p"], "prime"))
     if isinstance(spec, str) and spec.startswith("F") and spec[1:].isdigit():
         return PrimeField(int(spec[1:]))
     raise ValueError(f"unrecognised scalar-field spec: {spec!r}")

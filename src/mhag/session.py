@@ -8,33 +8,35 @@ JSON description; every malformed input raises :class:`SessionError` with
 a diagnostic message (the CLI maps these to exit code 2).
 
 Corruptions deliberately break one structure map each, so the axiom
-suites can demonstrate sensitivity:
+suites can demonstrate sensitivity.  This module is the only one that
+knows their names: a :class:`Session` plants its defect on its own
+pairing, whose attributes the engine reads (see :mod:`mhag.pairing`).
 
 * ``antipode-sign`` — negates the B-instance antipode (both directions).
 * ``drop-r-term`` — removes one fixed summand of the canonical duality
-  multiplier, and hence of every R-multiplier application.
+  multiplier ``P.w``, and hence of every R-multiplier application.
 * ``swap-delta-legs`` — emits the co-opposite coproduct legs of the
-  A-part on the wrong slots of the graded comultiplication.
-* ``pair-mul-twist`` — replaces the grading-group product with the naive
-  componentwise composition (dropping the conjugation).
+  A-part on the wrong slots of the graded comultiplication
+  (``P.cop_first_leg``).
+* ``pair-mul-twist`` — replaces the grading-group product ``P.pair_mul``
+  with the naive componentwise composition (dropping the conjugation).
 * ``xi-composite`` — drops the source-conjugation from the B-leg of the
-  crossing action.
+  crossing action (``P.skew``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .groups import (AutPair, Automorphism, Group, GroupError, IntGroup,
-                     TableGroup, aut_from_json, aut_pair_identity,
-                     aut_pair_mul, group_from_json)
-from .linear import LinComb, label_key
-from .mha import FiniteDimHopf, MhaInstance, StructureError
+from .groups import (AutPair, Automorphism, Group, TableGroup, aut_from_json,
+                     aut_pair_identity, group_from_json)
+from .linear import label_key
+from .mha import FiniteDimHopf, MhaInstance
 from .pairing import (CanonicalW, DrinfeldPairing, FiniteDimPairing,
                       GroupPairing, Pairing, PairingError)
 from .sampling import EnumSpec
-from .scalars import field_from_json
+from .scalars import field_from_json, json_int
 
 CORRUPTIONS = ("antipode-sign", "drop-r-term", "swap-delta-legs",
                "pair-mul-twist", "xi-composite")
@@ -102,6 +104,21 @@ def _naive_pair_mul(p: AutPair, q: AutPair) -> AutPair:
     return AutPair(p.alpha.compose(q.alpha), q.beta.compose(p.beta))
 
 
+def _plant(P: Pairing, corrupt: Optional[str]) -> None:
+    """Plant the named corruption on a freshly built pairing (none for
+    ``None``)."""
+    if corrupt == "antipode-sign":
+        _negate_antipode(P.B)
+    elif corrupt == "drop-r-term":
+        P.w = DropFirstTermW(P.w)
+    elif corrupt == "swap-delta-legs":
+        P.cop_first_leg = False
+    elif corrupt == "pair-mul-twist":
+        P.pair_mul = _naive_pair_mul
+    elif corrupt == "xi-composite":
+        P.skew = True
+
+
 def aut_to_json(phi: Automorphism):
     """A readable JSON form of an automorphism (identity, negation, or an
     explicit image map over the group elements)."""
@@ -137,15 +154,7 @@ class Session:
         self.corrupt = corrupt
         self.group = group
         self.spec_data = spec_data or {}
-        # Corruption switches consumed by the suites.
-        self.cop_first_leg = corrupt != "swap-delta-legs"
-        self.skew = corrupt == "xi-composite"
-        self.pair_mul: Callable[[AutPair, AutPair], AutPair] = (
-            _naive_pair_mul if corrupt == "pair-mul-twist" else aut_pair_mul)
-        self.w: CanonicalW = (DropFirstTermW(pairing.w)
-                              if corrupt == "drop-r-term" else pairing.w)
-        if corrupt == "antipode-sign":
-            _negate_antipode(pairing.B)
+        _plant(pairing, corrupt)
 
     # -- enumeration helpers ------------------------------------------------
     @property
@@ -223,7 +232,9 @@ def session_from_json(data, seed: Optional[int] = None,
             pairing = FiniteDimPairing.from_instance(B)
     except KeyError as exc:
         raise SessionError(f"session-instance: missing field {exc}") from exc
-    except (GroupError, StructureError, PairingError) as exc:
+    except (TypeError, ValueError) as exc:
+        # The decoders raise GroupError, StructureError and PairingError,
+        # all ValueErrors; a TypeError is a value of the wrong JSON type.
         raise SessionError(f"session-instance: {exc}") from exc
 
     aut_carrier = group if group is not None else TableGroup.cyclic(1)
@@ -240,7 +251,10 @@ def session_from_json(data, seed: Optional[int] = None,
         try:
             alpha = aut_from_json(aut_carrier, entry[0])
             beta = aut_from_json(aut_carrier, entry[1])
-        except GroupError as exc:
+        except KeyError as exc:
+            raise SessionError(
+                f"session-gradings: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise SessionError(f"session-gradings: {exc}") from exc
         if group is None and not (alpha.is_identity() and beta.is_identity()):
             raise SessionError(
@@ -259,13 +273,13 @@ def session_from_json(data, seed: Optional[int] = None,
         raise SessionError(
             "session-enum: exhaustive enumeration needs a finite instance")
     try:
-        count = int(enum_data.get("count", 200))
         enum = EnumSpec(
-            seed=seed if seed is not None else int(enum_data.get("seed", 0)),
+            seed=(seed if seed is not None
+                  else json_int(enum_data.get("seed", 0), "seed")),
             window=(window if window is not None
-                    else int(enum_data.get("window", 3))),
-            max_cases=count)
-    except (TypeError, ValueError) as exc:
+                    else json_int(enum_data.get("window", 3), "window")),
+            max_cases=json_int(enum_data.get("count", 200), "count"))
+    except ValueError as exc:
         raise SessionError(f"session-enum: {exc}") from exc
     # A check with no cases would report a vacuous pass.
     if enum.max_cases < 1:

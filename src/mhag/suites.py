@@ -340,8 +340,7 @@ _GGGUVZ = "gradings:ggg u:ab v:ab z:ab"
 def _hopf_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
-    mul = S.pair_mul
-    cfl = S.cop_first_leg
+    mul = P.pair_mul
     inv = aut_pair_inv
     unit = LinComb.unit
     e = S.unit_grading()
@@ -351,8 +350,7 @@ def _hopf_suite(S: Session) -> List:
     checks: List = []
 
     def comul(x, p, q, cover, side):
-        return comul_covered(P, x, p, q, cover, side=side,
-                             cop_first_leg=cfl, pair_mul=mul)
+        return comul_covered(P, x, p, q, cover, side=side)
 
     # Covered coassociativity: both re-splittings of a double coproduct
     # agree on every (left, middle, right) cover assignment.
@@ -572,7 +570,7 @@ def _base_aut_compat(inst, phi, x, y):
 def _cograded_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
-    mul = S.pair_mul
+    mul = P.pair_mul
     inv = aut_pair_inv
     unit = LinComb.unit
     e = S.unit_grading()
@@ -735,9 +733,7 @@ def _cograded_suite(S: Session) -> List:
 
 def _crossing_suite(S: Session) -> List:
     P = S.P
-    mul = S.pair_mul
-    cfl = S.cop_first_leg
-    skew = S.skew
+    mul = P.pair_mul
     inv = aut_pair_inv
     unit = LinComb.unit
     e = S.unit_grading()
@@ -745,8 +741,7 @@ def _crossing_suite(S: Session) -> List:
     crossed = S.crossed_labels()
 
     def xi(actor, source, value):
-        return crossing_apply(P, actor, source, value, skew=skew,
-                              pair_mul=mul)
+        return crossing_apply(P, actor, source, value)
 
     # Componentwise algebra morphism onto the conjugated component.
     def morphism(t, q, xl, yl):
@@ -784,12 +779,10 @@ def _crossing_suite(S: Session) -> List:
         tq = mul(mul(t, q), inv(t))
         _, xv = xi(t, mul(p, q), unit(xl))
         _, yv = xi(t, q, unit(yl))
-        lhs = comul_covered(P, xv, tp, tq, yv, side="right",
-                            cop_first_leg=cfl, pair_mul=mul)
-        base = comul_covered(P, unit(xl), p, q, unit(yl), side="right",
-                             cop_first_leg=cfl, pair_mul=mul)
-        rhs = _xi_on_legs(P, t, p, base, 0, 1, skew)
-        return lhs, _xi_on_legs(P, t, q, rhs, 2, 3, skew)
+        lhs = comul_covered(P, xv, tp, tq, yv, side="right")
+        base = comul_covered(P, unit(xl), p, q, unit(yl), side="right")
+        rhs = _xi_on_legs(P, t, p, base, 0, 1)
+        return lhs, _xi_on_legs(P, t, q, rhs, 2, 3)
 
     # Compatibility with the counit on the unit component.
     def counit_compat(t, xl):
@@ -819,17 +812,14 @@ def _crossing_suite(S: Session) -> List:
 def _quasitriangular_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
-    mul = S.pair_mul
-    skew = S.skew
     unit = LinComb.unit
     G = list(S.gradings)
     crossed = S.crossed_labels()
     a_labels = S.a_labels()
     b_labels = S.b_labels()
-    w = S.w
 
     def w_invertible(m, n):
-        left, right, expected = w_inverse_residual(P, B.lc(m), A.lc(n), w)
+        left, right, expected = w_inverse_residual(P, B.lc(m), A.lc(n))
         return [left, right], expected
 
     return [
@@ -837,46 +827,43 @@ def _quasitriangular_suite(S: Session) -> List:
         _Identity("qt-conjugation", [G, G, G], [crossed, crossed],
                   BUDGET_HEAVY,
                   lambda t, p, q, ul, vl: qt_conjugation_residual(
-                      P, t, p, q, unit(ul + vl), skew=skew, pair_mul=mul,
-                      w=w),
+                      P, t, p, q, unit(ul + vl)),
                   "actor:g " + _GGUV, "abab"),
         # The coproduct on the first leg factors through 13-23, on the
         # second leg through 13-12.
         _Identity("qt-coproduct-first", [G, G, G],
                   [crossed, crossed, crossed], BUDGET_HEAVY,
                   lambda p, q, r, ul, vl, zl: qt_coproduct_first_residual(
-                      P, p, q, r, unit(ul + vl + zl), skew=skew,
-                      pair_mul=mul, w=w),
+                      P, p, q, r, unit(ul + vl + zl)),
                   _GGGUVZ, "ababab"),
         _Identity("qt-coproduct-second", [G, G, G],
                   [crossed, crossed, crossed], BUDGET_HEAVY,
                   lambda p, q, r, ul, vl, zl: qt_coproduct_second_residual(
-                      P, p, q, r, unit(ul + vl + zl), pair_mul=mul, w=w),
+                      P, p, q, r, unit(ul + vl + zl)),
                   _GGGUVZ, "ababab"),
         # The R-multiplier intertwines the coproduct with its twisted
         # co-opposite.
         _Identity("qt-intertwine", [G, G], [crossed, crossed, crossed],
                   BUDGET_HEAVY,
                   lambda p, q, xl, ul, vl: qt_intertwine_residual(
-                      P, p, q, unit(xl), unit(ul), unit(vl), skew=skew,
-                      pair_mul=mul, w=w),
+                      P, p, q, unit(xl), unit(ul), unit(vl)),
                   "gradings:gg x:ab u:ab v:ab", "abab"),
         # The canonical multiplier reproduces the pairing, satisfies the
         # coproduct identities on both legs, and its antipode twist is a
         # two-sided inverse.
         _Identity("w-pairing", [a_labels], [b_labels], BUDGET,
-                  lambda la, lb: (w.pair_against(A.lc(la), B.lc(lb)),
+                  lambda la, lb: (P.w.pair_against(A.lc(la), B.lc(lb)),
                                   P.pair(A.lc(la), B.lc(lb))),
                   "a:a b:b", "k"),
         _Identity("w-coproduct-b", [b_labels], [b_labels, a_labels],
                   BUDGET_HEAVY,
                   lambda m, m2, n: w_coproduct_b_residual(
-                      P, B.lc(m), B.lc(m2), A.lc(n), w),
+                      P, B.lc(m), B.lc(m2), A.lc(n)),
                   "m:b m2:b n:a", "bba"),
         _Identity("w-coproduct-a", [b_labels], [a_labels, a_labels],
                   BUDGET_HEAVY,
                   lambda m, n1, n2: w_coproduct_a_residual(
-                      P, B.lc(m), A.lc(n1), A.lc(n2), w),
+                      P, B.lc(m), A.lc(n1), A.lc(n2)),
                   "m:b n1:a n2:a", "baa"),
         _Identity("w-invertible", [b_labels], [a_labels], BUDGET,
                   w_invertible, "m:b n:a", "ba")]
@@ -889,24 +876,20 @@ def _quasitriangular_suite(S: Session) -> List:
 def _lemma42_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
-    mul = S.pair_mul
     G = list(S.gradings)
     crossed = S.crossed_labels()
     a_labels = S.a_labels()
     b_labels = S.b_labels()
-    w = S.w
     return [
         _Identity("w-intertwiner-a", [G], [a_labels, crossed, a_labels],
                   BUDGET_HEAVY,
                   lambda p, al, ul, ml: w_intertwiner_residual_a(
-                      P, p, A.lc(al), LinComb.unit(ul), A.lc(ml),
-                      pair_mul=mul, w=w),
+                      P, p, A.lc(al), LinComb.unit(ul), A.lc(ml)),
                   "grading:g a:a cover:ab m:a", "aba"),
         _Identity("w-intertwiner-b", [G, G], [b_labels, b_labels, crossed],
                   BUDGET_HEAVY,
                   lambda p, q, bl, ml, ul: w_intertwiner_residual_b(
-                      P, p, q, B.lc(bl), B.lc(ml), LinComb.unit(ul),
-                      pair_mul=mul, w=w),
+                      P, p, q, B.lc(bl), B.lc(ml), LinComb.unit(ul)),
                   "gradings:gg b:b m:b cover:ab", "bab")]
 
 
@@ -925,8 +908,6 @@ def _oracle_suite(S: Session) -> List:
     their values are translated back to indices.
     """
     P = S.P
-    mul = S.pair_mul
-    cfl = S.cop_first_leg
     unit = LinComb.unit
     G = list(S.gradings)
     crossed = S.crossed_labels()
@@ -940,8 +921,7 @@ def _oracle_suite(S: Session) -> List:
                       comul_budget,
                       lambda p, q, x, c: (
                           comul_covered(P, unit(x), p, q, unit(c),
-                                        side="right", cop_first_leg=cfl,
-                                        pair_mul=mul),
+                                        side="right"),
                           comul_cf(p, q, x, c)),
                       "gradings:gg x:ab cover:ab", "abab"),
             _Identity("oracle-antipode", [G], [crossed], BUDGET,
@@ -952,7 +932,7 @@ def _oracle_suite(S: Session) -> List:
         mul_row, comul_row, antipode_row = shared(
             lambda g, x, y: double_mul(P, g, x, y),
             lambda p, q, x, c: double_comul_covered_brute(
-                P, p, q, unit(x), unit(c), pair_mul=None),
+                P, p, q, unit(x), unit(c)),
             lambda g, x: double_antipode(P, g, x), 20_000)
         return [mul_row, antipode_row] + ([comul_row] if S.finite else [])
     if S.kind == "group":
@@ -985,7 +965,7 @@ def _oracle_suite(S: Session) -> List:
         antipode_row,
         _Identity("oracle-r", [G, G], [crossed, crossed], BUDGET_HEAVY,
                   lambda p, q, u, v: (
-                      r_apply(P, p, q, unit(u + v), "left", S.w),
+                      r_apply(P, p, q, unit(u + v), "left"),
                       back(group_r_apply_left(Q, p, q, *on(u, v)))),
                   _GGUV, "abab")]
     if els is None:

@@ -212,6 +212,36 @@ class TestEval:
         assert rc == 0
         assert data["lhs"] == data["rhs"]
 
+    S3_X = [[1, 2, 0], [1, 0, 2]]
+    S3_COVER = [[0, 1, 2], [2, 1, 0]]
+
+    @pytest.mark.parametrize("corrupt, op, params", [
+        ("antipode-sign", "antipode", {"grading": 1, "x": [S3_X]}),
+        ("swap-delta-legs", "comul-covered",
+         {"left": 1, "right": 1, "x": [S3_X], "cover": [S3_COVER]}),
+        ("pair-mul-twist", "comul-covered",
+         {"left": 0, "right": 1, "x": [S3_X], "cover": [S3_COVER]}),
+        ("xi-composite", "crossing", {"actor": 0, "source": 1, "x": [S3_X]}),
+        # The dropped summand of W is the one at the identity point.
+        ("drop-r-term", "r-apply",
+         {"left": 0, "right": 1, "uv": [S3_X + S3_COVER]}),
+    ])
+    def test_planted_defect_changes_output(self, capsys, tmp_path, corrupt,
+                                           op, params):
+        """Every planted defect reaches the structure map that eval
+        applies: the output differs from the clean session's."""
+        outputs = []
+        for name in (None, corrupt):
+            spec = write_spec(tmp_path, session_spec(
+                group_instance("symmetric", 3),
+                gradings=[[IDENT, inner((1, 0, 2))],
+                          [inner((1, 2, 0)), inner((1, 2, 0))]],
+                corrupt=name), f"{name}.json")
+            rc, data = self.ev(capsys, spec, op, params)
+            assert rc == 0
+            outputs.append(data)
+        assert outputs[0] != outputs[1]
+
     def test_unknown_op(self, capsys, z2_spec):
         rc, err = self.ev(capsys, z2_spec, "hadamard", {})
         assert rc == 2 and "unknown op" in err
@@ -229,6 +259,7 @@ class TestEval:
         ({"grading": False, "x": [[0, 0]]}, "grading index False"),
         ({"grading": 0, "x": [[[0, {}], 1]]}, "malformed label"),
         ({"grading": 0, "x": [[0, 1, "1/0"]]}, "zero denominator"),
+        ({"grading": 0, "x": [[False, True]]}, "element-unknown: False"),
     ])
     def test_malformed_arguments_exit_two(self, capsys, z2_spec, params,
                                           message):

@@ -67,6 +67,16 @@ def test_group_from_json_kinds():
         group_from_json({"kind": "icosahedral"})
 
 
+def test_parse_element_refuses_booleans():
+    # False == 0 and True == 1, so a set lookup alone would accept them.
+    z2, s3 = TableGroup.cyclic(2), PermGroup.symmetric(3)
+    for group, data in [(z2, False), (z2, True), (s3, [1, True, 2]),
+                        (s3, [False, 1, 2])]:
+        with pytest.raises(GroupError, match="element-unknown"):
+            group.parse_element(data)
+    assert z2.parse_element(1) == 1 and s3.parse_element([1, 0, 2]) == (1, 0, 2)
+
+
 class TestAutomorphisms:
     s3 = PermGroup.symmetric(3)
 

@@ -2,10 +2,13 @@
 switches, and loader diagnostics."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mhag import (DrinfeldPairing, FiniteDimPairing, GroupPairing, Session,
                   SessionError, session_from_json, session_from_path)
-from mhag.session import CORRUPTIONS, DropFirstTermW, _naive_pair_mul
+from mhag.session import (CORRUPTIONS, INSTANCE_KINDS, DropFirstTermW,
+                          _naive_pair_mul)
 from mhag.groups import aut_pair_mul
 
 from conftest import (IDENT, NEG, cyc_inv, group_instance, inner,
@@ -112,25 +115,30 @@ class TestCorruptionSwitches:
         assert len(CORRUPTIONS) == 5
 
     def test_honest_defaults(self):
-        S = self.base(None)
-        assert S.cop_first_leg and not S.skew
-        assert S.pair_mul is aut_pair_mul
-        assert S.w is S.P.w
+        P = self.base(None).P
+        assert P.cop_first_leg and not P.skew
+        assert P.pair_mul is aut_pair_mul
+        assert not isinstance(P.w, DropFirstTermW)
+
+    def test_session_holds_no_switches(self):
+        S = self.base("xi-composite")
+        for name in ("cop_first_leg", "skew", "pair_mul", "w"):
+            assert not hasattr(S, name)
 
     def test_swap_delta_legs(self):
-        assert self.base("swap-delta-legs").cop_first_leg is False
+        assert self.base("swap-delta-legs").P.cop_first_leg is False
 
     def test_xi_composite(self):
-        assert self.base("xi-composite").skew is True
+        assert self.base("xi-composite").P.skew is True
 
     def test_pair_mul_twist(self):
-        assert self.base("pair-mul-twist").pair_mul is _naive_pair_mul
+        assert self.base("pair-mul-twist").P.pair_mul is _naive_pair_mul
 
     def test_drop_r_term(self):
-        S = self.base("drop-r-term")
-        assert isinstance(S.w, DropFirstTermW)
-        full = S.P.w.all_terms()
-        dropped = S.w.all_terms()
+        w = self.base("drop-r-term").P.w
+        assert isinstance(w, DropFirstTermW)
+        full = self.base(None).P.w.all_terms()
+        dropped = w.all_terms()
         assert len(dropped) == len(full) - 1
         assert set(dropped) < set(full)
 
@@ -179,9 +187,127 @@ class TestLoaderDiagnostics:
         with pytest.raises(SessionError, match="session-json"):
             session_from_path(str(bad))
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"instance": {"kind": "group",
+                       "group": {"kind": "cyclic", "n": [1]}}},
+         "n must be an integer"),
+        ({"instance": {"kind": "group",
+                       "group": {"kind": "cyclic", "n": True}}},
+         "n must be an integer"),
+        ({"instance": {"kind": "group",
+                       "group": {"kind": "perm", "n": 3, "generators": 5}}},
+         "session-instance"),
+        ({"instance": {"kind": "group",
+                       "group": {"kind": "perm", "degree": 3.0,
+                                 "generators": []}}},
+         "degree must be an integer"),
+        ({"instance": {"kind": "group",
+                       "group": {"kind": "table", "elements": 5}}},
+         "session-instance"),
+        ({"scalars": {"prime": 7.0},
+          "instance": group_instance("cyclic", 2)},
+         "prime must be an integer"),
+        ({"instance": group_instance("Z"),
+          "enum": {"mode": "sampled", "window": float("inf")}},
+         "window must be an integer"),
+        ({"instance": group_instance("cyclic", 2),
+          "enum": {"mode": "sampled", "count": True}},
+         "count must be an integer"),
+        ({"instance": group_instance("cyclic", 2),
+          "enum": {"mode": "sampled", "seed": 1.5}},
+         "seed must be an integer"),
+        ({"instance": group_instance("cyclic", 2),
+          "gradings": [[{"kind": "inner", "by": False}, IDENT]]},
+         "element-unknown"),
+        ({"instance": group_instance("symmetric", 3),
+          "gradings": [[{"kind": "inner", "by": [1, True, 2]}, IDENT]]},
+         "element-unknown"),
+        ({"instance": group_instance("cyclic", 2),
+          "gradings": [[{"kind": "inner"}, IDENT]]},
+         "missing field"),
+        ({"instance": group_instance("cyclic", 2),
+          "gradings": [[{"kind": "map", "images": 5}, IDENT]]},
+         "aut-images-shape"),
+    ])
+    def test_malformed_values(self, spec, message):
+        with pytest.raises(SessionError, match=message):
+            session_from_json(spec)
+
     def test_from_path_happy(self, tmp_path, z2_session):
         import json
         good = tmp_path / "ok.json"
         good.write_text(json.dumps(session_spec(group_instance("cyclic", 2))))
         S = session_from_path(str(good))
         assert S.kind == "group" and S.exhaustive
+
+
+# Drawn session descriptions: mostly the right keys and kinds, with any
+# JSON value (integers in -3..7, booleans, floats, words) beneath them.
+_words = st.sampled_from([
+    "identity", "negation", "inner", "map", "Z", "int", "cyclic",
+    "symmetric", "perm", "table", "rational", "F7", "sampled", "exhaustive",
+    *INSTANCE_KINDS])
+_keys = st.sampled_from([
+    "kind", "n", "degree", "generators", "elements", "mul", "table",
+    "identity", "by", "images", "prime", "mode", "count", "seed", "window",
+    "group", "hopf", "dim"])
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 7),
+              st.floats(allow_nan=False), _words),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_keys, kids, max_size=3), max_leaves=10)
+
+
+_value = st.one_of(st.integers(-3, 7), _json)
+
+
+def _shaped(kinds, keys, required=()):
+    """Mostly an object whose ``kind`` is one of ``kinds``, with some of
+    ``keys`` (all of ``required``), sometimes any JSON value."""
+    shaped = st.fixed_dictionaries(
+        {"kind": st.sampled_from(kinds), **{k: _value for k in required}},
+        optional={k: _value for k in keys})
+    return st.one_of(shaped, shaped, _json)
+
+
+_group = st.one_of(
+    st.just("Z"),
+    _shaped(["cyclic", "symmetric"], [], required=["n"]),
+    _shaped(["perm"], ["n", "degree", "generators"]),
+    _shaped(["table"], ["elements", "mul", "table", "identity"]))
+_aut = st.one_of(st.sampled_from(["identity", "negation"]),
+                 _shaped(["inner", "map"], ["by", "images"]))
+_session = st.fixed_dictionaries({
+    "instance": st.fixed_dictionaries(
+        {"kind": st.sampled_from(INSTANCE_KINDS)},
+        optional={"group": _group, "hopf": _json}),
+}, optional={
+    "scalars": st.one_of(st.just("rational"),
+                         st.fixed_dictionaries({"prime": _value}), _json),
+    "gradings": st.one_of(_json, st.lists(st.lists(_aut, min_size=2,
+                                                   max_size=2), max_size=3)),
+    "enum": st.one_of(
+        _json, st.fixed_dictionaries(
+            {"mode": st.sampled_from(["sampled", "exhaustive"])},
+            optional={k: _value for k in ("count", "seed", "window")})),
+    "corrupt": st.one_of(_json, st.sampled_from(CORRUPTIONS))})
+
+
+def _slow_to_decode(spec) -> bool:
+    """Structure constants of S4 and larger take seconds to validate."""
+    inst = spec["instance"]
+    group = inst.get("group")
+    return (inst["kind"] == "finite-dim-hopf" and isinstance(group, dict)
+            and group.get("kind") == "symmetric"
+            and isinstance(group.get("n"), int) and group["n"] >= 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_session)
+def test_any_description_decodes_or_raises_session_error(spec):
+    assume(not _slow_to_decode(spec))
+    try:
+        S = session_from_json(spec)
+    except SessionError:
+        return
+    assert isinstance(S, Session)
