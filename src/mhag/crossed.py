@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional
 from .groups import AutPair, Automorphism
 from .linear import LinComb
 from .mha import StructureError
-from .pairing import Pairing, PairingError
+from .pairing import MEMO_CAP, Pairing, PairingError
 
 
 class EngineError(ValueError):
@@ -113,7 +113,7 @@ def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
 
     The twist is linear and its covers are absorbed, so it is fixed by its
     value on each basis term; those values are computed once per pairing
-    and kept in ``P._twc`` as term tuples."""
+    and kept in ``P._twc`` as term tuples, up to ``MEMO_CAP`` of them."""
     memo = P._twc
     out: Dict = {}
     for (lb, la), c in x_ba.terms.items():
@@ -123,7 +123,8 @@ def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
             alpha, beta = grading
             unit = LinComb.unit((la, lb), P.field.one())
             base = tuple(_t1(P, alpha, _t2_inv(P, beta, unit)).terms.items())
-            memo[key] = base
+            if len(memo) < MEMO_CAP:
+                memo[key] = base
         for label, c2 in base:
             _acc(out, label, c * c2)
     return LinComb(out)
@@ -185,13 +186,28 @@ def a_embed_right(P: Pairing, grading: AutPair, y: LinComb, a: LinComb) -> LinCo
 
 def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
     """The full component product x * y at a grading (both values are
-    (A-label, B-label) combinations; the grading is the LEFT factor's)."""
+    (A-label, B-label) combinations; the grading is the LEFT factor's).
+
+    The product is bilinear, so it is fixed by its value on pairs of basis
+    terms: (a |x| b) * y' is (a |x| 1) * ((1 |x| b) * y').  Those values are
+    computed once per pairing and kept in ``P._dcp`` as term tuples, up to
+    ``MEMO_CAP`` of them."""
+    memo = P._dcp
     out: Dict = {}
-    for (la, lb), c in x.terms.items():
-        mid = b_embed_left(P, grading, P.B.lc(lb), y)
-        done = a_embed_left(P, P.A.lc(la), mid)
-        for label, c2 in done.terms.items():
-            _acc(out, label, c * c2)
+    for xl, c in x.terms.items():
+        for yl, cy in y.terms.items():
+            key = (grading, xl, yl)
+            base = memo.get(key)
+            if base is None:
+                la, lb = xl
+                mid = b_embed_left(P, grading, P.B.lc(lb),
+                                   LinComb.unit(yl, P.field.one()))
+                base = tuple(a_embed_left(P, P.A.lc(la), mid).terms.items())
+                if len(memo) < MEMO_CAP:
+                    memo[key] = base
+            cc = c * cy
+            for label, c2 in base:
+                _acc(out, label, cc * c2)
     return LinComb(out)
 
 

@@ -37,6 +37,13 @@ class PairingError(ValueError):
 
 ACT_VARIANTS = ("b>>a", "a<<b", "a>>b", "b<<a")
 
+# Entries each basis table of a pairing may hold (``_twc`` and ``_dcp``);
+# a full table stops growing and later misses are computed afresh.  The
+# cap holds every basis product of a finite S3 session with all 36 inner
+# gradings (36 * 36**2 = 46 656), and bounds both tables over infinite
+# carriers.
+MEMO_CAP = 1 << 16
+
 
 class Pairing:
     """Base class: exact action evaluation over per-basis pairing values."""
@@ -48,9 +55,11 @@ class Pairing:
     w: "CanonicalW"
 
     def __init__(self):
-        # Basis twists, keyed (grading, b_label, a_label): see
-        # crossed.twist_map.
+        # Basis twists, keyed (grading, b_label, a_label), and basis
+        # products, keyed (grading, x_label, y_label): see
+        # crossed.twist_map and crossed.dcp_mul.
         self._twc: Dict = {}
+        self._dcp: Dict = {}
         # The grading-group product, whether the co-opposite A-leg goes on
         # the first coproduct slot, and whether the crossing action drops
         # its source-conjugation on the B-leg.
@@ -159,21 +168,25 @@ class Pairing:
         for la in a_labels:
             a = A.lc(la)
             for lb1 in b_labels:
+                x = B.lc(lb1)
+                # <a, x y> = <a1, x><a2, y>: contract via action then pair
+                ax = self.act("a<<b", x, a)
                 for lb2 in b_labels:
-                    x, y = B.lc(lb1), B.lc(lb2)
-                    # <a, x y> = <a1, x><a2, y>: contract via action then pair
+                    y = B.lc(lb2)
                     lhs = self.pair(a, B.mul(x, y))
-                    rhs = self.pair(self.act("a<<b", x, a), y)
+                    rhs = self.pair(ax, y)
                     if not (lhs == rhs):
                         return (f"pairing-product-law-fails(B): a={la!r}, "
                                 f"x={lb1!r}, y={lb2!r}")
         for lb in b_labels:
             b = B.lc(lb)
             for la1 in a_labels:
+                x = A.lc(la1)
+                xb = self.act("b<<a", x, b)
                 for la2 in a_labels:
-                    x, y = A.lc(la1), A.lc(la2)
+                    y = A.lc(la2)
                     lhs = self.pair(A.mul(x, y), b)
-                    rhs = self.pair(y, self.act("b<<a", x, b))
+                    rhs = self.pair(y, xb)
                     if not (lhs == rhs):
                         return (f"pairing-product-law-fails(A): b={lb!r}, "
                                 f"x={la1!r}, y={la2!r}")

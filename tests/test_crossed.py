@@ -9,12 +9,17 @@ import pytest
 from mhag import (DrinfeldPairing, EnumSpec, GroupPairing, IntGroup,
                   PrimeField, commutation_residual, dcp_mul, twist_inv,
                   twist_map)
+from mhag import crossed
+from mhag.cograded import graded_antipode
 from mhag.crossed import (_t1, _t2_inv, a_embed_left, a_embed_right,
                           b_embed_left, b_embed_right, crossed_value)
 from mhag.groups import (AutPair, PermGroup, TableGroup, identity_aut,
                          inner_aut, map_aut, negation_aut)
 from mhag.linear import LinComb
 from mhag.oracle import group_mul
+from mhag.pairing import MEMO_CAP
+
+from conftest import group_instance, make_session, session_spec
 
 Z4 = TableGroup.cyclic(4)
 S3 = PermGroup.symmetric(3)
@@ -115,6 +120,89 @@ class TestTwistMemo:
         twist_map(P, g, LinComb.unit((lb, la)))
         assert (g, lb, la) in P._twc
         assert not Q._twc
+
+
+def _dcp_reference(P, g, x, y):
+    """x * y by the unmemoised composition a_embed_left o b_embed_left."""
+    out = LinComb.zero()
+    for (la, lb), c in x.terms.items():
+        mid = b_embed_left(P, g, P.B.lc(lb), y)
+        out = out.add(a_embed_left(P, P.A.lc(la), mid).scale(c))
+    return out
+
+
+def _random_value(rng, labels, coeffs):
+    return LinComb.from_pairs((rng.choice(labels), c) for c in coeffs)
+
+
+class TestProductMemo:
+    """dcp_mul reads basis products from a per-pairing table; on any input
+    it must equal the product composed from the two embeddings."""
+
+    @pytest.mark.parametrize("name,make,gradings,coeffs", _memo_cases(),
+                             ids=[c[0] for c in _memo_cases()])
+    def test_multi_term_inputs_match_reference(self, name, make, gradings,
+                                               coeffs):
+        P = make()
+        enum = EnumSpec(window=3)
+        labels = [(la, lb) for la in P.A.basis_labels(enum)
+                  for lb in P.B.basis_labels(enum)]
+        rng = random.Random(name)
+        for g in gradings:
+            for size in (2, 3, 4):
+                # Overlapping inputs, so later calls hit earlier entries.
+                for _ in range(4):
+                    x = _random_value(rng, labels, coeffs[:size])
+                    y = _random_value(rng, labels, coeffs[::-1][:size])
+                    ref = _dcp_reference(P, g, x, y)
+                    assert dcp_mul(P, g, x, y) == ref
+                    assert dcp_mul(P, g, x, y) == ref
+        assert P._dcp
+
+    def test_table_belongs_to_the_pairing(self):
+        g = s3_gradings()[0]
+        P, Q = GroupPairing(S3), GroupPairing(S3)
+        x, y = ((1, 2, 0), (0, 2, 1)), ((2, 0, 1), (1, 0, 2))
+        dcp_mul(P, g, LinComb.unit(x), LinComb.unit(y))
+        assert (g, x, y) in P._dcp
+        assert not Q._dcp
+
+    def test_table_is_filled_after_a_planted_defect(self):
+        # The decoder plants the defect before any product is computed, so
+        # every entry is a product of the corrupted pairing.  (Negating the
+        # antipode in both directions leaves the twist, and so every basis
+        # product, unchanged: S and S^-1 enter it once each.)
+        s3 = group_instance("symmetric", 3)
+        bad = make_session(session_spec(s3, corrupt="antipode-sign")).P
+        clean = make_session(session_spec(s3)).P
+        assert not bad._dcp and not bad._twc
+        basis = crossed_basis(bad)
+        rng = random.Random(5)
+        for g in s3_gradings():
+            for _ in range(40):
+                x = _random_value(rng, basis, [Fraction(2), -1])
+                y = _random_value(rng, basis, [3, Fraction(1, 2)])
+                assert dcp_mul(bad, g, x, y) == _dcp_reference(bad, g, x, y)
+            assert graded_antipode(bad, g, x) != graded_antipode(clean, g, x)
+        assert bad._dcp and not clean._dcp
+
+    def test_tables_stop_growing_at_the_cap(self, monkeypatch):
+        assert MEMO_CAP >= 36 * 36 ** 2    # S3 with all 36 inner gradings
+        cap = 12
+        monkeypatch.setattr(crossed, "MEMO_CAP", cap)
+        Z = IntGroup()
+        P = GroupPairing(Z)
+        gradings = [AutPair(a, b) for a in (identity_aut(Z), negation_aut(Z))
+                    for b in (identity_aut(Z), negation_aut(Z))]
+        labels = [(la, lb) for la in range(-3, 4) for lb in range(-3, 4)]
+        rng = random.Random(3)
+        for i in range(60):
+            g = gradings[i % 4]
+            x = _random_value(rng, labels, [Fraction(3, 2), -2])
+            y = _random_value(rng, labels, [5, Fraction(-1, 7)])
+            assert dcp_mul(P, g, x, y) == _dcp_reference(P, g, x, y)
+            assert len(P._dcp) <= cap and len(P._twc) <= cap
+        assert len(P._dcp) == cap and len(P._twc) == cap
 
 
 class TestEmbeddings:

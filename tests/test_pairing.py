@@ -129,3 +129,74 @@ class TestCrossedRightUnit:
                 y = LinComb.unit((la, lb))
                 c = P.crossed_right_unit(g, y)
                 assert b_embed_left(P, g, c, y) == y
+
+
+class _Perturbed(GroupPairing):
+    """A group pairing with one basis value of the form changed."""
+
+    def __init__(self, group, at, value):
+        super().__init__(group)
+        self.at, self.value = at, value
+
+    def pair_basis(self, la, lb):
+        if (la, lb) == self.at:
+            return self.value
+        return super().pair_basis(la, lb)
+
+
+def _first_duality_failure(P, a_labels, b_labels):
+    """The diagnostic of check_duality by a plain scan in its loop order,
+    every action evaluated afresh for each triple."""
+    A, B = P.A, P.B
+    for la, lb1, lb2 in itertools.product(a_labels, b_labels, b_labels):
+        a, x, y = A.lc(la), B.lc(lb1), B.lc(lb2)
+        if not (P.pair(a, B.mul(x, y)) == P.pair(P.act("a<<b", x, a), y)):
+            return (f"pairing-product-law-fails(B): a={la!r}, x={lb1!r}, "
+                    f"y={lb2!r}")
+    for lb, la1, la2 in itertools.product(b_labels, a_labels, a_labels):
+        b, x, y = B.lc(lb), A.lc(la1), A.lc(la2)
+        if not (P.pair(A.mul(x, y), b) == P.pair(y, P.act("b<<a", x, b))):
+            return (f"pairing-product-law-fails(A): b={lb!r}, x={la1!r}, "
+                    f"y={la2!r}")
+    for la, lb in itertools.product(a_labels, b_labels):
+        a, b = A.lc(la), B.lc(lb)
+        if not (P.pair(A.antipode(a), b) == P.pair(a, B.antipode(b))):
+            return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
+    for la in a_labels:
+        if not (P.pair(A.lc(la), P.act_unit_B([la])) == A.counit(A.lc(la))):
+            return f"pairing-unit-law-fails(B): a={la!r}"
+    for lb in b_labels:
+        if not (P.pair(P.act_unit_A([lb]), B.lc(lb)) == B.counit(B.lc(lb))):
+            return f"pairing-unit-law-fails(A): b={lb!r}"
+    return None
+
+
+def _perturbed_matrix(group, i, j, value):
+    """The structure-constant pairing of a group with matrix entry (i, j)
+    changed."""
+    B = FiniteDimHopf.from_group(group)
+    n = B.dim
+    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    m[i][j] = value
+    return FiniteDimPairing(B.dual(), B, m)
+
+
+@pytest.mark.parametrize("P,b_labels", [
+    (_Perturbed(Z4, (0, 0), Fraction(2)), None),
+    (_Perturbed(Z4, (1, 3), Fraction(2)), None),
+    (_Perturbed(Z4, (3, 2), Fraction(2)), None),
+    (_Perturbed(S3, ((0, 1, 2), (1, 0, 2)), Fraction(2)), None),
+    (_Perturbed(S3, ((1, 2, 0), (1, 2, 0)), Fraction(2)), None),
+    (_Perturbed(S3, ((2, 1, 0), (0, 2, 1)), Fraction(2)), None),
+    # Fails in the A-product law only.
+    (_Perturbed(Z4, (1, 0), Fraction(2)), [0]),
+    # Fails at several y for the first failing (a, x).
+    (_perturbed_matrix(Z4, 2, 0, Fraction(2)), None),
+], ids=["z4-0-0", "z4-1-3", "z4-3-2", "s3-e-12", "s3-012-012", "s3-02-12",
+        "z4-a-law", "finite-dim-z4"])
+def test_duality_reports_the_first_failing_triple(P, b_labels):
+    a_labels = P.A.basis_labels(None)
+    b_labels = b_labels or P.B.basis_labels(None)
+    diag = P.check_duality(a_labels, b_labels)
+    assert diag is not None
+    assert diag == _first_duality_failure(P, a_labels, b_labels)
