@@ -25,7 +25,9 @@ process state, so reports are byte-stable.
 
 Checks that require a unital B-instance (those built on left covers) or a
 finite instance (rank computations) are omitted from the suite when the
-instance does not qualify, rather than reported as vacuous passes.
+instance does not qualify, rather than reported as vacuous passes.  A
+check that still evaluates zero cases raises :class:`NoCasesError`: a
+pass must mean that cases were evaluated.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ BUDGET_HEAVY = 60_000
 RANK_DIM_CAP = 10_000
 
 
+class NoCasesError(ValueError):
+    """Raised when a check evaluated zero cases, which is not a pass."""
+
+
 @dataclass
 class AxiomReport:
     """Outcome of a single named check."""
@@ -75,6 +81,13 @@ class AxiomReport:
     def to_json(self) -> Dict:
         return {"axiom": self.axiom, "status": self.status,
                 "cases": self.cases, "counterexample": self.counterexample}
+
+
+def _passed(name: str, cases: int) -> AxiomReport:
+    """The passing report of a check, which needs at least one case."""
+    if cases < 1:
+        raise NoCasesError(f"check {name!r} evaluated zero cases")
+    return AxiomReport(name, "pass", cases, None)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +168,7 @@ def _check(name: str, cases_fn: Callable[[], object],
             ce = eval_fn(*case)
             if ce is not None:
                 return AxiomReport(name, "fail", n, ce)
-        return AxiomReport(name, "pass", n, None)
+        return _passed(name, n)
 
     return name, run
 
@@ -622,7 +635,7 @@ def _cograded_suite(S: Session) -> List:
         diag = P.check_duality(a_labels, b_labels)
         n = len(a_labels) * len(b_labels)
         if diag is None:
-            return AxiomReport("pairing-duality", "pass", n, None)
+            return _passed("pairing-duality", n)
         return AxiomReport("pairing-duality", "fail", n,
                            {"diagnostic": diag})
 
@@ -657,7 +670,7 @@ def _cograded_suite(S: Session) -> List:
                                for row in rows)).rank
         n = len(a_labels)
         if rank == n:
-            return AxiomReport("pairing-nondegenerate", "pass", n, None)
+            return _passed("pairing-nondegenerate", n)
         return AxiomReport("pairing-nondegenerate", "fail", n,
                            {"rank": rank, "dimension": n})
 

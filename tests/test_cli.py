@@ -353,6 +353,16 @@ class TestInputDiagnostics:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+    def test_check_with_no_cases_exits_two(self, capsys, monkeypatch,
+                                           z2_spec):
+        """A check that evaluated zero cases is an error, not a pass."""
+        monkeypatch.setattr(mhag.suites, "_cases", lambda *a, **k: [])
+        rc, out, err = run_cli(capsys, "verify", "--spec", z2_spec,
+                               "--suite", "hopf")
+        assert rc == 2 and out == ""
+        assert err == "error: check 'coassociativity' evaluated zero cases\n"
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

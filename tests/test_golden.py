@@ -235,7 +235,14 @@ def test_exhaustive_schedule(monkeypatch):
         return []
 
     monkeypatch.setattr(suites, "_cases", record)
-    run_verify(S, list(SUITE_NAMES))
+    # A scheduled check now sees zero cases, which raises instead of
+    # passing; the checks that schedule nothing run as in a report.
+    for suite in SUITE_NAMES:
+        for _, run in suites.suite_axioms(S, suite):
+            try:
+                run()
+            except suites.NoCasesError:
+                pass
     capped = [c for c in calls
               if c[2] and math.prod(c[1] + c[2]) > c[3]]
     assert (len(calls), len(capped)) == (45, 6)

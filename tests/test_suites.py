@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mhag import (LinComb, RationalField, SUITE_NAMES, run_suite,
                   run_verify, session_from_json, suite_axioms)
-from mhag.suites import _Rank, _cases, _decode, _stride
+from mhag.suites import (NoCasesError, _check, _Rank, _cases, _decode,
+                         _stride)
 
 from conftest import (IDENT, NEG, group_instance, inner, make_session,
                       sampled, session_spec)
@@ -193,6 +194,23 @@ class TestCorruptionDetection:
                                                    [NEG, NEG]],
             corrupt="xi-composite"))
         assert all(r.status == "pass" for r in run_suite(S, "crossing"))
+
+
+class TestNoVacuousPass:
+    """A check that evaluated zero cases raises instead of passing."""
+
+    def test_empty_case_pool_raises(self, z2_session):
+        cases = lambda: _cases(z2_session, "t", [[0, 1]], [[]])
+        _, run = _check("empty-pool", cases, lambda *case: None)
+        with pytest.raises(NoCasesError, match="'empty-pool'.*zero cases"):
+            run()
+
+    def test_one_case_passes_and_a_failure_reports(self, z2_session):
+        cases = lambda: _cases(z2_session, "t", [[0]])
+        rep = _check("one", cases, lambda *case: None)[1]()
+        assert (rep.status, rep.cases) == ("pass", 1)
+        rep = _check("one", cases, lambda *case: {"at": case})[1]()
+        assert (rep.status, rep.cases) == ("fail", 1)
 
 
 class TestCaseScheduling:
