@@ -280,16 +280,10 @@ def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,
                      right_g: AutPair, u: LinComb, v: LinComb) -> LinComb:
     """``Delta(x) * (u (x) v)`` as an honest 4-tuple tensor: the right
     cover ``v`` truncates the legs, then ``u`` multiplies the first slot
-    from the right inside its component.
-
-    The A-legs always come out in honest order, whatever
-    ``P.cop_first_leg`` says, so the intertwining check never sees a
-    swapped coproduct; the golden reports pin that blind spot."""
+    from the right inside its component."""
     half = comul_covered(P, x, left_g, right_g, v, side="right")
     out: Dict[Tuple, object] = {}
     for (la1, lb1, la2, lb2), c in half.terms.items():
-        if not P.cop_first_leg:
-            la1, la2 = la2, la1
         s1 = dcp_mul(P, left_g, LinComb.unit((la1, lb1)), u)
         for (la1n, lb1n), c2 in s1.terms.items():
             _acc(out, (la1n, lb1n, la2, lb2), c * c2)

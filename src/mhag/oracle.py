@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 from .crossed import _acc
 from .groups import AutPair, aut_pair_inv, aut_pair_mul
 from .linear import LinComb
-from .pairing import Pairing, _FiniteW
+from .pairing import Pairing
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +179,10 @@ def dual_basis_r_terms(P: Pairing, left_g: AutPair):
     """The dual-basis form of the R-multiplier for a finite-dimensional
     pairing: pairs ``(B-value, A-label, coeff)`` with the B leg already
     twisted by the inverse of the first grading's second automorphism.
-    The dual bases are solved afresh from the pairing matrix, so a defect
-    planted on ``P.w`` does not reach them."""
+    The dual bases are the terms of the pairing's canonical multiplier
+    ``P.w``."""
     binv = left_g.beta.inverse()
     out = []
-    for wb, wa, cw in _FiniteW(P).all_terms():
+    for wb, wa, cw in P.w.all_terms():
         out.append((P.B.apply_aut(binv, P.B.lc(wb)), wa, cw))
     return out

@@ -33,7 +33,7 @@ S3_VERIFY = {
     "drop-r-term":
         "68bf61667b5dfc41066c123cb29feaba776f70a49c3bfa8dc3de6fa4e768c520",
     "swap-delta-legs":
-        "9756f4ac0578604999a5342892f0ac8f25f9c212659e60b87e2f1896a4242922",
+        "879a50a4b11e264c22da5aadedbcfd5228eedf6fe586530417252c98127a25fc",
     "pair-mul-twist":
         "73a51f5f6ccc10eddad67de52fbd45f964f81d39ae4e0fc5c0d687b213c9a4e2",
     "xi-composite":
@@ -49,7 +49,7 @@ Z_VERIFY = {
     "drop-r-term":
         "1b5a4adf319cf4677ebc0e47dddbcb554df8fcb51ba59e7aa7a5fc5fd8a9cbc7",
     "swap-delta-legs":
-        "5e318e72b09397893f49de2aa1bb9160ef1ad94b05c064643189fe7006b501c0",
+        "472c1a388dcdac342c58c9098d2d6b21e616c79e50f86bca9b043c0d80bcfaf1",
     "pair-mul-twist":
         "e710df09a4206e0078699f3c4fe54e630e45d89e04ada8bf5ee5ed2fa9f6ddc1",
     "xi-composite":
@@ -63,9 +63,9 @@ FINITE_DIM_S3_VERIFY = {
     "antipode-sign":
         "4f05794ec5f55028457576472675a97dc5f8e3ad0678451e4b221fc54c446cc4",
     "drop-r-term":
-        "ae204385a4d424b071c2271296023a3b36e79b10f0b1ba1152f8f577c72f314b",
+        "2e8086c4b6dc544ec25ace6ce2bed103a105e4d7b3fd13fa960379bed3fb1152",
     "swap-delta-legs":
-        "326d7b33655f4de1394e50f721355d5d92a44214789b653330cd8fabaa081834",
+        "961a21ac0f2c905ea9d23204266f26faa241d157fa28c1d42cdd62203efc1b21",
     "pair-mul-twist":
         "e4508087cb7080125291e654ebde7bfcfab1a209001c8a9ce3cf5982a7328dad",
     "xi-composite":

@@ -185,6 +185,25 @@ class TestCorruptionDetection:
             "quasitriangular", ["qt-coproduct-second", "w-pairing",
                                 "w-coproduct-a", "w-invertible"])
 
+    @pytest.mark.parametrize("instance,corrupt,suite,axiom", [
+        (group_instance("symmetric", 3), "swap-delta-legs",
+         "quasitriangular", "qt-intertwine"),
+        (group_instance("Z"), "swap-delta-legs", "quasitriangular",
+         "qt-intertwine"),
+        ({"kind": "finite-dim-hopf", "group": {"kind": "symmetric", "n": 3}},
+         "drop-r-term", "oracle", "oracle-r-closed-form"),
+    ], ids=["s3-swap", "z-swap", "finite-dim-s3-drop"])
+    def test_defect_reaches_every_reader(self, instance, corrupt, suite,
+                                         axiom):
+        # The intertwining law reads the planted coproduct legs, and the
+        # dual-basis closed form reads the planted canonical multiplier.
+        gradings = None if instance == group_instance("Z") else [
+            [IDENT, IDENT], [inner((1, 0, 2)), inner((0, 2, 1))]]
+        spec = session_spec(instance, gradings=gradings,
+                            enum=sampled(15, 7), corrupt=corrupt)
+        rep, = run_suite(make_session(spec), suite, only=[axiom])
+        assert rep.status == "fail" and rep.counterexample
+
     def test_abelian_instances_hide_composition_defects(self):
         # A commuting grading family cannot distinguish the twisted
         # composition from the naive one; detecting these defects needs
