@@ -14,7 +14,9 @@ cover is absorbed against an action unit — so each step is exact and finite
 even when the comultiplication of B is not.
 
 Multiplier embeddings: A embeds on the left and B on the right of a value
-label-by-label; B on the left and A on the right require the twist.
+label-by-label; B on the left and A on the right require the twist.  All
+four read basis products and basis twists from the tables of the instances
+and the pairing, term by term, and build no value in between.
 """
 
 from __future__ import annotations
@@ -108,24 +110,30 @@ def _t2_inv(P: Pairing, beta: Automorphism, x: LinComb) -> LinComb:
     return LinComb(out)
 
 
+def _twist_basis(P: Pairing, grading: AutPair, lb, la) -> tuple:
+    """The twist of one basis term b (x) a, as a tuple of (la', lb') terms,
+    read from or filled into ``P._twc``."""
+    memo = P._twc
+    key = (grading, lb, la)
+    base = memo.get(key)
+    if base is None:
+        alpha, beta = grading
+        unit = LinComb.unit((la, lb), P.field.one())
+        base = tuple(_t1(P, alpha, _t2_inv(P, beta, unit)).terms.items())
+        if len(memo) < MEMO_CAP:
+            memo[key] = base
+    return base
+
+
 def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
     """The twist at a grading: labels (lb, la) -> sum over (la', lb').
 
     The twist is linear and its covers are absorbed, so it is fixed by its
     value on each basis term; those values are computed once per pairing
     and kept in ``P._twc`` as term tuples, up to ``MEMO_CAP`` of them."""
-    memo = P._twc
     out: Dict = {}
     for (lb, la), c in x_ba.terms.items():
-        key = (grading, lb, la)
-        base = memo.get(key)
-        if base is None:
-            alpha, beta = grading
-            unit = LinComb.unit((la, lb), P.field.one())
-            base = tuple(_t1(P, alpha, _t2_inv(P, beta, unit)).terms.items())
-            if len(memo) < MEMO_CAP:
-                memo[key] = base
-        for label, c2 in base:
+        for label, c2 in _twist_basis(P, grading, lb, la):
             _acc(out, label, c * c2)
     return LinComb(out)
 
@@ -141,46 +149,61 @@ def twist_inv(P: Pairing, grading: AutPair, x_ab: LinComb) -> LinComb:
 
 def a_embed_left(P: Pairing, a: LinComb, y: LinComb) -> LinComb:
     """(a |x| 1) * y: left A-multiplication on the A-slot, label-by-label."""
+    mul_basis = P.A.mul_basis
     out: Dict = {}
     for (la, lb), c in y.terms.items():
-        prod = P.A.mul(a, P.A.lc(la))
-        for la2, c2 in prod.terms.items():
-            _acc(out, (la2, lb), c * c2)
+        for la1, ca in a.terms.items():
+            prod = mul_basis(la1, la).terms
+            if prod:
+                cc = c * ca
+                for la2, c2 in prod.items():
+                    _acc(out, (la2, lb), cc * c2)
     return LinComb(out)
 
 
 def b_embed_right(P: Pairing, y: LinComb, b: LinComb) -> LinComb:
     """y * (1 |x| b): right B-multiplication on the B-slot, label-by-label."""
+    mul_basis = P.B.mul_basis
     out: Dict = {}
     for (la, lb), c in y.terms.items():
-        prod = P.B.mul(P.B.lc(lb), b)
-        for lb2, c2 in prod.terms.items():
-            _acc(out, (la, lb2), c * c2)
+        for lb1, cb in b.terms.items():
+            prod = mul_basis(lb, lb1).terms
+            if prod:
+                cc = c * cb
+                for lb2, c2 in prod.items():
+                    _acc(out, (la, lb2), cc * c2)
     return LinComb(out)
 
 
 def b_embed_left(P: Pairing, grading: AutPair, b: LinComb, y: LinComb) -> LinComb:
     """(1 |x| b) * y, via the twist: the B-legs of b are pulled through the
-    A-part of every term of y."""
+    A-part of every term of y, one basis twist and basis product at a
+    time."""
+    mul_basis = P.B.mul_basis
     out: Dict = {}
     for (la, lb2), c in y.terms.items():
-        tw = twist_map(P, grading, b.map_labels(lambda l: (l, la)))
-        for (la2, lb1), c1 in tw.terms.items():
-            prod = P.B.mul(P.B.lc(lb1), P.B.lc(lb2))
-            for lb3, c2 in prod.terms.items():
-                _acc(out, (la2, lb3), c * c1 * c2)
+        for lb, cb in b.terms.items():
+            for (la2, lb1), c1 in _twist_basis(P, grading, lb, la):
+                prod = mul_basis(lb1, lb2).terms
+                if prod:
+                    cc = c * cb * c1
+                    for lb3, c2 in prod.items():
+                        _acc(out, (la2, lb3), cc * c2)
     return LinComb(out)
 
 
 def a_embed_right(P: Pairing, grading: AutPair, y: LinComb, a: LinComb) -> LinComb:
     """y * (a |x| 1), via the twist applied to each term's B-label."""
+    mul_basis = P.A.mul_basis
     out: Dict = {}
     for (la1, lb1), c in y.terms.items():
-        tw = twist_map(P, grading, a.map_labels(lambda l: (lb1, l)))
-        for (la2, lb2), c1 in tw.terms.items():
-            prod = P.A.mul(P.A.lc(la1), P.A.lc(la2))
-            for la3, c2 in prod.terms.items():
-                _acc(out, (la3, lb2), c * c1 * c2)
+        for la, ca in a.terms.items():
+            for (la2, lb2), c1 in _twist_basis(P, grading, lb1, la):
+                prod = mul_basis(la1, la2).terms
+                if prod:
+                    cc = c * ca * c1
+                    for la3, c2 in prod.items():
+                        _acc(out, (la3, lb2), cc * c2)
     return LinComb(out)
 
 

@@ -273,7 +273,8 @@ class Automorphism:
     Constructors validate the homomorphism and bijection properties.
     """
 
-    __slots__ = ("group", "_map", "_sign", "_key", "_inv", "_comp")
+    __slots__ = ("group", "_map", "_sign", "_key", "_hash", "_id", "_inv",
+                 "_comp")
 
     def __init__(self, group: Group, mapping: Optional[Dict] = None, sign: int = 1,
                  _validated: bool = False):
@@ -291,12 +292,17 @@ class Automorphism:
             if not _validated:
                 self._validate_finite(order)
             self._key = tuple(mapping[x] for x in order)
+            self._id = self._key == tuple(order)
         else:
             if sign not in (1, -1):
                 raise GroupError("int-automorphism: sign must be +1 or -1")
             self._map = None
             self._sign = sign
             self._key = sign
+            self._id = sign == 1
+        # Decided once: the hash is read on every table lookup keyed by a
+        # grading, and _id on every MhaInstance.apply_aut.
+        self._hash = hash(self._key)
 
     def _validate_finite(self, order):
         m = self._map
@@ -342,9 +348,7 @@ class Automorphism:
         return self._inv
 
     def is_identity(self) -> bool:
-        if self._map is not None:
-            return all(k == v for k, v in self._map.items())
-        return self._sign == 1
+        return self._id
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
@@ -352,7 +356,7 @@ class Automorphism:
         return self.group == other.group and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         if self._map is None:

@@ -30,6 +30,15 @@ from .sampling import EnumSpec
 from .scalars import Field, FpElement, RationalField
 
 
+# Entries each basis table may hold: the product and T-map tables of an
+# instance here, the twist and product tables of a pairing in
+# :mod:`mhag.pairing`.  A full table stops growing and later misses are
+# computed afresh.  The cap holds every basis product of a finite S3 session
+# with all 36 inner gradings (36 * 36**2 = 46 656), and bounds every table
+# over infinite carriers.
+MEMO_CAP = 1 << 16
+
+
 class StructureError(ValueError):
     """Raised for malformed instance data, with a named diagnostic prefix."""
 
@@ -50,6 +59,8 @@ class MhaInstance:
     is_unital: bool
 
     def __init__(self):
+        # Basis products keyed (x, y), and basis T-map images keyed
+        # (i, x, y), each up to ``MEMO_CAP`` entries.
         self._mc: Dict = {}
         self._tc: Dict = {}
         self._tic: Dict = {}
@@ -99,16 +110,24 @@ class MhaInstance:
     def lc(self, label, coeff=None) -> LinComb:
         return LinComb.unit(label, self.field.one() if coeff is None else coeff)
 
+    def mul_basis(self, lx, ly) -> LinComb:
+        """The product of two basis labels, read from or filled into the
+        product table."""
+        mc = self._mc
+        key = (lx, ly)
+        base = mc.get(key)
+        if base is None:
+            base = self._mul_basis(lx, ly)
+            if len(mc) < MEMO_CAP:
+                mc[key] = base
+        return base
+
     def mul(self, x: LinComb, y: LinComb) -> LinComb:
         out: Dict = {}
-        mc = self._mc
+        mul_basis = self.mul_basis
         for lx, cx in x.terms.items():
             for ly, cy in y.terms.items():
-                key = (lx, ly)
-                base = mc.get(key)
-                if base is None:
-                    base = self._mul_basis(lx, ly)
-                    mc[key] = base
+                base = mul_basis(lx, ly)
                 if not base.terms:
                     continue
                 c = cx * cy
@@ -131,7 +150,8 @@ class MhaInstance:
             base = table.get(key)
             if base is None:
                 base = fn(i, lx, ly)
-                table[key] = base
+                if len(table) < MEMO_CAP:
+                    table[key] = base
             for lz, cz in base.terms.items():
                 acc = out.get(lz)
                 if acc is None:
@@ -161,7 +181,8 @@ class MhaInstance:
                 base = table.get(key)
                 if base is None:
                     base = self._t_basis(i, lx, ly)
-                    table[key] = base
+                    if len(table) < MEMO_CAP:
+                        table[key] = base
                 c = cx * cy
                 for lz, cz in base.terms.items():
                     acc = out.get(lz)
@@ -191,6 +212,9 @@ class MhaInstance:
     def apply_aut(self, phi: Automorphism, x: LinComb) -> LinComb:
         if phi.is_identity():
             return x
+        if len(x.terms) == 1:
+            (label, c), = x.terms.items()
+            return LinComb({self.aut_label(phi, label): c})
         return x.map_labels(lambda l: self.aut_label(phi, l))
 
 

@@ -26,8 +26,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .groups import AutPair, Automorphism, Group, aut_pair_mul
 from .linear import LinComb, lc_combine
-from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf, FunctionAlgebra,
-                  GroupAlgebra, MhaInstance, StructureError, sdiv)
+from .mha import (MEMO_CAP, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
+                  FunctionAlgebra, GroupAlgebra, MhaInstance, StructureError,
+                  sdiv)
 from .scalars import Field, RationalField
 
 
@@ -36,13 +37,6 @@ class PairingError(ValueError):
 
 
 ACT_VARIANTS = ("b>>a", "a<<b", "a>>b", "b<<a")
-
-# Entries each basis table of a pairing may hold (``_twc`` and ``_dcp``);
-# a full table stops growing and later misses are computed afresh.  The
-# cap holds every basis product of a finite S3 session with all 36 inner
-# gradings (36 * 36**2 = 46 656), and bounds both tables over infinite
-# carriers.
-MEMO_CAP = 1 << 16
 
 
 class Pairing:
@@ -56,8 +50,8 @@ class Pairing:
 
     def __init__(self):
         # Basis twists, keyed (grading, b_label, a_label), and basis
-        # products, keyed (grading, x_label, y_label): see
-        # crossed.twist_map and crossed.dcp_mul.
+        # products, keyed (grading, x_label, y_label), each up to
+        # ``MEMO_CAP`` entries: see crossed.twist_map and crossed.dcp_mul.
         self._twc: Dict = {}
         self._dcp: Dict = {}
         # The grading-group product, whether the co-opposite A-leg goes on

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from mhag import (DrinfeldPairing, EnumSpec, GroupPairing, IntGroup,
-                  PrimeField, commutation_residual, dcp_mul, twist_inv,
-                  twist_map)
-from mhag import crossed
+from mhag import (DrinfeldPairing, EnumSpec, FiniteDimHopf, FiniteDimPairing,
+                  GroupPairing, IntGroup, PrimeField, commutation_residual,
+                  dcp_mul, twist_inv, twist_map)
+from mhag import crossed, mha
 from mhag.cograded import graded_antipode
 from mhag.crossed import (_t1, _t2_inv, a_embed_left, a_embed_right,
                           b_embed_left, b_embed_right, crossed_value)
@@ -19,7 +19,8 @@ from mhag.linear import LinComb
 from mhag.oracle import group_mul
 from mhag.pairing import MEMO_CAP
 
-from conftest import group_instance, make_session, session_spec
+from conftest import (IDENT, NEG, group_instance, make_session, sampled,
+                      session_spec)
 
 Z4 = TableGroup.cyclic(4)
 S3 = PermGroup.symmetric(3)
@@ -135,6 +136,63 @@ def _random_value(rng, labels, coeffs):
     return LinComb.from_pairs((rng.choice(labels), c) for c in coeffs)
 
 
+def _twist_fresh(P, g, x_ba):
+    """The twist straight from the T-maps, past the pairing's table."""
+    swapped = x_ba.map_labels(lambda t: (t[1], t[0]))
+    return _t1(P, g.alpha, _t2_inv(P, g.beta, swapped))
+
+
+def _mul_fresh(X, x, y):
+    """The product of an instance straight from its basis primitive, past
+    the instance's product table."""
+    out = LinComb.zero()
+    for lx, cx in x.terms.items():
+        for ly, cy in y.terms.items():
+            out = out.add(X._mul_basis(lx, ly).scale(cx * cy))
+    return out
+
+
+# The four embeddings as they were written before they read the basis
+# tables, with the twist and the products computed afresh, so that a fault
+# in a table cannot hide on both sides of a comparison.
+
+def _a_embed_left_reference(P, a, y):
+    out = LinComb.zero()
+    for (la, lb), c in y.terms.items():
+        prod = _mul_fresh(P.A, a, P.A.lc(la))
+        out = out.add(prod.map_labels(lambda l: (l, lb)).scale(c))
+    return out
+
+
+def _b_embed_right_reference(P, y, b):
+    out = LinComb.zero()
+    for (la, lb), c in y.terms.items():
+        prod = _mul_fresh(P.B, P.B.lc(lb), b)
+        out = out.add(prod.map_labels(lambda l: (la, l)).scale(c))
+    return out
+
+
+def _b_embed_left_reference(P, g, b, y):
+    out = LinComb.zero()
+    for (la, lb2), c in y.terms.items():
+        tw = _twist_fresh(P, g, b.map_labels(lambda l: (l, la)))
+        for (la2, lb1), c1 in tw.terms.items():
+            prod = _mul_fresh(P.B, P.B.lc(lb1), P.B.lc(lb2))
+            out = out.add(prod.map_labels(lambda l: (la2, l)).scale(c * c1))
+    return out
+
+
+def _a_embed_right_reference(P, g, y, a):
+    out = LinComb.zero()
+    for (la1, lb1), c in y.terms.items():
+        tw = _twist_fresh(P, g, a.map_labels(lambda l: (lb1, l)))
+        for (la2, lb2), c1 in tw.terms.items():
+            prod = _mul_fresh(P.A, P.A.lc(la1), P.A.lc(la2))
+            out = out.add(prod.map_labels(lambda l: (l, lb2)).scale(c * c1))
+    return out
+
+
+
 class TestProductMemo:
     """dcp_mul reads basis products from a per-pairing table; on any input
     it must equal the product composed from the two embeddings."""
@@ -203,6 +261,109 @@ class TestProductMemo:
             assert dcp_mul(P, g, x, y) == _dcp_reference(P, g, x, y)
             assert len(P._dcp) <= cap and len(P._twc) <= cap
         assert len(P._dcp) == cap and len(P._twc) == cap
+
+    def test_instance_tables_stop_growing_at_the_cap(self, monkeypatch):
+        # The product and T-map tables of A and B stop at the same cap.
+        assert mha.MEMO_CAP == MEMO_CAP
+        cap = 12
+        monkeypatch.setattr(mha, "MEMO_CAP", cap)
+        S = make_session(session_spec(
+            group_instance("Z"),
+            gradings=[[IDENT, IDENT], [IDENT, NEG], [NEG, IDENT], [NEG, NEG]],
+            enum=sampled(20, 1)))
+        P = S.P
+        tables = [X._mc for X in (P.A, P.B)] + [X._tc for X in (P.A, P.B)] \
+            + [X._tic for X in (P.A, P.B)]
+        labels = [(la, lb) for la in range(-3, 4) for lb in range(-3, 4)]
+        rng = random.Random(4)
+        for i in range(60):
+            g = S.gradings[i % 4]
+            b = _random_value(rng, list(range(-3, 4)), [Fraction(3, 2), -2])
+            y = _random_value(rng, labels, [5, Fraction(-1, 7)])
+            assert b_embed_left(P, g, b, y) == \
+                _b_embed_left_reference(P, g, b, y)
+            assert P.A.mul(b, b) == _mul_fresh(P.A, b, b)
+            for X in (P.A, P.B):
+                u = y.scale(Fraction(2, 3))
+                assert X.t_map_inv(1 + i % 4, X.t_map(1 + i % 4, u)) == u
+            assert all(len(t) <= cap for t in tables)
+        assert all(len(t) == cap for t in tables)
+
+
+def _rescaled_s3_pairing():
+    """The structure-constant pairing of the group algebra of S3 in the basis
+    b_i = s_i g_i with unequal scales, so basis twists and products carry
+    coefficients other than 1."""
+    fd = FiniteDimHopf.from_group(S3)
+    sc = [Fraction(k + 2, 3) for k in range(fd.dim)]
+
+    def rescale(v, factor):
+        return LinComb.from_pairs(
+            (l, c * factor / (sc[l] if isinstance(l, int)
+                              else sc[l[0]] * sc[l[1]]))
+            for l, c in v.terms.items())
+
+    n = fd.dim
+    B = FiniteDimHopf(
+        fd.field,
+        [[rescale(fd.mul_table[i][j], sc[i] * sc[j]) for j in range(n)]
+         for i in range(n)],
+        [rescale(fd.comul_table[i], sc[i]) for i in range(n)],
+        [fd.counit_vec[i] * sc[i] for i in range(n)],
+        rescale(fd.unit_vec, 1),
+        [rescale(fd.antipode_tab[i], sc[i]) for i in range(n)])
+    return FiniteDimPairing.from_instance(B)
+
+
+def _embedding_cases():
+    """_memo_cases, an S3 session whose B-antipode is negated, and a
+    rescaled structure-constant S3 pairing (identity grading only: its
+    basis is not permuted by automorphisms)."""
+    s3 = group_instance("symmetric", 3)
+    coeffs = [Fraction(3, 2), -2, 5, Fraction(-1, 7)]
+    ident = AutPair(identity_aut(TableGroup.cyclic(1)),
+                    identity_aut(TableGroup.cyclic(1)))
+    return _memo_cases() + [
+        ("s3-antipode-sign",
+         lambda: make_session(session_spec(s3, corrupt="antipode-sign")).P,
+         s3_gradings(), coeffs),
+        ("s3-rescaled-structure-constants", _rescaled_s3_pairing, [ident],
+         coeffs),
+    ]
+
+
+class TestEmbeddingFastPaths:
+    """The multiplier embeddings read basis twists and basis products from
+    the tables term by term; on multi-term inputs with mixed coefficients
+    they must equal the embeddings computed afresh."""
+
+    @pytest.mark.parametrize("name,make,gradings,coeffs", _embedding_cases(),
+                             ids=[c[0] for c in _embedding_cases()])
+    def test_multi_term_inputs_match_reference(self, name, make, gradings,
+                                               coeffs):
+        P = make()
+        enum = EnumSpec(window=3)
+        a_labels = P.A.basis_labels(enum)
+        b_labels = P.B.basis_labels(enum)
+        labels = [(la, lb) for la in a_labels for lb in b_labels]
+        rng = random.Random(name)
+        for g in gradings:
+            for size in (1, 2, 3, 4):
+                # Overlapping inputs, so later calls hit earlier entries.
+                for _ in range(3):
+                    a = _random_value(rng, a_labels, coeffs[:size])
+                    b = _random_value(rng, b_labels, coeffs[::-1][:size])
+                    y = _random_value(rng, labels, coeffs[1:] + coeffs[:1])
+                    for _ in range(2):
+                        assert b_embed_left(P, g, b, y) == \
+                            _b_embed_left_reference(P, g, b, y)
+                        assert a_embed_right(P, g, y, a) == \
+                            _a_embed_right_reference(P, g, y, a)
+                        assert a_embed_left(P, a, y) == \
+                            _a_embed_left_reference(P, a, y)
+                        assert b_embed_right(P, y, b) == \
+                            _b_embed_right_reference(P, y, b)
+        assert P._twc and P.A._mc and P.B._mc
 
 
 class TestEmbeddings:

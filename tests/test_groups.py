@@ -126,6 +126,53 @@ class TestAutomorphisms:
         assert neg.compose(neg).apply(5) == 5
 
 
+class TestIdentityAndHashSlots:
+    """is_identity and the hash are decided once, when an automorphism is
+    built; they must agree with the image map and with equality."""
+
+    s3 = PermGroup.symmetric(3)
+
+    def test_is_identity(self):
+        z = IntGroup()
+        g = (1, 2, 0)
+        assert identity_aut(self.s3).is_identity()
+        assert identity_aut(z).is_identity()
+        assert Automorphism(z, sign=1).is_identity()
+        roundtrip = inner_aut(self.s3, g).compose(
+            inner_aut(self.s3, self.s3.inv(g)))
+        assert roundtrip.is_identity()
+        assert all(roundtrip(x) == x for x in self.s3.elements())
+        assert inner_aut(self.s3, (0, 1, 2)).is_identity()
+        assert not inner_aut(self.s3, g).is_identity()
+        assert not inner_aut(self.s3, (1, 0, 2)).is_identity()
+        assert not Automorphism(z, sign=-1).is_identity()
+        assert not negation_aut(z).is_identity()
+        z4 = TableGroup.cyclic(4)
+        assert not map_aut(z4, {i: (-i) % 4 for i in range(4)}).is_identity()
+        assert map_aut(z4, {i: i for i in range(4)}).is_identity()
+
+    def test_equal_automorphisms_hash_equal(self):
+        els = self.s3.elements()
+        auts = [inner_aut(self.s3, g) for g in els]
+        # Each automorphism again, built from its own image map, and every
+        # composite, which is made along a different path.
+        fresh = [Automorphism(self.s3, {x: f(x) for x in els}) for f in auts]
+        composites = [f.compose(g) for f in auts for g in auts]
+        built = auts + fresh + composites + [identity_aut(self.s3)]
+        for a, b in itertools.product(built, repeat=2):
+            if a == b:
+                assert hash(a) == hash(b)
+                assert a.is_identity() == b.is_identity()
+        z = IntGroup()
+        signs = [identity_aut(z), negation_aut(z), Automorphism(z, sign=1),
+                 Automorphism(z, sign=-1), negation_aut(z).compose(
+                     negation_aut(z))]
+        for a, b in itertools.product(signs, repeat=2):
+            if a == b:
+                assert hash(a) == hash(b)
+        assert signs[0] == signs[2] == signs[4] and signs[1] == signs[3]
+
+
 class TestDerivationCache:
     """compose and inverse keep their results per automorphism; a cached
     result must equal the automorphism built afresh from the image maps."""

@@ -8,7 +8,8 @@ import pytest
 
 from mhag import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, StructureError)
-from mhag.groups import IntGroup, PermGroup, TableGroup, inner_aut, map_aut
+from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
+                         negation_aut)
 from mhag.linear import LinComb, lc_combine, wrap1
 
 Z2 = TableGroup.cyclic(2)
@@ -217,3 +218,52 @@ class TestFiniteDimHopf:
         for g in els:
             assert fd.apply_aut(phi, fd.lc(idx[g])) == fd.lc(
                 idx[phi.apply(g)])
+
+
+
+def _aut_cases():
+    """(name, instance, non-identity automorphism, basis labels)."""
+    phi = inner_aut(S3, (1, 2, 0))
+    inv3 = map_aut(Z3, {i: (-i) % 3 for i in range(3)})
+    z = IntGroup()
+    return [
+        ("group-s3", GroupAlgebra(S3), phi, S3.elements()),
+        ("functions-s3", FunctionAlgebra(S3), phi, S3.elements()),
+        ("double-z3", DrinfeldDouble(Z3), inv3,
+         [(p, h) for p in Z3.elements() for h in Z3.elements()]),
+        ("dual-double-z3", DualDrinfeld(Z3), inv3,
+         [(h, p) for h in Z3.elements() for p in Z3.elements()]),
+        # Structure-constant instances carry their own aut_label.
+        ("finite-dim-hopf-s3", FiniteDimHopf.from_group(S3), phi,
+         list(range(6))),
+        ("finite-dim-hopf-s3-dual", FiniteDimHopf.from_group(S3).dual(), phi,
+         list(range(6))),
+        ("group-z", GroupAlgebra(z), negation_aut(z), list(range(-3, 4))),
+    ]
+
+
+class TestApplyAut:
+    """apply_aut returns a one-term value directly; on any value it must
+    equal the label-by-label map through the instance's aut_label."""
+
+    @pytest.mark.parametrize("name,inst,phi,labels", _aut_cases(),
+                             ids=[c[0] for c in _aut_cases()])
+    def test_matches_map_labels_reference(self, name, inst, phi, labels):
+        assert not phi.is_identity()
+        coeffs = [Fraction(3, 2), -2, 5, Fraction(-1, 7)]
+        values = [inst.lc(l, c) for l, c in zip(labels, coeffs * 3)]
+        values += [LinComb.from_pairs(zip(labels[i:i + n], coeffs))
+                   for n in (2, 3, 4) for i in range(len(labels) - n + 1)]
+        values.append(LinComb.zero())
+        moved = 0
+        for x in values:
+            ref = x.map_labels(lambda l: inst.aut_label(phi, l))
+            out = inst.apply_aut(phi, x)
+            assert out == ref
+            moved += out != x
+        assert moved
+
+    def test_identity_returns_the_value(self):
+        inst = FiniteDimHopf.from_group(S3)
+        x = inst.lc(2, Fraction(3))
+        assert inst.apply_aut(inner_aut(S3, (0, 1, 2)), x) is x
