@@ -183,7 +183,3 @@ def lc_combine(parts: Iterable[LinComb]) -> LinComb:
                     out[label] = acc
     return LinComb(out)
 
-
-def wrap1(x: LinComb) -> LinComb:
-    """Wrap plain labels into 1-tuples so the value can enter tensor space."""
-    return LinComb({(label,): c for label, c in x.terms.items()})

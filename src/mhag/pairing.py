@@ -133,10 +133,6 @@ class Pairing:
         return LinComb.from_pairs(pairs)
 
     # -- automorphism plumbing ----------------------------------------------------
-    def aut_B(self, phi: Automorphism, b: LinComb) -> LinComb:
-        """The covariant automorphism of B induced by a group automorphism."""
-        return self.B.apply_aut(phi, b)
-
     def precompose_A(self, phi: Automorphism, a: LinComb) -> LinComb:
         """Transpose action on A: the functional a composed with the induced
         automorphism of B (for label pairings this is relabeling by phi^-1)."""
@@ -159,28 +155,45 @@ class Pairing:
         this works over infinite instances too.
         """
         A, B = self.A, self.B
+        pair_basis = self.pair_basis
+        zero = self.field.zero()
+        # <a, x y> = <a1, x><a2, y> on basis a, x, y: the left side sums
+        # cz <a, z> over the terms cz z of the basis product x y, the right
+        # side pairs the action a <| x (once per (a, x)) with y term by term.
         for la in a_labels:
             a = A.lc(la)
             for lb1 in b_labels:
-                x = B.lc(lb1)
-                # <a, x y> = <a1, x><a2, y>: contract via action then pair
-                ax = self.act("a<<b", x, a)
+                ax = self.act("a<<b", B.lc(lb1), a).terms.items()
                 for lb2 in b_labels:
-                    y = B.lc(lb2)
-                    lhs = self.pair(a, B.mul(x, y))
-                    rhs = self.pair(ax, y)
+                    lhs = zero
+                    for lz, cz in B.mul_basis(lb1, lb2).terms.items():
+                        v = pair_basis(la, lz)
+                        if not (v == 0):
+                            lhs = lhs + cz * v
+                    rhs = zero
+                    for l, c in ax:
+                        v = pair_basis(l, lb2)
+                        if not (v == 0):
+                            rhs = rhs + c * v
                     if not (lhs == rhs):
                         return (f"pairing-product-law-fails(B): a={la!r}, "
                                 f"x={lb1!r}, y={lb2!r}")
+        # <x y, b> = <x, b1><y, b2>, read the same way.
         for lb in b_labels:
             b = B.lc(lb)
             for la1 in a_labels:
-                x = A.lc(la1)
-                xb = self.act("b<<a", x, b)
+                xb = self.act("b<<a", A.lc(la1), b).terms.items()
                 for la2 in a_labels:
-                    y = A.lc(la2)
-                    lhs = self.pair(A.mul(x, y), b)
-                    rhs = self.pair(y, xb)
+                    lhs = zero
+                    for lz, cz in A.mul_basis(la1, la2).terms.items():
+                        v = pair_basis(lz, lb)
+                        if not (v == 0):
+                            lhs = lhs + cz * v
+                    rhs = zero
+                    for l, c in xb:
+                        v = pair_basis(la2, l)
+                        if not (v == 0):
+                            rhs = rhs + c * v
                     if not (lhs == rhs):
                         return (f"pairing-product-law-fails(A): b={lb!r}, "
                                 f"x={la1!r}, y={la2!r}")

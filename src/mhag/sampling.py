@@ -41,20 +41,6 @@ class SplitMix64:
     def choice(self, seq: Sequence):
         return seq[self.below(len(seq))]
 
-    def int_in(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi]."""
-        return lo + self.below(hi - lo + 1)
-
-    def sample(self, seq: Sequence, k: int) -> List:
-        """k draws without replacement (k capped at len(seq))."""
-        pool = list(seq)
-        k = min(k, len(pool))
-        out = []
-        for _ in range(k):
-            i = self.below(len(pool))
-            out.append(pool.pop(i))
-        return out
-
 
 def _mix_tag(seed: int, tag: str) -> int:
     """Derive a per-stream seed: FNV-1a over the tag, folded into the seed."""

@@ -172,12 +172,16 @@ class PrimeField(Field):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"
+        # One shared object each: every FpElement operator returns a new
+        # object, so nothing mutates these.
+        self._one = FpElement(1, p)
+        self._zero = FpElement(0, p)
 
     def one(self):
-        return FpElement(1, self.p)
+        return self._one
 
     def zero(self):
-        return FpElement(0, self.p)
+        return self._zero
 
     def from_int(self, n: int):
         return FpElement(n, self.p)

@@ -10,7 +10,7 @@ from mhag import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, StructureError)
 from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
                          negation_aut)
-from mhag.linear import LinComb, lc_combine, wrap1
+from mhag.linear import LinComb, lc_combine
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -108,16 +108,15 @@ class TestTMaps:
         labels = inst.basis_labels(None)
         for i in (1, 2, 3, 4):
             for lx, ly in itertools.product(labels, labels):
-                xy = wrap1(inst.lc(lx)).tensor(wrap1(inst.lc(ly)))
+                xy = LinComb.unit((lx, ly), inst.field.one())
                 assert inst.t_map_inv(i, inst.t_map(i, xy)) == xy
                 assert inst.t_map(i, inst.t_map_inv(i, xy)) == xy
 
     def test_t_maps_linear(self):
         A = GroupAlgebra(S3)
         labels = A.basis_labels(None)
-        v = wrap1(A.lc(labels[1])).tensor(wrap1(A.lc(labels[2]))).scale(
-            Fraction(2)).add(
-            wrap1(A.lc(labels[3])).tensor(wrap1(A.lc(labels[0]))))
+        v = LinComb.from_pairs([((labels[1], labels[2]), Fraction(2)),
+                                ((labels[3], labels[0]), 1)])
         parts = [A.t_map(1, LinComb.unit(lab, c)) for lab, c in v.terms.items()]
         assert A.t_map(1, v) == lc_combine(parts)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mhag import (DrinfeldPairing, FiniteDimHopf, FiniteDimPairing,
-                  GroupPairing, PairingError)
+                  GroupPairing, PairingError, PrimeField, RationalField)
 from mhag.crossed import b_embed_left
 from mhag.groups import AutPair, IntGroup, PermGroup, TableGroup, identity_aut
 from mhag.linear import LinComb
@@ -131,17 +131,15 @@ class TestCrossedRightUnit:
                 assert b_embed_left(P, g, c, y) == y
 
 
-class _Perturbed(GroupPairing):
-    """A group pairing with one basis value of the form changed."""
+def _perturbed(P, at, value):
+    """``P`` with one basis value of its form, at ``at``, changed."""
+    honest = P.pair_basis
+    P.pair_basis = lambda la, lb: value if (la, lb) == at else honest(la, lb)
+    return P
 
-    def __init__(self, group, at, value):
-        super().__init__(group)
-        self.at, self.value = at, value
 
-    def pair_basis(self, la, lb):
-        if (la, lb) == self.at:
-            return self.value
-        return super().pair_basis(la, lb)
+def _perturbed_group(group, at, value, field=None):
+    return _perturbed(GroupPairing(group, field), at, value)
 
 
 def _first_duality_failure(P, a_labels, b_labels):
@@ -171,29 +169,67 @@ def _first_duality_failure(P, a_labels, b_labels):
     return None
 
 
-def _perturbed_matrix(group, i, j, value):
-    """The structure-constant pairing of a group with matrix entry (i, j)
-    changed."""
-    B = FiniteDimHopf.from_group(group)
+def _perturbed_matrix(A, B, i, j, value):
+    """The structure-constant pairing of ``A`` with its dual ``B`` (or of
+    ``B`` with its dual ``A``), matrix entry (i, j) changed."""
     n = B.dim
     m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     m[i][j] = value
-    return FiniteDimPairing(B.dual(), B, m)
+    return FiniteDimPairing(A, B, m)
+
+
+def _rescaled_group_algebra(group, scales):
+    """The group algebra of ``group`` on the basis f_g = scales[g] * g, so
+    that basis products, coproducts and the antipode carry coefficients
+    other than 1: f_x f_y = (s_x s_y / s_xy) f_xy and
+    Delta(f_g) = (1 / s_g) f_g (x) f_g."""
+    els = group.elements()
+    idx = {g: i for i, g in enumerate(els)}
+    s = [Fraction(c) for c in scales]
+    xy = [[idx[group.op(x, y)] for y in els] for x in els]
+    return FiniteDimHopf(
+        RationalField(),
+        [[LinComb.unit(xy[i][j], s[i] * s[j] / s[xy[i][j]])
+          for j in range(len(els))] for i in range(len(els))],
+        [LinComb.unit((i, i), 1 / s[i]) for i in range(len(els))],
+        list(s),
+        LinComb.unit(idx[group.identity], 1 / s[idx[group.identity]]),
+        [LinComb.unit(idx[group.inv(g)], s[i] / s[idx[group.inv(g)]])
+         for i, g in enumerate(els)])
+
+
+F7 = PrimeField(7)
+Z4_HOPF = FiniteDimHopf.from_group(Z4)
+Z3_123 = _rescaled_group_algebra(Z3, [1, 2, 3])
+Z3_235 = _rescaled_group_algebra(Z3, [2, 3, 5])
 
 
 @pytest.mark.parametrize("P,b_labels", [
-    (_Perturbed(Z4, (0, 0), Fraction(2)), None),
-    (_Perturbed(Z4, (1, 3), Fraction(2)), None),
-    (_Perturbed(Z4, (3, 2), Fraction(2)), None),
-    (_Perturbed(S3, ((0, 1, 2), (1, 0, 2)), Fraction(2)), None),
-    (_Perturbed(S3, ((1, 2, 0), (1, 2, 0)), Fraction(2)), None),
-    (_Perturbed(S3, ((2, 1, 0), (0, 2, 1)), Fraction(2)), None),
+    (_perturbed_group(Z4, (0, 0), Fraction(2)), None),
+    (_perturbed_group(Z4, (1, 3), Fraction(2)), None),
+    (_perturbed_group(Z4, (3, 2), Fraction(2)), None),
+    (_perturbed_group(S3, ((0, 1, 2), (1, 0, 2)), Fraction(2)), None),
+    (_perturbed_group(S3, ((1, 2, 0), (1, 2, 0)), Fraction(2)), None),
+    (_perturbed_group(S3, ((2, 1, 0), (0, 2, 1)), Fraction(2)), None),
     # Fails in the A-product law only.
-    (_Perturbed(Z4, (1, 0), Fraction(2)), [0]),
+    (_perturbed_group(Z4, (1, 0), Fraction(2)), [0]),
     # Fails at several y for the first failing (a, x).
-    (_perturbed_matrix(Z4, 2, 0, Fraction(2)), None),
+    (_perturbed_matrix(Z4_HOPF.dual(), Z4_HOPF, 2, 0, Fraction(2)), None),
+    (_perturbed_group(Z4, (1, 3), F7.from_int(2), F7), None),
+    (_perturbed_group(Z4, (1, 0), F7.from_int(3), F7), [0]),
+    (_perturbed(DrinfeldPairing(Z2, F7), ((1, 0), (1, 1)), F7.from_int(2)),
+     None),
+    # Fails at several y for the first failing (a, x).
+    (_perturbed(DrinfeldPairing(Z3, F7), ((2, 0), (1, 0)), F7.from_int(5)),
+     None),
+    # Basis products and the action carry coefficients other than 1.
+    (_perturbed_matrix(Z3_123.dual(), Z3_123, 1, 2, Fraction(2)), None),
+    (_perturbed_matrix(Z3_235.dual(), Z3_235, 0, 0, Fraction(1, 2)), None),
+    (_perturbed_matrix(Z3_235, Z3_235.dual(), 1, 2, Fraction(2)), [1]),
 ], ids=["z4-0-0", "z4-1-3", "z4-3-2", "s3-e-12", "s3-012-012", "s3-02-12",
-        "z4-a-law", "finite-dim-z4"])
+        "z4-a-law", "finite-dim-z4", "z4-1-3-f7", "z4-a-law-f7",
+        "double-z2-f7", "double-z3-f7", "rescaled-z3-1-2", "rescaled-z3-0-0",
+        "rescaled-z3-a-law"])
 def test_duality_reports_the_first_failing_triple(P, b_labels):
     a_labels = P.A.basis_labels(None)
     b_labels = b_labels or P.B.basis_labels(None)

@@ -39,22 +39,6 @@ def test_below_range_and_determinism():
     assert draws == [rng2.below(7) for _ in range(200)]
 
 
-def test_int_in_inclusive():
-    rng = SplitMix64(3)
-    draws = [rng.int_in(-2, 2) for _ in range(300)]
-    assert set(draws) == {-2, -1, 0, 1, 2}
-
-
-def test_sample_without_replacement():
-    rng = SplitMix64(5)
-    pool = list(range(10))
-    picked = rng.sample(pool, 6)
-    assert len(picked) == 6
-    assert len(set(picked)) == 6
-    assert set(picked) <= set(pool)
-    assert rng.sample([1, 2], 5) in ([1, 2], [2, 1])
-
-
 def test_enum_spec_tagged_streams_are_independent():
     e = EnumSpec(seed=17, window=4)
     s1 = [e.rng("alpha").next_u64() for _ in range(3)]

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhag import PrimeField, RationalField, field_from_json
+from mhag import (SUITE_NAMES, PrimeField, RationalField, field_from_json,
+                  run_verify)
 from mhag.scalars import FpElement
+
+from conftest import make_session
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=97)
@@ -85,6 +88,25 @@ class TestPrimeField:
     def test_cross_modulus_mix_rejected(self):
         with pytest.raises(ValueError):
             FpElement(1, 7) + FpElement(1, 5)
+
+    def test_one_and_zero_are_shared(self):
+        assert self.F.one() is self.F.one()
+        assert self.F.zero() is self.F.zero()
+        G = PrimeField(7)
+        assert G == self.F and hash(G) == hash(self.F)
+        assert G.one() == self.F.one() and G.zero() == self.F.zero()
+
+    def test_shared_constants_survive_a_verify_run(self):
+        # The F_10007 Drinfeld double session of test_golden.py, all suites.
+        S = make_session({"scalars": {"prime": 10007},
+                          "instance": {"kind": "drinfeld-double",
+                                       "group": {"kind": "symmetric", "n": 3}},
+                          "gradings": [["identity", "identity"]],
+                          "enum": {"mode": "sampled", "count": 8, "seed": 5}})
+        run_verify(S, list(SUITE_NAMES))
+        F = S.field
+        assert (F.one().value, F.one().p) == (1, 10007)
+        assert (F.zero().value, F.zero().p) == (0, 10007)
 
 
 def test_field_from_json():
