@@ -26,20 +26,8 @@ from .cograded import (comul_covered, crossing_apply, graded_antipode,
 from .crossed import commutation_residual, dcp_mul, twist_inv, twist_map
 from .linear import LinComb, label_key
 from .quasitri import r_apply
-from .session import Session, SessionError, grading_to_json, session_from_json
+from .session import Session, SessionError, grading_to_json, session_from_path
 from .suites import SUITE_NAMES, suite_axioms, _fmt, _lab
-
-
-def _load_session(args) -> Session:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SessionError(f"cannot read spec file {args.spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SessionError(f"spec file {args.spec!r} is not valid JSON: "
-                           f"{exc}")
-    return session_from_json(data, seed=args.seed, window=args.window)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -71,7 +59,7 @@ def run_verify(S: Session, suites: List[str]) -> Dict:
 
 
 def _cmd_verify(args, suites: Optional[List[str]] = None) -> int:
-    S = _load_session(args)
+    S = session_from_path(args.spec, seed=args.seed, window=args.window)
     if suites is None:
         if args.suite:
             suites = [s.strip() for s in args.suite.split(",") if s.strip()]
@@ -131,7 +119,7 @@ def export_structure(S: Session) -> Dict:
 
 
 def _cmd_export(args) -> int:
-    S = _load_session(args)
+    S = session_from_path(args.spec, seed=args.seed, window=args.window)
     _emit(_dump(export_structure(S)), args.out)
     return 0
 
@@ -146,7 +134,7 @@ def _parse_value(S: Session, spec, pattern: str) -> LinComb:
     A, B = S.P.A, S.P.B
     if not isinstance(spec, list):
         raise SessionError(f"element must be a list of terms, got {spec!r}")
-    terms: Dict = {}
+    pairs = []
     for term in spec:
         if not isinstance(term, list) or len(term) not in (len(pattern),
                                                            len(pattern) + 1):
@@ -168,9 +156,8 @@ def _parse_value(S: Session, spec, pattern: str) -> LinComb:
                 f"term {term!r} has a malformed label") from None
         if len(pattern) == 1:
             lab = lab[0]
-        terms[lab] = terms.get(lab, S.field.zero()) + coeff
-    return LinComb({l: c for l, c in terms.items()
-                    if not (c == S.field.zero())})
+        pairs.append((lab, coeff))
+    return LinComb.from_pairs(pairs)
 
 
 def _grading(S: Session, idx) -> "object":
@@ -249,7 +236,7 @@ def eval_op(S: Session, op: str, params: Dict) -> Dict:
 
 
 def _cmd_eval(args) -> int:
-    S = _load_session(args)
+    S = session_from_path(args.spec, seed=args.seed, window=args.window)
     try:
         params = json.loads(args.args) if args.args else {}
     except json.JSONDecodeError as exc:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .crossed import (EngineError, _acc, b_embed_left, dcp_mul, twist_inv,
+from .crossed import (EngineError, b_embed_left, dcp_mul, twist_inv,
                       twist_map)
 from .groups import AutPair, aut_pair_inv
-from .linear import LinComb
+from .linear import LinComb, add_term
 from .pairing import Pairing
 
 
@@ -60,11 +60,7 @@ class GradedElem:
     def add(self, other: "GradedElem") -> "GradedElem":
         out = dict(self.components)
         for g, v in other.components.items():
-            merged = out.get(g, LinComb.zero()).add(v)
-            if merged.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = merged
+            out[g] = out[g].add(v) if g in out else v
         return GradedElem(out)
 
     def is_zero(self) -> bool:
@@ -87,16 +83,8 @@ def graded_mul(P: Pairing, x: GradedElem, y: GradedElem) -> GradedElem:
     out: Dict[AutPair, LinComb] = {}
     for g, xv in x.components.items():
         yv = y.components.get(g)
-        if yv is None:
-            continue
-        prod = dcp_mul(P, g, xv, yv)
-        if prod.is_zero():
-            continue
-        merged = out.get(g, LinComb.zero()).add(prod)
-        if merged.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = merged
+        if yv is not None:
+            out[g] = dcp_mul(P, g, xv, yv)
     return GradedElem(out)
 
 
@@ -155,8 +143,8 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                         first, second = ((a2, a1c) if P.cop_first_leg
                                          else (a1c, a2))
                         for lb1g, c4 in gb1.terms.items():
-                            _acc(out, (first, lb1g, second, b_t),
-                                 cx * c1 * c2 * c3 * c4)
+                            add_term(out, (first, lb1g, second, b_t),
+                                     cx * c1 * c2 * c3 * c4)
         return LinComb(out)
 
     if side != "left":
@@ -198,9 +186,9 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                                                  else (la1, t))
                                 for wl, c6 in w_gb1.terms.items():
                                     for lb2g, c7 in g_b2.terms.items():
-                                        _acc(out, (first, wl, second, lb2g),
-                                             cx * cy * c1 * c2 * c3
-                                             * c4 * c5 * c6 * c7)
+                                        add_term(out, (first, wl, second, lb2g),
+                                                 cx * cy * c1 * c2 * c3
+                                                 * c4 * c5 * c6 * c7)
     return LinComb(out)
 
 
@@ -216,17 +204,14 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     A, B = P.A, P.B
     if not inverse:
         ab = grading.alpha.compose(grading.beta)
-        pieces = []
+        total: Dict[Tuple, object] = {}
         for (la, lb), c in x.terms.items():
             b_val = B.apply_aut(ab, B.antipode(B.lc(lb)))
             a_val = A.antipode(A.lc(la), inverse=True)
-            pieces.append(
-                b_val.map_labels(lambda l: (l,)).tensor(
-                    a_val.map_labels(lambda l: (l,))).scale(c))
-        total = LinComb.zero()
-        for piece in pieces:
-            total = total.add(piece)
-        return twist_map(P, aut_pair_inv(grading), total)
+            for lb2, c1 in b_val.terms.items():
+                for la2, c2 in a_val.terms.items():
+                    add_term(total, (lb2, la2), c * c1 * c2)
+        return twist_map(P, aut_pair_inv(grading), LinComb(total))
     # Inverse direction: x lives at `grading`; produce the unique value at
     # the inverse grading whose forward antipode is x.
     ginv = aut_pair_inv(grading)
@@ -238,7 +223,7 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
         b_val = B.antipode(B.apply_aut(strip, B.lc(zb)), inverse=True)
         for la, c1 in a_val.terms.items():
             for lb, c2 in b_val.terms.items():
-                _acc(out, (la, lb), c * c1 * c2)
+                add_term(out, (la, lb), c * c1 * c2)
     return LinComb(out)
 
 
@@ -272,7 +257,7 @@ def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb
         bv = P.B.apply_aut(b_aut, P.B.lc(lb))
         for la2, c2 in av.terms.items():
             for lb2, c3 in bv.terms.items():
-                _acc(out, (la2, lb2), c * c2 * c3)
+                add_term(out, (la2, lb2), c * c2 * c3)
     return target, LinComb(out)
 
 
@@ -286,5 +271,5 @@ def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,
     for (la1, lb1, la2, lb2), c in half.terms.items():
         s1 = dcp_mul(P, left_g, LinComb.unit((la1, lb1)), u)
         for (la1n, lb1n), c2 in s1.terms.items():
-            _acc(out, (la1n, lb1n, la2, lb2), c * c2)
+            add_term(out, (la1n, lb1n, la2, lb2), c * c2)
     return LinComb(out)

@@ -24,26 +24,13 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from .groups import AutPair, Automorphism
-from .linear import LinComb
+from .linear import LinComb, add_scaled, add_term
 from .mha import StructureError
 from .pairing import MEMO_CAP, Pairing, PairingError
 
 
 class EngineError(ValueError):
     """Raised when an evaluation strategy is unavailable for an instance."""
-
-
-def _acc(out: Dict, label, coeff):
-    acc = out.get(label)
-    if acc is None:
-        if not (coeff == 0):
-            out[label] = coeff
-    else:
-        acc = acc + coeff
-        if acc == 0:
-            del out[label]
-        else:
-            out[label] = acc
 
 
 # -- elementary twist moves (A (x) B -> A (x) B, labels (la, lb)) -------------
@@ -59,7 +46,7 @@ def _t1(P: Pairing, alpha: Automorphism, x: LinComb) -> LinComb:
         for (u, v), c1 in legs.terms.items():
             hit = P.act("b>>a", B.apply_aut(alpha, B.lc(u)), P.A.lc(la))
             for la2, c2 in hit.terms.items():
-                _acc(out, (la2, v), c * c1 * c2)
+                add_term(out, (la2, v), c * c1 * c2)
     return LinComb(out)
 
 
@@ -75,7 +62,7 @@ def _t1_inv(P: Pairing, alpha: Automorphism, x: LinComb) -> LinComb:
             actor = B.antipode(B.apply_aut(alpha, B.lc(u)), inverse=True)
             hit = P.act("b>>a", actor, P.A.lc(la))
             for la2, c2 in hit.terms.items():
-                _acc(out, (la2, v), c * c1 * c2)
+                add_term(out, (la2, v), c * c1 * c2)
     return LinComb(out)
 
 
@@ -90,7 +77,7 @@ def _t2(P: Pairing, beta: Automorphism, x: LinComb) -> LinComb:
         for (u, v), c1 in legs.terms.items():
             hit = P.act("a<<b", B.apply_aut(beta, B.lc(v)), P.A.lc(la))
             for la2, c2 in hit.terms.items():
-                _acc(out, (la2, u), c * c1 * c2)
+                add_term(out, (la2, u), c * c1 * c2)
     return LinComb(out)
 
 
@@ -106,7 +93,7 @@ def _t2_inv(P: Pairing, beta: Automorphism, x: LinComb) -> LinComb:
             actor = B.antipode(B.apply_aut(beta, B.lc(v)), inverse=True)
             hit = P.act("a<<b", actor, P.A.lc(la))
             for la2, c2 in hit.terms.items():
-                _acc(out, (la2, u), c * c1 * c2)
+                add_term(out, (la2, u), c * c1 * c2)
     return LinComb(out)
 
 
@@ -133,8 +120,7 @@ def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
     and kept in ``P._twc`` as term tuples, up to ``MEMO_CAP`` of them."""
     out: Dict = {}
     for (lb, la), c in x_ba.terms.items():
-        for label, c2 in _twist_basis(P, grading, lb, la):
-            _acc(out, label, c * c2)
+        add_scaled(out, _twist_basis(P, grading, lb, la), c)
     return LinComb(out)
 
 
@@ -157,7 +143,7 @@ def a_embed_left(P: Pairing, a: LinComb, y: LinComb) -> LinComb:
             if prod:
                 cc = c * ca
                 for la2, c2 in prod.items():
-                    _acc(out, (la2, lb), cc * c2)
+                    add_term(out, (la2, lb), cc * c2)
     return LinComb(out)
 
 
@@ -171,7 +157,7 @@ def b_embed_right(P: Pairing, y: LinComb, b: LinComb) -> LinComb:
             if prod:
                 cc = c * cb
                 for lb2, c2 in prod.items():
-                    _acc(out, (la, lb2), cc * c2)
+                    add_term(out, (la, lb2), cc * c2)
     return LinComb(out)
 
 
@@ -188,7 +174,7 @@ def b_embed_left(P: Pairing, grading: AutPair, b: LinComb, y: LinComb) -> LinCom
                 if prod:
                     cc = c * cb * c1
                     for lb3, c2 in prod.items():
-                        _acc(out, (la2, lb3), cc * c2)
+                        add_term(out, (la2, lb3), cc * c2)
     return LinComb(out)
 
 
@@ -203,7 +189,7 @@ def a_embed_right(P: Pairing, grading: AutPair, y: LinComb, a: LinComb) -> LinCo
                 if prod:
                     cc = c * ca * c1
                     for la3, c2 in prod.items():
-                        _acc(out, (la3, lb2), cc * c2)
+                        add_term(out, (la3, lb2), cc * c2)
     return LinComb(out)
 
 
@@ -228,9 +214,7 @@ def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
                 base = tuple(a_embed_left(P, P.A.lc(la), mid).terms.items())
                 if len(memo) < MEMO_CAP:
                     memo[key] = base
-            cc = c * cy
-            for label, c2 in base:
-                _acc(out, label, cc * c2)
+            add_scaled(out, base, c * cy)
     return LinComb(out)
 
 
@@ -253,24 +237,19 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
     A, B = P.A, P.B
     e = P.act_unit_B(a.support())
     lhs: Dict = {}
-    legs = B.t_map(4, e.map_labels(lambda l: (l,)).tensor(
-        b.map_labels(lambda l: (l,))))             # sum b1 (x) e*b2
+    legs = B.t_pair(4, e, b)                       # sum b1 (x) e*b2
     for (u, v), c1 in legs.terms.items():
         av = P.act("a<<b", B.lc(v), a)
         inner = a_embed_left(P, av, y)
         part = b_embed_left(P, grading,
                             B.apply_aut(beta.inverse(), B.lc(u)), inner)
-        for label, c2 in part.terms.items():
-            _acc(lhs, label, c1 * c2)
+        add_scaled(lhs, part.terms.items(), c1)
     rhs: Dict = {}
     ab_inv = alpha.compose(beta.inverse())
     cov = B.apply_aut(beta.compose(alpha.inverse()), e)
-    legs2 = B.t_map(3, b.map_labels(lambda l: (l,)).tensor(
-        cov.map_labels(lambda l: (l,))))           # sum b1*cov (x) b2
+    legs2 = B.t_pair(3, b, cov)                    # sum b1*cov (x) b2
     for (u, v), c1 in legs2.terms.items():
         au = P.act("b>>a", B.apply_aut(ab_inv, B.lc(u)), a)
         elem = crossed_value(P, au, B.apply_aut(beta.inverse(), B.lc(v)))
-        part = dcp_mul(P, grading, elem, y)
-        for label, c2 in part.terms.items():
-            _acc(rhs, label, c1 * c2)
+        add_scaled(rhs, dcp_mul(P, grading, elem, y).terms.items(), c1)
     return LinComb(lhs), LinComb(rhs)

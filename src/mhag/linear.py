@@ -48,17 +48,7 @@ class LinComb:
     def from_pairs(pairs: Iterable[Tuple]) -> "LinComb":
         out: Dict = {}
         for label, c in pairs:
-            if c == 0:
-                continue
-            acc = out.get(label)
-            if acc is None:
-                out[label] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[label]
-                else:
-                    out[label] = acc
+            add_term(out, label, c)
         return LinComb(out)
 
     # -- inspection --------------------------------------------------------
@@ -96,19 +86,9 @@ class LinComb:
 
     # -- arithmetic ---------------------------------------------------------
     def add(self, other: "LinComb") -> "LinComb":
-        if not other.terms:
-            return LinComb(dict(self.terms))
         out = dict(self.terms)
         for label, c in other.terms.items():
-            acc = out.get(label)
-            if acc is None:
-                out[label] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[label]
-                else:
-                    out[label] = acc
+            add_term(out, label, c)
         return LinComb(out)
 
     __add__ = add
@@ -152,18 +132,7 @@ class LinComb:
         term's coefficient and summing exactly."""
         out: Dict = {}
         for label, c in self.terms.items():
-            for l2, c2 in f(label).terms.items():
-                cc = c * c2
-                acc = out.get(l2)
-                if acc is None:
-                    if cc != 0:
-                        out[l2] = cc
-                else:
-                    acc = acc + cc
-                    if acc == 0:
-                        del out[l2]
-                    else:
-                        out[l2] = acc
+            add_scaled(out, f(label).terms.items(), c)
         return LinComb(out)
 
 
@@ -172,14 +141,44 @@ def lc_combine(parts: Iterable[LinComb]) -> LinComb:
     out: Dict = {}
     for part in parts:
         for label, c in part.terms.items():
-            acc = out.get(label)
-            if acc is None:
-                out[label] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[label]
-                else:
-                    out[label] = acc
+            add_term(out, label, c)
     return LinComb(out)
 
+
+# -- term accumulation ----------------------------------------------------------
+#
+# The only code that adds into a term dict.  A zero coefficient is never
+# stored, so a sum that cancels removes its label.  Zero is tested by
+# truthiness: every scalar type defines ``__bool__``, and it skips the type
+# dispatch of ``FpElement.__eq__``.
+
+def add_term(out: Dict, label, coeff) -> None:
+    """Add ``coeff`` at ``label`` in the term dict ``out``."""
+    acc = out.get(label)
+    if acc is None:
+        if coeff:
+            out[label] = coeff
+    else:
+        acc = acc + coeff
+        if acc:
+            out[label] = acc
+        else:
+            del out[label]
+
+
+def add_scaled(out: Dict, items: Iterable[Tuple], scale) -> None:
+    """Add ``scale * c`` at each ``label`` of the ``(label, c)`` pairs
+    ``items``: a scaled copy of one basis image, in one call."""
+    get = out.get
+    for label, c in items:
+        coeff = scale * c
+        acc = get(label)
+        if acc is None:
+            if coeff:
+                out[label] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                out[label] = acc
+            else:
+                del out[label]

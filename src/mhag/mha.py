@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .groups import Automorphism, Group
-from .linear import LinComb, lc_combine
+from .linear import LinComb, add_scaled, add_term, lc_combine
 from .sampling import EnumSpec
 from .scalars import Field, FpElement, RationalField
 
@@ -49,6 +49,32 @@ def sdiv(a, b):
         return a / b
     f = Fraction(a) / Fraction(b)
     return int(f) if f.denominator == 1 else f
+
+
+def invert_matrix(rows: List[List], field: Field) -> Optional[List[List]]:
+    """The exact inverse of a square matrix by Gauss-Jordan elimination, or
+    ``None`` when it is singular."""
+    n = len(rows)
+    aug = [list(r) + [field.one() if i == j else field.zero()
+                      for j in range(n)] for i, r in enumerate(rows)]
+    row = 0
+    for col in range(n):
+        piv = None
+        for r in range(row, n):
+            if aug[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return None
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        aug[row] = [sdiv(v, pv) for v in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [vr - factor * vp for vr, vp in zip(aug[r], aug[row])]
+        row += 1
+    return [r[n:] for r in aug]
 
 
 class MhaInstance:
@@ -127,41 +153,28 @@ class MhaInstance:
         mul_basis = self.mul_basis
         for lx, cx in x.terms.items():
             for ly, cy in y.terms.items():
-                base = mul_basis(lx, ly)
-                if not base.terms:
-                    continue
-                c = cx * cy
-                for lz, cz in base.terms.items():
-                    acc = out.get(lz)
-                    if acc is None:
-                        out[lz] = c * cz
-                    else:
-                        acc = acc + c * cz
-                        if acc == 0:
-                            del out[lz]
-                        else:
-                            out[lz] = acc
+                base = mul_basis(lx, ly).terms
+                if base:
+                    add_scaled(out, base.items(), cx * cy)
         return LinComb(out)
+
+    def _t_image(self, table, fn, i: int, lx, ly) -> LinComb:
+        """The T-image of one basis tensor, read from or filled into
+        ``table`` (``_tc`` for ``fn = _t_basis``, ``_tic`` for the
+        inverses)."""
+        key = (i, lx, ly)
+        base = table.get(key)
+        if base is None:
+            base = fn(i, lx, ly)
+            if len(table) < MEMO_CAP:
+                table[key] = base
+        return base
 
     def _t_linear(self, table, fn, i: int, xy: LinComb) -> LinComb:
         out: Dict = {}
         for (lx, ly), c in xy.terms.items():
-            key = (i, lx, ly)
-            base = table.get(key)
-            if base is None:
-                base = fn(i, lx, ly)
-                if len(table) < MEMO_CAP:
-                    table[key] = base
-            for lz, cz in base.terms.items():
-                acc = out.get(lz)
-                if acc is None:
-                    out[lz] = c * cz
-                else:
-                    acc = acc + c * cz
-                    if acc == 0:
-                        del out[lz]
-                    else:
-                        out[lz] = acc
+            base = self._t_image(table, fn, i, lx, ly)
+            add_scaled(out, base.terms.items(), c)
         return LinComb(out)
 
     def t_map(self, i: int, xy: LinComb) -> LinComb:
@@ -174,26 +187,11 @@ class MhaInstance:
     def t_pair(self, i: int, x: LinComb, y: LinComb) -> LinComb:
         """T_i on x (x) y, read term by term from the T-map table."""
         out: Dict = {}
-        table = self._tc
+        table, fn = self._tc, self._t_basis
         for lx, cx in x.terms.items():
             for ly, cy in y.terms.items():
-                key = (i, lx, ly)
-                base = table.get(key)
-                if base is None:
-                    base = self._t_basis(i, lx, ly)
-                    if len(table) < MEMO_CAP:
-                        table[key] = base
-                c = cx * cy
-                for lz, cz in base.terms.items():
-                    acc = out.get(lz)
-                    if acc is None:
-                        out[lz] = c * cz
-                    else:
-                        acc = acc + c * cz
-                        if acc == 0:
-                            del out[lz]
-                        else:
-                            out[lz] = acc
+                base = self._t_image(table, fn, i, lx, ly)
+                add_scaled(out, base.terms.items(), cx * cy)
         return LinComb(out)
 
     def counit(self, x: LinComb):
@@ -349,10 +347,10 @@ class FunctionAlgebra(MhaInstance):
     def unit(self):
         if not self.is_unital:
             return super().unit()
-        return lc_combine(self.lc(p) for p in self.group.elements())
+        return LinComb(dict.fromkeys(self.group.elements(), self.field.one()))
 
     def local_unit_for(self, labels):
-        return lc_combine(self.lc(p) for p in dict.fromkeys(labels))
+        return LinComb(dict.fromkeys(labels, self.field.one()))
 
     def aut_label(self, phi, label):
         return phi(label)
@@ -466,7 +464,8 @@ class DrinfeldDouble(MhaInstance):
         if not self.is_unital:
             return super().unit()
         e = self.group.identity
-        return lc_combine(self.lc((q, e)) for q in self.group.elements())
+        return LinComb(dict.fromkeys(((q, e) for q in self.group.elements()),
+                                     self.field.one()))
 
     def local_unit_for(self, labels):
         g = self.group
@@ -475,7 +474,8 @@ class DrinfeldDouble(MhaInstance):
         for p, h in labels:
             closure.append(p)
             closure.append(g.conj(g.inv(h), p))
-        return lc_combine(self.lc((w, e)) for w in dict.fromkeys(closure))
+        return LinComb(dict.fromkeys(((w, e) for w in closure),
+                                     self.field.one()))
 
     def aut_label(self, phi, label):
         p, h = label
@@ -585,12 +585,13 @@ class DualDrinfeld(MhaInstance):
         if not self.is_unital:
             return super().unit()
         e = self.group.identity
-        return lc_combine(self.lc((e, p)) for p in self.group.elements())
+        return LinComb(dict.fromkeys(((e, p) for p in self.group.elements()),
+                                     self.field.one()))
 
     def local_unit_for(self, labels):
         e = self.group.identity
-        return lc_combine(self.lc((e, p))
-                          for p in dict.fromkeys(p for _, p in labels))
+        return LinComb(dict.fromkeys(((e, p) for _, p in labels),
+                                     self.field.one()))
 
     def aut_label(self, phi, label):
         h, p = label
@@ -856,56 +857,35 @@ class FiniteDimHopf(MhaInstance):
         self._antipode_inverse_table()
 
     def _comul_leg(self, cc: LinComb, left: bool) -> LinComb:
-        out = LinComb.zero()
+        out: Dict = {}
         for (i, j), c in cc.terms.items():
             inner = self.comul_table[i] if left else self.comul_table[j]
             for (s, t), c2 in inner.terms.items():
-                label = (s, t, j) if left else (i, s, t)
-                out = out.add(LinComb.unit(label, c * c2))
-        return out
+                add_term(out, (s, t, j) if left else (i, s, t), c * c2)
+        return LinComb(out)
 
     def _tensor_mul(self, xx: LinComb, yy: LinComb) -> LinComb:
-        out = LinComb.zero()
+        mul_basis = self.mul_basis
+        out: Dict = {}
         for (a1, a2), c1 in xx.terms.items():
             for (b1, b2), c2 in yy.terms.items():
-                prod = self.mul(self.lc(a1), self.lc(b1)).map_labels(
-                    lambda l: (l,)).tensor(
-                    self.mul(self.lc(a2), self.lc(b2)).map_labels(
-                        lambda l: (l,)))
-                out = out.add(prod.scale(c1 * c2))
-        return out
+                right = mul_basis(a2, b2).terms
+                for l1, d1 in mul_basis(a1, b1).terms.items():
+                    for l2, d2 in right.items():
+                        add_term(out, (l1, l2), c1 * c2 * d1 * d2)
+        return LinComb(out)
 
     def _antipode_inverse_table(self) -> List[LinComb]:
         if self._antipode_inv_tab is not None:
             return self._antipode_inv_tab
         n = self.dim
-        f = self.field
         # rows: S(e_i) = sum_j M[i][j] e_j; find N with N M = I so that
         # S^-1(e_k) = sum_j N[k][j] e_j  (then S^-1 S = S S^-1 = id).
-        aug = [[self.antipode_tab[i].coeff(j) for j in range(n)]
-               + [f.one() if i == j else f.zero() for j in range(n)]
-               for i in range(n)]
-        row = 0
-        for col in range(n):
-            piv = None
-            for r in range(row, n):
-                if not (aug[r][col] == 0):
-                    piv = r
-                    break
-            if piv is None:
-                raise StructureError("antipode-not-bijective: singular matrix")
-            aug[row], aug[piv] = aug[piv], aug[row]
-            pv = aug[row][col]
-            aug[row] = [sdiv(v, pv) for v in aug[row]]
-            for r in range(n):
-                if r != row and not (aug[r][col] == 0):
-                    factor = aug[r][col]
-                    aug[r] = [vr - factor * vp
-                              for vr, vp in zip(aug[r], aug[row])]
-            row += 1
-        # Left block is now I, right block is M^-1; with the row convention
-        # S^-1(e_k) uses row k of M^-1.
-        inv_rows = [r[n:] for r in aug]
+        inv_rows = invert_matrix(
+            [[self.antipode_tab[i].coeff(j) for j in range(n)]
+             for i in range(n)], self.field)
+        if inv_rows is None:
+            raise StructureError("antipode-not-bijective: singular matrix")
         self._antipode_inv_tab = [
             LinComb.from_pairs((j, inv_rows[k][j]) for j in range(n))
             for k in range(n)]
@@ -927,62 +907,60 @@ class FiniteDimHopf(MhaInstance):
         return self.comul_table[x]
 
     def _t_basis(self, i, x, y):
-        cc = self.comul_table[x] if i in (1, 3) else self.comul_table[y]
-        out = LinComb.zero()
-        if i == 1:
-            for (x1, x2), c in cc.terms.items():
-                out = out.add(self.lc(x1).map_labels(lambda l: (l,)).tensor(
-                    self.mul(self.lc(x2), self.lc(y)).map_labels(
-                        lambda l: (l,))).scale(c))
-        elif i == 2:
-            for (y1, y2), c in cc.terms.items():
-                out = out.add(self.mul(self.lc(x), self.lc(y1)).map_labels(
-                    lambda l: (l,)).tensor(
-                    self.lc(y2).map_labels(lambda l: (l,))).scale(c))
-        elif i == 3:
-            for (x1, x2), c in cc.terms.items():
-                out = out.add(self.mul(self.lc(x1), self.lc(y)).map_labels(
-                    lambda l: (l,)).tensor(
-                    self.lc(x2).map_labels(lambda l: (l,))).scale(c))
-        elif i == 4:
-            for (y1, y2), c in cc.terms.items():
-                out = out.add(self.lc(y1).map_labels(lambda l: (l,)).tensor(
-                    self.mul(self.lc(x), self.lc(y2)).map_labels(
-                        lambda l: (l,))).scale(c))
+        mul_basis = self.mul_basis
+        out: Dict = {}
+        if i == 1:                                  # x1 (x) x2 y
+            for (x1, x2), c in self.comul_table[x].terms.items():
+                for l, d in mul_basis(x2, y).terms.items():
+                    add_term(out, (x1, l), c * d)
+        elif i == 2:                                # x y1 (x) y2
+            for (y1, y2), c in self.comul_table[y].terms.items():
+                for l, d in mul_basis(x, y1).terms.items():
+                    add_term(out, (l, y2), c * d)
+        elif i == 3:                                # x1 y (x) x2
+            for (x1, x2), c in self.comul_table[x].terms.items():
+                for l, d in mul_basis(x1, y).terms.items():
+                    add_term(out, (l, x2), c * d)
+        elif i == 4:                                # y1 (x) x y2
+            for (y1, y2), c in self.comul_table[y].terms.items():
+                for l, d in mul_basis(x, y2).terms.items():
+                    add_term(out, (y1, l), c * d)
         else:
             raise ValueError(f"t-map index out of range: {i}")
-        return out
+        return LinComb(out)
 
     def _t_inv_basis(self, i, x, y):
         # Unital Sweedler inverses:
         #   T1^-1(x⊗y) = x1 ⊗ S(x2) y        T2^-1(x⊗y) = x S(y1) ⊗ y2
         #   T3^-1(x⊗y) = y2 ⊗ S^-1(y1) x     T4^-1(x⊗y) = y S^-1(x2) ⊗ x1
-        out = LinComb.zero()
+        # The antipode is read through ``self._antipode_basis``, where a
+        # session may plant a defect.
+        antipode = self._antipode_basis
+        mul_basis = self.mul_basis
+        out: Dict = {}
         if i == 1:
             for (x1, x2), c in self.comul_table[x].terms.items():
-                out = out.add(self.lc(x1).map_labels(lambda l: (l,)).tensor(
-                    self.mul(self._antipode_basis(x2), self.lc(y)).map_labels(
-                        lambda l: (l,))).scale(c))
+                for s, d in antipode(x2).terms.items():
+                    for l, e in mul_basis(s, y).terms.items():
+                        add_term(out, (x1, l), c * d * e)
         elif i == 2:
             for (y1, y2), c in self.comul_table[y].terms.items():
-                out = out.add(self.mul(self.lc(x),
-                                       self._antipode_basis(y1)).map_labels(
-                    lambda l: (l,)).tensor(
-                    self.lc(y2).map_labels(lambda l: (l,))).scale(c))
+                for s, d in antipode(y1).terms.items():
+                    for l, e in mul_basis(x, s).terms.items():
+                        add_term(out, (l, y2), c * d * e)
         elif i == 3:
             for (y1, y2), c in self.comul_table[y].terms.items():
-                out = out.add(self.lc(y2).map_labels(lambda l: (l,)).tensor(
-                    self.mul(self._antipode_basis(y1, inverse=True),
-                             self.lc(x)).map_labels(lambda l: (l,))).scale(c))
+                for s, d in antipode(y1, inverse=True).terms.items():
+                    for l, e in mul_basis(s, x).terms.items():
+                        add_term(out, (y2, l), c * d * e)
         elif i == 4:
             for (x1, x2), c in self.comul_table[x].terms.items():
-                out = out.add(self.mul(self.lc(y),
-                                       self._antipode_basis(x2, inverse=True)
-                                       ).map_labels(lambda l: (l,)).tensor(
-                    self.lc(x1).map_labels(lambda l: (l,))).scale(c))
+                for s, d in antipode(x2, inverse=True).terms.items():
+                    for l, e in mul_basis(y, s).terms.items():
+                        add_term(out, (l, x1), c * d * e)
         else:
             raise ValueError(f"t-map index out of range: {i}")
-        return out
+        return LinComb(out)
 
     def unit(self):
         return self.unit_vec

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .crossed import _acc
 from .groups import AutPair, aut_pair_inv, aut_pair_mul
-from .linear import LinComb
+from .linear import LinComb, add_term
 from .pairing import Pairing
 
 
@@ -118,7 +117,7 @@ def double_mul(P: Pairing, grading: AutPair, t1: Tuple, t2: Tuple) -> LinComb:
     right = B.mul(B.lc(mid_b), B.lc(b2))
     for la, ca in left.terms.items():
         for lb, cb in right.terms.items():
-            _acc(out, (la, lb), ca * cb)
+            add_term(out, (la, lb), ca * cb)
     return LinComb(out)
 
 
@@ -167,7 +166,7 @@ def double_comul_covered_brute(P: Pairing, left_g: AutPair, right_g: AutPair,
                     for (lc2a, lc2b), c3 in cover.terms.items():
                         prod = double_mul(P, right_g, lab2, (lc2a, lc2b))
                         for l2, c4 in prod.terms.items():
-                            _acc(out, slot1 + l2, c2 * c3 * c4)
+                            add_term(out, slot1 + l2, c2 * c3 * c4)
     return LinComb(out)
 
 

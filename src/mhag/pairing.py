@@ -25,10 +25,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .groups import AutPair, Automorphism, Group, aut_pair_mul
-from .linear import LinComb, lc_combine
+from .linear import LinComb
 from .mha import (MEMO_CAP, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance, StructureError,
-                  sdiv)
+                  invert_matrix)
 from .scalars import Field, RationalField
 
 
@@ -319,7 +319,10 @@ class _FiniteW(CanonicalW):
             P = self.P
             n = P.A.dim
             gram = [[P.pair_basis(i, j) for j in range(n)] for i in range(n)]
-            inv = _invert_matrix(gram, P.field)
+            inv = invert_matrix(gram, P.field)
+            if inv is None:
+                raise PairingError(
+                    "pairing-degenerate: singular duality matrix")
             self._terms = [(j, i, inv[j][i]) for j in range(n) for i in range(n)
                            if not (inv[j][i] == 0)]
         return self._terms
@@ -356,30 +359,6 @@ class _DrinfeldW(CanonicalW):
             "no finite surviving-term set; windowed application only")
 
 
-def _invert_matrix(rows: List[List], field: Field) -> List[List]:
-    n = len(rows)
-    aug = [list(r) + [field.one() if i == j else field.zero()
-                      for j in range(n)] for i, r in enumerate(rows)]
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if not (aug[r][col] == 0):
-                piv = r
-                break
-        if piv is None:
-            raise PairingError("pairing-degenerate: singular duality matrix")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [sdiv(v, pv) for v in aug[row]]
-        for r in range(n):
-            if r != row and not (aug[r][col] == 0):
-                factor = aug[r][col]
-                aug[r] = [vr - factor * vp for vr, vp in zip(aug[r], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]
-
-
 class GroupPairing(Pairing):
     """Functions-on-H paired with the group algebra of H by evaluation."""
 
@@ -396,7 +375,7 @@ class GroupPairing(Pairing):
         return self.field.one() if la == lb else self.field.zero()
 
     def act_unit_A(self, b_labels):
-        return lc_combine(self.A.lc(g) for g in dict.fromkeys(b_labels))
+        return LinComb(dict.fromkeys(b_labels, self.field.one()))
 
     def act_unit_B(self, a_labels):
         return self.B.unit()
@@ -454,8 +433,8 @@ class DrinfeldPairing(Pairing):
 
     def act_unit_A(self, b_labels):
         e = self.group.identity
-        return lc_combine(self.A.lc((e, l))
-                          for l in dict.fromkeys(l for _, l in b_labels))
+        return LinComb(dict.fromkeys(((e, l) for _, l in b_labels),
+                                     self.field.one()))
 
     def act_unit_B(self, a_labels):
         g = self.group
@@ -464,7 +443,7 @@ class DrinfeldPairing(Pairing):
         for h, p in a_labels:
             ws.append(h)
             ws.append(g.conj(g.inv(p), h))
-        return lc_combine(self.B.lc((w, e)) for w in dict.fromkeys(ws))
+        return LinComb(dict.fromkeys(((w, e) for w in ws), self.field.one()))
 
     def crossed_right_unit(self, grading: AutPair, value: LinComb) -> LinComb:
         if self.B.is_unital:
@@ -479,4 +458,4 @@ class DrinfeldPairing(Pairing):
             w = g.op(g.op(delta.inverse()(g.inv(h)), x),
                      gamma.inverse()(g.conj(g.inv(p), h)))
             ws.append(w)
-        return lc_combine(self.B.lc((w, e)) for w in dict.fromkeys(ws))
+        return LinComb(dict.fromkeys(((w, e) for w in ws), self.field.one()))

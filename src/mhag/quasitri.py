@@ -21,10 +21,9 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .cograded import _second_leg_aut, _xi_maps, comul_apply_full
-from .crossed import (_acc, a_embed_left, a_embed_right, b_embed_left,
-                      b_embed_right)
+from .crossed import a_embed_left, a_embed_right, b_embed_left, b_embed_right
 from .groups import AutPair, aut_pair_inv
-from .linear import LinComb
+from .linear import LinComb, add_term
 from .pairing import Pairing
 
 
@@ -42,7 +41,7 @@ def _xi_on_legs(P: Pairing, actor: AutPair, source: AutPair, value: LinComb,
                 nl = list(label)
                 nl[a_idx] = la
                 nl[b_idx] = lb
-                _acc(out, tuple(nl), c * c2 * c3)
+                add_term(out, tuple(nl), c * c2 * c3)
     return LinComb(out)
 
 
@@ -67,7 +66,7 @@ def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
                     continue
                 for (l1a, l1b), c1 in s1.terms.items():
                     for (l2a, l2b), c2 in s2.terms.items():
-                        _acc(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
+                        add_term(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
         return LinComb(out)
     if side != "right":
         raise ValueError(f"unknown r_apply side: {side!r}")
@@ -83,7 +82,7 @@ def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
                 continue
             for (l1a, l1b), c1 in s1.terms.items():
                 for (l2a, l2b), c2 in s2.terms.items():
-                    _acc(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
+                    add_term(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
     return LinComb(out)
 
 
@@ -109,7 +108,7 @@ def _comul_b_embedded(P: Pairing, b_tilde: LinComb, left_g: AutPair,
                 continue
             for (l1a, l1b), c2 in s1.terms.items():
                 for (l2a, l2b), c3 in s2.terms.items():
-                    _acc(out, (l1a, l1b, l2a, l2b), cb * c1 * c2 * c3)
+                    add_term(out, (l1a, l1b, l2a, l2b), cb * c1 * c2 * c3)
     return LinComb(out)
 
 
@@ -164,19 +163,19 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
             s12 = _comul_b_embedded(P, btilde, p, q, u, v)
             for (l1a, l1b, l2a, l2b), c1 in s12.terms.items():
                 for (l3a, l3b), c2 in s3.terms.items():
-                    _acc(lhs_terms, (l1a, l1b, l2a, l2b, l3a, l3b),
-                         c * cw * c1 * c2)
+                    add_term(lhs_terms, (l1a, l1b, l2a, l2b, l3a, l3b),
+                             c * cw * c1 * c2)
         # rhs: 23-factor first, then the crossing-corrected 13-factor
         base23 = r_apply(P, q, r, LinComb.unit((va, vb, za, zb)), "left")
         for (v1a, v1b, z1a, z1b), c1 in base23.terms.items():
             zconj = _xi_on_legs(P, q, r, LinComb.unit((z1a, z1b)), 0, 1)
             pairin: Dict[Tuple, object] = {}
             for (zca, zcb), c2 in zconj.terms.items():
-                _acc(pairin, (ua, ub, zca, zcb), c2)
+                add_term(pairin, (ua, ub, zca, zcb), c2)
             t13 = r_apply(P, p, qrq, LinComb(pairin), "left")
             t13 = _xi_on_legs(P, qinv, qrq, t13, 2, 3)
             for (u1a, u1b, z2a, z2b), c3 in t13.terms.items():
-                _acc(rhs_terms, (u1a, u1b, v1a, v1b, z2a, z2b), c * c1 * c3)
+                add_term(rhs_terms, (u1a, u1b, v1a, v1b, z2a, z2b), c * c1 * c3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -211,16 +210,16 @@ def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
                 for (l1a, l1b), c2 in s1.terms.items():
                     for (l2a, l2b), c3 in s2.terms.items():
                         for (l3a, l3b), c4 in s3.terms.items():
-                            _acc(lhs_terms,
-                                 (l1a, l1b, l2a, l2b, l3a, l3b),
-                                 c * cw * c1 * c2 * c3 * c4)
+                            add_term(lhs_terms,
+                                     (l1a, l1b, l2a, l2b, l3a, l3b),
+                                     c * cw * c1 * c2 * c3 * c4)
         # rhs: 12-factor first, then 13
         t12 = r_apply(P, p, q, LinComb.unit((ua, ub, va, vb)), "left")
         for (u1a, u1b, v1a, v1b), c1 in t12.terms.items():
             t13 = r_apply(P, p, r, LinComb.unit((u1a, u1b, za, zb)), "left")
             for (u2a, u2b, z1a, z1b), c2 in t13.terms.items():
-                _acc(rhs_terms, (u2a, u2b, v1a, v1b, z1a, z1b),
-                     c * c1 * c2)
+                add_term(rhs_terms, (u2a, u2b, v1a, v1b, z1a, z1b),
+                         c * c1 * c2)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -238,7 +237,7 @@ def qt_intertwine_residual(P: Pairing, p: AutPair, q: AutPair, x: LinComb,
     uv: Dict[Tuple, object] = {}
     for (la1, lb1), c1 in u.terms.items():
         for (la2, lb2), c2 in v.terms.items():
-            _acc(uv, (la1, lb1, la2, lb2), c1 * c2)
+            add_term(uv, (la1, lb1, la2, lb2), c1 * c2)
     base = r_apply(P, p, q, LinComb(uv), "left")
     rhs_terms: Dict[Tuple, object] = {}
     for (u1a, u1b, v1a, v1b), c in base.terms.items():
@@ -247,7 +246,7 @@ def qt_intertwine_residual(P: Pairing, p: AutPair, q: AutPair, x: LinComb,
                                 LinComb.unit((u1a, u1b)))
         full = _xi_on_legs(P, pinv, pprime, full, 0, 1)
         for (s1a, s1b, s2a, s2b), c1 in full.terms.items():
-            _acc(rhs_terms, (s2a, s2b, s1a, s1b), c * c1)
+            add_term(rhs_terms, (s2a, s2b, s1a, s1b), c * c1)
     return lhs, LinComb(rhs_terms)
 
 
@@ -279,8 +278,8 @@ def w_coproduct_b_residual(P: Pairing, m: LinComb, m2: LinComb, n: LinComb
             for l1, cc1 in s1.terms.items():
                 for l2, cc2 in s2.terms.items():
                     for l3, cc3 in s3.terms.items():
-                        _acc(lhs_terms, (l1, l2, l3),
-                             cw * c1 * cc1 * cc2 * cc3)
+                        add_term(lhs_terms, (l1, l2, l3),
+                                 cw * c1 * cc1 * cc2 * cc3)
     for wb, wa, cw in P.w.candidates_left(n.support()):
         mid3 = A.mul(A.lc(wa), n)
         if mid3.is_zero():
@@ -298,8 +297,8 @@ def w_coproduct_b_residual(P: Pairing, m: LinComb, m2: LinComb, n: LinComb
             for l1, cc1 in s1.terms.items():
                 for l2, cc2 in mid2.terms.items():
                     for l3, cc3 in s3.terms.items():
-                        _acc(rhs_terms, (l1, l2, l3),
-                             cw * cw2 * cc1 * cc2 * cc3)
+                        add_term(rhs_terms, (l1, l2, l3),
+                                 cw * cw2 * cc1 * cc2 * cc3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -327,8 +326,8 @@ def w_coproduct_a_residual(P: Pairing, m: LinComb, n1: LinComb, n2: LinComb
             for l1, cc1 in s1.terms.items():
                 for l2, cc2 in s2.terms.items():
                     for l3, cc3 in s3.terms.items():
-                        _acc(lhs_terms, (l1, l2, l3),
-                             cw * c1 * cc1 * cc2 * cc3)
+                        add_term(lhs_terms, (l1, l2, l3),
+                                 cw * c1 * cc1 * cc2 * cc3)
     for wb, wa, cw in P.w.candidates_left(n2.support()):
         mid3 = A.mul(A.lc(wa), n2)
         if mid3.is_zero():
@@ -346,8 +345,8 @@ def w_coproduct_a_residual(P: Pairing, m: LinComb, n1: LinComb, n2: LinComb
             for l1, cc1 in s1.terms.items():
                 for l2, cc2 in s2.terms.items():
                     for l3, cc3 in mid3.terms.items():
-                        _acc(rhs_terms, (l1, l2, l3),
-                             cw * cw2 * cc1 * cc2 * cc3)
+                        add_term(rhs_terms, (l1, l2, l3),
+                                 cw * cw2 * cc1 * cc2 * cc3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -371,13 +370,13 @@ def w_inverse_residual(P: Pairing, m: LinComb, n: LinComb
                     continue
                 for lb, c1 in s1.terms.items():
                     for la, c2 in s2.terms.items():
-                        _acc(out, (lb, la), c * cw * c1 * c2)
+                        add_term(out, (lb, la), c * cw * c1 * c2)
         return LinComb(out)
 
     expected: Dict[Tuple, object] = {}
     for l1, c1 in m.terms.items():
         for l2, c2 in n.terms.items():
-            _acc(expected, (l1, l2), c1 * c2)
+            add_term(expected, (l1, l2), c1 * c2)
     start = LinComb(expected)
     left_rt = apply_w(apply_w(start, True), False)    # W (S W) = 1
     right_rt = apply_w(apply_w(start, False), True)   # (S W) W = 1
@@ -418,8 +417,8 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
                     continue
                 for (l1a, l1b), c2 in s1.terms.items():
                     for l2, c3 in s2.terms.items():
-                        _acc(lhs_terms, (l1a, l1b, l2),
-                             ca * c1 * cw * c2 * c3)
+                        add_term(lhs_terms, (l1a, l1b, l2),
+                                 ca * c1 * cw * c2 * c3)
     # rhs: coproduct with precomposed second leg, times the W-twist
     psi = alpha.compose(binv)
     cands = list(P.w.candidates_left(m.support()))
@@ -453,8 +452,8 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
                         continue
                     for (l1a, l1b), c2 in s1.terms.items():
                         for l2, c3 in s2.terms.items():
-                            _acc(rhs_terms, (l1a, l1b, l2),
-                                 ca * c1 * cw * c2 * c3)
+                            add_term(rhs_terms, (l1a, l1b, l2),
+                                     ca * c1 * cw * c2 * c3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -495,8 +494,8 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
                     continue
                 for l1, cc1 in s1.terms.items():
                     for (l2a, l2b), cc2 in s2.terms.items():
-                        _acc(lhs_terms, (l1, l2a, l2b),
-                             cb * c1 * cw * cc1 * cc2)
+                        add_term(lhs_terms, (l1, l2a, l2b),
+                                 cb * c1 * cw * cc1 * cc2)
     # rhs: dressed co-opposite coproduct times the W-twist
     aut1 = binv.compose(delta).compose(gamma_p)
     for wb, wa, cw in P.w.candidates_left([t[0] for t in u.terms]):
@@ -519,6 +518,6 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
                     continue
                 for l1, cc1 in s1.terms.items():
                     for (l2a, l2b), cc2 in s2.terms.items():
-                        _acc(rhs_terms, (l1, l2a, l2b),
-                             cw * cb * c1 * cc1 * cc2)
+                        add_term(rhs_terms, (l1, l2a, l2b),
+                                 cw * cb * c1 * cc1 * cc2)
     return LinComb(lhs_terms), LinComb(rhs_terms)

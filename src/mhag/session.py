@@ -304,7 +304,9 @@ def session_from_path(path: str, seed: Optional[int] = None,
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise SessionError(f"session-file: {exc}") from exc
+        raise SessionError(
+            f"session-file: cannot read spec file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SessionError(f"session-json: {exc}") from exc
+        raise SessionError(f"session-json: spec file {path!r} is not valid "
+                           f"JSON: {exc}") from exc
     return session_from_json(data, seed=seed, window=window)

@@ -40,10 +40,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cograded import (comul_covered, crossing_apply, graded_antipode,
                        graded_counit)
-from .crossed import (_acc, b_embed_left, commutation_residual, dcp_mul,
-                      twist_inv, twist_map)
+from .crossed import (b_embed_left, commutation_residual, dcp_mul, twist_inv,
+                      twist_map)
 from .groups import AutPair, aut_pair_inv
-from .linear import LinComb, label_key
+from .linear import LinComb, add_scaled, add_term, label_key
 from .oracle import (double_antipode, double_comul_covered_brute, double_mul,
                      dual_basis_r_terms, group_antipode, group_comul_covered,
                      group_counit, group_mul, group_r_apply_left)
@@ -322,7 +322,6 @@ class _Rank:
 
     def add(self, row: LinComb) -> None:
         work = dict(row.terms)
-        zero = self.field.zero()
         while work:
             lead = min(work, key=label_key)
             piv = self.pivots.get(lead)
@@ -330,13 +329,7 @@ class _Rank:
                 inv = self.field.one() / work[lead]
                 self.pivots[lead] = {l: c * inv for l, c in work.items()}
                 return
-            factor = work[lead]
-            for l, c in piv.items():
-                acc = work.get(l, zero) - factor * c
-                if acc == zero:
-                    work.pop(l, None)
-                else:
-                    work[l] = acc
+            add_scaled(work, piv.items(), -work[lead])
 
 
 # Input specs shared by several rows.
@@ -382,7 +375,7 @@ def _hopf_suite(S: Session) -> List:
                     inner = comul(unit((a1, b1)), p, q, unit(yl), "left")
                     cache_l[key] = inner
                 for lab, c2 in inner.terms.items():
-                    _acc(lhs, lab + (a2, b2), c * c2)
+                    add_term(lhs, lab + (a2, b2), c * c2)
             rhs: Dict = {}
             outer2 = comul(unit(xl), p, qr, unit(yl), "left")
             for (a1, b1, a2, b2), c in outer2.terms.items():
@@ -392,7 +385,7 @@ def _hopf_suite(S: Session) -> List:
                     inner = comul(unit((a2, b2)), q, r, unit(zl), "right")
                     cache_r[key] = inner
                 for lab, c2 in inner.terms.items():
-                    _acc(rhs, (a1, b1) + lab, c * c2)
+                    add_term(rhs, (a1, b1) + lab, c * c2)
             return LinComb(lhs), LinComb(rhs)
 
         checks.append(_Identity(
@@ -407,14 +400,14 @@ def _hopf_suite(S: Session) -> List:
         x, y = unit(xl), unit(yl)
         out: Dict = {}
         for (a1, b1, a2, b2), c in comul(x, e, q, y, "right").terms.items():
-            _acc(out, (a2, b2), c * A.counit(A.lc(a1)) * B.counit(B.lc(b1)))
+            add_term(out, (a2, b2), c * A.counit(A.lc(a1)) * B.counit(B.lc(b1)))
         return LinComb(out), dcp_mul(P, q, x, y)
 
     def counit_left(q, xl, yl):
         x, y = unit(xl), unit(yl)
         out: Dict = {}
         for (a1, b1, a2, b2), c in comul(x, q, e, y, "left").terms.items():
-            _acc(out, (a1, b1), c * A.counit(A.lc(a2)) * B.counit(B.lc(b2)))
+            add_term(out, (a1, b1), c * A.counit(A.lc(a2)) * B.counit(B.lc(b2)))
         return LinComb(out), dcp_mul(P, q, y, x)
 
     # Antipode laws: multiply the antipode of one leg against the other;
@@ -426,8 +419,7 @@ def _hopf_suite(S: Session) -> List:
         acc: Dict = {}
         for (a1, b1, a2, b2), c in comul(x, gi, g, y, "right").terms.items():
             sv = graded_antipode(P, gi, unit((a1, b1)))
-            for lab, c2 in dcp_mul(P, g, sv, unit((a2, b2))).terms.items():
-                _acc(acc, lab, c * c2)
+            add_scaled(acc, dcp_mul(P, g, sv, unit((a2, b2))).terms.items(), c)
         return LinComb(acc), y.scale(graded_counit(P, x))
 
     def antipode_right(g, xl, yl):
@@ -436,8 +428,7 @@ def _hopf_suite(S: Session) -> List:
         acc: Dict = {}
         for (a1, b1, a2, b2), c in comul(x, g, gi, y, "left").terms.items():
             sv = graded_antipode(P, gi, unit((a2, b2)))
-            for lab, c2 in dcp_mul(P, g, unit((a1, b1)), sv).terms.items():
-                _acc(acc, lab, c * c2)
+            add_scaled(acc, dcp_mul(P, g, unit((a1, b1)), sv).terms.items(), c)
         return LinComb(acc), y.scale(graded_counit(P, x))
 
     for name, residual, needs_unital in (
@@ -458,8 +449,7 @@ def _hopf_suite(S: Session) -> List:
         lhs: Dict = {}
         for lab, c in dcp_mul(P, pq, unit(xl), unit(yl)).terms.items():
             half = comul(unit(lab), p, q, unit(vl), "right")
-            for lab2, c2 in half.terms.items():
-                _acc(lhs, lab2, c * c2)
+            add_scaled(lhs, half.terms.items(), c)
         rhs: Dict = {}
         sy = comul(unit(yl), p, q, unit(vl), "right")
         for (s1a, s1b, s2a, s2b), c in sy.terms.items():
@@ -471,7 +461,7 @@ def _hopf_suite(S: Session) -> List:
             for (u1a, u1b, u2a, u2b), c2 in half.terms.items():
                 m1 = dcp_mul(P, p, unit((u1a, u1b)), unit((s1a, s1b)))
                 for lab1, c3 in m1.terms.items():
-                    _acc(rhs, lab1 + (u2a, u2b), c * c2 * c3)
+                    add_term(rhs, lab1 + (u2a, u2b), c * c2 * c3)
         return LinComb(lhs), LinComb(rhs)
 
     checks.append(_Identity(
@@ -535,21 +525,21 @@ def _base_coassoc(inst, x, y, z):
     lhs: Dict = {}
     for (u, w), c in inst.t_map(1, LinComb.unit((y, z))).terms.items():
         for (s, t), c2 in inst.t_map(2, LinComb.unit((x, u))).terms.items():
-            _acc(lhs, (s, t, w), c * c2)
+            add_term(lhs, (s, t, w), c * c2)
     rhs: Dict = {}
     for (s, t), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
         for (u, w), c2 in inst.t_map(1, LinComb.unit((t, z))).terms.items():
-            _acc(rhs, (s, u, w), c * c2)
+            add_term(rhs, (s, u, w), c * c2)
     return LinComb(lhs), LinComb(rhs)
 
 
 def _base_counit(inst, x, y):
     l1: Dict = {}
     for (u, w), c in inst.t_map(1, LinComb.unit((x, y))).terms.items():
-        _acc(l1, w, c * inst.counit(inst.lc(u)))
+        add_term(l1, w, c * inst.counit(inst.lc(u)))
     l2: Dict = {}
     for (u, w), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
-        _acc(l2, u, c * inst.counit(inst.lc(w)))
+        add_term(l2, u, c * inst.counit(inst.lc(w)))
     return [LinComb(l1), LinComb(l2)], inst.mul(inst.lc(x), inst.lc(y))
 
 
@@ -557,14 +547,12 @@ def _base_antipode(inst, x, y):
     l1: Dict = {}
     for (u, w), c in inst.t_map(1, LinComb.unit((x, y))).terms.items():
         prod = inst.mul(inst.antipode(inst.lc(u)), inst.lc(w))
-        for lab, c2 in prod.terms.items():
-            _acc(l1, lab, c * c2)
+        add_scaled(l1, prod.terms.items(), c)
     r1 = inst.lc(y).scale(inst.counit(inst.lc(x)))
     l2: Dict = {}
     for (u, w), c in inst.t_map(2, LinComb.unit((x, y))).terms.items():
         prod = inst.mul(inst.lc(u), inst.antipode(inst.lc(w)))
-        for lab, c2 in prod.terms.items():
-            _acc(l2, lab, c * c2)
+        add_scaled(l2, prod.terms.items(), c)
     r2 = inst.lc(x).scale(inst.counit(inst.lc(y)))
     return [LinComb(l1), LinComb(l2)], [r1, r2]
 
@@ -718,7 +706,7 @@ def _cograded_suite(S: Session) -> List:
                         x, y = (xi, xj) if orient == "left" else (xj, xi)
                         for lab, c in dcp_mul(P, g, unit(x),
                                               unit(y)).terms.items():
-                            _acc(row, (j,) + lab, c)
+                            add_term(row, (j,) + lab, c)
                     tracker.add(LinComb(row))
                 if tracker.rank != dim:
                     return {"inputs": {"grading": _gj(g), "side": orient},

@@ -12,9 +12,12 @@ import itertools
 import json
 import re
 
+from fractions import Fraction
+
 import pytest
 
-from mhag import session_from_json
+from mhag import FiniteDimHopf, LinComb, session_from_json
+from mhag.groups import PermGroup
 
 # ---------------------------------------------------------------------------
 # grading / group spec shorthands (JSON shapes accepted by the loader)
@@ -72,6 +75,32 @@ def write_spec(tmp_path, spec, name="session.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+def rescaled_s3(dual=False):
+    """The structure constants of the group algebra of S3 (or of its dual)
+    on the basis b_i = s_i e_i with unequal scales, so that every product,
+    coproduct, antipode and basis twist carries coefficients other than 1."""
+    fd = FiniteDimHopf.from_group(PermGroup.symmetric(3))
+    if dual:
+        fd = fd.dual()
+    n = fd.dim
+    sc = [Fraction(k + 2, 3) for k in range(n)]
+
+    def rescale(v, factor):
+        return LinComb.from_pairs(
+            (l, c * factor / (sc[l] if isinstance(l, int)
+                              else sc[l[0]] * sc[l[1]]))
+            for l, c in v.terms.items())
+
+    return FiniteDimHopf(
+        fd.field,
+        [[rescale(fd.mul_table[i][j], sc[i] * sc[j]) for j in range(n)]
+         for i in range(n)],
+        [rescale(fd.comul_table[i], sc[i]) for i in range(n)],
+        [fd.counit_vec[i] * sc[i] for i in range(n)],
+        rescale(fd.unit_vec, 1),
+        [rescale(fd.antipode_tab[i], sc[i]) for i in range(n)])
 
 
 @pytest.fixture

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from mhag import (DrinfeldPairing, EnumSpec, FiniteDimHopf, FiniteDimPairing,
-                  GroupPairing, IntGroup, PrimeField, commutation_residual,
-                  dcp_mul, twist_inv, twist_map)
+from mhag import (DrinfeldPairing, EnumSpec, FiniteDimPairing, GroupPairing,
+                  IntGroup, PrimeField, commutation_residual, dcp_mul,
+                  twist_inv, twist_map)
 from mhag import crossed, mha
 from mhag.cograded import graded_antipode
 from mhag.crossed import (_t1, _t2_inv, a_embed_left, a_embed_right,
@@ -19,8 +19,8 @@ from mhag.linear import LinComb
 from mhag.oracle import group_mul
 from mhag.pairing import MEMO_CAP
 
-from conftest import (IDENT, NEG, group_instance, make_session, sampled,
-                      session_spec)
+from conftest import (IDENT, NEG, group_instance, make_session, rescaled_s3,
+                      sampled, session_spec)
 
 Z4 = TableGroup.cyclic(4)
 S3 = PermGroup.symmetric(3)
@@ -291,28 +291,10 @@ class TestProductMemo:
 
 
 def _rescaled_s3_pairing():
-    """The structure-constant pairing of the group algebra of S3 in the basis
-    b_i = s_i g_i with unequal scales, so basis twists and products carry
-    coefficients other than 1."""
-    fd = FiniteDimHopf.from_group(S3)
-    sc = [Fraction(k + 2, 3) for k in range(fd.dim)]
-
-    def rescale(v, factor):
-        return LinComb.from_pairs(
-            (l, c * factor / (sc[l] if isinstance(l, int)
-                              else sc[l[0]] * sc[l[1]]))
-            for l, c in v.terms.items())
-
-    n = fd.dim
-    B = FiniteDimHopf(
-        fd.field,
-        [[rescale(fd.mul_table[i][j], sc[i] * sc[j]) for j in range(n)]
-         for i in range(n)],
-        [rescale(fd.comul_table[i], sc[i]) for i in range(n)],
-        [fd.counit_vec[i] * sc[i] for i in range(n)],
-        rescale(fd.unit_vec, 1),
-        [rescale(fd.antipode_tab[i], sc[i]) for i in range(n)])
-    return FiniteDimPairing.from_instance(B)
+    """The structure-constant pairing of the group algebra of S3 on a
+    rescaled basis, so basis twists and products carry coefficients
+    other than 1."""
+    return FiniteDimPairing.from_instance(rescaled_s3())
 
 
 def _embedding_cases():

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mhag import LinComb, label_key
-from mhag.linear import lc_combine
+from mhag.linear import add_scaled, add_term, lc_combine
+from mhag.scalars import FpElement
 
 labels = st.sampled_from(["x", "y", "z", 0, 1, (0, "x")])
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -75,3 +77,60 @@ def test_label_key_total_order():
     once = sorted(ls, key=label_key)
     assert sorted(list(reversed(ls)), key=label_key) == once
     assert once[:3] == [-3, 0, 5]  # ints first, by value
+
+
+# Small label sets and coefficients with zeros, so that sums cancel often.
+_ACC_LABELS = ["x", "y", 0, (0, "x")]
+_ACC_COEFFS = {
+    "int": st.integers(-2, 2),
+    "fraction": st.fractions(min_value=-1, max_value=1, max_denominator=2),
+    "f7": st.integers(0, 13).map(lambda n: FpElement(n, 7)),
+}
+
+
+def _naive_sum(pairs):
+    """Per-label sums with the zero sums left out."""
+    sums = {}
+    for label, c in pairs:
+        sums[label] = sums[label] + c if label in sums else c
+    return {label: c for label, c in sums.items() if c != 0}
+
+
+def _no_zero(terms):
+    return all(c != 0 for c in terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(_ACC_COEFFS))
+@given(data=st.data())
+def test_accumulators_match_naive_sums(kind, data):
+    coeffs = _ACC_COEFFS[kind]
+    term_lists = st.lists(st.tuples(st.sampled_from(_ACC_LABELS), coeffs),
+                          max_size=8)
+    p1 = data.draw(term_lists)
+    p2 = data.draw(term_lists)
+    if data.draw(st.booleans()):
+        p2 += [(label, -c) for label, c in p1]
+    scale = data.draw(coeffs)
+
+    out = {}
+    for label, c in p1:
+        add_term(out, label, c)
+    assert out == _naive_sum(p1) and _no_zero(out)
+    add_scaled(out, p2, scale)
+    assert out == _naive_sum(p1 + [(l, scale * c) for l, c in p2])
+    assert _no_zero(out)
+
+    a, b = LinComb.from_pairs(p1), LinComb.from_pairs(p2)
+    assert a.terms == _naive_sum(p1) and _no_zero(a.terms)
+    total = a.add(b)
+    assert total.terms == _naive_sum(p1 + p2) and _no_zero(total.terms)
+    combined = lc_combine([a, b, a.neg()])
+    assert combined.terms == _naive_sum(p2) and _no_zero(combined.terms)
+
+    images = {label: LinComb(_naive_sum(data.draw(term_lists)))
+              for label in _ACC_LABELS}
+    mapped = b.map_terms(images.__getitem__)
+    assert mapped.terms == _naive_sum(
+        [(l2, c * c2) for l, c in b.terms.items()
+         for l2, c2 in images[l].terms.items()])
+    assert _no_zero(mapped.terms)

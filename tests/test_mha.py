@@ -11,6 +11,9 @@ from mhag import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
 from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
                          negation_aut)
 from mhag.linear import LinComb, lc_combine
+from mhag.session import _negate_antipode
+
+from conftest import rescaled_s3
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -119,6 +122,64 @@ class TestTMaps:
                                 ((labels[3], labels[0]), 1)])
         parts = [A.t_map(1, LinComb.unit(lab, c)) for lab, c in v.terms.items()]
         assert A.t_map(1, v) == lc_combine(parts)
+
+
+def _tensor(u, v):
+    return u.map_labels(lambda l: (l,)).tensor(v.map_labels(lambda l: (l,)))
+
+
+def _sweedler(inst, i, x, y):
+    """T_i(x (x) y) and T_i^-1(x (x) y) on basis labels by the Sweedler
+    formulas, from eager coproducts, products and the antipode:
+
+        T1 = x1 (x) x2 y       T1^-1 = x1 (x) S(x2) y
+        T2 = x y1 (x) y2       T2^-1 = x S(y1) (x) y2
+        T3 = x1 y (x) x2       T3^-1 = y2 (x) S^-1(y1) x
+        T4 = y1 (x) x y2       T4^-1 = y S^-1(x2) (x) x1
+    """
+    X, Y = inst.lc(x), inst.lc(y)
+    dx = inst.comul_eager(X).terms.items()
+    dy = inst.comul_eager(Y).terms.items()
+    lc, mul = inst.lc, inst.mul
+
+    def S(v, inverse=False):
+        return inst.antipode(v, inverse=inverse)
+
+    if i == 1:
+        fwd = [_tensor(lc(a), mul(lc(b), Y)).scale(c) for (a, b), c in dx]
+        inv = [_tensor(lc(a), mul(S(lc(b)), Y)).scale(c) for (a, b), c in dx]
+    elif i == 2:
+        fwd = [_tensor(mul(X, lc(a)), lc(b)).scale(c) for (a, b), c in dy]
+        inv = [_tensor(mul(X, S(lc(a))), lc(b)).scale(c) for (a, b), c in dy]
+    elif i == 3:
+        fwd = [_tensor(mul(lc(a), Y), lc(b)).scale(c) for (a, b), c in dx]
+        inv = [_tensor(lc(b), mul(S(lc(a), True), X)).scale(c)
+               for (a, b), c in dy]
+    else:
+        fwd = [_tensor(lc(a), mul(X, lc(b))).scale(c) for (a, b), c in dy]
+        inv = [_tensor(mul(Y, S(lc(b), True)), lc(a)).scale(c)
+               for (a, b), c in dx]
+    return lc_combine(fwd), lc_combine(inv)
+
+
+class TestRescaledTMaps:
+    """T-maps of a structure-constant instance whose coefficients are not
+    all 1, against the Sweedler formulas; with ``antipode-sign`` planted
+    the inverses must follow the planted antipode."""
+
+    @pytest.mark.parametrize("planted", [False, True],
+                             ids=["clean", "antipode-sign"])
+    @pytest.mark.parametrize("dual", [False, True], ids=["group", "functions"])
+    def test_sweedler_formulas(self, dual, planted):
+        inst = rescaled_s3(dual)
+        if planted:
+            _negate_antipode(inst)
+        labels = inst.basis_labels(None)
+        for i in (1, 2, 3, 4):
+            for x, y in itertools.product(labels, labels):
+                fwd, inv = _sweedler(inst, i, x, y)
+                assert inst.t_pair(i, inst.lc(x), inst.lc(y)) == fwd
+                assert inst.t_map_inv(i, LinComb.unit((x, y))) == inv
 
 
 class TestDoubles:

@@ -47,6 +47,12 @@ class TestInstanceKinds:
         assert isinstance(S.P, FiniteDimPairing)
         assert len(S.a_labels()) == 3
 
+    def test_finite_dim_from_s4(self):
+        S = make_session(session_spec({"kind": "finite-dim-hopf",
+                                       "group": {"kind": "symmetric", "n": 4}}))
+        assert isinstance(S.P, FiniteDimPairing)
+        assert len(S.a_labels()) == 24
+
     def test_finite_dim_from_tables(self):
         hopf = {
             "dim": 2,
@@ -294,12 +300,12 @@ _session = st.fixed_dictionaries({
 
 
 def _slow_to_decode(spec) -> bool:
-    """Structure constants of S4 and larger take seconds to validate."""
+    """Structure constants of S5 and larger take seconds to validate."""
     inst = spec["instance"]
     group = inst.get("group")
     return (inst["kind"] == "finite-dim-hopf" and isinstance(group, dict)
             and group.get("kind") == "symmetric"
-            and isinstance(group.get("n"), int) and group["n"] >= 4)
+            and isinstance(group.get("n"), int) and group["n"] >= 5)
 
 
 @settings(max_examples=300, deadline=None)
