@@ -140,11 +140,7 @@ def _sweedler(inst, i, x, y):
     X, Y = inst.lc(x), inst.lc(y)
     dx = inst.comul_eager(X).terms.items()
     dy = inst.comul_eager(Y).terms.items()
-    lc, mul = inst.lc, inst.mul
-
-    def S(v, inverse=False):
-        return inst.antipode(v, inverse=inverse)
-
+    lc, mul, S = inst.lc, inst.mul, inst.antipode
     if i == 1:
         fwd = [_tensor(lc(a), mul(lc(b), Y)).scale(c) for (a, b), c in dx]
         inv = [_tensor(lc(a), mul(S(lc(b)), Y)).scale(c) for (a, b), c in dx]
