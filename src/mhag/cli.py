@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
 from .cograded import (comul_covered, crossing_apply, graded_antipode,
@@ -39,7 +40,73 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
+
+    The bytes are the same, but the stdlib writes an indented document
+    with its pure-Python encoder.  Here dicts with ``str`` keys and lists
+    are laid out directly, and each list of scalars is written in one
+    join.  Whatever else appears (a non-``str`` key, a tuple, a float) is
+    written by ``json.dumps`` and indented to its depth."""
+    parts: List[str] = []
+    _write(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _stdlib(o, nl: str) -> str:
+    """``o`` as ``json.dumps`` writes it at the indent of ``nl``.  Strings
+    are ASCII-escaped, so each newline of the output starts a new line."""
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _scalars(items: list) -> Optional[List[str]]:
+    """The JSON of each item of ``items``, or None if one is a container."""
+    out = []
+    for x in items:
+        kind = type(x)
+        if kind is int:
+            out.append(int.__repr__(x))
+        elif kind is str:
+            out.append(_quote(x))
+        elif x is None or kind is bool or kind is float:
+            out.append(json.dumps(x))
+        else:
+            return None
+    return out
+
+
+def _write(o, nl: str, out) -> None:
+    """Pass the JSON of ``o`` to ``out`` in pieces; ``nl`` is a newline and
+    the indent of the line ``o`` starts on."""
+    kind = type(o)
+    if kind is list and o:
+        inner = nl + "  "
+        strs = _scalars(o)
+        if strs is not None:
+            out("[" + inner + ("," + inner).join(strs) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in o:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif kind is dict and o and all(type(k) is str for k in o):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out(sep + _quote(key) + ": ")
+            _write(o[key], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif kind is str:
+        out(_quote(o))
+    elif kind is int:
+        out(int.__repr__(o))
+    elif o is None or kind is bool or kind is float:
+        out(json.dumps(o))
+    else:
+        out(_stdlib(o, nl))
 
 
 def run_verify(S: Session, suites: List[str]) -> Dict:
@@ -89,32 +156,36 @@ def export_structure(S: Session) -> Dict:
     if not S.finite:
         raise SessionError("export requires a finite instance")
     P = S.P
+    to_str = S.field.to_str
     crossed = sorted(S.crossed_labels(), key=label_key)
+    # Each label and grading is rendered once; the document shares the
+    # rendered lists wherever the same label or grading recurs.
+    shown = {x: _lab(S, "ab", x) for x in crossed}
+    gradings = [(g, grading_to_json(g)) for g in S.gradings]
     components = []
-    for g in S.gradings:
+    for g, g_json in gradings:
         entries = []
         for x in crossed:
             for y in crossed:
                 prod = dcp_mul(P, g, LinComb.unit(x), LinComb.unit(y))
                 for lab, c in prod.sorted_items():
-                    entries.append([_lab(S, "ab", x), _lab(S, "ab", y),
-                                    _lab(S, "ab", lab), S.field.to_str(c)])
-        components.append({"grading": grading_to_json(g), "mul": entries})
+                    entries.append([shown[x], shown[y], shown[lab],
+                                    to_str(c)])
+        components.append({"grading": g_json, "mul": entries})
     splits = []
-    for p in S.gradings:
-        for q in S.gradings:
+    for p, p_json in gradings:
+        for q, q_json in gradings:
             images = []
             for x in crossed:
                 for cover in crossed:
                     half = comul_covered(
                         P, LinComb.unit(x), p, q, LinComb.unit(cover),
                         side="right")
-                    images.append([_lab(S, "ab", x), _lab(S, "ab", cover),
+                    images.append([shown[x], shown[cover],
                                    _fmt(S, "abab", half)])
-            splits.append({"left": grading_to_json(p),
-                           "right": grading_to_json(q),
+            splits.append({"left": p_json, "right": q_json,
                            "side": "right", "images": images})
-    return {"gradings": [grading_to_json(g) for g in S.gradings],
+    return {"gradings": [g_json for _, g_json in gradings],
             "components": components, "splits": splits}
 
 

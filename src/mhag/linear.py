@@ -18,6 +18,13 @@ def label_key(label):
     then tuples recursively componentwise (shorter first).  Deterministic
     reports, exports and counterexample selection all sort by this key.
     """
+    # Exact ``int`` and ``tuple`` labels, nearly all of them, skip the
+    # ``isinstance`` tests below; the keys are the same.
+    kind = type(label)
+    if kind is int:
+        return (0, label)
+    if kind is tuple:
+        return (2, len(label), tuple(map(label_key, label)))
     if isinstance(label, tuple):
         return (2, len(label), tuple(label_key(x) for x in label))
     if isinstance(label, int) and not isinstance(label, bool):
@@ -40,7 +47,7 @@ class LinComb:
 
     @staticmethod
     def unit(label, coeff=1) -> "LinComb":
-        if coeff == 0:
+        if not coeff:
             return LinComb({})
         return LinComb({label: coeff})
 
@@ -62,6 +69,8 @@ class LinComb:
         return list(self.terms.keys())
 
     def sorted_items(self):
+        if len(self.terms) < 2:
+            return list(self.terms.items())
         return sorted(self.terms.items(), key=lambda kv: label_key(kv[0]))
 
     def __iter__(self) -> Iterator[Tuple]:
@@ -104,7 +113,7 @@ class LinComb:
     __sub__ = sub
 
     def scale(self, c) -> "LinComb":
-        if c == 0:
+        if not c:
             return LinComb({})
         return LinComb({label: c * v for label, v in self.terms.items()})
 

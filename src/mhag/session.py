@@ -67,7 +67,7 @@ class DropFirstTermW(CanonicalW):
                 raise PairingError("w-empty: nothing to drop")
             self._dropped = min(
                 ((t[0], t[1]) for t in terms),
-                key=lambda ba: label_key(ba))
+                key=label_key)
         return self._dropped
 
     def _filter(self, terms):

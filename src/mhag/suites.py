@@ -226,17 +226,18 @@ def _holds(lhs, rhs) -> bool:
 
 def _fmt(S: Session, pattern: str, value: LinComb) -> List:
     """Render a value whose labels follow ``pattern`` ('a'/'b' per slot)."""
-    A, B = S.P.A, S.P.B
-    rows = []
-    for label, c in value.sorted_items():
-        lab = (label,) if len(pattern) == 1 else label
-        rows.append([A.label_to_json(x) if ch == "a" else B.label_to_json(x)
-                     for ch, x in zip(pattern, lab)] + [S.field.to_str(c)])
-    return rows
+    to_str = S.field.to_str
+    return [_lab(S, pattern, label) + [to_str(c)]
+            for label, c in value.sorted_items()]
 
 
 def _lab(S: Session, pattern: str, label) -> List:
-    return _fmt(S, pattern, LinComb.unit(label))[0][:-1]
+    """Render one label whose slots follow ``pattern``."""
+    A, B = S.P.A, S.P.B
+    if len(pattern) == 1:
+        label = (label,)
+    return [A.label_to_json(x) if ch == "a" else B.label_to_json(x)
+            for ch, x in zip(pattern, label)]
 
 
 def _gj(*gradings: AutPair) -> List:

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -18,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhag
-from mhag.cli import main
+from mhag import export_structure
+from mhag.cli import _dump, main
 
-from conftest import (IDENT, NEG, cyc_inv, group_instance, inner, sampled,
-                      session_spec, write_spec)
+from conftest import (IDENT, NEG, cyc_inv, group_instance, inner,
+                      make_session, sampled, session_spec, write_spec)
 
 try:
     import tomllib
@@ -144,6 +146,61 @@ class TestExport:
         rc, _, err = run_cli(capsys, "export", "--spec", z_spec)
         assert rc == 2
         assert "export requires a finite instance" in err
+
+
+def _stdlib_dump(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# Quotes, backslashes, control characters and non-ASCII (an astral one
+# too, which escapes as a surrogate pair) in keys and strings.
+_chars = st.sampled_from('ab "\\/\n\t\x00\x1f\x7fé€\U0001f600')
+_texts = st.text(_chars, max_size=4)
+_scalar_leaves = st.one_of(
+    _texts, st.integers(), st.sampled_from([2**70, -(2**64) - 1, 0]),
+    st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+    st.just([]), st.just({}))
+_documents = st.recursive(
+    _scalar_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_texts, kids, max_size=4),
+    max_leaves=24)
+
+
+class TestDump:
+    """``_dump`` writes exactly what ``json.dumps`` writes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_documents)
+    def test_matches_json_dumps(self, payload):
+        assert _dump(payload) == _stdlib_dump(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a", 2: [True, None]},
+        {"x": [{3: [1, []]}, {"y": {}}], "z": {True: 1.5, False: []}},
+        ("a", [1, ("b",)]),
+        {"t": (1, "é"), "u": [True, 1, False, 0]},
+        [0.1, math.inf, -math.inf, math.nan, None, "s", 2],
+        "é\n", 7, -2**80, True, None, 0.1, float("-inf"), float("nan"),
+        [], {},
+    ], ids=repr)
+    def test_other_keys_and_bare_scalars(self, payload):
+        assert _dump(payload) == _stdlib_dump(payload)
+
+    @pytest.mark.parametrize("spec", [
+        session_spec(group_instance("symmetric", 3), gradings=[
+            [IDENT, IDENT], [inner((1, 0, 2)), inner((0, 2, 1))]]),
+        session_spec({"kind": "finite-dim-hopf",
+                      "group": {"kind": "symmetric", "n": 3}}),
+        {**session_spec({"kind": "drinfeld-double",
+                         "group": {"kind": "cyclic", "n": 3}}),
+         "scalars": {"prime": 7}},
+    ], ids=["s3-group", "s3-finite-dim", "double-z3-f7"])
+    def test_export_matches_json_dumps(self, spec):
+        out = export_structure(make_session(spec))
+        assert _dump(out) == _stdlib_dump(out)
 
 
 class TestEval:

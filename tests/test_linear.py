@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhag import LinComb, label_key
+from mhag import LinComb, PrimeField, RationalField, label_key
 from mhag.linear import add_scaled, add_term, lc_combine
 from mhag.scalars import FpElement
 
@@ -77,6 +77,51 @@ def test_label_key_total_order():
     once = sorted(ls, key=label_key)
     assert sorted(list(reversed(ls)), key=label_key) == once
     assert once[:3] == [-3, 0, 5]  # ints first, by value
+
+
+def _label_key_reference(label):
+    """``label_key`` as written before its ``type`` dispatch: the reference
+    its keys must equal."""
+    if isinstance(label, tuple):
+        return (2, len(label), tuple(_label_key_reference(x) for x in label))
+    if isinstance(label, int) and not isinstance(label, bool):
+        return (0, label)
+    return (1, repr(label))
+
+
+_label_atoms = st.one_of(st.integers(), st.booleans(), st.text(max_size=3),
+                         st.none())
+_nested_labels = st.recursive(
+    _label_atoms, lambda kids: st.lists(kids, max_size=3).map(tuple),
+    max_leaves=12)
+
+
+@given(st.lists(_nested_labels, max_size=6))
+def test_label_key_matches_reference(ls):
+    assert [label_key(l) for l in ls] == [_label_key_reference(l) for l in ls]
+
+
+# (zero coefficients, non-zero coefficients) per scalar type; the F_7
+# zeros include the field's shared zero and an unreduced multiple of 7.
+_ZERO_CASES = {
+    "int": ([0, RationalField().zero()], [1, -3]),
+    "fraction": ([Fraction(0)], [Fraction(1, 2), Fraction(-5, 3)]),
+    "f7": ([PrimeField(7).zero(), FpElement(7, 7), FpElement(0, 7)],
+           [PrimeField(7).one(), FpElement(10, 7)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ZERO_CASES))
+def test_unit_and_scale_drop_zero_coefficients(kind):
+    zeros, nonzeros = _ZERO_CASES[kind]
+    for z in zeros:
+        assert LinComb.unit("x", z).terms == {}
+        for c in nonzeros:
+            assert LinComb.unit("x", c).scale(z).terms == {}
+    for c in nonzeros:
+        assert LinComb.unit("x", c).terms == {"x": c}
+        for d in nonzeros:
+            assert LinComb.unit("x", c).scale(d).terms == {"x": d * c}
 
 
 # Small label sets and coefficients with zeros, so that sums cancel often.
