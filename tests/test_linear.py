@@ -102,7 +102,7 @@ def test_label_key_matches_reference(ls):
 
 
 # (zero coefficients, non-zero coefficients) per scalar type; the F_7
-# zeros include the field's shared zero and an unreduced multiple of 7.
+# zeros include the field's shared zero and a residue built from 7.
 _ZERO_CASES = {
     "int": ([0, RationalField().zero()], [1, -3]),
     "fraction": ([Fraction(0)], [Fraction(1, 2), Fraction(-5, 3)]),
