@@ -99,14 +99,9 @@ def _write(o, nl: str, out) -> None:
             _write(o[key], inner, out)
             sep = "," + inner
         out(nl + "}")
-    elif kind is str:
-        out(_quote(o))
-    elif kind is int:
-        out(int.__repr__(o))
-    elif o is None or kind is bool or kind is float:
-        out(json.dumps(o))
     else:
-        out(_stdlib(o, nl))
+        strs = _scalars([o])
+        out(strs[0] if strs is not None else _stdlib(o, nl))
 
 
 def run_verify(S: Session, suites: List[str]) -> Dict:

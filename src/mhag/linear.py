@@ -18,15 +18,11 @@ def label_key(label):
     then tuples recursively componentwise (shorter first).  Deterministic
     reports, exports and counterexample selection all sort by this key.
     """
-    # Exact ``int`` and ``tuple`` labels, nearly all of them, skip the
-    # ``isinstance`` tests below; the keys are the same.
-    kind = type(label)
-    if kind is int:
+    # Exact ``int`` labels, the most common, skip the ``isinstance`` tests.
+    if type(label) is int:
         return (0, label)
-    if kind is tuple:
-        return (2, len(label), tuple(map(label_key, label)))
     if isinstance(label, tuple):
-        return (2, len(label), tuple(label_key(x) for x in label))
+        return (2, len(label), tuple(map(label_key, label)))
     if isinstance(label, int) and not isinstance(label, bool):
         return (0, label)
     return (1, repr(label))

@@ -89,10 +89,19 @@ def _label_key_reference(label):
     return (1, repr(label))
 
 
-_label_atoms = st.one_of(st.integers(), st.booleans(), st.text(max_size=3),
-                         st.none())
+class _TupleLabel(tuple):
+    """A tuple subclass, which ``label_key`` orders like a plain tuple."""
+
+
+class _IntLabel(int):
+    """An int subclass, which ``label_key`` orders like a plain int."""
+
+
+_label_atoms = st.one_of(st.integers(), st.integers().map(_IntLabel),
+                         st.booleans(), st.text(max_size=3), st.none())
 _nested_labels = st.recursive(
-    _label_atoms, lambda kids: st.lists(kids, max_size=3).map(tuple),
+    _label_atoms, lambda kids: st.lists(kids, max_size=3).flatmap(
+        lambda xs: st.sampled_from([tuple(xs), _TupleLabel(xs)])),
     max_leaves=12)
 
 
