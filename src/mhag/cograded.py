@@ -243,22 +243,32 @@ def _xi_maps(P: Pairing, actor: AutPair, source: AutPair):
     return pre, b_aut
 
 
+def xi_on_legs(P: Pairing, actor: AutPair, source: AutPair, value: LinComb,
+               a_idx: int, b_idx: int) -> LinComb:
+    """Apply the crossing action of ``actor`` to the crossed slot of a flat
+    tensor occupying label positions ``(a_idx, b_idx)``."""
+    pre, b_aut = _xi_maps(P, actor, source)
+    out: Dict[Tuple, object] = {}
+    for label, c in value.terms.items():
+        av = P.precompose_A(pre, P.A.lc(label[a_idx]))
+        bv = P.B.apply_aut(b_aut, P.B.lc(label[b_idx]))
+        for la, c2 in av.terms.items():
+            for lb, c3 in bv.terms.items():
+                nl = list(label)
+                nl[a_idx] = la
+                nl[b_idx] = lb
+                add_term(out, tuple(nl), c * c2 * c3)
+    return LinComb(out)
+
+
 def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb
                    ) -> Tuple[AutPair, LinComb]:
     """Apply the crossing action of ``actor`` to a component value at
     ``source``; returns the target grading (the conjugate of ``source``
     by ``actor``) together with the transformed value."""
     mul = P.pair_mul
-    pre, b_aut = _xi_maps(P, actor, source)
     target = mul(mul(actor, source), aut_pair_inv(actor))
-    out: Dict[Tuple, object] = {}
-    for (la, lb), c in x.terms.items():
-        av = P.precompose_A(pre, P.A.lc(la))
-        bv = P.B.apply_aut(b_aut, P.B.lc(lb))
-        for la2, c2 in av.terms.items():
-            for lb2, c3 in bv.terms.items():
-                add_term(out, (la2, lb2), c * c2 * c3)
-    return target, LinComb(out)
+    return target, xi_on_legs(P, actor, source, x, 0, 1)
 
 
 def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,

@@ -35,65 +35,39 @@ class EngineError(ValueError):
 
 # -- elementary twist moves (A (x) B -> A (x) B, labels (la, lb)) -------------
 
-def _t1(P: Pairing, alpha: Automorphism, x: LinComb) -> LinComb:
-    """(la, lb) -> sum (alpha(b_(1)) |> a, b_(2))."""
+# One row per move, keyed (variant, inverse): the T-map of B, whether the
+# cover stands left of b, the action, and the coproduct leg that acts.
+#   (1, False): (la, lb) -> sum (alpha(b_(1)) |> a, b_(2))
+#   (1, True):  (la, lb) -> sum (S^-1 alpha(b_(1)) |> a, b_(2))
+#   (2, False): (la, lb) -> sum (a <| beta(b_(2)), b_(1))
+#   (2, True):  (la, lb) -> sum (a <| S^-1 beta(b_(2)), b_(1))
+_MOVES = {
+    (1, False): (3, False, "b>>a", 0),          # sum b1*cov (x) b2
+    (1, True): (2, True, "b>>a", 0),            # sum cov*b1 (x) b2
+    (2, False): (4, True, "a<<b", 1),           # sum b1 (x) cov*b2
+    (2, True): (1, False, "a<<b", 1),           # sum b1 (x) b2*cov
+}
+
+
+def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
+          inverse: bool = False) -> LinComb:
+    """One elementary move of the twist, read from ``_MOVES``.  The inverse
+    moves cover with S(e) and act with S^-1 phi."""
+    t, cov_first, action, leg = _MOVES[variant, inverse]
     B = P.B
     out: Dict = {}
     e = P.act_unit_B([la for la, _ in x.terms])
-    cov = B.apply_aut(alpha.inverse(), e)
+    cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e)
     for (la, lb), c in x.terms.items():
-        legs = B.t_pair(3, B.lc(lb), cov)          # sum b1*cov (x) b2
-        for (u, v), c1 in legs.terms.items():
-            hit = P.act("b>>a", B.apply_aut(alpha, B.lc(u)), P.A.lc(la))
+        legs = (B.t_pair(t, cov, B.lc(lb)) if cov_first
+                else B.t_pair(t, B.lc(lb), cov))
+        for pair, c1 in legs.terms.items():
+            actor = B.apply_aut(phi, B.lc(pair[leg]))
+            if inverse:
+                actor = B.antipode(actor, inverse=True)
+            hit = P.act(action, actor, P.A.lc(la))
             for la2, c2 in hit.terms.items():
-                add_term(out, (la2, v), c * c1 * c2)
-    return LinComb(out)
-
-
-def _t1_inv(P: Pairing, alpha: Automorphism, x: LinComb) -> LinComb:
-    """(la, lb) -> sum (S^-1 alpha(b_(1)) |> a, b_(2))."""
-    B = P.B
-    out: Dict = {}
-    e = P.act_unit_B([la for la, _ in x.terms])
-    cov = B.apply_aut(alpha.inverse(), B.antipode(e))
-    for (la, lb), c in x.terms.items():
-        legs = B.t_pair(2, cov, B.lc(lb))          # sum cov*b1 (x) b2
-        for (u, v), c1 in legs.terms.items():
-            actor = B.antipode(B.apply_aut(alpha, B.lc(u)), inverse=True)
-            hit = P.act("b>>a", actor, P.A.lc(la))
-            for la2, c2 in hit.terms.items():
-                add_term(out, (la2, v), c * c1 * c2)
-    return LinComb(out)
-
-
-def _t2(P: Pairing, beta: Automorphism, x: LinComb) -> LinComb:
-    """(la, lb) -> sum (a <| beta(b_(2)), b_(1))."""
-    B = P.B
-    out: Dict = {}
-    e = P.act_unit_B([la for la, _ in x.terms])
-    cov = B.apply_aut(beta.inverse(), e)
-    for (la, lb), c in x.terms.items():
-        legs = B.t_pair(4, cov, B.lc(lb))          # sum b1 (x) cov*b2
-        for (u, v), c1 in legs.terms.items():
-            hit = P.act("a<<b", B.apply_aut(beta, B.lc(v)), P.A.lc(la))
-            for la2, c2 in hit.terms.items():
-                add_term(out, (la2, u), c * c1 * c2)
-    return LinComb(out)
-
-
-def _t2_inv(P: Pairing, beta: Automorphism, x: LinComb) -> LinComb:
-    """(la, lb) -> sum (a <| S^-1 beta(b_(2)), b_(1))."""
-    B = P.B
-    out: Dict = {}
-    e = P.act_unit_B([la for la, _ in x.terms])
-    cov = B.apply_aut(beta.inverse(), B.antipode(e))
-    for (la, lb), c in x.terms.items():
-        legs = B.t_pair(1, B.lc(lb), cov)          # sum b1 (x) b2*cov
-        for (u, v), c1 in legs.terms.items():
-            actor = B.antipode(B.apply_aut(beta, B.lc(v)), inverse=True)
-            hit = P.act("a<<b", actor, P.A.lc(la))
-            for la2, c2 in hit.terms.items():
-                add_term(out, (la2, u), c * c1 * c2)
+                add_term(out, (la2, pair[1 - leg]), c * c1 * c2)
     return LinComb(out)
 
 
@@ -106,7 +80,8 @@ def _twist_basis(P: Pairing, grading: AutPair, lb, la) -> tuple:
     if base is None:
         alpha, beta = grading
         unit = LinComb.unit((la, lb), P.field.one())
-        base = tuple(_t1(P, alpha, _t2_inv(P, beta, unit)).terms.items())
+        moved = _move(P, 2, beta, unit, inverse=True)
+        base = tuple(_move(P, 1, alpha, moved).terms.items())
         if len(memo) < MEMO_CAP:
             memo[key] = base
     return base
@@ -127,8 +102,8 @@ def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
 def twist_inv(P: Pairing, grading: AutPair, x_ab: LinComb) -> LinComb:
     """Inverse twist: labels (la, lb) -> sum over (lb', la')."""
     alpha, beta = grading
-    return _t2(P, beta, _t1_inv(P, alpha, x_ab)).map_labels(
-        lambda t: (t[1], t[0]))
+    moved = _move(P, 1, alpha, x_ab, inverse=True)
+    return _move(P, 2, beta, moved).map_labels(lambda t: (t[1], t[0]))
 
 
 # -- multiplier embeddings -----------------------------------------------------

@@ -51,6 +51,12 @@ class Group:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
+    def ball(self, window: Optional[int]) -> List:
+        """The elements a run enumerates: every element of a finite group.
+        An infinite backend keeps those within ``window`` of the identity,
+        and refuses ``None``, which asks for all of them."""
+        return self.elements()
+
     def conj(self, g, x):
         """g x g^-1."""
         return self.op(self.op(g, x), self.inv(g))
@@ -249,6 +255,11 @@ class IntGroup(Group):
 
     def elements(self):
         raise GroupError("infinite-enumeration: the integer group is infinite")
+
+    def ball(self, window):
+        if window is None:
+            return self.elements()
+        return list(range(-window, window + 1))
 
     def contains(self, x):
         return isinstance(x, int) and not isinstance(x, bool)
@@ -461,16 +472,20 @@ def group_from_json(spec) -> Group:
         if degree is None:
             raise GroupError("perm-spec: missing degree")
         return PermGroup(json_int(degree, "degree"),
-                         [tuple(g) for g in spec["generators"]])
+                         [tuple(json_int(v, "generator entry") for v in g)
+                          for g in spec["generators"]])
     if kind == "table":
         elements = [tuple(e) if isinstance(e, list) else e for e in spec["elements"]]
+        for e in elements:
+            if _holds_bool(e):
+                raise GroupError(f"table-element: {e!r} holds a boolean")
         n = len(elements)
         table = {}
         if "mul" in spec:
             for row in spec["mul"]:
                 if len(row) != 3:
                     raise GroupError(f"table-mul-row: {row!r} needs [i,j,k]")
-                i, j, k = (int(v) for v in row)
+                i, j, k = (json_int(v, "table-mul index") for v in row)
                 if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                     raise GroupError(f"table-mul-row: index out of range in {row!r}")
                 table[(elements[i], elements[j])] = elements[k]

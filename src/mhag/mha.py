@@ -26,8 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from .groups import Automorphism, Group
 from .linear import LinComb, add_scaled, add_term, lc_combine
-from .sampling import EnumSpec
-from .scalars import Field, FpElement, RationalField
+from .scalars import Field, FpElement, RationalField, field_from_json, json_int
 
 
 # Entries each basis table may hold: the product and T-map tables of an
@@ -123,7 +122,9 @@ class MhaInstance:
     def aut_label(self, phi: Automorphism, label):
         raise StructureError(f"{self.name}: automorphism action unsupported")
 
-    def basis_labels(self, enum: EnumSpec) -> List:
+    def basis_labels(self, window: Optional[int]) -> List:
+        """The basis labels a run enumerates; ``window`` bounds the labels
+        of an instance over an infinite group."""
         raise NotImplementedError
 
     def parse_label(self, data):
@@ -220,15 +221,57 @@ class MhaInstance:
 # Group-backed instances
 # ---------------------------------------------------------------------------
 
-class GroupAlgebra(MhaInstance):
-    """The group algebra: basis = group elements, grouplike coproduct."""
+class _OnGroup(MhaInstance):
+    """An instance whose basis labels are the elements of a group; it is
+    unital when the group is finite."""
 
     def __init__(self, group: Group, field: Optional[Field] = None):
         super().__init__()
         self.group = group
         self.field = field or RationalField()
+        self.is_unital = group.is_finite
+
+    def aut_label(self, phi, label):
+        return phi(label)
+
+    def basis_labels(self, window):
+        return self.group.ball(window)
+
+    def parse_label(self, data):
+        return self.group.parse_element(data)
+
+    def label_to_json(self, label):
+        return self.group.element_to_json(label)
+
+
+class _OnPairs(_OnGroup):
+    """An instance whose basis labels are pairs of group elements."""
+
+    def aut_label(self, phi, label):
+        x, y = label
+        return (phi(x), phi(y))
+
+    def basis_labels(self, window):
+        ball = self.group.ball(window)
+        return [(x, y) for x in ball for y in ball]
+
+    def parse_label(self, data):
+        x, y = data
+        return (self.group.parse_element(x), self.group.parse_element(y))
+
+    def label_to_json(self, label):
+        x, y = label
+        return [self.group.element_to_json(x), self.group.element_to_json(y)]
+
+
+class GroupAlgebra(_OnGroup):
+    """The group algebra: basis = group elements, grouplike coproduct."""
+
+    name = "group-algebra"
+
+    def __init__(self, group: Group, field: Optional[Field] = None):
+        super().__init__(group, field)
         self.is_unital = True
-        self.name = "group-algebra"
 
     def _mul_basis(self, x, y):
         return self.lc(self.group.op(x, y))
@@ -272,22 +315,8 @@ class GroupAlgebra(MhaInstance):
     def local_unit_for(self, labels):
         return self.unit()
 
-    def aut_label(self, phi, label):
-        return phi(label)
 
-    def basis_labels(self, enum: EnumSpec):
-        if self.group.is_finite:
-            return self.group.elements()
-        return enum.int_labels()
-
-    def parse_label(self, data):
-        return self.group.parse_element(data)
-
-    def label_to_json(self, label):
-        return self.group.element_to_json(label)
-
-
-class FunctionAlgebra(MhaInstance):
+class FunctionAlgebra(_OnGroup):
     """Finitely supported functions on a group: basis of point masses.
 
     The product is pointwise (idempotents), the coproduct is dual to the group
@@ -296,12 +325,7 @@ class FunctionAlgebra(MhaInstance):
     downstream still works exactly.
     """
 
-    def __init__(self, group: Group, field: Optional[Field] = None):
-        super().__init__()
-        self.group = group
-        self.field = field or RationalField()
-        self.is_unital = group.is_finite
-        self.name = "function-algebra"
+    name = "function-algebra"
 
     def _mul_basis(self, x, y):
         if x == y:
@@ -352,22 +376,8 @@ class FunctionAlgebra(MhaInstance):
     def local_unit_for(self, labels):
         return LinComb(dict.fromkeys(labels, self.field.one()))
 
-    def aut_label(self, phi, label):
-        return phi(label)
 
-    def basis_labels(self, enum: EnumSpec):
-        if self.group.is_finite:
-            return self.group.elements()
-        return enum.int_labels()
-
-    def parse_label(self, data):
-        return self.group.parse_element(data)
-
-    def label_to_json(self, label):
-        return self.group.element_to_json(label)
-
-
-class DrinfeldDouble(MhaInstance):
+class DrinfeldDouble(_OnPairs):
     """The double built on (point mass) x (group element) labels ``(p, h)``.
 
     Product: (p, h)(q, l) = [p = h q h^-1] (p, h l); the coproduct splits the
@@ -375,12 +385,7 @@ class DrinfeldDouble(MhaInstance):
     antipode is (p, h) -> (h^-1 p^-1 h, h^-1), an involution.
     """
 
-    def __init__(self, group: Group, field: Optional[Field] = None):
-        super().__init__()
-        self.group = group
-        self.field = field or RationalField()
-        self.is_unital = group.is_finite
-        self.name = "double"
+    name = "double"
 
     def _mul_basis(self, a, b):
         g = self.group
@@ -477,27 +482,8 @@ class DrinfeldDouble(MhaInstance):
         return LinComb(dict.fromkeys(((w, e) for w in closure),
                                      self.field.one()))
 
-    def aut_label(self, phi, label):
-        p, h = label
-        return (phi(p), phi(h))
 
-    def basis_labels(self, enum: EnumSpec):
-        if self.group.is_finite:
-            els = self.group.elements()
-            return [(p, h) for p in els for h in els]
-        ints = enum.int_labels()
-        return [(p, h) for p in ints for h in ints]
-
-    def parse_label(self, data):
-        p, h = data
-        return (self.group.parse_element(p), self.group.parse_element(h))
-
-    def label_to_json(self, label):
-        p, h = label
-        return [self.group.element_to_json(p), self.group.element_to_json(h)]
-
-
-class DualDrinfeld(MhaInstance):
+class DualDrinfeld(_OnPairs):
     """The mirrored double on (group element) x (point mass) labels ``(h, p)``.
 
     Product: (h, p)(l, q) = [p = q] (l h, p) — note the reversed group product;
@@ -506,12 +492,7 @@ class DualDrinfeld(MhaInstance):
     label-matching pairing.
     """
 
-    def __init__(self, group: Group, field: Optional[Field] = None):
-        super().__init__()
-        self.group = group
-        self.field = field or RationalField()
-        self.is_unital = group.is_finite
-        self.name = "double-dual"
+    name = "double-dual"
 
     def _mul_basis(self, a, b):
         g = self.group
@@ -593,25 +574,6 @@ class DualDrinfeld(MhaInstance):
         return LinComb(dict.fromkeys(((e, p) for _, p in labels),
                                      self.field.one()))
 
-    def aut_label(self, phi, label):
-        h, p = label
-        return (phi(h), phi(p))
-
-    def basis_labels(self, enum: EnumSpec):
-        if self.group.is_finite:
-            els = self.group.elements()
-            return [(h, p) for h in els for p in els]
-        ints = enum.int_labels()
-        return [(h, p) for h in ints for p in ints]
-
-    def parse_label(self, data):
-        h, p = data
-        return (self.group.parse_element(h), self.group.parse_element(p))
-
-    def label_to_json(self, label):
-        h, p = label
-        return [self.group.element_to_json(h), self.group.element_to_json(p)]
-
 
 # ---------------------------------------------------------------------------
 # Generic finite-dimensional instances from structure constants
@@ -667,11 +629,9 @@ class FiniteDimHopf(MhaInstance):
         Coefficients are exact rational strings like ``"2"`` or ``"-1/3"``
         (plain integers are also accepted).
         """
-        from .scalars import field_from_json
-
         f = field if field is not None else field_from_json(data.get("scalars"))
         try:
-            n = int(data["dim"])
+            n = json_int(data["dim"], "dim")
             mul_rows = data["mul"]
             comul_rows = data["comul"]
             counit_row = data["counit"]
@@ -690,7 +650,7 @@ class FiniteDimHopf(MhaInstance):
                 "instance-json-shape: unit/counit vectors must be sized by dim")
 
         def index(v, what):
-            i = int(v)
+            i = json_int(v, f"{what} index")
             if not 0 <= i < n:
                 raise StructureError(
                     f"instance-json-index: {what} index {v!r} out of range")
@@ -973,7 +933,7 @@ class FiniteDimHopf(MhaInstance):
             return super().aut_label(phi, label)
         return self._aut_label_fn(phi, label)
 
-    def basis_labels(self, enum: EnumSpec):
+    def basis_labels(self, window):
         return list(range(self.dim))
 
     def parse_label(self, data):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .groups import AutPair, Automorphism, Group, aut_pair_mul
+from .groups import AutPair, Automorphism, Group, GroupError, aut_pair_mul
 from .linear import LinComb
 from .mha import (MEMO_CAP, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance, StructureError,
@@ -69,7 +69,7 @@ class Pairing:
         for la, ca in a.terms.items():
             for lb, cb in b.terms.items():
                 v = self.pair_basis(la, lb)
-                if not (v == 0):
+                if v:
                     total = total + ca * cb * v
         return total
 
@@ -117,7 +117,7 @@ class Pairing:
             a_leg, keep = (l2, l1) if slot == 2 else (l1, l2)
             for lb, cb in actor_b.terms.items():
                 v = self.pair_basis(a_leg, lb)
-                if not (v == 0):
+                if v:
                     pairs.append((keep, c * cb * v))
         return LinComb.from_pairs(pairs)
 
@@ -128,7 +128,7 @@ class Pairing:
             b_leg, keep = (l2, l1) if slot == 2 else (l1, l2)
             for la, ca in actor_a.terms.items():
                 v = self.pair_basis(la, b_leg)
-                if not (v == 0):
+                if v:
                     pairs.append((keep, c * ca * v))
         return LinComb.from_pairs(pairs)
 
@@ -168,12 +168,12 @@ class Pairing:
                     lhs = zero
                     for lz, cz in B.mul_basis(lb1, lb2).terms.items():
                         v = pair_basis(la, lz)
-                        if not (v == 0):
+                        if v:
                             lhs = lhs + cz * v
                     rhs = zero
                     for l, c in ax:
                         v = pair_basis(l, lb2)
-                        if not (v == 0):
+                        if v:
                             rhs = rhs + c * v
                     if not (lhs == rhs):
                         return (f"pairing-product-law-fails(B): a={la!r}, "
@@ -187,12 +187,12 @@ class Pairing:
                     lhs = zero
                     for lz, cz in A.mul_basis(la1, la2).terms.items():
                         v = pair_basis(lz, lb)
-                        if not (v == 0):
+                        if v:
                             lhs = lhs + cz * v
                     rhs = zero
                     for l, c in xb:
                         v = pair_basis(la2, l)
-                        if not (v == 0):
+                        if v:
                             rhs = rhs + c * v
                     if not (lhs == rhs):
                         return (f"pairing-product-law-fails(A): b={lb!r}, "
@@ -260,31 +260,32 @@ class CanonicalW:
         for wb, wa, cw in self.candidates_left(b.support()):
             for la, ca in a.terms.items():
                 v1 = P.pair_basis(la, wb)
-                if v1 == 0:
+                if not v1:
                     continue
                 for lb, cb in b.terms.items():
                     v2 = P.pair_basis(wa, lb)
-                    if not (v2 == 0):
+                    if v2:
                         total = total + cw * ca * cb * v1 * v2
         return total
 
 
-class _GroupW(CanonicalW):
-    """W = sum_g (g in B) (x) (point mass at g in A); lazy over infinite H."""
+class _LabelW(CanonicalW):
+    """W for a pairing that matches equal labels: one term ``(l, l, 1)`` per
+    basis label of B, enumerable only over a finite group."""
 
     def all_terms(self):
-        g = self.P.B.group
-        if not g.is_finite:
+        try:
+            return self.window_terms(None)
+        except GroupError:
             return super().all_terms()
-        one = self.P.field.one()
-        return [(x, x, one) for x in g.elements()]
 
     def window_terms(self, window):
-        g = self.P.B.group
-        if g.is_finite:
-            return self.all_terms()
         one = self.P.field.one()
-        return [(n, n, one) for n in range(-window, window + 1)]
+        return [(l, l, one) for l in self.P.B.basis_labels(window)]
+
+
+class _GroupW(_LabelW):
+    """W = sum_g (g in B) (x) (point mass at g in A); lazy over infinite H."""
 
     def candidates_left(self, a_labels):
         one = self.P.field.one()
@@ -324,29 +325,13 @@ class _FiniteW(CanonicalW):
                 raise PairingError(
                     "pairing-degenerate: singular duality matrix")
             self._terms = [(j, i, inv[j][i]) for j in range(n) for i in range(n)
-                           if not (inv[j][i] == 0)]
+                           if inv[j][i]]
         return self._terms
 
 
-class _DrinfeldW(CanonicalW):
+class _DrinfeldW(_LabelW):
     """W for the double pairing; eager when finite, windowed otherwise, with a
     partial solver that pins the point-mass coordinate."""
-
-    def all_terms(self):
-        g = self.P.B.group
-        if not g.is_finite:
-            return super().all_terms()
-        one = self.P.field.one()
-        els = g.elements()
-        return [((q, l), (q, l), one) for q in els for l in els]
-
-    def window_terms(self, window):
-        g = self.P.B.group
-        if g.is_finite:
-            return self.all_terms()
-        one = self.P.field.one()
-        ints = range(-window, window + 1)
-        return [((q, l), (q, l), one) for q in ints for l in ints]
 
     def candidates_left(self, a_labels):
         g = self.P.B.group

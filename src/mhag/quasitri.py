@@ -20,29 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .cograded import _second_leg_aut, _xi_maps, comul_apply_full
+from .cograded import _second_leg_aut, comul_apply_full, xi_on_legs
 from .crossed import a_embed_left, a_embed_right, b_embed_left, b_embed_right
 from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, add_term
 from .pairing import Pairing
-
-
-def _xi_on_legs(P: Pairing, actor: AutPair, source: AutPair, value: LinComb,
-                a_idx: int, b_idx: int) -> LinComb:
-    """Apply the crossing action of ``actor`` to the crossed slot of a flat
-    tensor occupying label positions ``(a_idx, b_idx)``."""
-    pre, b_aut = _xi_maps(P, actor, source)
-    out: Dict[Tuple, object] = {}
-    for label, c in value.terms.items():
-        av = P.precompose_A(pre, P.A.lc(label[a_idx]))
-        bv = P.B.apply_aut(b_aut, P.B.lc(label[b_idx]))
-        for la, c2 in av.terms.items():
-            for lb, c3 in bv.terms.items():
-                nl = list(label)
-                nl[a_idx] = la
-                nl[b_idx] = lb
-                add_term(out, tuple(nl), c * c2 * c3)
-    return LinComb(out)
 
 
 def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
@@ -127,11 +109,11 @@ def qt_conjugation_residual(P: Pairing, t: AutPair, p: AutPair, q: AutPair,
     tp = mul(mul(t, p), tinv)
     tq = mul(mul(t, q), tinv)
     rhs = r_apply(P, tp, tq, uv, "left")
-    back = _xi_on_legs(P, tinv, tp, uv, 0, 1)
-    back = _xi_on_legs(P, tinv, tq, back, 2, 3)
+    back = xi_on_legs(P, tinv, tp, uv, 0, 1)
+    back = xi_on_legs(P, tinv, tq, back, 2, 3)
     mid = r_apply(P, p, q, back, "left")
-    lhs = _xi_on_legs(P, t, p, mid, 0, 1)
-    lhs = _xi_on_legs(P, t, q, lhs, 2, 3)
+    lhs = xi_on_legs(P, t, p, mid, 0, 1)
+    lhs = xi_on_legs(P, t, q, lhs, 2, 3)
     return lhs, rhs
 
 
@@ -168,12 +150,12 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
         # rhs: 23-factor first, then the crossing-corrected 13-factor
         base23 = r_apply(P, q, r, LinComb.unit((va, vb, za, zb)), "left")
         for (v1a, v1b, z1a, z1b), c1 in base23.terms.items():
-            zconj = _xi_on_legs(P, q, r, LinComb.unit((z1a, z1b)), 0, 1)
+            zconj = xi_on_legs(P, q, r, LinComb.unit((z1a, z1b)), 0, 1)
             pairin: Dict[Tuple, object] = {}
             for (zca, zcb), c2 in zconj.terms.items():
                 add_term(pairin, (ua, ub, zca, zcb), c2)
             t13 = r_apply(P, p, qrq, LinComb(pairin), "left")
-            t13 = _xi_on_legs(P, qinv, qrq, t13, 2, 3)
+            t13 = xi_on_legs(P, qinv, qrq, t13, 2, 3)
             for (u1a, u1b, z2a, z2b), c3 in t13.terms.items():
                 add_term(rhs_terms, (u1a, u1b, v1a, v1b, z2a, z2b), c * c1 * c3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
@@ -241,10 +223,10 @@ def qt_intertwine_residual(P: Pairing, p: AutPair, q: AutPair, x: LinComb,
     base = r_apply(P, p, q, LinComb(uv), "left")
     rhs_terms: Dict[Tuple, object] = {}
     for (u1a, u1b, v1a, v1b), c in base.terms.items():
-        vconj = _xi_on_legs(P, p, q, LinComb.unit((v1a, v1b)), 0, 1)
+        vconj = xi_on_legs(P, p, q, LinComb.unit((v1a, v1b)), 0, 1)
         full = comul_apply_full(P, x, pprime, p, vconj,
                                 LinComb.unit((u1a, u1b)))
-        full = _xi_on_legs(P, pinv, pprime, full, 0, 1)
+        full = xi_on_legs(P, pinv, pprime, full, 0, 1)
         for (s1a, s1b, s2a, s2b), c1 in full.terms.items():
             add_term(rhs_terms, (s2a, s2b, s1a, s1b), c * c1)
     return lhs, LinComb(rhs_terms)

@@ -11,7 +11,7 @@ perturbs the draws of existing ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 _MASK = (1 << 64) - 1
 
@@ -54,7 +54,7 @@ def _mix_tag(seed: int, tag: str) -> int:
 class EnumSpec:
     """How a suite enumerates cases: master seed, integer window, case cap.
 
-    ``window`` bounds integer-group labels to [-window, window];
+    ``window`` bounds the labels of an infinite group (``Group.ball``);
     ``max_cases`` caps sampled case counts where exhaustion is impossible.
     """
 
@@ -64,6 +64,3 @@ class EnumSpec:
 
     def rng(self, tag: str) -> SplitMix64:
         return SplitMix64(_mix_tag(self.seed, tag))
-
-    def int_labels(self) -> List[int]:
-        return list(range(-self.window, self.window + 1))

@@ -126,9 +126,6 @@ class Field:
     def to_str(self, x: Scalar) -> str:
         raise NotImplementedError
 
-    def is_zero(self, x: Scalar) -> bool:
-        raise NotImplementedError
-
 
 class RationalField(Field):
     name = "Q"
@@ -152,9 +149,6 @@ class RationalField(Field):
 
     def to_str(self, x) -> str:
         return str(x)
-
-    def is_zero(self, x) -> bool:
-        return x == 0
 
     def __repr__(self):
         return "RationalField()"
@@ -200,11 +194,6 @@ class PrimeField(Field):
         if isinstance(x, FpElement):
             return str(x.value)
         return str(x % self.p)
-
-    def is_zero(self, x) -> bool:
-        if isinstance(x, FpElement):
-            return x.value == 0
-        return x % self.p == 0
 
     def __repr__(self):
         return f"PrimeField({self.p})"

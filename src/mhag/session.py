@@ -170,10 +170,10 @@ class Session:
         return aut_pair_identity(carrier)
 
     def a_labels(self) -> List:
-        return list(self.P.A.basis_labels(self.enum))
+        return list(self.P.A.basis_labels(self.enum.window))
 
     def b_labels(self) -> List:
-        return list(self.P.B.basis_labels(self.enum))
+        return list(self.P.B.basis_labels(self.enum.window))
 
     def crossed_labels(self) -> List[Tuple]:
         return [(la, lb) for la in self.a_labels() for lb in self.b_labels()]

@@ -39,17 +39,17 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cograded import (comul_covered, crossing_apply, graded_antipode,
-                       graded_counit)
+                       graded_counit, xi_on_legs)
 from .crossed import (b_embed_left, commutation_residual, dcp_mul, twist_inv,
                       twist_map)
 from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, add_scaled, add_term, label_key
+from .mha import sdiv
 from .oracle import (double_antipode, double_comul_covered_brute, double_mul,
                      dual_basis_r_terms, group_antipode, group_comul_covered,
                      group_counit, group_mul, group_r_apply_left)
 from .pairing import GroupPairing
-from .quasitri import (_xi_on_legs, qt_conjugation_residual,
-                       qt_coproduct_first_residual,
+from .quasitri import (qt_conjugation_residual, qt_coproduct_first_residual,
                        qt_coproduct_second_residual, qt_intertwine_residual,
                        r_apply, w_coproduct_a_residual, w_coproduct_b_residual,
                        w_intertwiner_residual_a, w_intertwiner_residual_b,
@@ -327,7 +327,7 @@ class _Rank:
             lead = min(work, key=label_key)
             piv = self.pivots.get(lead)
             if piv is None:
-                inv = self.field.one() / work[lead]
+                inv = sdiv(self.field.one(), work[lead])
                 self.pivots[lead] = {l: c * inv for l, c in work.items()}
                 return
             add_scaled(work, piv.items(), -work[lead])
@@ -651,11 +651,9 @@ def _cograded_suite(S: Session) -> List:
 
     # Non-degeneracy of the pairing on the enumerated square of labels.
     def run_nondegenerate() -> AxiomReport:
-        zero = S.field.zero()
         rows = ({lb: P.pair_basis(la, lb) for lb in b_labels}
                 for la in a_labels)
-        rank = _Rank(S.field, (LinComb({l: c for l, c in row.items()
-                                        if not (c == zero)})
+        rank = _Rank(S.field, (LinComb({l: c for l, c in row.items() if c})
                                for row in rows)).rank
         n = len(a_labels)
         if rank == n:
@@ -783,8 +781,8 @@ def _crossing_suite(S: Session) -> List:
         _, yv = xi(t, q, unit(yl))
         lhs = comul_covered(P, xv, tp, tq, yv, side="right")
         base = comul_covered(P, unit(xl), p, q, unit(yl), side="right")
-        rhs = _xi_on_legs(P, t, p, base, 0, 1)
-        return lhs, _xi_on_legs(P, t, q, rhs, 2, 3)
+        rhs = xi_on_legs(P, t, p, base, 0, 1)
+        return lhs, xi_on_legs(P, t, q, rhs, 2, 3)
 
     # Compatibility with the counit on the unit component.
     def counit_compat(t, xl):

@@ -392,6 +392,16 @@ class TestInputDiagnostics:
         rc, _, err = run_cli(capsys, "verify", "--spec", spec)
         assert rc == 2 and "session-instance" in err
 
+    def test_boolean_permutation_exits_two(self, capsys, tmp_path):
+        """int() would read [true, false] as the transposition (1, 0)."""
+        spec = write_spec(tmp_path, {"instance": {
+            "kind": "group", "group": {"kind": "perm", "degree": 2,
+                                       "generators": [[True, False]]}}})
+        rc, out, err = run_cli(capsys, "export", "--spec", spec)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: session-instance: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("enum, flags, field", [
         ({"count": -5}, (), "count"),
         ({"count": 0}, (), "count"),

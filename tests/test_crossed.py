@@ -11,8 +11,8 @@ from mhag import (DrinfeldPairing, EnumSpec, FiniteDimPairing, GroupPairing,
                   twist_inv, twist_map)
 from mhag import crossed, mha
 from mhag.cograded import graded_antipode
-from mhag.crossed import (_t1, _t2_inv, a_embed_left, a_embed_right,
-                          b_embed_left, b_embed_right, crossed_value)
+from mhag.crossed import (_move, a_embed_left, a_embed_right, b_embed_left,
+                          b_embed_right, crossed_value)
 from mhag.groups import (AutPair, PermGroup, TableGroup, identity_aut,
                          inner_aut, map_aut, negation_aut)
 from mhag.linear import LinComb
@@ -98,8 +98,8 @@ class TestTwistMemo:
                                                coeffs):
         P = make()
         enum = EnumSpec(window=3)
-        a_labels = P.A.basis_labels(enum)
-        b_labels = P.B.basis_labels(enum)
+        a_labels = P.A.basis_labels(enum.window)
+        b_labels = P.B.basis_labels(enum.window)
         rng = random.Random(name)
         for g in gradings:
             for size in (2, 3, 4):
@@ -109,7 +109,8 @@ class TestTwistMemo:
                         ((rng.choice(b_labels), rng.choice(a_labels)), c)
                         for c in coeffs[:size])
                     swapped = x_ba.map_labels(lambda t: (t[1], t[0]))
-                    ref = _t1(P, g.alpha, _t2_inv(P, g.beta, swapped))
+                    ref = _move(P, 1, g.alpha,
+                                _move(P, 2, g.beta, swapped, inverse=True))
                     assert twist_map(P, g, x_ba) == ref
                     assert twist_map(P, g, x_ba) == ref
         assert P._twc
@@ -139,7 +140,7 @@ def _random_value(rng, labels, coeffs):
 def _twist_fresh(P, g, x_ba):
     """The twist straight from the T-maps, past the pairing's table."""
     swapped = x_ba.map_labels(lambda t: (t[1], t[0]))
-    return _t1(P, g.alpha, _t2_inv(P, g.beta, swapped))
+    return _move(P, 1, g.alpha, _move(P, 2, g.beta, swapped, inverse=True))
 
 
 def _mul_fresh(X, x, y):
@@ -203,8 +204,8 @@ class TestProductMemo:
                                                coeffs):
         P = make()
         enum = EnumSpec(window=3)
-        labels = [(la, lb) for la in P.A.basis_labels(enum)
-                  for lb in P.B.basis_labels(enum)]
+        labels = [(la, lb) for la in P.A.basis_labels(enum.window)
+                  for lb in P.B.basis_labels(enum.window)]
         rng = random.Random(name)
         for g in gradings:
             for size in (2, 3, 4):
@@ -325,8 +326,8 @@ class TestEmbeddingFastPaths:
                                                coeffs):
         P = make()
         enum = EnumSpec(window=3)
-        a_labels = P.A.basis_labels(enum)
-        b_labels = P.B.basis_labels(enum)
+        a_labels = P.A.basis_labels(enum.window)
+        b_labels = P.B.basis_labels(enum.window)
         labels = [(la, lb) for la in a_labels for lb in b_labels]
         rng = random.Random(name)
         for g in gradings:

@@ -1,6 +1,6 @@
 """Deterministic PRNG: known-answer vectors and stream-derivation rules."""
 
-from mhag import EnumSpec, SplitMix64
+from mhag import EnumSpec, IntGroup, SplitMix64
 
 # Reference streams computed from the published SplitMix64 update
 # (state += 0x9E3779B97F4A7C15; two xor-multiply finalization rounds)
@@ -48,4 +48,4 @@ def test_enum_spec_tagged_streams_are_independent():
 
 
 def test_enum_spec_int_labels_window():
-    assert EnumSpec(window=2).int_labels() == [-2, -1, 0, 1, 2]
+    assert IntGroup().ball(2) == [-2, -1, 0, 1, 2]

@@ -155,6 +155,17 @@ class TestCorruptionSwitches:
         assert S.P.B.antipode(S.P.B.lc(1)) == ref.neg()
 
 
+# The group algebra of Z/2 as structure constants.
+_Z2_HOPF = {
+    "dim": 2,
+    "unit": ["1", "0"],
+    "counit": ["1", "1"],
+    "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+    "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+    "antipode": [[0, 0, "1"], [1, 1, "1"]],
+}
+
+
 class TestLoaderDiagnostics:
     def test_top_level_must_be_object(self):
         with pytest.raises(SessionError, match="top level"):
@@ -238,6 +249,30 @@ class TestLoaderDiagnostics:
     def test_malformed_values(self, spec, message):
         with pytest.raises(SessionError, match=message):
             session_from_json(spec)
+
+    @pytest.mark.parametrize("instance, message", [
+        ({"kind": "group", "group": {"kind": "perm", "degree": 2,
+                                     "generators": [[True, False]]}},
+         "generator entry must be an integer"),
+        ({"kind": "group",
+          "group": {"kind": "table", "elements": [0, 1],
+                    "mul": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0.9]]}},
+         "table-mul index must be an integer"),
+        ({"kind": "group",
+          "group": {"kind": "table", "elements": [[0, False], [1, True]],
+                    "mul": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]}},
+         "table-element"),
+        ({"kind": "finite-dim-hopf", "hopf": {**_Z2_HOPF, "dim": 2.0}},
+         "dim must be an integer"),
+        ({"kind": "finite-dim-hopf",
+          "hopf": {**_Z2_HOPF, "antipode": [[0, 0, "1"], ["1", 1, "1"]]}},
+         "antipode index must be an integer"),
+    ], ids=["perm-generator", "table-mul", "table-element", "hopf-dim",
+            "hopf-row-index"])
+    def test_structural_integers_refuse_other_json(self, instance, message):
+        """int() would read true as 1, 0.9 as 0 and "1" as 1."""
+        with pytest.raises(SessionError, match=message):
+            session_from_json({"instance": instance})
 
     def test_from_path_happy(self, tmp_path, z2_session):
         import json

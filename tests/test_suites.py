@@ -303,6 +303,9 @@ class TestIncrementalRank:
                              min_size=3, max_size=3),
                     min_size=0, max_size=6))
     @example(rows=[])
+    # Dividing by the pivot 5 once gave the float -0.6000000000000001,
+    # and the rank came out 3.
+    @example(rows=[[-1, -3, 2], [-1, 2, -1], [-1, 2, -1]])
     def test_matches_dense_reference(self, rows):
         F = RationalField()
         rk = _Rank(F)
