@@ -475,10 +475,10 @@ def group_from_json(spec) -> Group:
                          [tuple(json_int(v, "generator entry") for v in g)
                           for g in spec["generators"]])
     if kind == "table":
+        if any(_holds_bool(spec.get(k)) for k in ("elements", "table",
+                                                   "identity")):
+            raise GroupError("table-element: the group table holds a boolean")
         elements = [tuple(e) if isinstance(e, list) else e for e in spec["elements"]]
-        for e in elements:
-            if _holds_bool(e):
-                raise GroupError(f"table-element: {e!r} holds a boolean")
         n = len(elements)
         table = {}
         if "mul" in spec:

@@ -262,13 +262,17 @@ class TestLoaderDiagnostics:
           "group": {"kind": "table", "elements": [[0, False], [1, True]],
                     "mul": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]}},
          "table-element"),
+        ({"kind": "group",
+          "group": {"kind": "table", "elements": [0, 1],
+                    "table": [[0, 1], [1, False]], "identity": 0}},
+         "table-element"),
         ({"kind": "finite-dim-hopf", "hopf": {**_Z2_HOPF, "dim": 2.0}},
          "dim must be an integer"),
         ({"kind": "finite-dim-hopf",
           "hopf": {**_Z2_HOPF, "antipode": [[0, 0, "1"], ["1", 1, "1"]]}},
          "antipode index must be an integer"),
-    ], ids=["perm-generator", "table-mul", "table-element", "hopf-dim",
-            "hopf-row-index"])
+    ], ids=["perm-generator", "table-mul", "table-element", "table-entry",
+            "hopf-dim", "hopf-row-index"])
     def test_structural_integers_refuse_other_json(self, instance, message):
         """int() would read true as 1, 0.9 as 0 and "1" as 1."""
         with pytest.raises(SessionError, match=message):
