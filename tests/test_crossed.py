@@ -108,9 +108,7 @@ class TestTwistMemo:
                     x_ba = LinComb.from_pairs(
                         ((rng.choice(b_labels), rng.choice(a_labels)), c)
                         for c in coeffs[:size])
-                    swapped = x_ba.map_labels(lambda t: (t[1], t[0]))
-                    ref = _move(P, 1, g.alpha,
-                                _move(P, 2, g.beta, swapped, inverse=True))
+                    ref = _twist_fresh(P, g, x_ba)
                     assert twist_map(P, g, x_ba) == ref
                     assert twist_map(P, g, x_ba) == ref
         assert P._twc
