@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .crossed import (EngineError, b_embed_left, dcp_mul, twist_inv,
-                      twist_map)
+from .crossed import EngineError, b_left_into, dcp_mul, twist_inv, twist_map
 from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, add_term
 from .pairing import Pairing
@@ -122,29 +121,31 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
     emitted on which slot (a defect planted for mutation testing).
     """
     A, B = P.A, P.B
+    t_a, t_b, aut = A.t_image, B.t_image, B.aut_basis
+    cop_first = P.cop_first_leg
     gamma = right_g.alpha
     gamma_p = _second_leg_aut(P, left_g, right_g)
     out: Dict[Tuple, object] = {}
 
     if side == "right":
         c = P.crossed_right_unit(right_g, cover)
-        c0 = B.apply_aut(gamma_p.inverse(), c)
+        c0 = B.apply_aut(gamma_p.inverse(), c).terms
+        cover_items = cover.terms.items()
         for (la, lb), cx in x.terms.items():
-            legs1 = B.t_pair(1, B.lc(lb), c0)      # sum b1 (x) b2*c0
-            for (b1, b2c), c1 in legs1.terms.items():
-                s2 = b_embed_left(P, right_g,
-                                  B.apply_aut(gamma_p, B.lc(b2c)), cover)
-                if s2.is_zero():
-                    continue
-                gb1 = B.apply_aut(gamma, B.lc(b1))
-                for (a_t, b_t), c2 in s2.terms.items():
-                    legs3 = A.t_pair(3, A.lc(la), A.lc(a_t))
-                    for (a1c, a2), c3 in legs3.terms.items():
-                        first, second = ((a2, a1c) if P.cop_first_leg
-                                         else (a1c, a2))
-                        for lb1g, c4 in gb1.terms.items():
-                            add_term(out, (first, lb1g, second, b_t),
-                                     cx * c1 * c2 * c3 * c4)
+            for l0, k0 in c0.items():
+                # sum b1 (x) b2*c0
+                for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+                    s2: Dict = {}
+                    b_left_into(P, right_g, s2, cx * k0 * c1,
+                                aut(gamma_p, b2c), cover_items)
+                    if not s2:
+                        continue
+                    lb1g = aut(gamma, b1)
+                    for (a_t, b_t), c2 in s2.items():
+                        for (a1c, a2), c3 in t_a(3, la, a_t).terms.items():
+                            first, second = ((a2, a1c) if cop_first
+                                             else (a1c, a2))
+                            add_term(out, (first, lb1g, second, b_t), c2 * c3)
         return LinComb(out)
 
     if side != "left":
@@ -153,42 +154,48 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
         raise EngineError(
             "left-covered-comultiplication-requires-unital-B")
     alpha, beta = left_g
-    one_b = B.unit()
+    b_mul = B.mul_basis
+    one_b = B.unit().terms
     e = P.act_unit_B([t[0] for t in x.terms])
-    cov_a = B.apply_aut(alpha.inverse(), e)
+    cov_a = B.apply_aut(alpha.inverse(), e).terms
     for (la, lb), cx in x.terms.items():
-        outer = B.t_pair(1, B.lc(lb), one_b)       # honest b1 (x) b2
+        a_x = A.lc(la)
+        # honest b1 (x) b2, with the automorphisms of both legs applied
+        outer = [(aut(gamma, b1), aut(gamma_p, b2), k1 * c4)
+                 for l1, k1 in one_b.items()
+                 for (b1, b2), c4 in t_b(1, lb, l1).terms.items()]
         for (la2, lb2), cy in cover.terms.items():
-            legs_uv = B.t_pair(3, B.lc(lb2), cov_a)
-            for (u, v), c1 in legs_uv.terms.items():
-                a_hit = P.act("b>>a", B.apply_aut(alpha, B.lc(u)), A.lc(la))
-                if a_hit.is_zero():
-                    continue
-                legs_st = A.t_pair(4, A.lc(la2), a_hit)
-                if legs_st.is_zero():
-                    continue
-                legs_wz = B.t_pair(1, B.lc(v), one_b)
-                for (w, z), c2 in legs_wz.terms.items():
-                    actor = B.antipode(B.apply_aut(beta, B.lc(z)),
-                                       inverse=True)
-                    for (s, t), c3 in legs_st.terms.items():
-                        x1 = P.act("b>>a", actor, A.lc(s))
-                        if x1.is_zero():
-                            continue
-                        for (b1, b2), c4 in outer.terms.items():
-                            w_gb1 = B.mul(B.lc(w),
-                                          B.apply_aut(gamma, B.lc(b1)))
-                            if w_gb1.is_zero():
-                                continue
-                            g_b2 = B.apply_aut(gamma_p, B.lc(b2))
-                            for la1, c5 in x1.terms.items():
-                                first, second = ((t, la1) if P.cop_first_leg
-                                                 else (la1, t))
-                                for wl, c6 in w_gb1.terms.items():
-                                    for lb2g, c7 in g_b2.terms.items():
-                                        add_term(out, (first, wl, second, lb2g),
-                                                 cx * cy * c1 * c2 * c3
-                                                 * c4 * c5 * c6 * c7)
+            a_cov = A.lc(la2)
+            for l0, k0 in cov_a.items():
+                for (u, v), c1 in t_b(3, lb2, l0).terms.items():
+                    a_hit = P.act("b>>a", B.lc(aut(alpha, u)), a_x)
+                    if a_hit.is_zero():
+                        continue
+                    legs_st = A.t_pair(4, a_cov, a_hit)
+                    if legs_st.is_zero():
+                        continue
+                    cc = cx * cy * k0 * c1
+                    for l1, k1 in one_b.items():
+                        for (w, z), c2 in t_b(1, v, l1).terms.items():
+                            actor = B.antipode(B.lc(aut(beta, z)),
+                                               inverse=True)
+                            for (s, t), c3 in legs_st.terms.items():
+                                x1 = P.act("b>>a", actor, A.lc(s))
+                                if x1.is_zero():
+                                    continue
+                                c23 = cc * k1 * c2 * c3
+                                for gb1, gb2, c4 in outer:
+                                    w_gb1 = b_mul(w, gb1).terms
+                                    if not w_gb1:
+                                        continue
+                                    for la1, c5 in x1.terms.items():
+                                        first, second = ((t, la1) if cop_first
+                                                         else (la1, t))
+                                        c45 = c23 * c4 * c5
+                                        for wl, c6 in w_gb1.items():
+                                            add_term(out,
+                                                     (first, wl, second, gb2),
+                                                     c45 * c6)
     return LinComb(out)
 
 
@@ -202,13 +209,15 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     ``grading`` and strip the factor maps.
     """
     A, B = P.A, P.B
+    aut = B.aut_basis
     if not inverse:
         ab = grading.alpha.compose(grading.beta)
         total: Dict[Tuple, object] = {}
         for (la, lb), c in x.terms.items():
-            b_val = B.apply_aut(ab, B.antipode(B.lc(lb)))
+            b_val = B.antipode(B.lc(lb))
             a_val = A.antipode(A.lc(la), inverse=True)
             for lb2, c1 in b_val.terms.items():
+                lb2 = aut(ab, lb2)
                 for la2, c2 in a_val.terms.items():
                     add_term(total, (lb2, la2), c * c1 * c2)
         return twist_map(P, aut_pair_inv(grading), LinComb(total))
@@ -220,7 +229,7 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     out: Dict[Tuple, object] = {}
     for (zb, wa), c in back.terms.items():
         a_val = A.antipode(A.lc(wa))
-        b_val = B.antipode(B.apply_aut(strip, B.lc(zb)), inverse=True)
+        b_val = B.antipode(B.lc(aut(strip, zb)), inverse=True)
         for la, c1 in a_val.terms.items():
             for lb, c2 in b_val.terms.items():
                 add_term(out, (la, lb), c * c1 * c2)
@@ -248,16 +257,15 @@ def xi_on_legs(P: Pairing, actor: AutPair, source: AutPair, value: LinComb,
     """Apply the crossing action of ``actor`` to the crossed slot of a flat
     tensor occupying label positions ``(a_idx, b_idx)``."""
     pre, b_aut = _xi_maps(P, actor, source)
+    # ``P.precompose_A(pre, -)`` relabels A by the inverse of ``pre``.
+    a_aut = pre.inverse()
+    aut_a, aut_b = P.A.aut_basis, P.B.aut_basis
     out: Dict[Tuple, object] = {}
     for label, c in value.terms.items():
-        av = P.precompose_A(pre, P.A.lc(label[a_idx]))
-        bv = P.B.apply_aut(b_aut, P.B.lc(label[b_idx]))
-        for la, c2 in av.terms.items():
-            for lb, c3 in bv.terms.items():
-                nl = list(label)
-                nl[a_idx] = la
-                nl[b_idx] = lb
-                add_term(out, tuple(nl), c * c2 * c3)
+        nl = list(label)
+        nl[a_idx] = aut_a(a_aut, label[a_idx])
+        nl[b_idx] = aut_b(b_aut, label[b_idx])
+        add_term(out, tuple(nl), c)
     return LinComb(out)
 
 

@@ -21,12 +21,12 @@ and the pairing, term by term, and build no value in between.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Iterable
 
 from .groups import AutPair, Automorphism
 from .linear import LinComb, add_scaled, add_term
-from .mha import StructureError
-from .pairing import MEMO_CAP, Pairing, PairingError
+from .mha import MEMO_CAP
+from .pairing import Pairing
 
 
 class EngineError(ValueError):
@@ -55,19 +55,22 @@ def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
     moves cover with S(e) and act with S^-1 phi."""
     t, cov_first, action, leg = _MOVES[variant, inverse]
     B = P.B
+    t_image, aut = B.t_image, B.aut_basis
     out: Dict = {}
     e = P.act_unit_B([la for la, _ in x.terms])
-    cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e)
+    cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e).terms
     for (la, lb), c in x.terms.items():
-        legs = (B.t_pair(t, cov, B.lc(lb)) if cov_first
-                else B.t_pair(t, B.lc(lb), cov))
-        for pair, c1 in legs.terms.items():
-            actor = B.apply_aut(phi, B.lc(pair[leg]))
-            if inverse:
-                actor = B.antipode(actor, inverse=True)
-            hit = P.act(action, actor, P.A.lc(la))
-            for la2, c2 in hit.terms.items():
-                add_term(out, (la2, pair[1 - leg]), c * c1 * c2)
+        target = P.A.lc(la)
+        for lv, cv in cov.items():
+            legs = t_image(t, lv, lb) if cov_first else t_image(t, lb, lv)
+            for pair, c1 in legs.terms.items():
+                actor = B.lc(aut(phi, pair[leg]))
+                if inverse:
+                    actor = B.antipode(actor, inverse=True)
+                hit = P.act(action, actor, target)
+                cc = c * cv * c1
+                for la2, c2 in hit.terms.items():
+                    add_term(out, (la2, pair[1 - leg]), cc * c2)
     return LinComb(out)
 
 
@@ -107,18 +110,44 @@ def twist_inv(P: Pairing, grading: AutPair, x_ab: LinComb) -> LinComb:
 
 
 # -- multiplier embeddings -----------------------------------------------------
+#
+# The two left embeddings have one term-level core each, which adds the
+# embedding of one basis label, scaled, into a caller's term dict; ``y_items``
+# are the ``((a_label, b_label), coeff)`` items of a crossed value.
+
+def a_left_into(P: Pairing, out: Dict, scale, la, y_items: Iterable) -> None:
+    """Add ``scale * (la |x| 1) * y`` to the term dict ``out``."""
+    mul_basis = P.A.mul_basis
+    for (la1, lb), c in y_items:
+        prod = mul_basis(la, la1).terms
+        if prod:
+            cc = scale * c
+            for la2, c2 in prod.items():
+                add_term(out, (la2, lb), cc * c2)
+
+
+def b_left_into(P: Pairing, grading: AutPair, out: Dict, scale, lb,
+                y_items: Iterable) -> None:
+    """Add ``scale * (1 |x| lb) * y`` to the term dict ``out``: ``lb`` is
+    pulled through the A-part of every term of y, one basis twist and basis
+    product at a time."""
+    mul_basis = P.B.mul_basis
+    for (la, lb2), c in y_items:
+        cs = scale * c
+        for (la2, lb1), c1 in _twist_basis(P, grading, lb, la):
+            prod = mul_basis(lb1, lb2).terms
+            if prod:
+                cc = cs * c1
+                for lb3, c2 in prod.items():
+                    add_term(out, (la2, lb3), cc * c2)
+
 
 def a_embed_left(P: Pairing, a: LinComb, y: LinComb) -> LinComb:
     """(a |x| 1) * y: left A-multiplication on the A-slot, label-by-label."""
-    mul_basis = P.A.mul_basis
     out: Dict = {}
-    for (la, lb), c in y.terms.items():
-        for la1, ca in a.terms.items():
-            prod = mul_basis(la1, la).terms
-            if prod:
-                cc = c * ca
-                for la2, c2 in prod.items():
-                    add_term(out, (la2, lb), cc * c2)
+    y_items = y.terms.items()
+    for la, ca in a.terms.items():
+        a_left_into(P, out, ca, la, y_items)
     return LinComb(out)
 
 
@@ -137,19 +166,11 @@ def b_embed_right(P: Pairing, y: LinComb, b: LinComb) -> LinComb:
 
 
 def b_embed_left(P: Pairing, grading: AutPair, b: LinComb, y: LinComb) -> LinComb:
-    """(1 |x| b) * y, via the twist: the B-legs of b are pulled through the
-    A-part of every term of y, one basis twist and basis product at a
-    time."""
-    mul_basis = P.B.mul_basis
+    """(1 |x| b) * y, via the twist, term by term through ``b_left_into``."""
     out: Dict = {}
-    for (la, lb2), c in y.terms.items():
-        for lb, cb in b.terms.items():
-            for (la2, lb1), c1 in _twist_basis(P, grading, lb, la):
-                prod = mul_basis(lb1, lb2).terms
-                if prod:
-                    cc = c * cb * c1
-                    for lb3, c2 in prod.items():
-                        add_term(out, (la2, lb3), cc * c2)
+    y_items = y.terms.items()
+    for lb, cb in b.terms.items():
+        b_left_into(P, grading, out, cb, lb, y_items)
     return LinComb(out)
 
 
@@ -177,6 +198,7 @@ def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
     computed once per pairing and kept in ``P._dcp`` as term tuples, up to
     ``MEMO_CAP`` of them."""
     memo = P._dcp
+    one = P.field.one()
     out: Dict = {}
     for xl, c in x.terms.items():
         for yl, cy in y.terms.items():
@@ -184,9 +206,11 @@ def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
             base = memo.get(key)
             if base is None:
                 la, lb = xl
-                mid = b_embed_left(P, grading, P.B.lc(lb),
-                                   LinComb.unit(yl, P.field.one()))
-                base = tuple(a_embed_left(P, P.A.lc(la), mid).terms.items())
+                mid: Dict = {}
+                b_left_into(P, grading, mid, one, lb, ((yl, one),))
+                prod: Dict = {}
+                a_left_into(P, prod, one, la, mid.items())
+                base = tuple(prod.items())
                 if len(memo) < MEMO_CAP:
                     memo[key] = base
             add_scaled(out, base, c * cy)
@@ -209,22 +233,25 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
     commutation law.
     """
     alpha, beta = grading
-    A, B = P.A, P.B
+    B = P.B
+    aut = B.aut_basis
+    binv = beta.inverse()
+    y_items = y.terms.items()
     e = P.act_unit_B(a.support())
     lhs: Dict = {}
     legs = B.t_pair(4, e, b)                       # sum b1 (x) e*b2
     for (u, v), c1 in legs.terms.items():
-        av = P.act("a<<b", B.lc(v), a)
-        inner = a_embed_left(P, av, y)
-        part = b_embed_left(P, grading,
-                            B.apply_aut(beta.inverse(), B.lc(u)), inner)
-        add_scaled(lhs, part.terms.items(), c1)
+        inner: Dict = {}
+        for la, ca in P.act("a<<b", B.lc(v), a).terms.items():
+            a_left_into(P, inner, ca, la, y_items)
+        b_left_into(P, grading, lhs, c1, aut(binv, u), inner.items())
     rhs: Dict = {}
-    ab_inv = alpha.compose(beta.inverse())
+    ab_inv = alpha.compose(binv)
     cov = B.apply_aut(beta.compose(alpha.inverse()), e)
     legs2 = B.t_pair(3, b, cov)                    # sum b1*cov (x) b2
     for (u, v), c1 in legs2.terms.items():
-        au = P.act("b>>a", B.apply_aut(ab_inv, B.lc(u)), a)
-        elem = crossed_value(P, au, B.apply_aut(beta.inverse(), B.lc(v)))
+        au = P.act("b>>a", B.lc(aut(ab_inv, u)), a)
+        lv = aut(binv, v)
+        elem = LinComb({(la, lv): ca for la, ca in au.terms.items()})
         add_scaled(rhs, dcp_mul(P, grading, elem, y).terms.items(), c1)
     return LinComb(lhs), LinComb(rhs)

@@ -185,14 +185,18 @@ class MhaInstance:
     def t_map_inv(self, i: int, xy: LinComb) -> LinComb:
         return self._t_linear(self._tic, self._t_inv_basis, i, xy)
 
+    def t_image(self, i: int, lx, ly) -> LinComb:
+        """T_i on the basis tensor lx (x) ly, read from or filled into the
+        T-map table."""
+        return self._t_image(self._tc, self._t_basis, i, lx, ly)
+
     def t_pair(self, i: int, x: LinComb, y: LinComb) -> LinComb:
         """T_i on x (x) y, read term by term from the T-map table."""
         out: Dict = {}
-        table, fn = self._tc, self._t_basis
+        t_image = self.t_image
         for lx, cx in x.terms.items():
             for ly, cy in y.terms.items():
-                base = self._t_image(table, fn, i, lx, ly)
-                add_scaled(out, base.terms.items(), cx * cy)
+                add_scaled(out, t_image(i, lx, ly).terms.items(), cx * cy)
         return LinComb(out)
 
     def counit(self, x: LinComb):
@@ -208,12 +212,19 @@ class MhaInstance:
         """Full comultiplication as a tensor value — finite instances only."""
         return x.map_terms(self._comul_basis)
 
+    def aut_basis(self, phi: Automorphism, label):
+        """The image of one basis label under ``phi``; the identity needs no
+        automorphism action, which a structure-constant instance may lack."""
+        if phi.is_identity():
+            return label
+        return self.aut_label(phi, label)
+
     def apply_aut(self, phi: Automorphism, x: LinComb) -> LinComb:
         if phi.is_identity():
             return x
         if len(x.terms) == 1:
             (label, c), = x.terms.items()
-            return LinComb({self.aut_label(phi, label): c})
+            return LinComb({self.aut_basis(phi, label): c})
         return x.map_labels(lambda l: self.aut_label(phi, l))
 
 

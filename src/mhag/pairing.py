@@ -26,9 +26,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .groups import AutPair, Automorphism, Group, GroupError, aut_pair_mul
 from .linear import LinComb
-from .mha import (MEMO_CAP, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
-                  FunctionAlgebra, GroupAlgebra, MhaInstance, StructureError,
-                  invert_matrix)
+from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
+                  FunctionAlgebra, GroupAlgebra, MhaInstance, invert_matrix)
 from .scalars import Field, RationalField
 
 
@@ -51,7 +50,7 @@ class Pairing:
     def __init__(self):
         # Basis twists, keyed (grading, b_label, a_label), and basis
         # products, keyed (grading, x_label, y_label), each up to
-        # ``MEMO_CAP`` entries: see crossed.twist_map and crossed.dcp_mul.
+        # ``mha.MEMO_CAP`` entries: see crossed.twist_map and crossed.dcp_mul.
         self._twc: Dict = {}
         self._dcp: Dict = {}
         # The grading-group product, whether the co-opposite A-leg goes on

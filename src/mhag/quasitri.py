@@ -21,10 +21,23 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .cograded import _second_leg_aut, comul_apply_full, xi_on_legs
-from .crossed import a_embed_left, a_embed_right, b_embed_left, b_embed_right
+from .crossed import _twist_basis, a_left_into, b_left_into
 from .groups import AutPair, aut_pair_inv
-from .linear import LinComb, add_term
+from .linear import LinComb, add_scaled, add_term
+from .mha import MhaInstance
 from .pairing import Pairing
+
+
+def _lmul(X: MhaInstance, lx, y: Dict) -> Dict:
+    """The product ``lx * y`` of a basis label of ``X`` with a term dict,
+    as a term dict read from the product table."""
+    mul_basis = X.mul_basis
+    out: Dict = {}
+    for ly, cy in y.items():
+        prod = mul_basis(lx, ly).terms
+        if prod:
+            add_scaled(out, prod.items(), cy)
+    return out
 
 
 def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
@@ -33,65 +46,72 @@ def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
     4-tuple tensor value (slot 1 at ``left_g``, slot 2 at ``right_g``)."""
     binv = left_g.beta.inverse()
     A, B = P.A, P.B
+    a_mul, aut = A.mul_basis, B.aut_basis
     out: Dict[Tuple, object] = {}
     if side == "left":
         for (ua, ub, va, vb), c in uv.terms.items():
-            uval = LinComb.unit((ua, ub))
-            vval = LinComb.unit((va, vb))
+            u_items = (((ua, ub), c),)
             for wb, wa, cw in P.w.candidates_left([va]):
-                s2 = a_embed_left(P, A.lc(wa), vval)
-                if s2.is_zero():
+                s2 = a_mul(wa, va).terms          # (wa |x| 1) * v
+                if not s2:
                     continue
-                s1 = b_embed_left(P, left_g, B.apply_aut(binv, B.lc(wb)),
-                                  uval)
-                if s1.is_zero():
-                    continue
-                for (l1a, l1b), c1 in s1.terms.items():
-                    for (l2a, l2b), c2 in s2.terms.items():
-                        add_term(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
+                s1: Dict = {}                     # cw * (1 |x| binv(wb)) * u
+                b_left_into(P, left_g, s1, cw, aut(binv, wb), u_items)
+                for (l1a, l1b), c1 in s1.items():
+                    for l2a, c2 in s2.items():
+                        add_term(out, (l1a, l1b, l2a, vb), c1 * c2)
         return LinComb(out)
     if side != "right":
         raise ValueError(f"unknown r_apply side: {side!r}")
+    b_mul = B.mul_basis
     for (ua, ub, va, vb), c in uv.terms.items():
-        uval = LinComb.unit((ua, ub))
-        vval = LinComb.unit((va, vb))
         for wb, wa, cw in P.w.candidates_right(right_g, va, vb):
-            s1 = b_embed_right(P, uval, B.apply_aut(binv, B.lc(wb)))
-            if s1.is_zero():
+            s1 = b_mul(ub, aut(binv, wb)).terms   # u * (1 |x| binv(wb))
+            if not s1:
                 continue
-            s2 = a_embed_right(P, right_g, vval, A.lc(wa))
-            if s2.is_zero():
+            s2: Dict = {}                         # v * (wa |x| 1)
+            for (la2, lb2), c1 in _twist_basis(P, right_g, vb, wa):
+                for la3, c2 in a_mul(va, la2).terms.items():
+                    add_term(s2, (la3, lb2), c1 * c2)
+            if not s2:
                 continue
-            for (l1a, l1b), c1 in s1.terms.items():
-                for (l2a, l2b), c2 in s2.terms.items():
-                    add_term(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
+            cc = c * cw
+            for lb1, c1 in s1.items():
+                for (l2a, l2b), c2 in s2.items():
+                    add_term(out, (ua, lb1, l2a, l2b), cc * c1 * c2)
     return LinComb(out)
 
 
-def _comul_b_embedded(P: Pairing, b_tilde: LinComb, left_g: AutPair,
-                      right_g: AutPair, u: LinComb, v: LinComb) -> LinComb:
-    """``Delta(1 |x| b~) * (u (x) v)`` for a B-embedded multiplier: the
-    graded comultiplication has no A-legs here, so both slots are plain
-    B-embedded left multiplications, covered on the right leg."""
+def _comul_b_embedded(P: Pairing, lb, scale, left_g: AutPair,
+                      right_g: AutPair, u_items, v: LinComb) -> Dict:
+    """``scale * Delta(1 |x| lb) * (u (x) v)`` for a B-embedded basis
+    multiplier, as a term dict: the graded comultiplication has no A-legs
+    here, so both slots are plain B-embedded left multiplications, covered
+    on the right leg."""
     B = P.B
+    t_b, aut = B.t_image, B.aut_basis
     gamma = right_g.alpha
     gamma_p = _second_leg_aut(P, left_g, right_g)
     c = P.crossed_right_unit(right_g, v)
-    c0 = B.apply_aut(gamma_p.inverse(), c)
+    c0 = B.apply_aut(gamma_p.inverse(), c).terms
+    one = P.field.one()
+    v_items = v.terms.items()
     out: Dict[Tuple, object] = {}
-    for lb, cb in b_tilde.terms.items():
-        legs = B.t_pair(1, B.lc(lb), c0)
-        for (b1, b2c), c1 in legs.terms.items():
-            s2 = b_embed_left(P, right_g, B.apply_aut(gamma_p, B.lc(b2c)), v)
-            if s2.is_zero():
+    for l0, k0 in c0.items():
+        for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+            s2: Dict = {}
+            b_left_into(P, right_g, s2, scale * k0 * c1, aut(gamma_p, b2c),
+                        v_items)
+            if not s2:
                 continue
-            s1 = b_embed_left(P, left_g, B.apply_aut(gamma, B.lc(b1)), u)
-            if s1.is_zero():
+            s1: Dict = {}
+            b_left_into(P, left_g, s1, one, aut(gamma, b1), u_items)
+            if not s1:
                 continue
-            for (l1a, l1b), c2 in s1.terms.items():
-                for (l2a, l2b), c3 in s2.terms.items():
-                    add_term(out, (l1a, l1b, l2a, l2b), cb * c1 * c2 * c3)
-    return LinComb(out)
+            for (l1a, l1b), c2 in s1.items():
+                for (l2a, l2b), c3 in s2.items():
+                    add_term(out, (l1a, l1b, l2a, l2b), c2 * c3)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +146,7 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
     tensor with slots at ``p, q, r``."""
     mul = P.pair_mul
     A, B = P.A, P.B
+    a_mul, aut = A.mul_basis, B.aut_basis
     pq = mul(p, q)
     binv = pq.beta.inverse()
     lhs_terms: Dict[Tuple, object] = {}
@@ -133,20 +154,18 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
     qinv = aut_pair_inv(q)
     qrq = mul(mul(q, r), qinv)
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
-        u = LinComb.unit((ua, ub))
+        u_items = (((ua, ub), c),)
         v = LinComb.unit((va, vb))
-        z = LinComb.unit((za, zb))
         # lhs: (Delta_{p,q} (x) id) applied to the R-multiplier at (p*q, r)
         for wb, wa, cw in P.w.candidates_left([za]):
-            s3 = a_embed_left(P, A.lc(wa), z)
-            if s3.is_zero():
+            s3 = a_mul(wa, za).terms              # (wa |x| 1) * z
+            if not s3:
                 continue
-            btilde = B.apply_aut(binv, B.lc(wb))
-            s12 = _comul_b_embedded(P, btilde, p, q, u, v)
-            for (l1a, l1b, l2a, l2b), c1 in s12.terms.items():
-                for (l3a, l3b), c2 in s3.terms.items():
-                    add_term(lhs_terms, (l1a, l1b, l2a, l2b, l3a, l3b),
-                             c * cw * c1 * c2)
+            s12 = _comul_b_embedded(P, aut(binv, wb), cw, p, q, u_items, v)
+            for (l1a, l1b, l2a, l2b), c1 in s12.items():
+                for l3a, c2 in s3.items():
+                    add_term(lhs_terms, (l1a, l1b, l2a, l2b, l3a, zb),
+                             c1 * c2)
         # rhs: 23-factor first, then the crossing-corrected 13-factor
         base23 = r_apply(P, q, r, LinComb.unit((va, vb, za, zb)), "left")
         for (v1a, v1b, z1a, z1b), c1 in base23.terms.items():
@@ -168,33 +187,35 @@ def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
     R-multiplier's second leg factors as 13-then-12 with no crossing
     correction.  ``uvz`` is a 6-tuple tensor with slots at ``p, q, r``."""
     A, B = P.A, P.B
+    a_mul, t_a, aut = A.mul_basis, A.t_image, B.aut_basis
     binv = p.beta.inverse()
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
-        u = LinComb.unit((ua, ub))
-        v = LinComb.unit((va, vb))
-        z = LinComb.unit((za, zb))
+        u_items = (((ua, ub), c),)
         # lhs: the A-leg coproduct (co-opposite) spread over slots 3 and 2
-        n = A.local_unit_for([za])
+        n = A.local_unit_for([za]).terms
         for wb, wa, cw in P.w.candidates_pairs([za], [va]):
-            s1 = b_embed_left(P, p, B.apply_aut(binv, B.lc(wb)), u)
-            if s1.is_zero():
+            s1: Dict = {}                         # c * (1 |x| binv(wb)) * u
+            b_left_into(P, p, s1, cw, aut(binv, wb), u_items)
+            if not s1:
                 continue
-            legs = A.t_pair(3, A.lc(wa), n)
-            for (a1n, a2), c1 in legs.terms.items():
-                s2 = a_embed_left(P, A.lc(a2), v)
-                if s2.is_zero():
-                    continue
-                s3 = a_embed_left(P, A.lc(a1n), z)
-                if s3.is_zero():
-                    continue
-                for (l1a, l1b), c2 in s1.terms.items():
-                    for (l2a, l2b), c3 in s2.terms.items():
-                        for (l3a, l3b), c4 in s3.terms.items():
-                            add_term(lhs_terms,
-                                     (l1a, l1b, l2a, l2b, l3a, l3b),
-                                     c * cw * c1 * c2 * c3 * c4)
+            for l0, k0 in n.items():
+                for (a1n, a2), c1 in t_a(3, wa, l0).terms.items():
+                    s2 = a_mul(a2, va).terms      # (a2 |x| 1) * v
+                    if not s2:
+                        continue
+                    s3 = a_mul(a1n, za).terms     # (a1n |x| 1) * z
+                    if not s3:
+                        continue
+                    c01 = k0 * c1
+                    for (l1a, l1b), c2 in s1.items():
+                        for l2a, c3 in s2.items():
+                            c4 = c01 * c2 * c3
+                            for l3a, c5 in s3.items():
+                                add_term(lhs_terms,
+                                         (l1a, l1b, l2a, vb, l3a, zb),
+                                         c4 * c5)
         # rhs: 12-factor first, then 13
         t12 = r_apply(P, p, q, LinComb.unit((ua, ub, va, vb)), "left")
         for (u1a, u1b, v1a, v1b), c1 in t12.terms.items():
@@ -242,45 +263,48 @@ def w_coproduct_b_residual(P: Pairing, m: LinComb, m2: LinComb, n: LinComb
     ``(Delta_B (x) id) W`` with the 13-23 product, applied to
     ``(m (x) m2 (x) n)`` with the first two slots in B, the last in A."""
     A, B = P.A, P.B
+    t_b = B.t_image
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
-    c0 = B.local_unit_for(m2.support())
+    c0 = B.local_unit_for(m2.support()).terms
     for wb, wa, cw in P.w.candidates_left(n.support()):
-        s3 = A.mul(A.lc(wa), n)
-        if s3.is_zero():
+        s3 = _lmul(A, wa, n.terms)
+        if not s3:
             continue
-        legs = B.t_pair(1, B.lc(wb), c0)
-        for (b1, b2c), c1 in legs.terms.items():
-            s1 = B.mul(B.lc(b1), m)
-            if s1.is_zero():
-                continue
-            s2 = B.mul(B.lc(b2c), m2)
-            if s2.is_zero():
-                continue
-            for l1, cc1 in s1.terms.items():
-                for l2, cc2 in s2.terms.items():
-                    for l3, cc3 in s3.terms.items():
-                        add_term(lhs_terms, (l1, l2, l3),
-                                 cw * c1 * cc1 * cc2 * cc3)
+        for l0, k0 in c0.items():
+            for (b1, b2c), c1 in t_b(1, wb, l0).terms.items():
+                s1 = _lmul(B, b1, m.terms)
+                if not s1:
+                    continue
+                s2 = _lmul(B, b2c, m2.terms)
+                if not s2:
+                    continue
+                cc = cw * k0 * c1
+                for l1, cc1 in s1.items():
+                    for l2, cc2 in s2.items():
+                        c12 = cc * cc1 * cc2
+                        for l3, cc3 in s3.items():
+                            add_term(lhs_terms, (l1, l2, l3), c12 * cc3)
     for wb, wa, cw in P.w.candidates_left(n.support()):
-        mid3 = A.mul(A.lc(wa), n)
-        if mid3.is_zero():
+        mid3 = _lmul(A, wa, n.terms)
+        if not mid3:
             continue
-        mid2 = B.mul(B.lc(wb), m2)
-        if mid2.is_zero():
+        mid2 = _lmul(B, wb, m2.terms)
+        if not mid2:
             continue
-        for wb2, wa2, cw2 in P.w.candidates_left(mid3.support()):
-            s3 = A.mul(A.lc(wa2), mid3)
-            if s3.is_zero():
+        for wb2, wa2, cw2 in P.w.candidates_left(list(mid3)):
+            s3 = _lmul(A, wa2, mid3)
+            if not s3:
                 continue
-            s1 = B.mul(B.lc(wb2), m)
-            if s1.is_zero():
+            s1 = _lmul(B, wb2, m.terms)
+            if not s1:
                 continue
-            for l1, cc1 in s1.terms.items():
-                for l2, cc2 in mid2.terms.items():
-                    for l3, cc3 in s3.terms.items():
-                        add_term(rhs_terms, (l1, l2, l3),
-                                 cw * cw2 * cc1 * cc2 * cc3)
+            cc = cw * cw2
+            for l1, cc1 in s1.items():
+                for l2, cc2 in mid2.items():
+                    c12 = cc * cc1 * cc2
+                    for l3, cc3 in s3.items():
+                        add_term(rhs_terms, (l1, l2, l3), c12 * cc3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -290,45 +314,48 @@ def w_coproduct_a_residual(P: Pairing, m: LinComb, n1: LinComb, n2: LinComb
     ``(id (x) Delta_A) W`` with the 12-13 product, applied to
     ``(m (x) n1 (x) n2)`` with the first slot in B, the rest in A."""
     A, B = P.A, P.B
+    t_a = A.t_image
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
-    n0 = A.local_unit_for(n2.support())
+    n0 = A.local_unit_for(n2.support()).terms
     for wb, wa, cw in P.w.candidates_pairs(n1.support(), n2.support()):
-        s1 = B.mul(B.lc(wb), m)
-        if s1.is_zero():
+        s1 = _lmul(B, wb, m.terms)
+        if not s1:
             continue
-        legs = A.t_pair(1, A.lc(wa), n0)
-        for (a1, a2n), c1 in legs.terms.items():
-            s2 = A.mul(A.lc(a1), n1)
-            if s2.is_zero():
-                continue
-            s3 = A.mul(A.lc(a2n), n2)
-            if s3.is_zero():
-                continue
-            for l1, cc1 in s1.terms.items():
-                for l2, cc2 in s2.terms.items():
-                    for l3, cc3 in s3.terms.items():
-                        add_term(lhs_terms, (l1, l2, l3),
-                                 cw * c1 * cc1 * cc2 * cc3)
+        for l0, k0 in n0.items():
+            for (a1, a2n), c1 in t_a(1, wa, l0).terms.items():
+                s2 = _lmul(A, a1, n1.terms)
+                if not s2:
+                    continue
+                s3 = _lmul(A, a2n, n2.terms)
+                if not s3:
+                    continue
+                cc = cw * k0 * c1
+                for l1, cc1 in s1.items():
+                    for l2, cc2 in s2.items():
+                        c12 = cc * cc1 * cc2
+                        for l3, cc3 in s3.items():
+                            add_term(lhs_terms, (l1, l2, l3), c12 * cc3)
     for wb, wa, cw in P.w.candidates_left(n2.support()):
-        mid3 = A.mul(A.lc(wa), n2)
-        if mid3.is_zero():
+        mid3 = _lmul(A, wa, n2.terms)
+        if not mid3:
             continue
-        mid1 = B.mul(B.lc(wb), m)
-        if mid1.is_zero():
+        mid1 = _lmul(B, wb, m.terms)
+        if not mid1:
             continue
         for wb2, wa2, cw2 in P.w.candidates_left(n1.support()):
-            s2 = A.mul(A.lc(wa2), n1)
-            if s2.is_zero():
+            s2 = _lmul(A, wa2, n1.terms)
+            if not s2:
                 continue
-            s1 = B.mul(B.lc(wb2), mid1)
-            if s1.is_zero():
+            s1 = _lmul(B, wb2, mid1)
+            if not s1:
                 continue
-            for l1, cc1 in s1.terms.items():
-                for l2, cc2 in s2.terms.items():
-                    for l3, cc3 in mid3.terms.items():
-                        add_term(rhs_terms, (l1, l2, l3),
-                                 cw * cw2 * cc1 * cc2 * cc3)
+            cc = cw * cw2
+            for l1, cc1 in s1.items():
+                for l2, cc2 in s2.items():
+                    c12 = cc * cc1 * cc2
+                    for l3, cc3 in mid3.items():
+                        add_term(rhs_terms, (l1, l2, l3), c12 * cc3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -338,21 +365,27 @@ def w_inverse_residual(P: Pairing, m: LinComb, n: LinComb
     two-sided inverse.  Returns (left roundtrip, right roundtrip,
     expected), where expected is ``m (x) n`` itself."""
     A, B = P.A, P.B
+    a_mul, b_mul = A.mul_basis, B.mul_basis
 
     def apply_w(val: LinComb, antipode: bool) -> LinComb:
         out: Dict[Tuple, object] = {}
         for (l1, l2), c in val.terms.items():
             for wb, wa, cw in P.w.candidates_left([l2]):
-                s2 = A.mul(A.lc(wa), A.lc(l2))
-                if s2.is_zero():
+                s2 = a_mul(wa, l2).terms
+                if not s2:
                     continue
-                bleg = B.antipode(B.lc(wb)) if antipode else B.lc(wb)
-                s1 = B.mul(bleg, B.lc(l1))
-                if s1.is_zero():
+                if antipode:
+                    s1: Dict = {}
+                    for lb, cb in B.antipode(B.lc(wb)).terms.items():
+                        add_scaled(s1, b_mul(lb, l1).terms.items(), cb)
+                else:
+                    s1 = b_mul(wb, l1).terms
+                if not s1:
                     continue
-                for lb, c1 in s1.terms.items():
-                    for la, c2 in s2.terms.items():
-                        add_term(out, (lb, la), c * cw * c1 * c2)
+                cc = c * cw
+                for lb, c1 in s1.items():
+                    for la, c2 in s2.items():
+                        add_term(out, (lb, la), cc * c1 * c2)
         return LinComb(out)
 
     expected: Dict[Tuple, object] = {}
@@ -377,65 +410,65 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
     ``(u (x) m)`` — a crossed value at ``p`` and a plain A value.  Labels
     are flat ``(A, B, A)`` triples."""
     A, B = P.A, P.B
+    t_a, aut_a, aut = A.t_image, A.aut_basis, B.aut_basis
     alpha, beta = p
     binv = beta.inverse()
+    u_items = u.terms.items()
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
     # lhs: W-twist times co-opposite coproduct
-    n = A.local_unit_for(m.support())
+    n = A.local_unit_for(m.support()).terms
     for la, ca in a.terms.items():
-        legs = A.t_pair(3, A.lc(la), n)
-        for (a1n, a2), c1 in legs.terms.items():
-            tail = A.mul(A.lc(a1n), m)
-            if tail.is_zero():
-                continue
-            for wb, wa, cw in P.w.candidates_left(tail.support()):
-                s2 = A.mul(A.lc(wa), tail)
-                if s2.is_zero():
+        for l0, k0 in n.items():
+            for (a1n, a2), c1 in t_a(3, la, l0).terms.items():
+                tail = _lmul(A, a1n, m.terms)
+                if not tail:
                     continue
-                s1 = b_embed_left(P, p, B.apply_aut(binv, B.lc(wb)),
-                                  a_embed_left(P, A.lc(a2), u))
-                if s1.is_zero():
+                a2u: Dict = {}                    # (a2 |x| 1) * u, scaled
+                a_left_into(P, a2u, ca * k0 * c1, a2, u_items)
+                if not a2u:
                     continue
-                for (l1a, l1b), c2 in s1.terms.items():
-                    for l2, c3 in s2.terms.items():
-                        add_term(lhs_terms, (l1a, l1b, l2),
-                                 ca * c1 * cw * c2 * c3)
+                for wb, wa, cw in P.w.candidates_left(list(tail)):
+                    s2 = _lmul(A, wa, tail)
+                    if not s2:
+                        continue
+                    s1: Dict = {}
+                    b_left_into(P, p, s1, cw, aut(binv, wb), a2u.items())
+                    for (l1a, l1b), c2 in s1.items():
+                        for l2, c3 in s2.items():
+                            add_term(lhs_terms, (l1a, l1b, l2), c2 * c3)
     # rhs: coproduct with precomposed second leg, times the W-twist
     psi = alpha.compose(binv)
-    cands = list(P.w.candidates_left(m.support()))
-    tails = {}
+    # ``P.precompose_A(psi, -)`` relabels A by the inverse of ``psi``.
+    psi_inv = psi.inverse()
+    cands = []
     union: Dict = {}
-    for wb, wa, cw in cands:
-        t = A.mul(A.lc(wa), m)
-        tails[(wb, wa)] = t
-        for l in t.support():
-            union[l] = None
+    for wb, wa, cw in P.w.candidates_left(m.support()):
+        tail = _lmul(A, wa, m.terms)
+        union.update(dict.fromkeys(tail))
+        if tail:
+            # (1 |x| binv(wb)) * u, the same for every term of a
+            wu: Dict = {}
+            b_left_into(P, p, wu, cw, aut(binv, wb), u_items)
+            if wu:
+                cands.append((tail, wu))
     if union:
         n_all = A.local_unit_for(list(union))
-        n2 = P.precompose_A(psi.inverse(), n_all)
+        n2 = P.precompose_A(psi.inverse(), n_all).terms
         for la, ca in a.terms.items():
-            legs = A.t_pair(1, A.lc(la), n2)
-            for (a1, a2n), c1 in legs.terms.items():
-                lifted = P.precompose_A(psi, A.lc(a2n))
-                for wb, wa, cw in cands:
-                    tail = tails[(wb, wa)]
-                    if tail.is_zero():
-                        continue
-                    s2 = A.mul(lifted, tail)
-                    if s2.is_zero():
-                        continue
-                    s1 = a_embed_left(P, A.lc(a1),
-                                      b_embed_left(P, p,
-                                                   B.apply_aut(binv,
-                                                               B.lc(wb)),
-                                                   u))
-                    if s1.is_zero():
-                        continue
-                    for (l1a, l1b), c2 in s1.terms.items():
-                        for l2, c3 in s2.terms.items():
-                            add_term(rhs_terms, (l1a, l1b, l2),
-                                     ca * c1 * cw * c2 * c3)
+            for l0, k0 in n2.items():
+                for (a1, a2n), c1 in t_a(1, la, l0).terms.items():
+                    lifted = aut_a(psi_inv, a2n)
+                    cc = ca * k0 * c1
+                    for tail, wu in cands:
+                        s2 = _lmul(A, lifted, tail)
+                        if not s2:
+                            continue
+                        s1: Dict = {}
+                        a_left_into(P, s1, cc, a1, wu.items())
+                        for (l1a, l1b), c2 in s1.items():
+                            for l2, c3 in s2.items():
+                                add_term(rhs_terms, (l1a, l1b, l2), c2 * c3)
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
@@ -447,59 +480,60 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
     coproduct.  Applied to ``(m (x) u)`` — a plain B value and a crossed
     value at ``q``; the twist automorphism comes from ``p``.  Labels are
     flat ``(B, A, B)`` triples."""
-    A, B = P.A, P.B
+    B = P.B
+    t_b, aut = B.t_image, B.aut_basis
     beta = p.beta
     binv = beta.inverse()
     gamma, delta = q
     gamma_p = gamma.inverse().compose(beta).compose(gamma)
+    u_items = u.terms.items()
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
     # lhs: W-twist times the graded coproduct legs
     c = P.crossed_right_unit(q, u)
-    c0 = B.apply_aut(gamma_p.inverse(), c)
+    c0 = B.apply_aut(gamma_p.inverse(), c).terms
     for lb, cb in b.terms.items():
-        legs = B.t_pair(1, B.lc(lb), c0)
-        for (b1, b2c), c1 in legs.terms.items():
-            s = b_embed_left(P, q, B.apply_aut(gamma_p, B.lc(b2c)), u)
-            if s.is_zero():
-                continue
-            gb1m = B.mul(B.apply_aut(gamma, B.lc(b1)), m)
-            if gb1m.is_zero():
-                continue
-            for wb, wa, cw in P.w.candidates_left(
-                    [t[0] for t in s.terms]):
-                s2 = a_embed_left(P, A.lc(wa), s)
-                if s2.is_zero():
+        for l0, k0 in c0.items():
+            for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+                s: Dict = {}
+                b_left_into(P, q, s, cb * k0 * c1, aut(gamma_p, b2c), u_items)
+                if not s:
                     continue
-                s1 = B.mul(B.apply_aut(binv, B.lc(wb)), gb1m)
-                if s1.is_zero():
+                gb1m = _lmul(B, aut(gamma, b1), m.terms)
+                if not gb1m:
                     continue
-                for l1, cc1 in s1.terms.items():
-                    for (l2a, l2b), cc2 in s2.terms.items():
-                        add_term(lhs_terms, (l1, l2a, l2b),
-                                 cb * c1 * cw * cc1 * cc2)
+                for wb, wa, cw in P.w.candidates_left([t[0] for t in s]):
+                    s2: Dict = {}
+                    a_left_into(P, s2, cw, wa, s.items())
+                    if not s2:
+                        continue
+                    s1 = _lmul(B, aut(binv, wb), gb1m)
+                    for l1, cc1 in s1.items():
+                        for (l2a, l2b), cc2 in s2.items():
+                            add_term(lhs_terms, (l1, l2a, l2b), cc1 * cc2)
     # rhs: dressed co-opposite coproduct times the W-twist
     aut1 = binv.compose(delta).compose(gamma_p)
     for wb, wa, cw in P.w.candidates_left([t[0] for t in u.terms]):
-        emb = a_embed_left(P, A.lc(wa), u)
-        if emb.is_zero():
+        emb: Dict = {}
+        a_left_into(P, emb, cw, wa, u_items)
+        if not emb:
             continue
-        y = B.mul(B.apply_aut(binv, B.lc(wb)), m)
-        if y.is_zero():
+        y = _lmul(B, aut(binv, wb), m.terms)
+        if not y:
             continue
-        n = B.local_unit_for(y.support())
-        c0p = B.apply_aut(aut1.inverse(), n)
+        n = B.local_unit_for(list(y))
+        c0p = B.apply_aut(aut1.inverse(), n).terms
+        emb_items = emb.items()
         for lb, cb in b.terms.items():
-            legs = B.t_pair(1, B.lc(lb), c0p)
-            for (b1, b2c), c1 in legs.terms.items():
-                s1 = B.mul(B.apply_aut(aut1, B.lc(b2c)), y)
-                if s1.is_zero():
-                    continue
-                s2 = b_embed_left(P, q, B.apply_aut(gamma_p, B.lc(b1)), emb)
-                if s2.is_zero():
-                    continue
-                for l1, cc1 in s1.terms.items():
-                    for (l2a, l2b), cc2 in s2.terms.items():
-                        add_term(rhs_terms, (l1, l2a, l2b),
-                                 cw * cb * c1 * cc1 * cc2)
+            for l0, k0 in c0p.items():
+                for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+                    s1 = _lmul(B, aut(aut1, b2c), y)
+                    if not s1:
+                        continue
+                    s2: Dict = {}
+                    b_left_into(P, q, s2, cb * k0 * c1, aut(gamma_p, b1),
+                                emb_items)
+                    for l1, cc1 in s1.items():
+                        for (l2a, l2b), cc2 in s2.items():
+                            add_term(rhs_terms, (l1, l2a, l2b), cc1 * cc2)
     return LinComb(lhs_terms), LinComb(rhs_terms)

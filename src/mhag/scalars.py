@@ -127,6 +127,13 @@ class Field:
         raise NotImplementedError
 
 
+def _refuse_bool(s) -> None:
+    """A JSON boolean is not a scalar, although ``isinstance(True, int)``
+    holds."""
+    if isinstance(s, bool):
+        raise ValueError(f"scalar must be a number or a string, got {s!r}")
+
+
 class RationalField(Field):
     name = "Q"
 
@@ -140,6 +147,7 @@ class RationalField(Field):
         return n
 
     def parse(self, s) -> Scalar:
+        _refuse_bool(s)
         if isinstance(s, int):
             return s
         if isinstance(s, str):
@@ -181,6 +189,7 @@ class PrimeField(Field):
         return FpElement(n, self.p)
 
     def parse(self, s) -> Scalar:
+        _refuse_bool(s)
         if isinstance(s, int):
             return FpElement(s, self.p)
         if isinstance(s, str):

@@ -16,8 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from mhag import FiniteDimHopf, LinComb, session_from_json
-from mhag.groups import PermGroup
+from mhag import (DrinfeldPairing, FiniteDimHopf, FiniteDimPairing,
+                  GroupPairing, IntGroup, LinComb, PrimeField,
+                  session_from_json)
+from mhag.groups import (AutPair, PermGroup, TableGroup, identity_aut,
+                         inner_aut, negation_aut)
 
 # ---------------------------------------------------------------------------
 # grading / group spec shorthands (JSON shapes accepted by the loader)
@@ -101,6 +104,53 @@ def rescaled_s3(dual=False):
         [fd.counit_vec[i] * sc[i] for i in range(n)],
         rescale(fd.unit_vec, 1),
         [rescale(fd.antipode_tab[i], sc[i]) for i in range(n)])
+
+
+S3 = PermGroup.symmetric(3)
+
+
+def s3_gradings():
+    """Two gradings of S3 by non-commuting inner automorphisms."""
+    return [AutPair(inner_aut(S3, (1, 0, 2)), inner_aut(S3, (1, 2, 0))),
+            AutPair(inner_aut(S3, (2, 0, 1)), inner_aut(S3, (0, 2, 1)))]
+
+
+def memo_cases():
+    """(name, pairing factory, gradings, coefficients) covering S3 under
+    inner gradings, Z under the sign gradings and the double of S3 over a
+    prime field."""
+    Z = IntGroup()
+    i, neg = identity_aut(Z), negation_aut(Z)
+    F = PrimeField(10007)
+    return [
+        ("s3-inner", lambda: GroupPairing(S3), s3_gradings(),
+         [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
+        ("z-sign", lambda: GroupPairing(Z),
+         [AutPair(a, b) for a in (i, neg) for b in (i, neg)],
+         [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
+        ("double-f10007", lambda: DrinfeldPairing(S3, F),
+         [AutPair(identity_aut(S3), identity_aut(S3)), s3_gradings()[0]],
+         [F.from_int(3), F.from_int(-2), F.parse("1/2"), F.one()]),
+    ]
+
+
+def engine_cases():
+    """memo_cases, an S3 session whose B-antipode is negated, and the
+    structure-constant pairing of a rescaled S3 group algebra (identity
+    grading only: its basis is not permuted by automorphisms), whose basis
+    twists and products carry coefficients other than 1."""
+    s3 = group_instance("symmetric", 3)
+    coeffs = [Fraction(3, 2), -2, 5, Fraction(-1, 7)]
+    trivial = identity_aut(TableGroup.cyclic(1))
+    ident = AutPair(trivial, trivial)
+    return memo_cases() + [
+        ("s3-antipode-sign",
+         lambda: make_session(session_spec(s3, corrupt="antipode-sign")).P,
+         s3_gradings(), coeffs),
+        ("s3-rescaled-structure-constants",
+         lambda: FiniteDimPairing.from_instance(rescaled_s3()), [ident],
+         coeffs),
+    ]
 
 
 @pytest.fixture

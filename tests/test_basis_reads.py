@@ -1,0 +1,754 @@
+"""The engine reads basis tables term by term; each function below must
+equal its former body, which wrapped every basis label in a one-term value
+before it multiplied, twisted or T-mapped it.
+
+The former bodies are kept here verbatim, apart from reading the product
+memo's fill and the T-map table of ``t_pair`` straight from the basis
+primitives.  They run on multi-term inputs with mixed coefficients over the
+five pairings of ``conftest.engine_cases``; only the rescaled
+structure-constant pairing has basis images whose coefficients are not 1,
+so only it sees a dropped coefficient.
+"""
+
+import random
+from typing import Dict, Tuple
+
+import pytest
+
+from mhag import EnumSpec
+from mhag.cograded import (_second_leg_aut, _xi_maps, comul_covered,
+                           graded_antipode, xi_on_legs)
+from mhag.crossed import (_move, a_embed_left, a_embed_right, b_embed_left,
+                          b_embed_right, commutation_residual,
+                          crossed_value, dcp_mul, twist_inv, twist_map)
+from mhag.groups import AutPair, aut_pair_inv
+from mhag.linear import LinComb, add_scaled, add_term
+from mhag.quasitri import (qt_coproduct_first_residual,
+                           qt_coproduct_second_residual, r_apply,
+                           w_coproduct_a_residual, w_coproduct_b_residual,
+                           w_intertwiner_residual_a, w_intertwiner_residual_b,
+                           w_inverse_residual)
+
+from conftest import engine_cases
+
+CASES = engine_cases()
+IDS = [c[0] for c in CASES]
+
+
+# -- former bodies: mha ---------------------------------------------------------
+
+def _ref_t_pair(X, i, x, y):
+    out: Dict = {}
+    for lx, cx in x.terms.items():
+        for ly, cy in y.terms.items():
+            base = X._t_basis(i, lx, ly)
+            add_scaled(out, base.terms.items(), cx * cy)
+    return LinComb(out)
+
+
+def _ref_apply_aut(X, phi, x):
+    if phi.is_identity():
+        return x
+    if len(x.terms) == 1:
+        (label, c), = x.terms.items()
+        return LinComb({X.aut_label(phi, label): c})
+    return x.map_labels(lambda l: X.aut_label(phi, l))
+
+
+# -- former bodies: crossed ---------------------------------------------------------
+
+_MOVES = {
+    (1, False): (3, False, "b>>a", 0),
+    (1, True): (2, True, "b>>a", 0),
+    (2, False): (4, True, "a<<b", 1),
+    (2, True): (1, False, "a<<b", 1),
+}
+
+
+def _ref_move(P, variant, phi, x, inverse=False):
+    t, cov_first, action, leg = _MOVES[variant, inverse]
+    B = P.B
+    out: Dict = {}
+    e = P.act_unit_B([la for la, _ in x.terms])
+    cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e)
+    for (la, lb), c in x.terms.items():
+        legs = (B.t_pair(t, cov, B.lc(lb)) if cov_first
+                else B.t_pair(t, B.lc(lb), cov))
+        for pair, c1 in legs.terms.items():
+            actor = B.apply_aut(phi, B.lc(pair[leg]))
+            if inverse:
+                actor = B.antipode(actor, inverse=True)
+            hit = P.act(action, actor, P.A.lc(la))
+            for la2, c2 in hit.terms.items():
+                add_term(out, (la2, pair[1 - leg]), c * c1 * c2)
+    return LinComb(out)
+
+
+def _ref_dcp_mul(P, grading, x, y):
+    out: Dict = {}
+    for xl, c in x.terms.items():
+        for yl, cy in y.terms.items():
+            la, lb = xl
+            mid = b_embed_left(P, grading, P.B.lc(lb),
+                               LinComb.unit(yl, P.field.one()))
+            base = tuple(a_embed_left(P, P.A.lc(la), mid).terms.items())
+            add_scaled(out, base, c * cy)
+    return LinComb(out)
+
+
+def _ref_commutation_residual(P, grading, a, b, y):
+    alpha, beta = grading
+    B = P.B
+    e = P.act_unit_B(a.support())
+    lhs: Dict = {}
+    legs = B.t_pair(4, e, b)
+    for (u, v), c1 in legs.terms.items():
+        av = P.act("a<<b", B.lc(v), a)
+        inner = a_embed_left(P, av, y)
+        part = b_embed_left(P, grading,
+                            B.apply_aut(beta.inverse(), B.lc(u)), inner)
+        add_scaled(lhs, part.terms.items(), c1)
+    rhs: Dict = {}
+    ab_inv = alpha.compose(beta.inverse())
+    cov = B.apply_aut(beta.compose(alpha.inverse()), e)
+    legs2 = B.t_pair(3, b, cov)
+    for (u, v), c1 in legs2.terms.items():
+        au = P.act("b>>a", B.apply_aut(ab_inv, B.lc(u)), a)
+        elem = crossed_value(P, au, B.apply_aut(beta.inverse(), B.lc(v)))
+        add_scaled(rhs, dcp_mul(P, grading, elem, y).terms.items(), c1)
+    return LinComb(lhs), LinComb(rhs)
+
+
+# -- former bodies: cograded ----------------------------------------------------------
+
+def _ref_comul_covered(P, x, left_g, right_g, cover, side="right"):
+    A, B = P.A, P.B
+    gamma = right_g.alpha
+    gamma_p = _second_leg_aut(P, left_g, right_g)
+    out: Dict[Tuple, object] = {}
+    if side == "right":
+        c = P.crossed_right_unit(right_g, cover)
+        c0 = B.apply_aut(gamma_p.inverse(), c)
+        for (la, lb), cx in x.terms.items():
+            legs1 = B.t_pair(1, B.lc(lb), c0)
+            for (b1, b2c), c1 in legs1.terms.items():
+                s2 = b_embed_left(P, right_g,
+                                  B.apply_aut(gamma_p, B.lc(b2c)), cover)
+                if s2.is_zero():
+                    continue
+                gb1 = B.apply_aut(gamma, B.lc(b1))
+                for (a_t, b_t), c2 in s2.terms.items():
+                    legs3 = A.t_pair(3, A.lc(la), A.lc(a_t))
+                    for (a1c, a2), c3 in legs3.terms.items():
+                        first, second = ((a2, a1c) if P.cop_first_leg
+                                         else (a1c, a2))
+                        for lb1g, c4 in gb1.terms.items():
+                            add_term(out, (first, lb1g, second, b_t),
+                                     cx * c1 * c2 * c3 * c4)
+        return LinComb(out)
+    alpha, beta = left_g
+    one_b = B.unit()
+    e = P.act_unit_B([t[0] for t in x.terms])
+    cov_a = B.apply_aut(alpha.inverse(), e)
+    for (la, lb), cx in x.terms.items():
+        outer = B.t_pair(1, B.lc(lb), one_b)
+        for (la2, lb2), cy in cover.terms.items():
+            legs_uv = B.t_pair(3, B.lc(lb2), cov_a)
+            for (u, v), c1 in legs_uv.terms.items():
+                a_hit = P.act("b>>a", B.apply_aut(alpha, B.lc(u)), A.lc(la))
+                if a_hit.is_zero():
+                    continue
+                legs_st = A.t_pair(4, A.lc(la2), a_hit)
+                if legs_st.is_zero():
+                    continue
+                legs_wz = B.t_pair(1, B.lc(v), one_b)
+                for (w, z), c2 in legs_wz.terms.items():
+                    actor = B.antipode(B.apply_aut(beta, B.lc(z)),
+                                       inverse=True)
+                    for (s, t), c3 in legs_st.terms.items():
+                        x1 = P.act("b>>a", actor, A.lc(s))
+                        if x1.is_zero():
+                            continue
+                        for (b1, b2), c4 in outer.terms.items():
+                            w_gb1 = B.mul(B.lc(w),
+                                          B.apply_aut(gamma, B.lc(b1)))
+                            if w_gb1.is_zero():
+                                continue
+                            g_b2 = B.apply_aut(gamma_p, B.lc(b2))
+                            for la1, c5 in x1.terms.items():
+                                first, second = ((t, la1) if P.cop_first_leg
+                                                 else (la1, t))
+                                for wl, c6 in w_gb1.terms.items():
+                                    for lb2g, c7 in g_b2.terms.items():
+                                        add_term(out, (first, wl, second, lb2g),
+                                                 cx * cy * c1 * c2 * c3
+                                                 * c4 * c5 * c6 * c7)
+    return LinComb(out)
+
+
+def _ref_graded_antipode(P, grading, x, inverse=False):
+    A, B = P.A, P.B
+    if not inverse:
+        ab = grading.alpha.compose(grading.beta)
+        total: Dict[Tuple, object] = {}
+        for (la, lb), c in x.terms.items():
+            b_val = B.apply_aut(ab, B.antipode(B.lc(lb)))
+            a_val = A.antipode(A.lc(la), inverse=True)
+            for lb2, c1 in b_val.terms.items():
+                for la2, c2 in a_val.terms.items():
+                    add_term(total, (lb2, la2), c * c1 * c2)
+        return twist_map(P, aut_pair_inv(grading), LinComb(total))
+    ginv = aut_pair_inv(grading)
+    strip = ginv.beta.inverse().compose(ginv.alpha.inverse())
+    back = twist_inv(P, grading, x)
+    out: Dict[Tuple, object] = {}
+    for (zb, wa), c in back.terms.items():
+        a_val = A.antipode(A.lc(wa))
+        b_val = B.antipode(B.apply_aut(strip, B.lc(zb)), inverse=True)
+        for la, c1 in a_val.terms.items():
+            for lb, c2 in b_val.terms.items():
+                add_term(out, (la, lb), c * c1 * c2)
+    return LinComb(out)
+
+
+def _ref_xi_on_legs(P, actor, source, value, a_idx, b_idx):
+    pre, b_aut = _xi_maps(P, actor, source)
+    out: Dict[Tuple, object] = {}
+    for label, c in value.terms.items():
+        av = P.precompose_A(pre, P.A.lc(label[a_idx]))
+        bv = P.B.apply_aut(b_aut, P.B.lc(label[b_idx]))
+        for la, c2 in av.terms.items():
+            for lb, c3 in bv.terms.items():
+                nl = list(label)
+                nl[a_idx] = la
+                nl[b_idx] = lb
+                add_term(out, tuple(nl), c * c2 * c3)
+    return LinComb(out)
+
+
+# -- former bodies: quasitri ----------------------------------------------------------
+
+def _ref_r_apply(P, left_g, right_g, uv, side="left"):
+    binv = left_g.beta.inverse()
+    A, B = P.A, P.B
+    out: Dict[Tuple, object] = {}
+    if side == "left":
+        for (ua, ub, va, vb), c in uv.terms.items():
+            uval = LinComb.unit((ua, ub))
+            vval = LinComb.unit((va, vb))
+            for wb, wa, cw in P.w.candidates_left([va]):
+                s2 = a_embed_left(P, A.lc(wa), vval)
+                if s2.is_zero():
+                    continue
+                s1 = b_embed_left(P, left_g, B.apply_aut(binv, B.lc(wb)),
+                                  uval)
+                if s1.is_zero():
+                    continue
+                for (l1a, l1b), c1 in s1.terms.items():
+                    for (l2a, l2b), c2 in s2.terms.items():
+                        add_term(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
+        return LinComb(out)
+    for (ua, ub, va, vb), c in uv.terms.items():
+        uval = LinComb.unit((ua, ub))
+        vval = LinComb.unit((va, vb))
+        for wb, wa, cw in P.w.candidates_right(right_g, va, vb):
+            s1 = b_embed_right(P, uval, B.apply_aut(binv, B.lc(wb)))
+            if s1.is_zero():
+                continue
+            s2 = a_embed_right(P, right_g, vval, A.lc(wa))
+            if s2.is_zero():
+                continue
+            for (l1a, l1b), c1 in s1.terms.items():
+                for (l2a, l2b), c2 in s2.terms.items():
+                    add_term(out, (l1a, l1b, l2a, l2b), c * cw * c1 * c2)
+    return LinComb(out)
+
+
+def _ref_comul_b_embedded(P, b_tilde, left_g, right_g, u, v):
+    B = P.B
+    gamma = right_g.alpha
+    gamma_p = _second_leg_aut(P, left_g, right_g)
+    c = P.crossed_right_unit(right_g, v)
+    c0 = B.apply_aut(gamma_p.inverse(), c)
+    out: Dict[Tuple, object] = {}
+    for lb, cb in b_tilde.terms.items():
+        legs = B.t_pair(1, B.lc(lb), c0)
+        for (b1, b2c), c1 in legs.terms.items():
+            s2 = b_embed_left(P, right_g, B.apply_aut(gamma_p, B.lc(b2c)), v)
+            if s2.is_zero():
+                continue
+            s1 = b_embed_left(P, left_g, B.apply_aut(gamma, B.lc(b1)), u)
+            if s1.is_zero():
+                continue
+            for (l1a, l1b), c2 in s1.terms.items():
+                for (l2a, l2b), c3 in s2.terms.items():
+                    add_term(out, (l1a, l1b, l2a, l2b), cb * c1 * c2 * c3)
+    return LinComb(out)
+
+
+def _ref_qt_coproduct_first(P, p, q, r, uvz):
+    mul = P.pair_mul
+    A, B = P.A, P.B
+    pq = mul(p, q)
+    binv = pq.beta.inverse()
+    lhs_terms: Dict[Tuple, object] = {}
+    rhs_terms: Dict[Tuple, object] = {}
+    qinv = aut_pair_inv(q)
+    qrq = mul(mul(q, r), qinv)
+    for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
+        u = LinComb.unit((ua, ub))
+        v = LinComb.unit((va, vb))
+        z = LinComb.unit((za, zb))
+        for wb, wa, cw in P.w.candidates_left([za]):
+            s3 = a_embed_left(P, A.lc(wa), z)
+            if s3.is_zero():
+                continue
+            btilde = B.apply_aut(binv, B.lc(wb))
+            s12 = _ref_comul_b_embedded(P, btilde, p, q, u, v)
+            for (l1a, l1b, l2a, l2b), c1 in s12.terms.items():
+                for (l3a, l3b), c2 in s3.terms.items():
+                    add_term(lhs_terms, (l1a, l1b, l2a, l2b, l3a, l3b),
+                             c * cw * c1 * c2)
+        base23 = r_apply(P, q, r, LinComb.unit((va, vb, za, zb)), "left")
+        for (v1a, v1b, z1a, z1b), c1 in base23.terms.items():
+            zconj = xi_on_legs(P, q, r, LinComb.unit((z1a, z1b)), 0, 1)
+            pairin: Dict[Tuple, object] = {}
+            for (zca, zcb), c2 in zconj.terms.items():
+                add_term(pairin, (ua, ub, zca, zcb), c2)
+            t13 = r_apply(P, p, qrq, LinComb(pairin), "left")
+            t13 = xi_on_legs(P, qinv, qrq, t13, 2, 3)
+            for (u1a, u1b, z2a, z2b), c3 in t13.terms.items():
+                add_term(rhs_terms, (u1a, u1b, v1a, v1b, z2a, z2b), c * c1 * c3)
+    return LinComb(lhs_terms), LinComb(rhs_terms)
+
+
+def _ref_qt_coproduct_second(P, p, q, r, uvz):
+    A, B = P.A, P.B
+    binv = p.beta.inverse()
+    lhs_terms: Dict[Tuple, object] = {}
+    rhs_terms: Dict[Tuple, object] = {}
+    for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
+        u = LinComb.unit((ua, ub))
+        v = LinComb.unit((va, vb))
+        z = LinComb.unit((za, zb))
+        n = A.local_unit_for([za])
+        for wb, wa, cw in P.w.candidates_pairs([za], [va]):
+            s1 = b_embed_left(P, p, B.apply_aut(binv, B.lc(wb)), u)
+            if s1.is_zero():
+                continue
+            legs = A.t_pair(3, A.lc(wa), n)
+            for (a1n, a2), c1 in legs.terms.items():
+                s2 = a_embed_left(P, A.lc(a2), v)
+                if s2.is_zero():
+                    continue
+                s3 = a_embed_left(P, A.lc(a1n), z)
+                if s3.is_zero():
+                    continue
+                for (l1a, l1b), c2 in s1.terms.items():
+                    for (l2a, l2b), c3 in s2.terms.items():
+                        for (l3a, l3b), c4 in s3.terms.items():
+                            add_term(lhs_terms,
+                                     (l1a, l1b, l2a, l2b, l3a, l3b),
+                                     c * cw * c1 * c2 * c3 * c4)
+        t12 = r_apply(P, p, q, LinComb.unit((ua, ub, va, vb)), "left")
+        for (u1a, u1b, v1a, v1b), c1 in t12.terms.items():
+            t13 = r_apply(P, p, r, LinComb.unit((u1a, u1b, za, zb)), "left")
+            for (u2a, u2b, z1a, z1b), c2 in t13.terms.items():
+                add_term(rhs_terms, (u2a, u2b, v1a, v1b, z1a, z1b),
+                         c * c1 * c2)
+    return LinComb(lhs_terms), LinComb(rhs_terms)
+
+
+def _ref_w_coproduct_b(P, m, m2, n):
+    A, B = P.A, P.B
+    lhs_terms: Dict[Tuple, object] = {}
+    rhs_terms: Dict[Tuple, object] = {}
+    c0 = B.local_unit_for(m2.support())
+    for wb, wa, cw in P.w.candidates_left(n.support()):
+        s3 = A.mul(A.lc(wa), n)
+        if s3.is_zero():
+            continue
+        legs = B.t_pair(1, B.lc(wb), c0)
+        for (b1, b2c), c1 in legs.terms.items():
+            s1 = B.mul(B.lc(b1), m)
+            if s1.is_zero():
+                continue
+            s2 = B.mul(B.lc(b2c), m2)
+            if s2.is_zero():
+                continue
+            for l1, cc1 in s1.terms.items():
+                for l2, cc2 in s2.terms.items():
+                    for l3, cc3 in s3.terms.items():
+                        add_term(lhs_terms, (l1, l2, l3),
+                                 cw * c1 * cc1 * cc2 * cc3)
+    for wb, wa, cw in P.w.candidates_left(n.support()):
+        mid3 = A.mul(A.lc(wa), n)
+        if mid3.is_zero():
+            continue
+        mid2 = B.mul(B.lc(wb), m2)
+        if mid2.is_zero():
+            continue
+        for wb2, wa2, cw2 in P.w.candidates_left(mid3.support()):
+            s3 = A.mul(A.lc(wa2), mid3)
+            if s3.is_zero():
+                continue
+            s1 = B.mul(B.lc(wb2), m)
+            if s1.is_zero():
+                continue
+            for l1, cc1 in s1.terms.items():
+                for l2, cc2 in mid2.terms.items():
+                    for l3, cc3 in s3.terms.items():
+                        add_term(rhs_terms, (l1, l2, l3),
+                                 cw * cw2 * cc1 * cc2 * cc3)
+    return LinComb(lhs_terms), LinComb(rhs_terms)
+
+
+def _ref_w_coproduct_a(P, m, n1, n2):
+    A, B = P.A, P.B
+    lhs_terms: Dict[Tuple, object] = {}
+    rhs_terms: Dict[Tuple, object] = {}
+    n0 = A.local_unit_for(n2.support())
+    for wb, wa, cw in P.w.candidates_pairs(n1.support(), n2.support()):
+        s1 = B.mul(B.lc(wb), m)
+        if s1.is_zero():
+            continue
+        legs = A.t_pair(1, A.lc(wa), n0)
+        for (a1, a2n), c1 in legs.terms.items():
+            s2 = A.mul(A.lc(a1), n1)
+            if s2.is_zero():
+                continue
+            s3 = A.mul(A.lc(a2n), n2)
+            if s3.is_zero():
+                continue
+            for l1, cc1 in s1.terms.items():
+                for l2, cc2 in s2.terms.items():
+                    for l3, cc3 in s3.terms.items():
+                        add_term(lhs_terms, (l1, l2, l3),
+                                 cw * c1 * cc1 * cc2 * cc3)
+    for wb, wa, cw in P.w.candidates_left(n2.support()):
+        mid3 = A.mul(A.lc(wa), n2)
+        if mid3.is_zero():
+            continue
+        mid1 = B.mul(B.lc(wb), m)
+        if mid1.is_zero():
+            continue
+        for wb2, wa2, cw2 in P.w.candidates_left(n1.support()):
+            s2 = A.mul(A.lc(wa2), n1)
+            if s2.is_zero():
+                continue
+            s1 = B.mul(B.lc(wb2), mid1)
+            if s1.is_zero():
+                continue
+            for l1, cc1 in s1.terms.items():
+                for l2, cc2 in s2.terms.items():
+                    for l3, cc3 in mid3.terms.items():
+                        add_term(rhs_terms, (l1, l2, l3),
+                                 cw * cw2 * cc1 * cc2 * cc3)
+    return LinComb(lhs_terms), LinComb(rhs_terms)
+
+
+def _ref_w_inverse(P, m, n):
+    A, B = P.A, P.B
+
+    def apply_w(val, antipode):
+        out: Dict[Tuple, object] = {}
+        for (l1, l2), c in val.terms.items():
+            for wb, wa, cw in P.w.candidates_left([l2]):
+                s2 = A.mul(A.lc(wa), A.lc(l2))
+                if s2.is_zero():
+                    continue
+                bleg = B.antipode(B.lc(wb)) if antipode else B.lc(wb)
+                s1 = B.mul(bleg, B.lc(l1))
+                if s1.is_zero():
+                    continue
+                for lb, c1 in s1.terms.items():
+                    for la, c2 in s2.terms.items():
+                        add_term(out, (lb, la), c * cw * c1 * c2)
+        return LinComb(out)
+
+    expected: Dict[Tuple, object] = {}
+    for l1, c1 in m.terms.items():
+        for l2, c2 in n.terms.items():
+            add_term(expected, (l1, l2), c1 * c2)
+    start = LinComb(expected)
+    left_rt = apply_w(apply_w(start, True), False)
+    right_rt = apply_w(apply_w(start, False), True)
+    return left_rt, right_rt, start
+
+
+def _ref_w_intertwiner_a(P, p, a, u, m):
+    A, B = P.A, P.B
+    alpha, beta = p
+    binv = beta.inverse()
+    lhs_terms: Dict[Tuple, object] = {}
+    rhs_terms: Dict[Tuple, object] = {}
+    n = A.local_unit_for(m.support())
+    for la, ca in a.terms.items():
+        legs = A.t_pair(3, A.lc(la), n)
+        for (a1n, a2), c1 in legs.terms.items():
+            tail = A.mul(A.lc(a1n), m)
+            if tail.is_zero():
+                continue
+            for wb, wa, cw in P.w.candidates_left(tail.support()):
+                s2 = A.mul(A.lc(wa), tail)
+                if s2.is_zero():
+                    continue
+                s1 = b_embed_left(P, p, B.apply_aut(binv, B.lc(wb)),
+                                  a_embed_left(P, A.lc(a2), u))
+                if s1.is_zero():
+                    continue
+                for (l1a, l1b), c2 in s1.terms.items():
+                    for l2, c3 in s2.terms.items():
+                        add_term(lhs_terms, (l1a, l1b, l2),
+                                 ca * c1 * cw * c2 * c3)
+    psi = alpha.compose(binv)
+    cands = list(P.w.candidates_left(m.support()))
+    tails = {}
+    union: Dict = {}
+    for wb, wa, cw in cands:
+        t = A.mul(A.lc(wa), m)
+        tails[(wb, wa)] = t
+        for l in t.support():
+            union[l] = None
+    if union:
+        n_all = A.local_unit_for(list(union))
+        n2 = P.precompose_A(psi.inverse(), n_all)
+        for la, ca in a.terms.items():
+            legs = A.t_pair(1, A.lc(la), n2)
+            for (a1, a2n), c1 in legs.terms.items():
+                lifted = P.precompose_A(psi, A.lc(a2n))
+                for wb, wa, cw in cands:
+                    tail = tails[(wb, wa)]
+                    if tail.is_zero():
+                        continue
+                    s2 = A.mul(lifted, tail)
+                    if s2.is_zero():
+                        continue
+                    s1 = a_embed_left(P, A.lc(a1),
+                                      b_embed_left(P, p,
+                                                   B.apply_aut(binv,
+                                                               B.lc(wb)),
+                                                   u))
+                    if s1.is_zero():
+                        continue
+                    for (l1a, l1b), c2 in s1.terms.items():
+                        for l2, c3 in s2.terms.items():
+                            add_term(rhs_terms, (l1a, l1b, l2),
+                                     ca * c1 * cw * c2 * c3)
+    return LinComb(lhs_terms), LinComb(rhs_terms)
+
+
+def _ref_w_intertwiner_b(P, p, q, b, m, u):
+    A, B = P.A, P.B
+    beta = p.beta
+    binv = beta.inverse()
+    gamma, delta = q
+    gamma_p = gamma.inverse().compose(beta).compose(gamma)
+    lhs_terms: Dict[Tuple, object] = {}
+    rhs_terms: Dict[Tuple, object] = {}
+    c = P.crossed_right_unit(q, u)
+    c0 = B.apply_aut(gamma_p.inverse(), c)
+    for lb, cb in b.terms.items():
+        legs = B.t_pair(1, B.lc(lb), c0)
+        for (b1, b2c), c1 in legs.terms.items():
+            s = b_embed_left(P, q, B.apply_aut(gamma_p, B.lc(b2c)), u)
+            if s.is_zero():
+                continue
+            gb1m = B.mul(B.apply_aut(gamma, B.lc(b1)), m)
+            if gb1m.is_zero():
+                continue
+            for wb, wa, cw in P.w.candidates_left(
+                    [t[0] for t in s.terms]):
+                s2 = a_embed_left(P, A.lc(wa), s)
+                if s2.is_zero():
+                    continue
+                s1 = B.mul(B.apply_aut(binv, B.lc(wb)), gb1m)
+                if s1.is_zero():
+                    continue
+                for l1, cc1 in s1.terms.items():
+                    for (l2a, l2b), cc2 in s2.terms.items():
+                        add_term(lhs_terms, (l1, l2a, l2b),
+                                 cb * c1 * cw * cc1 * cc2)
+    aut1 = binv.compose(delta).compose(gamma_p)
+    for wb, wa, cw in P.w.candidates_left([t[0] for t in u.terms]):
+        emb = a_embed_left(P, A.lc(wa), u)
+        if emb.is_zero():
+            continue
+        y = B.mul(B.apply_aut(binv, B.lc(wb)), m)
+        if y.is_zero():
+            continue
+        n = B.local_unit_for(y.support())
+        c0p = B.apply_aut(aut1.inverse(), n)
+        for lb, cb in b.terms.items():
+            legs = B.t_pair(1, B.lc(lb), c0p)
+            for (b1, b2c), c1 in legs.terms.items():
+                s1 = B.mul(B.apply_aut(aut1, B.lc(b2c)), y)
+                if s1.is_zero():
+                    continue
+                s2 = b_embed_left(P, q, B.apply_aut(gamma_p, B.lc(b1)), emb)
+                if s2.is_zero():
+                    continue
+                for l1, cc1 in s1.terms.items():
+                    for (l2a, l2b), cc2 in s2.terms.items():
+                        add_term(rhs_terms, (l1, l2a, l2b),
+                                 cw * cb * c1 * cc1 * cc2)
+    return LinComb(lhs_terms), LinComb(rhs_terms)
+
+
+# -- the comparisons ---------------------------------------------------------------
+
+
+class _Inputs:
+    """Random multi-term inputs over one pairing, with mixed coefficients."""
+
+    def __init__(self, name, P, coeffs):
+        enum = EnumSpec(window=3)
+        self.a = P.A.basis_labels(enum.window)
+        self.b = P.B.basis_labels(enum.window)
+        self.ab = [(la, lb) for la in self.a for lb in self.b]
+        self.coeffs = coeffs
+        self.rng = random.Random(name)
+
+    def value(self, labels, size=None):
+        """A value of ``size`` (1 to 3 when not given) drawn terms."""
+        size = size or self.rng.randint(1, 3)
+        return LinComb.from_pairs(
+            (self.rng.choice(labels), self.rng.choice(self.coeffs))
+            for _ in range(size))
+
+    def tensor(self, slots, size=None):
+        """A value over flat labels, one label family per slot."""
+        size = size or self.rng.randint(1, 2)
+        return LinComb.from_pairs(
+            (sum((self.rng.choice(s) for s in slots), ()),
+             self.rng.choice(self.coeffs))
+            for _ in range(size))
+
+    def crossed4(self, size=None):
+        return self.tensor([self.ab, self.ab], size)
+
+    def crossed6(self, size=None):
+        return self.tensor([self.ab, self.ab, self.ab], size)
+
+
+def _setup(case):
+    name, make, gradings, coeffs = case
+    P = make()
+    return P, gradings, _Inputs(name, P, coeffs)
+
+
+def _pairs(gradings):
+    return [(p, q) for p in gradings for q in gradings]
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+class TestBasisReads:
+
+    def test_t_pair_and_apply_aut(self, case):
+        P, gradings, inp = _setup(case)
+        for X, labels in ((P.A, inp.a), (P.B, inp.b)):
+            for i in (1, 2, 3, 4):
+                for _ in range(3):
+                    x, y = inp.value(labels), inp.value(labels)
+                    assert X.t_pair(i, x, y) == _ref_t_pair(X, i, x, y)
+            for g in gradings:
+                for phi in g:
+                    for size in (1, 2, 3):
+                        x = inp.value(labels, size)
+                        assert X.apply_aut(phi, x) == _ref_apply_aut(X, phi, x)
+
+    def test_move(self, case):
+        P, gradings, inp = _setup(case)
+        for g in gradings:
+            for variant in (1, 2):
+                for inverse in (False, True):
+                    for _ in range(2):
+                        x = inp.value(inp.ab)
+                        for phi in g:
+                            assert _move(P, variant, phi, x, inverse) == \
+                                _ref_move(P, variant, phi, x, inverse)
+
+    def test_dcp_mul(self, case):
+        P, gradings, inp = _setup(case)
+        for g in gradings:
+            for _ in range(4):
+                x, y = inp.value(inp.ab), inp.value(inp.ab)
+                assert dcp_mul(P, g, x, y) == _ref_dcp_mul(P, g, x, y)
+
+    def test_commutation_residual(self, case):
+        P, gradings, inp = _setup(case)
+        for g in gradings:
+            for _ in range(3):
+                a, b, y = inp.value(inp.a), inp.value(inp.b), \
+                    inp.value(inp.ab)
+                assert commutation_residual(P, g, a, b, y) == \
+                    _ref_commutation_residual(P, g, a, b, y)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_comul_covered(self, case, side):
+        P, gradings, inp = _setup(case)
+        for p, q in _pairs(gradings):
+            for _ in range(2):
+                x, cover = inp.value(inp.ab), inp.value(inp.ab)
+                assert comul_covered(P, x, p, q, cover, side) == \
+                    _ref_comul_covered(P, x, p, q, cover, side)
+
+    def test_graded_antipode_and_xi_on_legs(self, case):
+        P, gradings, inp = _setup(case)
+        for g in gradings:
+            for inverse in (False, True):
+                for _ in range(3):
+                    x = inp.value(inp.ab)
+                    assert graded_antipode(P, g, x, inverse) == \
+                        _ref_graded_antipode(P, g, x, inverse)
+        # Every pair of the gradings' automorphisms: on S3 the A-leg map of
+        # each grading is an involution, and the A-leg maps of mixed pairs
+        # are not.
+        auts = list(dict.fromkeys(phi for g in gradings for phi in g))
+        for actor in [AutPair(a, b) for a in auts for b in auts]:
+            source = inp.rng.choice(gradings)
+            uv = inp.crossed4(3)
+            for a_idx, b_idx in ((0, 1), (2, 3)):
+                assert xi_on_legs(P, actor, source, uv, a_idx, b_idx) == \
+                    _ref_xi_on_legs(P, actor, source, uv, a_idx, b_idx)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_r_apply(self, case, side):
+        P, gradings, inp = _setup(case)
+        for p, q in _pairs(gradings):
+            for _ in range(2):
+                uv = inp.crossed4()
+                assert r_apply(P, p, q, uv, side) == \
+                    _ref_r_apply(P, p, q, uv, side)
+
+    def test_qt_coproduct_residuals(self, case):
+        P, gradings, inp = _setup(case)
+        for p, q in _pairs(gradings)[:3]:
+            r = gradings[-1]
+            uvz = inp.crossed6(1)
+            assert qt_coproduct_first_residual(P, p, q, r, uvz) == \
+                _ref_qt_coproduct_first(P, p, q, r, uvz)
+            assert qt_coproduct_second_residual(P, p, q, r, uvz) == \
+                _ref_qt_coproduct_second(P, p, q, r, uvz)
+
+    def test_w_residuals(self, case):
+        P, _, inp = _setup(case)
+        for _ in range(2):
+            m, m2 = inp.value(inp.b, 2), inp.value(inp.b, 2)
+            n1, n2 = inp.value(inp.a, 2), inp.value(inp.a, 2)
+            assert w_coproduct_b_residual(P, m, m2, n1) == \
+                _ref_w_coproduct_b(P, m, m2, n1)
+            assert w_coproduct_a_residual(P, m, n1, n2) == \
+                _ref_w_coproduct_a(P, m, n1, n2)
+            assert w_inverse_residual(P, m, n1) == _ref_w_inverse(P, m, n1)
+
+    def test_w_intertwiner_residuals(self, case):
+        P, gradings, inp = _setup(case)
+        for p, q in _pairs(gradings):
+            a, m = inp.value(inp.a), inp.value(inp.a)
+            u = inp.value(inp.ab)
+            assert w_intertwiner_residual_a(P, p, a, u, m) == \
+                _ref_w_intertwiner_a(P, p, a, u, m)
+            b, mb = inp.value(inp.b), inp.value(inp.b)
+            assert w_intertwiner_residual_b(P, p, q, b, mb, u) == \
+                _ref_w_intertwiner_b(P, p, q, b, mb, u)

@@ -6,35 +6,29 @@ from fractions import Fraction
 
 import pytest
 
-from mhag import (DrinfeldPairing, EnumSpec, FiniteDimPairing, GroupPairing,
-                  IntGroup, PrimeField, commutation_residual, dcp_mul,
-                  twist_inv, twist_map)
+from mhag import (EnumSpec, GroupPairing, IntGroup, commutation_residual,
+                  dcp_mul, twist_inv, twist_map)
 from mhag import crossed, mha
 from mhag.cograded import graded_antipode
 from mhag.crossed import (_move, a_embed_left, a_embed_right, b_embed_left,
                           b_embed_right, crossed_value)
-from mhag.groups import (AutPair, PermGroup, TableGroup, identity_aut,
-                         inner_aut, map_aut, negation_aut)
+from mhag.groups import (AutPair, TableGroup, identity_aut, map_aut,
+                         negation_aut)
 from mhag.linear import LinComb
 from mhag.oracle import group_mul
-from mhag.pairing import MEMO_CAP
+from mhag.mha import MEMO_CAP
 
-from conftest import (IDENT, NEG, group_instance, make_session, rescaled_s3,
-                      sampled, session_spec)
+from conftest import (IDENT, NEG, S3, engine_cases, group_instance,
+                      make_session, memo_cases, s3_gradings, sampled,
+                      session_spec)
 
 Z4 = TableGroup.cyclic(4)
-S3 = PermGroup.symmetric(3)
 
 
 def z4_gradings():
     i = identity_aut(Z4)
     inv = map_aut(Z4, {k: (-k) % 4 for k in range(4)})
     return [AutPair(i, i), AutPair(i, inv), AutPair(inv, i), AutPair(inv, inv)]
-
-
-def s3_gradings():
-    return [AutPair(inner_aut(S3, (1, 0, 2)), inner_aut(S3, (1, 2, 0))),
-            AutPair(inner_aut(S3, (2, 0, 1)), inner_aut(S3, (0, 2, 1)))]
 
 
 PZ4 = GroupPairing(Z4)
@@ -69,31 +63,12 @@ class TestTwist:
         assert twist_map(PZ4, g, v) == total
 
 
-def _memo_cases():
-    """(name, pairing factory, gradings, coefficients) covering S3 under
-    inner gradings, Z under the sign gradings and the double of S3 over a
-    prime field."""
-    Z = IntGroup()
-    i, neg = identity_aut(Z), negation_aut(Z)
-    F = PrimeField(10007)
-    return [
-        ("s3-inner", lambda: GroupPairing(S3), s3_gradings(),
-         [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
-        ("z-sign", lambda: GroupPairing(Z),
-         [AutPair(a, b) for a in (i, neg) for b in (i, neg)],
-         [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
-        ("double-f10007", lambda: DrinfeldPairing(S3, F),
-         [AutPair(identity_aut(S3), identity_aut(S3)), s3_gradings()[0]],
-         [F.from_int(3), F.from_int(-2), F.parse("1/2"), F.one()]),
-    ]
-
-
 class TestTwistMemo:
     """twist_map reads basis twists from a per-pairing table; on any
     input it must equal the twist computed straight from the T-maps."""
 
-    @pytest.mark.parametrize("name,make,gradings,coeffs", _memo_cases(),
-                             ids=[c[0] for c in _memo_cases()])
+    @pytest.mark.parametrize("name,make,gradings,coeffs", memo_cases(),
+                             ids=[c[0] for c in memo_cases()])
     def test_multi_term_inputs_match_reference(self, name, make, gradings,
                                                coeffs):
         P = make()
@@ -196,8 +171,8 @@ class TestProductMemo:
     """dcp_mul reads basis products from a per-pairing table; on any input
     it must equal the product composed from the two embeddings."""
 
-    @pytest.mark.parametrize("name,make,gradings,coeffs", _memo_cases(),
-                             ids=[c[0] for c in _memo_cases()])
+    @pytest.mark.parametrize("name,make,gradings,coeffs", memo_cases(),
+                             ids=[c[0] for c in memo_cases()])
     def test_multi_term_inputs_match_reference(self, name, make, gradings,
                                                coeffs):
         P = make()
@@ -289,37 +264,13 @@ class TestProductMemo:
         assert all(len(t) == cap for t in tables)
 
 
-def _rescaled_s3_pairing():
-    """The structure-constant pairing of the group algebra of S3 on a
-    rescaled basis, so basis twists and products carry coefficients
-    other than 1."""
-    return FiniteDimPairing.from_instance(rescaled_s3())
-
-
-def _embedding_cases():
-    """_memo_cases, an S3 session whose B-antipode is negated, and a
-    rescaled structure-constant S3 pairing (identity grading only: its
-    basis is not permuted by automorphisms)."""
-    s3 = group_instance("symmetric", 3)
-    coeffs = [Fraction(3, 2), -2, 5, Fraction(-1, 7)]
-    ident = AutPair(identity_aut(TableGroup.cyclic(1)),
-                    identity_aut(TableGroup.cyclic(1)))
-    return _memo_cases() + [
-        ("s3-antipode-sign",
-         lambda: make_session(session_spec(s3, corrupt="antipode-sign")).P,
-         s3_gradings(), coeffs),
-        ("s3-rescaled-structure-constants", _rescaled_s3_pairing, [ident],
-         coeffs),
-    ]
-
-
 class TestEmbeddingFastPaths:
     """The multiplier embeddings read basis twists and basis products from
     the tables term by term; on multi-term inputs with mixed coefficients
     they must equal the embeddings computed afresh."""
 
-    @pytest.mark.parametrize("name,make,gradings,coeffs", _embedding_cases(),
-                             ids=[c[0] for c in _embedding_cases()])
+    @pytest.mark.parametrize("name,make,gradings,coeffs", engine_cases(),
+                             ids=[c[0] for c in engine_cases()])
     def test_multi_term_inputs_match_reference(self, name, make, gradings,
                                                coeffs):
         P = make()

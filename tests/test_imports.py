@@ -1,0 +1,69 @@
+"""Every module of the package reads each name it imports.
+
+An import that nothing reads is dead code that still costs a reader's
+attention and can hide a layering mistake (a name re-exported through the
+wrong module).  ``__init__.py`` is left out: it imports to re-export.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mhag"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(bound name, line) of every import, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read(tree):
+    """Every name the module loads, names in string annotations included."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for ann in filter(None, _annotations(tree)):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                names.update(n.id for n in ast.walk(expr)
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read(tree)
+    return [(name, line) for name, line in _imported(tree)
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_every_import(path):
+    assert unused_imports(path) == []
+
+
+def test_finds_an_unused_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path\nfrom typing import Dict, List\n"
+                   "def f(x: 'Dict') -> None:\n"
+                   "    return os.sep, 'List'\n")
+    assert unused_imports(mod) == [("List", 3)]

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from mhag import (DrinfeldPairing, FiniteDimPairing, GroupPairing, Session,
                   SessionError, session_from_json, session_from_path)
+from mhag.cli import main
 from mhag.session import (CORRUPTIONS, INSTANCE_KINDS, DropFirstTermW,
                           _naive_pair_mul)
 from mhag.groups import aut_pair_mul
 
 from conftest import (IDENT, NEG, cyc_inv, group_instance, inner,
-                      make_session, sampled, session_spec)
+                      make_session, sampled, session_spec, write_spec)
 
 
 class TestInstanceKinds:
@@ -277,6 +278,32 @@ class TestLoaderDiagnostics:
         """int() would read true as 1, 0.9 as 0 and "1" as 1."""
         with pytest.raises(SessionError, match=message):
             session_from_json({"instance": instance})
+
+    @pytest.mark.parametrize("scalars", ["rational", "F7"])
+    @pytest.mark.parametrize("field, value", [
+        ("unit", [True, "0"]),
+        ("counit", [True, True]),
+        ("mul", [[0, 0, 0, True], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                 [1, 1, 0, "1"]]),
+    ], ids=["unit", "counit", "mul-row"])
+    def test_boolean_coefficients_refused(self, field, value, scalars):
+        """isinstance(True, int) holds, so a scalar parser would read true
+        as the coefficient 1."""
+        with pytest.raises(SessionError, match="scalar must be a number or "
+                                               "a string, got True"):
+            session_from_json({"scalars": scalars, "instance": {
+                "kind": "finite-dim-hopf",
+                "hopf": {**_Z2_HOPF, field: value}}})
+
+    def test_boolean_coefficient_exits_two(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, {"instance": {
+            "kind": "finite-dim-hopf",
+            "hopf": {**_Z2_HOPF, "unit": [True, "0"]}}})
+        rc = main(["export", "--spec", spec])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: session-instance: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_from_path_happy(self, tmp_path, z2_session):
         import json
