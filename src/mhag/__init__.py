@@ -9,11 +9,10 @@ and generalized R-multiplier — and machine-checks every axiom on concrete
 instances with exact scalars.
 """
 
-from .cograded import (GradedElem, comul_covered, crossing_apply,
-                       graded_antipode, graded_counit, graded_mul)
-from .crossed import (EngineError, a_embed_left, a_embed_right, b_embed_left,
-                      b_embed_right, commutation_residual, dcp_mul, twist_inv,
-                      twist_map)
+from .cograded import (comul_covered, crossing_apply, graded_antipode,
+                       graded_counit)
+from .crossed import (EngineError, b_embed_left, commutation_residual, dcp_mul,
+                      twist_inv, twist_map)
 from .groups import (AutPair, Automorphism, GroupError, IntGroup, TableGroup,
                      aut_pair_identity, aut_pair_inv, aut_pair_mul,
                      group_from_json, identity_aut, inner_aut)
@@ -37,15 +36,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AutPair", "Automorphism", "AxiomReport", "CanonicalW", "DrinfeldDouble",
     "DrinfeldPairing", "DualDrinfeld", "EngineError", "EnumSpec",
-    "FiniteDimHopf", "FiniteDimPairing", "FunctionAlgebra", "GradedElem",
+    "FiniteDimHopf", "FiniteDimPairing", "FunctionAlgebra",
     "GroupAlgebra", "GroupError", "GroupPairing", "IntGroup", "LinComb",
     "PairingError", "PrimeField", "RationalField", "SUITE_NAMES", "Session",
     "SessionError", "SplitMix64", "StructureError", "TableGroup",
-    "a_embed_left", "a_embed_right", "aut_pair_identity", "aut_pair_inv",
-    "aut_pair_mul", "b_embed_left", "b_embed_right", "commutation_residual",
+    "aut_pair_identity", "aut_pair_inv", "aut_pair_mul", "b_embed_left",
+    "commutation_residual",
     "comul_covered", "crossing_apply", "dcp_mul", "eval_op",
     "export_structure", "field_from_json", "graded_antipode", "graded_counit",
-    "graded_mul", "group_from_json", "identity_aut", "inner_aut", "label_key",
+    "group_from_json", "identity_aut", "inner_aut", "label_key",
     "qt_conjugation_residual", "qt_coproduct_first_residual",
     "qt_coproduct_second_residual", "qt_intertwine_residual", "r_apply",
     "run_suite", "run_verify", "session_from_json", "session_from_path",

@@ -12,8 +12,7 @@ first slot.
 Conventions
 -----------
 * A homogeneous component value is a ``LinComb`` over ``(A-label,
-  B-label)`` pairs; the grading is carried alongside it (a ``GradedElem``
-  maps gradings to values).
+  B-label)`` pairs; the grading is carried alongside it.
 * ``comul_covered`` emits flat 4-tuples ``(A, B, A, B)``: the first pair
   is the slot at ``left_g``, the second the slot at ``right_g``.
 * All sums are exact; covers are chosen so every intermediate is an
@@ -25,66 +24,12 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .crossed import EngineError, b_left_into, dcp_mul, twist_inv, twist_map
 from .groups import AutPair, aut_pair_inv
-from .linear import LinComb, add_term
+from .linear import LinComb, add_scaled, add_term
 from .pairing import Pairing
-
-
-class GradedElem:
-    """A finite sum of homogeneous components, keyed by grading."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Optional[Dict[AutPair, LinComb]] = None):
-        comps = {}
-        for g, v in (components or {}).items():
-            if not v.is_zero():
-                comps[g] = v
-        self.components = comps
-
-    @staticmethod
-    def homogeneous(grading: AutPair, value: LinComb) -> "GradedElem":
-        return GradedElem({grading: value})
-
-    @staticmethod
-    def zero() -> "GradedElem":
-        return GradedElem({})
-
-    def component(self, grading: AutPair) -> LinComb:
-        return self.components.get(grading, LinComb.zero())
-
-    def add(self, other: "GradedElem") -> "GradedElem":
-        out = dict(self.components)
-        for g, v in other.components.items():
-            out[g] = out[g].add(v) if g in out else v
-        return GradedElem(out)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedElem)
-                and self.components == other.components)
-
-    def __repr__(self):
-        if not self.components:
-            return "GradedElem(0)"
-        parts = ", ".join(f"{g!r}: {v!r}" for g, v in self.components.items())
-        return f"GradedElem({parts})"
-
-
-def graded_mul(P: Pairing, x: GradedElem, y: GradedElem) -> GradedElem:
-    """Componentwise product: matching gradings multiply inside their
-    component, cross terms between distinct gradings vanish."""
-    out: Dict[AutPair, LinComb] = {}
-    for g, xv in x.components.items():
-        yv = y.components.get(g)
-        if yv is not None:
-            out[g] = dcp_mul(P, g, xv, yv)
-    return GradedElem(out)
 
 
 def graded_counit(P: Pairing, value: LinComb):
@@ -154,41 +99,43 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
         raise EngineError(
             "left-covered-comultiplication-requires-unital-B")
     alpha, beta = left_g
-    b_mul = B.mul_basis
+    b_mul, act_into = B.mul_basis, P.act_into
+    one = P.field.one()
     one_b = B.unit().terms
     e = P.act_unit_B([t[0] for t in x.terms])
     cov_a = B.apply_aut(alpha.inverse(), e).terms
     for (la, lb), cx in x.terms.items():
-        a_x = A.lc(la)
         # honest b1 (x) b2, with the automorphisms of both legs applied
         outer = [(aut(gamma, b1), aut(gamma_p, b2), k1 * c4)
                  for l1, k1 in one_b.items()
                  for (b1, b2), c4 in t_b(1, lb, l1).terms.items()]
         for (la2, lb2), cy in cover.terms.items():
-            a_cov = A.lc(la2)
             for l0, k0 in cov_a.items():
                 for (u, v), c1 in t_b(3, lb2, l0).terms.items():
-                    a_hit = P.act("b>>a", B.lc(aut(alpha, u)), a_x)
-                    if a_hit.is_zero():
-                        continue
-                    legs_st = A.t_pair(4, a_cov, a_hit)
-                    if legs_st.is_zero():
+                    a_hit: Dict = {}
+                    act_into(a_hit, "b>>a", one, aut(alpha, u), la)
+                    legs_st: Dict = {}
+                    for lh, ch in a_hit.items():
+                        add_scaled(legs_st, t_a(4, la2, lh).terms.items(), ch)
+                    if not legs_st:
                         continue
                     cc = cx * cy * k0 * c1
                     for l1, k1 in one_b.items():
                         for (w, z), c2 in t_b(1, v, l1).terms.items():
                             actor = B.antipode(B.lc(aut(beta, z)),
-                                               inverse=True)
-                            for (s, t), c3 in legs_st.terms.items():
-                                x1 = P.act("b>>a", actor, A.lc(s))
-                                if x1.is_zero():
+                                               inverse=True).terms.items()
+                            for (s, t), c3 in legs_st.items():
+                                x1: Dict = {}
+                                for ls, cs in actor:
+                                    act_into(x1, "b>>a", cs, ls, s)
+                                if not x1:
                                     continue
                                 c23 = cc * k1 * c2 * c3
                                 for gb1, gb2, c4 in outer:
                                     w_gb1 = b_mul(w, gb1).terms
                                     if not w_gb1:
                                         continue
-                                    for la1, c5 in x1.terms.items():
+                                    for la1, c5 in x1.items():
                                         first, second = ((t, la1) if cop_first
                                                          else (la1, t))
                                         c45 = c23 * c4 * c5

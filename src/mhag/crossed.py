@@ -13,10 +13,10 @@ elementary moves (one action each), every one computed through a T-map whose
 cover is absorbed against an action unit — so each step is exact and finite
 even when the comultiplication of B is not.
 
-Multiplier embeddings: A embeds on the left and B on the right of a value
-label-by-label; B on the left and A on the right require the twist.  All
-four read basis products and basis twists from the tables of the instances
-and the pairing, term by term, and build no value in between.
+Multiplier embeddings: A embeds on the left of a value label-by-label, and B
+on the left through the twist.  Both read basis products and basis twists
+from the tables of the instances and the pairing, term by term, and build
+no value in between.
 """
 
 from __future__ import annotations
@@ -55,22 +55,25 @@ def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
     moves cover with S(e) and act with S^-1 phi."""
     t, cov_first, action, leg = _MOVES[variant, inverse]
     B = P.B
-    t_image, aut = B.t_image, B.aut_basis
+    t_image, aut, act_into = B.t_image, B.aut_basis, P.act_into
+    one = P.field.one()
     out: Dict = {}
     e = P.act_unit_B([la for la, _ in x.terms])
     cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e).terms
     for (la, lb), c in x.terms.items():
-        target = P.A.lc(la)
         for lv, cv in cov.items():
             legs = t_image(t, lv, lb) if cov_first else t_image(t, lb, lv)
             for pair, c1 in legs.terms.items():
-                actor = B.lc(aut(phi, pair[leg]))
-                if inverse:
-                    actor = B.antipode(actor, inverse=True)
-                hit = P.act(action, actor, target)
+                actor = aut(phi, pair[leg])
+                actors = (B.antipode(B.lc(actor), inverse=True).terms.items()
+                          if inverse else ((actor, one),))
                 cc = c * cv * c1
-                for la2, c2 in hit.terms.items():
-                    add_term(out, (la2, pair[1 - leg]), cc * c2)
+                hit: Dict = {}
+                for ls, cs in actors:
+                    act_into(hit, action, cc * cs, ls, la)
+                kept = pair[1 - leg]
+                for la2, c2 in hit.items():
+                    add_term(out, (la2, kept), c2)
     return LinComb(out)
 
 
@@ -142,50 +145,12 @@ def b_left_into(P: Pairing, grading: AutPair, out: Dict, scale, lb,
                     add_term(out, (la2, lb3), cc * c2)
 
 
-def a_embed_left(P: Pairing, a: LinComb, y: LinComb) -> LinComb:
-    """(a |x| 1) * y: left A-multiplication on the A-slot, label-by-label."""
-    out: Dict = {}
-    y_items = y.terms.items()
-    for la, ca in a.terms.items():
-        a_left_into(P, out, ca, la, y_items)
-    return LinComb(out)
-
-
-def b_embed_right(P: Pairing, y: LinComb, b: LinComb) -> LinComb:
-    """y * (1 |x| b): right B-multiplication on the B-slot, label-by-label."""
-    mul_basis = P.B.mul_basis
-    out: Dict = {}
-    for (la, lb), c in y.terms.items():
-        for lb1, cb in b.terms.items():
-            prod = mul_basis(lb, lb1).terms
-            if prod:
-                cc = c * cb
-                for lb2, c2 in prod.items():
-                    add_term(out, (la, lb2), cc * c2)
-    return LinComb(out)
-
-
 def b_embed_left(P: Pairing, grading: AutPair, b: LinComb, y: LinComb) -> LinComb:
     """(1 |x| b) * y, via the twist, term by term through ``b_left_into``."""
     out: Dict = {}
     y_items = y.terms.items()
     for lb, cb in b.terms.items():
         b_left_into(P, grading, out, cb, lb, y_items)
-    return LinComb(out)
-
-
-def a_embed_right(P: Pairing, grading: AutPair, y: LinComb, a: LinComb) -> LinComb:
-    """y * (a |x| 1), via the twist applied to each term's B-label."""
-    mul_basis = P.A.mul_basis
-    out: Dict = {}
-    for (la1, lb1), c in y.terms.items():
-        for la, ca in a.terms.items():
-            for (la2, lb2), c1 in _twist_basis(P, grading, lb1, la):
-                prod = mul_basis(la1, la2).terms
-                if prod:
-                    cc = c * ca * c1
-                    for la3, c2 in prod.items():
-                        add_term(out, (la3, lb2), cc * c2)
     return LinComb(out)
 
 
@@ -217,11 +182,6 @@ def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
     return LinComb(out)
 
 
-def crossed_value(P: Pairing, a: LinComb, b: LinComb) -> LinComb:
-    """Assemble a |x| b from factor values."""
-    return a.map_labels(lambda l: (l,)).tensor(b.map_labels(lambda l: (l,)))
-
-
 def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
                          b: LinComb, y: LinComb):
     """Both sides of the embedded commutation rule, applied to a value y:
@@ -234,15 +194,19 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
     """
     alpha, beta = grading
     B = P.B
-    aut = B.aut_basis
+    aut, act_into = B.aut_basis, P.act_into
     binv = beta.inverse()
+    a_items = a.terms.items()
     y_items = y.terms.items()
     e = P.act_unit_B(a.support())
     lhs: Dict = {}
     legs = B.t_pair(4, e, b)                       # sum b1 (x) e*b2
     for (u, v), c1 in legs.terms.items():
+        av: Dict = {}
+        for la, ca in a_items:
+            act_into(av, "a<<b", ca, v, la)
         inner: Dict = {}
-        for la, ca in P.act("a<<b", B.lc(v), a).terms.items():
+        for la, ca in av.items():
             a_left_into(P, inner, ca, la, y_items)
         b_left_into(P, grading, lhs, c1, aut(binv, u), inner.items())
     rhs: Dict = {}
@@ -250,8 +214,11 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
     cov = B.apply_aut(beta.compose(alpha.inverse()), e)
     legs2 = B.t_pair(3, b, cov)                    # sum b1*cov (x) b2
     for (u, v), c1 in legs2.terms.items():
-        au = P.act("b>>a", B.lc(aut(ab_inv, u)), a)
+        au: Dict = {}
+        lu = aut(ab_inv, u)
+        for la, ca in a_items:
+            act_into(au, "b>>a", ca, lu, la)
         lv = aut(binv, v)
-        elem = LinComb({(la, lv): ca for la, ca in au.terms.items()})
+        elem = LinComb({(la, lv): ca for la, ca in au.items()})
         add_scaled(rhs, dcp_mul(P, grading, elem, y).terms.items(), c1)
     return LinComb(lhs), LinComb(rhs)

@@ -953,7 +953,7 @@ class FiniteDimHopf(MhaInstance):
                 return self._name_index[data]
             except KeyError:
                 raise StructureError(f"unknown-basis-name: {data!r}") from None
-        i = int(data)
+        i = json_int(data, "label")
         if not 0 <= i < self.dim:
             raise StructureError(f"label-out-of-range: {data!r}")
         return i

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .groups import AutPair, Automorphism, Group, GroupError, aut_pair_mul
-from .linear import LinComb
+from .linear import LinComb, add_term
 from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance, invert_matrix)
 from .scalars import Field, RationalField
@@ -35,7 +35,16 @@ class PairingError(ValueError):
     """Raised for malformed or unusable pairing data."""
 
 
-ACT_VARIANTS = ("b>>a", "a<<b", "a>>b", "b<<a")
+# One row per module action: whether the target lies in A (else in B), the
+# T-map of the target's instance, whether the action unit stands left of
+# the target, and the leg of the T-image paired with the actor (the other
+# leg is kept).
+_ACTIONS = {
+    "b>>a": (True, 1, False, 1),        # sum a1 (x) a2*c, pair a2 with b
+    "a<<b": (True, 2, True, 0),         # sum c*a1 (x) a2, pair a1 with b
+    "a>>b": (False, 1, False, 1),       # sum b1 (x) b2*e, pair b2 with a
+    "b<<a": (False, 2, True, 0),        # sum e*b1 (x) b2, pair b1 with a
+}
 
 
 class Pairing:
@@ -82,54 +91,42 @@ class Pairing:
         raise NotImplementedError
 
     # -- actions ---------------------------------------------------------------
-    def act(self, variant: str, actor: LinComb, target: LinComb) -> LinComb:
-        """Evaluate one of the four module actions exactly.
+    def act_into(self, out: Dict, variant: str, scale, actor, target) -> None:
+        """Add ``scale`` times one of the four module actions of the basis
+        label ``actor`` on the basis label ``target`` to the term dict ``out``.
 
         ``variant`` is one of ``"b>>a"`` (actor in B, target in A, result in
         A), ``"a<<b"`` (actor in B, target in A), ``"a>>b"`` (actor in A,
-        target in B), ``"b<<a"`` (actor in A, target in B).
+        target in B), ``"b<<a"`` (actor in A, target in B).  The T-image of
+        the target against an action unit is contracted on one leg with the
+        actor through the form, as ``_ACTIONS`` says.
         """
-        if actor.is_zero() or target.is_zero():
-            return LinComb.zero()
-        if variant == "b>>a":
-            c = self.act_unit_A(actor.support())
-            tt = self.A.t_pair(1, target, c)       # sum a1 (x) a2*c
-            return self._contract(tt, actor, slot=2)
-        if variant == "a<<b":
-            c = self.act_unit_A(actor.support())
-            tt = self.A.t_pair(2, c, target)       # sum c*a1 (x) a2
-            return self._contract(tt, actor, slot=1)
-        if variant == "a>>b":
-            e = self.act_unit_B(actor.support())
-            tt = self.B.t_pair(1, target, e)       # sum b1 (x) b2*e
-            return self._contract_a(tt, actor, slot=2)
-        if variant == "b<<a":
-            e = self.act_unit_B(actor.support())
-            tt = self.B.t_pair(2, e, target)       # sum e*b1 (x) b2
-            return self._contract_a(tt, actor, slot=1)
-        raise PairingError(f"action-variant-unknown: {variant!r}")
-
-    def _contract(self, tt: LinComb, actor_b: LinComb, slot: int) -> LinComb:
-        """Contract one tensor leg (in A) against a B-element via the form."""
-        pairs = []
-        for (l1, l2), c in tt.terms.items():
-            a_leg, keep = (l2, l1) if slot == 2 else (l1, l2)
-            for lb, cb in actor_b.terms.items():
-                v = self.pair_basis(a_leg, lb)
+        try:
+            on_a, t, unit_first, leg = _ACTIONS[variant]
+        except KeyError:
+            raise PairingError(f"action-variant-unknown: {variant!r}") from None
+        if on_a:
+            X, unit = self.A, self.act_unit_A([actor])
+        else:
+            X, unit = self.B, self.act_unit_B([actor])
+        t_image, pair_basis = X.t_image, self.pair_basis
+        for lu, cu in unit.terms.items():
+            legs = (t_image(t, lu, target) if unit_first
+                    else t_image(t, target, lu))
+            for pair, c in legs.terms.items():
+                v = (pair_basis(pair[leg], actor) if on_a
+                     else pair_basis(actor, pair[leg]))
                 if v:
-                    pairs.append((keep, c * cb * v))
-        return LinComb.from_pairs(pairs)
+                    add_term(out, pair[1 - leg], scale * cu * c * v)
 
-    def _contract_a(self, tt: LinComb, actor_a: LinComb, slot: int) -> LinComb:
-        """Contract one tensor leg (in B) against an A-element via the form."""
-        pairs = []
-        for (l1, l2), c in tt.terms.items():
-            b_leg, keep = (l2, l1) if slot == 2 else (l1, l2)
-            for la, ca in actor_a.terms.items():
-                v = self.pair_basis(la, b_leg)
-                if v:
-                    pairs.append((keep, c * ca * v))
-        return LinComb.from_pairs(pairs)
+    def act(self, variant: str, actor: LinComb, target: LinComb) -> LinComb:
+        """One of the four module actions on values, term by term through
+        ``act_into``."""
+        out: Dict = {}
+        for la, ca in actor.terms.items():
+            for lt, ct in target.terms.items():
+                self.act_into(out, variant, ca * ct, la, lt)
+        return LinComb(out)
 
     # -- automorphism plumbing ----------------------------------------------------
     def precompose_A(self, phi: Automorphism, a: LinComb) -> LinComb:
@@ -154,48 +151,38 @@ class Pairing:
         this works over infinite instances too.
         """
         A, B = self.A, self.B
-        pair_basis = self.pair_basis
-        zero = self.field.zero()
-        # <a, x y> = <a1, x><a2, y> on basis a, x, y: the left side sums
-        # cz <a, z> over the terms cz z of the basis product x y, the right
-        # side pairs the action a <| x (once per (a, x)) with y term by term.
-        for la in a_labels:
-            a = A.lc(la)
-            for lb1 in b_labels:
-                ax = self.act("a<<b", B.lc(lb1), a).terms.items()
-                for lb2 in b_labels:
-                    lhs = zero
-                    for lz, cz in B.mul_basis(lb1, lb2).terms.items():
-                        v = pair_basis(la, lz)
-                        if v:
-                            lhs = lhs + cz * v
-                    rhs = zero
-                    for l, c in ax:
-                        v = pair_basis(l, lb2)
-                        if v:
-                            rhs = rhs + c * v
-                    if not (lhs == rhs):
-                        return (f"pairing-product-law-fails(B): a={la!r}, "
-                                f"x={lb1!r}, y={lb2!r}")
-        # <x y, b> = <x, b1><y, b2>, read the same way.
-        for lb in b_labels:
-            b = B.lc(lb)
-            for la1 in a_labels:
-                xb = self.act("b<<a", A.lc(la1), b).terms.items()
-                for la2 in a_labels:
-                    lhs = zero
-                    for lz, cz in A.mul_basis(la1, la2).terms.items():
-                        v = pair_basis(lz, lb)
-                        if v:
-                            lhs = lhs + cz * v
-                    rhs = zero
-                    for l, c in xb:
-                        v = pair_basis(la2, l)
-                        if v:
-                            rhs = rhs + c * v
-                    if not (lhs == rhs):
-                        return (f"pairing-product-law-fails(A): b={lb!r}, "
-                                f"x={la1!r}, y={la2!r}")
+        pair_basis, act_into = self.pair_basis, self.act_into
+        zero, one = self.field.zero(), self.field.one()
+        # <a, x y> = <a1, x><a2, y> on basis a, x, y in B (tag "B"), and
+        # <x y, b> = <x, b1><y, b2> on basis x, y in A (tag "A").  The left
+        # side sums cz <z, f> over the terms cz z of the basis product x y
+        # with the fixed label f; the right side pairs the action of x on f
+        # (once per (f, x)) with y term by term.
+        for tag, name, fixed, factors, X, variant in (
+                ("B", "a", a_labels, b_labels, B, "a<<b"),
+                ("A", "b", b_labels, a_labels, A, "b<<a")):
+            f_in_a = tag == "B"
+            for f in fixed:
+                for x in factors:
+                    fx: Dict = {}
+                    act_into(fx, variant, one, x, f)
+                    fx_items = fx.items()
+                    for y in factors:
+                        lhs = zero
+                        for lz, cz in X.mul_basis(x, y).terms.items():
+                            v = (pair_basis(f, lz) if f_in_a
+                                 else pair_basis(lz, f))
+                            if v:
+                                lhs = lhs + cz * v
+                        rhs = zero
+                        for l, c in fx_items:
+                            v = (pair_basis(l, y) if f_in_a
+                                 else pair_basis(y, l))
+                            if v:
+                                rhs = rhs + c * v
+                        if not (lhs == rhs):
+                            return (f"pairing-product-law-fails({tag}): "
+                                    f"{name}={f!r}, x={x!r}, y={y!r}")
         for la in a_labels:
             for lb in b_labels:
                 a, b = A.lc(la), B.lc(lb)

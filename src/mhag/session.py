@@ -144,7 +144,8 @@ class Session:
                  enum: EnumSpec, mode: str, kind: str,
                  corrupt: Optional[str] = None,
                  group: Optional[Group] = None,
-                 spec_data: Optional[Dict] = None):
+                 spec_data: Optional[Dict] = None,
+                 carrier: Optional[Group] = None):
         self.P = pairing
         self.field = pairing.field
         self.gradings = gradings
@@ -153,6 +154,10 @@ class Session:
         self.kind = kind
         self.corrupt = corrupt
         self.group = group
+        # The group the gradings' automorphisms act on: the instance's group,
+        # or the trivial group the decoder builds for a structure-constant
+        # instance.  Automorphisms over two distinct carriers do not compose.
+        self.carrier = carrier if carrier is not None else group
         self.spec_data = spec_data or {}
         _plant(pairing, corrupt)
 
@@ -166,8 +171,7 @@ class Session:
         return self.group.is_finite if self.group is not None else True
 
     def unit_grading(self) -> AutPair:
-        carrier = self.group if self.group is not None else TableGroup.cyclic(1)
-        return aut_pair_identity(carrier)
+        return aut_pair_identity(self.carrier)
 
     def a_labels(self) -> List:
         return list(self.P.A.basis_labels(self.enum.window))
@@ -295,7 +299,7 @@ def session_from_json(data, seed: Optional[int] = None,
             f"session-corrupt: {corrupt!r} not one of {CORRUPTIONS}")
 
     return Session(pairing, gradings, enum, mode, kind, corrupt=corrupt,
-                   group=group, spec_data=data)
+                   group=group, spec_data=data, carrier=aut_carrier)
 
 
 def session_from_path(path: str, seed: Optional[int] = None,

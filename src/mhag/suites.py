@@ -559,11 +559,11 @@ def _base_antipode(inst, x, y):
 
 
 def _base_aut_compat(inst, phi, x, y):
-    px, py = inst.aut_label(phi, x), inst.aut_label(phi, y)
+    px, py = inst.aut_basis(phi, x), inst.aut_basis(phi, y)
     t1 = inst.t_map(1, LinComb.unit((px, py)))
     t1ref = inst.t_map(1, LinComb.unit((x, y))).map_labels(
-        lambda lab: (inst.aut_label(phi, lab[0]),
-                     inst.aut_label(phi, lab[1])))
+        lambda lab: (inst.aut_basis(phi, lab[0]),
+                     inst.aut_basis(phi, lab[1])))
     return (_With(t1, inst.counit(inst.lc(px)), inst.antipode(inst.lc(px))),
             _With(t1ref, inst.counit(inst.lc(x)),
                   inst.apply_aut(phi, inst.antipode(inst.lc(x)))))

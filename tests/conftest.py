@@ -66,6 +66,33 @@ def session_spec(instance, gradings=None, enum=None, corrupt=None):
     return spec
 
 
+# Structure constants (the "hopf" schema of FiniteDimHopf.from_json) of the
+# group algebra of C2, and of Sweedler's four-dimensional Hopf algebra H4
+# on the basis 1, g, x, gx: g^2 = 1, x^2 = 0, xg = -gx, Delta(g) = g (x) g,
+# Delta(x) = x (x) 1 + g (x) x, S(x) = -gx and S(gx) = x.  The antipode of
+# H4 is not an involution: S^2(x) = -x.
+C2_HOPF = {
+    "dim": 2, "basis": ["e", "s"], "unit": [1, 0], "counit": [1, 1],
+    "mul": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+    "comul": [[0, 0, 0, 1], [1, 1, 1, 1]],
+    "antipode": [[0, 0, 1], [1, 1, 1]],
+}
+H4_HOPF = {
+    "dim": 4, "basis": ["1", "g", "x", "gx"], "unit": [1, 0, 0, 0],
+    "counit": [1, 1, 0, 0],
+    "mul": [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
+            [1, 0, 1, 1], [1, 1, 0, 1], [1, 2, 3, 1], [1, 3, 2, 1],
+            [2, 0, 2, 1], [2, 1, 3, -1], [3, 0, 3, 1], [3, 1, 2, -1]],
+    "comul": [[0, 0, 0, 1], [1, 1, 1, 1], [2, 2, 0, 1], [2, 1, 2, 1],
+              [3, 3, 1, 1], [3, 0, 3, 1]],
+    "antipode": [[0, 0, 1], [1, 1, 1], [2, 3, -1], [3, 2, 1]],
+}
+
+
+def hopf_instance(hopf):
+    return {"kind": "finite-dim-hopf", "hopf": hopf}
+
+
 def make_session(spec, **kw):
     return session_from_json(spec, **kw)
 
@@ -135,10 +162,12 @@ def memo_cases():
 
 
 def engine_cases():
-    """memo_cases, an S3 session whose B-antipode is negated, and the
-    structure-constant pairing of a rescaled S3 group algebra (identity
-    grading only: its basis is not permuted by automorphisms), whose basis
-    twists and products carry coefficients other than 1."""
+    """memo_cases, an S3 session whose B-antipode is negated, the
+    structure-constant pairing of a rescaled S3 group algebra, whose basis
+    twists and products carry coefficients other than 1, and the pairing of
+    Sweedler's H4, whose antipode is not an involution (both at the
+    identity grading only: their bases are not permuted by
+    automorphisms)."""
     s3 = group_instance("symmetric", 3)
     coeffs = [Fraction(3, 2), -2, 5, Fraction(-1, 7)]
     trivial = identity_aut(TableGroup.cyclic(1))
@@ -150,6 +179,9 @@ def engine_cases():
         ("s3-rescaled-structure-constants",
          lambda: FiniteDimPairing.from_instance(rescaled_s3()), [ident],
          coeffs),
+        ("h4-sweedler",
+         lambda: FiniteDimPairing.from_instance(
+             FiniteDimHopf.from_json(H4_HOPF)), [ident], coeffs),
     ]
 
 

@@ -4,10 +4,13 @@ before it multiplied, twisted or T-mapped it.
 
 The former bodies are kept here verbatim, apart from reading the product
 memo's fill and the T-map table of ``t_pair`` straight from the basis
-primitives.  They run on multi-term inputs with mixed coefficients over the
-five pairings of ``conftest.engine_cases``; only the rescaled
-structure-constant pairing has basis images whose coefficients are not 1,
-so only it sees a dropped coefficient.
+primitives.  So are the former module action, which the former bodies call
+in place of ``Pairing.act``, and the value-level embeddings that the
+library no longer has.  They run on multi-term inputs with mixed
+coefficients over the six pairings of ``conftest.engine_cases``; only the
+rescaled structure-constant pairing and H4 have basis images whose
+coefficients are not 1, so only they see a dropped coefficient, and only
+H4 has an antipode that is not an involution.
 """
 
 import random
@@ -18,11 +21,11 @@ import pytest
 from mhag import EnumSpec
 from mhag.cograded import (_second_leg_aut, _xi_maps, comul_covered,
                            graded_antipode, xi_on_legs)
-from mhag.crossed import (_move, a_embed_left, a_embed_right, b_embed_left,
-                          b_embed_right, commutation_residual,
-                          crossed_value, dcp_mul, twist_inv, twist_map)
+from mhag.crossed import (_move, _twist_basis, a_left_into, b_embed_left,
+                          commutation_residual, dcp_mul, twist_inv, twist_map)
 from mhag.groups import AutPair, aut_pair_inv
 from mhag.linear import LinComb, add_scaled, add_term
+from mhag.pairing import PairingError
 from mhag.quasitri import (qt_coproduct_first_residual,
                            qt_coproduct_second_residual, r_apply,
                            w_coproduct_a_residual, w_coproduct_b_residual,
@@ -55,7 +58,94 @@ def _ref_apply_aut(X, phi, x):
     return x.map_labels(lambda l: X.aut_label(phi, l))
 
 
+# -- former bodies: pairing ---------------------------------------------------------
+
+def _ref_act(P, variant, actor, target):
+    if actor.is_zero() or target.is_zero():
+        return LinComb.zero()
+    if variant == "b>>a":
+        c = P.act_unit_A(actor.support())
+        tt = _ref_t_pair(P.A, 1, target, c)       # sum a1 (x) a2*c
+        return _ref_contract(P, tt, actor, slot=2)
+    if variant == "a<<b":
+        c = P.act_unit_A(actor.support())
+        tt = _ref_t_pair(P.A, 2, c, target)       # sum c*a1 (x) a2
+        return _ref_contract(P, tt, actor, slot=1)
+    if variant == "a>>b":
+        e = P.act_unit_B(actor.support())
+        tt = _ref_t_pair(P.B, 1, target, e)       # sum b1 (x) b2*e
+        return _ref_contract_a(P, tt, actor, slot=2)
+    if variant == "b<<a":
+        e = P.act_unit_B(actor.support())
+        tt = _ref_t_pair(P.B, 2, e, target)       # sum e*b1 (x) b2
+        return _ref_contract_a(P, tt, actor, slot=1)
+    raise PairingError(f"action-variant-unknown: {variant!r}")
+
+
+def _ref_contract(P, tt, actor_b, slot):
+    """Contract one tensor leg (in A) against a B-element via the form."""
+    pairs = []
+    for (l1, l2), c in tt.terms.items():
+        a_leg, keep = (l2, l1) if slot == 2 else (l1, l2)
+        for lb, cb in actor_b.terms.items():
+            v = P.pair_basis(a_leg, lb)
+            if v:
+                pairs.append((keep, c * cb * v))
+    return LinComb.from_pairs(pairs)
+
+
+def _ref_contract_a(P, tt, actor_a, slot):
+    """Contract one tensor leg (in B) against an A-element via the form."""
+    pairs = []
+    for (l1, l2), c in tt.terms.items():
+        b_leg, keep = (l2, l1) if slot == 2 else (l1, l2)
+        for la, ca in actor_a.terms.items():
+            v = P.pair_basis(la, b_leg)
+            if v:
+                pairs.append((keep, c * ca * v))
+    return LinComb.from_pairs(pairs)
+
+
 # -- former bodies: crossed ---------------------------------------------------------
+
+def a_embed_left(P, a, y):
+    out: Dict = {}
+    y_items = y.terms.items()
+    for la, ca in a.terms.items():
+        a_left_into(P, out, ca, la, y_items)
+    return LinComb(out)
+
+
+def b_embed_right(P, y, b):
+    mul_basis = P.B.mul_basis
+    out: Dict = {}
+    for (la, lb), c in y.terms.items():
+        for lb1, cb in b.terms.items():
+            prod = mul_basis(lb, lb1).terms
+            if prod:
+                cc = c * cb
+                for lb2, c2 in prod.items():
+                    add_term(out, (la, lb2), cc * c2)
+    return LinComb(out)
+
+
+def a_embed_right(P, grading, y, a):
+    mul_basis = P.A.mul_basis
+    out: Dict = {}
+    for (la1, lb1), c in y.terms.items():
+        for la, ca in a.terms.items():
+            for (la2, lb2), c1 in _twist_basis(P, grading, lb1, la):
+                prod = mul_basis(la1, la2).terms
+                if prod:
+                    cc = c * ca * c1
+                    for la3, c2 in prod.items():
+                        add_term(out, (la3, lb2), cc * c2)
+    return LinComb(out)
+
+
+def crossed_value(P, a, b):
+    return a.map_labels(lambda l: (l,)).tensor(b.map_labels(lambda l: (l,)))
+
 
 _MOVES = {
     (1, False): (3, False, "b>>a", 0),
@@ -78,7 +168,7 @@ def _ref_move(P, variant, phi, x, inverse=False):
             actor = B.apply_aut(phi, B.lc(pair[leg]))
             if inverse:
                 actor = B.antipode(actor, inverse=True)
-            hit = P.act(action, actor, P.A.lc(la))
+            hit = _ref_act(P, action, actor, P.A.lc(la))
             for la2, c2 in hit.terms.items():
                 add_term(out, (la2, pair[1 - leg]), c * c1 * c2)
     return LinComb(out)
@@ -103,7 +193,7 @@ def _ref_commutation_residual(P, grading, a, b, y):
     lhs: Dict = {}
     legs = B.t_pair(4, e, b)
     for (u, v), c1 in legs.terms.items():
-        av = P.act("a<<b", B.lc(v), a)
+        av = _ref_act(P, "a<<b", B.lc(v), a)
         inner = a_embed_left(P, av, y)
         part = b_embed_left(P, grading,
                             B.apply_aut(beta.inverse(), B.lc(u)), inner)
@@ -113,7 +203,7 @@ def _ref_commutation_residual(P, grading, a, b, y):
     cov = B.apply_aut(beta.compose(alpha.inverse()), e)
     legs2 = B.t_pair(3, b, cov)
     for (u, v), c1 in legs2.terms.items():
-        au = P.act("b>>a", B.apply_aut(ab_inv, B.lc(u)), a)
+        au = _ref_act(P, "b>>a", B.apply_aut(ab_inv, B.lc(u)), a)
         elem = crossed_value(P, au, B.apply_aut(beta.inverse(), B.lc(v)))
         add_scaled(rhs, dcp_mul(P, grading, elem, y).terms.items(), c1)
     return LinComb(lhs), LinComb(rhs)
@@ -155,7 +245,8 @@ def _ref_comul_covered(P, x, left_g, right_g, cover, side="right"):
         for (la2, lb2), cy in cover.terms.items():
             legs_uv = B.t_pair(3, B.lc(lb2), cov_a)
             for (u, v), c1 in legs_uv.terms.items():
-                a_hit = P.act("b>>a", B.apply_aut(alpha, B.lc(u)), A.lc(la))
+                a_hit = _ref_act(P, "b>>a", B.apply_aut(alpha, B.lc(u)),
+                                 A.lc(la))
                 if a_hit.is_zero():
                     continue
                 legs_st = A.t_pair(4, A.lc(la2), a_hit)
@@ -166,7 +257,7 @@ def _ref_comul_covered(P, x, left_g, right_g, cover, side="right"):
                     actor = B.antipode(B.apply_aut(beta, B.lc(z)),
                                        inverse=True)
                     for (s, t), c3 in legs_st.terms.items():
-                        x1 = P.act("b>>a", actor, A.lc(s))
+                        x1 = _ref_act(P, "b>>a", actor, A.lc(s))
                         if x1.is_zero():
                             continue
                         for (b1, b2), c4 in outer.terms.items():
@@ -656,6 +747,19 @@ class TestBasisReads:
                     for size in (1, 2, 3):
                         x = inp.value(labels, size)
                         assert X.apply_aut(phi, x) == _ref_apply_aut(X, phi, x)
+
+    def test_act(self, case):
+        P, _, inp = _setup(case)
+        for variant, actors, targets in (("b>>a", inp.b, inp.a),
+                                         ("a<<b", inp.b, inp.a),
+                                         ("a>>b", inp.a, inp.b),
+                                         ("b<<a", inp.a, inp.b)):
+            for size in (1, 2, 3):
+                for _ in range(3):
+                    actor = inp.value(actors, size)
+                    target = inp.value(targets)
+                    assert P.act(variant, actor, target) == \
+                        _ref_act(P, variant, actor, target)
 
     def test_move(self, case):
         P, gradings, inp = _setup(case)

@@ -22,8 +22,9 @@ import mhag
 from mhag import export_structure
 from mhag.cli import _dump, main
 
-from conftest import (IDENT, NEG, cyc_inv, group_instance, inner,
-                      make_session, sampled, session_spec, write_spec)
+from conftest import (C2_HOPF, H4_HOPF, IDENT, NEG, cyc_inv, group_instance,
+                      hopf_instance, inner, make_session, sampled,
+                      session_spec, write_spec)
 
 try:
     import tomllib
@@ -106,6 +107,18 @@ class TestVerify:
         cb = [ax["cases"] for s in json.loads(b)["suites"]
               for ax in s["axioms"]]
         assert ca == cb  # same plan size either way
+
+    @pytest.mark.parametrize("suite", mhag.SUITE_NAMES)
+    @pytest.mark.parametrize("hopf", [C2_HOPF, H4_HOPF], ids=["c2", "h4"])
+    def test_structure_constant_session_passes(self, capsys, tmp_path, hopf,
+                                               suite):
+        # A session given by bare structure constants grades over a
+        # one-element carrier and has no automorphism action on its basis.
+        spec = write_spec(tmp_path, session_spec(hopf_instance(hopf)))
+        rc, out, err = run_cli(capsys, "verify", "--spec", spec,
+                               "--suite", suite)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["status"] == "pass"
 
     def test_out_flag_writes_file(self, tmp_path, capsys, z2_spec):
         target = tmp_path / "report.json"
@@ -322,6 +335,16 @@ class TestEval:
                                           message):
         rc, err = self.ev(capsys, z2_spec, "antipode", params)
         assert rc == 2 and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("label", [True, 1.7, "1", [1]])
+    def test_structure_constant_label_must_be_an_integer(self, capsys,
+                                                         tmp_path, label):
+        spec = write_spec(tmp_path, session_spec(hopf_instance(C2_HOPF)))
+        rc, err = self.ev(capsys, spec, "counit", {"x": [[label, label]]})
+        assert rc == 2 and err.startswith("error: ")
+        assert err.count("\n") == 1
+        rc, data = self.ev(capsys, spec, "counit", {"x": [["s", 1]]})
+        assert rc == 0 and data["result"] == "0"
 
     def test_bad_args_json(self, capsys, z2_spec):
         rc, _, err = run_cli(capsys, "eval", "--spec", z2_spec,

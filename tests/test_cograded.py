@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from mhag import (GradedElem, GroupPairing, comul_covered, crossing_apply,
-                  dcp_mul, graded_counit, graded_mul)
+from mhag import (GroupPairing, comul_covered, crossing_apply, dcp_mul,
+                  graded_counit)
 from mhag.cograded import graded_antipode
 from mhag.groups import (AutPair, PermGroup, TableGroup, aut_pair_inv,
                          aut_pair_mul, identity_aut, inner_aut, map_aut)
@@ -29,42 +29,6 @@ E4 = AutPair(I4, I4)
 def crossed_basis(P):
     return [(la, lb) for la in P.A.basis_labels(None)
             for lb in P.B.basis_labels(None)]
-
-
-class TestGradedElem:
-    def test_container_laws(self):
-        p, q = Z4_GRADINGS[1], Z4_GRADINGS[2]
-        x = GradedElem.homogeneous(p, LinComb.unit((1, 2)))
-        y = GradedElem.homogeneous(q, LinComb.unit((0, 0)))
-        s = x.add(y)
-        assert s.component(p) == LinComb.unit((1, 2))
-        assert s.component(q) == LinComb.unit((0, 0))
-        assert s.component(Z4_GRADINGS[3]).is_zero()
-        assert x.add(GradedElem.zero()) == x
-        cancel = x.add(GradedElem.homogeneous(
-            p, LinComb.unit((1, 2), Fraction(-1))))
-        assert cancel.is_zero()
-
-    def test_mul_is_componentwise_orthogonal(self):
-        p, q = Z4_GRADINGS[1], Z4_GRADINGS[2]
-        x = GradedElem.homogeneous(p, LinComb.unit((1, 2)))
-        y = GradedElem.homogeneous(q, LinComb.unit((3, 1)))
-        assert graded_mul(PZ4, x, y).is_zero()  # distinct gradings annihilate
-        same = graded_mul(PZ4, x, GradedElem.homogeneous(
-            p, LinComb.unit((3, 1))))
-        assert same.component(p) == dcp_mul(
-            PZ4, p, LinComb.unit((1, 2)), LinComb.unit((3, 1)))
-
-    def test_mul_distributes(self):
-        p, q = Z4_GRADINGS[0], Z4_GRADINGS[3]
-        x = GradedElem.homogeneous(p, LinComb.unit((1, 1))).add(
-            GradedElem.homogeneous(q, LinComb.unit((2, 3))))
-        y = GradedElem.homogeneous(p, LinComb.unit((0, 2))).add(
-            GradedElem.homogeneous(q, LinComb.unit((1, 0))))
-        z = graded_mul(PZ4, x, y)
-        for g in (p, q):
-            assert z.component(g) == dcp_mul(PZ4, g, x.component(g),
-                                             y.component(g))
 
 
 class TestGradedCounit:

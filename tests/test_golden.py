@@ -20,8 +20,8 @@ from mhag import SUITE_NAMES, LinComb, export_structure, run_verify, suites
 from mhag.cli import _dump
 from mhag.session import CORRUPTIONS
 
-from conftest import (IDENT, NEG, group_instance, inner, make_session,
-                      sampled, session_spec)
+from conftest import (H4_HOPF, IDENT, NEG, group_instance, hopf_instance,
+                      inner, make_session, sampled, session_spec)
 
 S3_GRADINGS = [[IDENT, IDENT], [inner((1, 0, 2)), inner((0, 2, 1))]]
 Z_GRADINGS = [[a, b] for a in (IDENT, NEG) for b in (IDENT, NEG)]
@@ -74,6 +74,10 @@ FINITE_DIM_S3_VERIFY = {
 
 DOUBLE_F10007_VERIFY = (
     "f2a059e37fc41712651afb958812ee4f79e2ea95533fd5d3ee5411886c66210a")
+# Sweedler's H4 as structure constants, exhaustive: the one pinned instance
+# whose antipode is not an involution, so S and S^-1 differ.
+H4_VERIFY = (
+    "276a84232e84eb1e2c17bafec22a934478105becfaa61c37ed13303b8f73164b")
 S3_EXPORT = "f743d69c610801f60f4bf69a421b008e77e3c5805ac81c5870502bc4f6dd8e7e"
 
 # With every value comparison forced false, each check that compares
@@ -189,6 +193,10 @@ def test_drinfeld_double_prime_field_sampled():
                         enum={"mode": "sampled", "count": 8, "seed": 5})
     spec["scalars"] = {"prime": 10007}
     assert _verify_digest(spec) == DOUBLE_F10007_VERIFY
+
+
+def test_h4_exhaustive_all_suites():
+    assert _verify_digest(session_spec(hopf_instance(H4_HOPF))) == H4_VERIFY
 
 
 def test_s3_export():

@@ -67,3 +67,15 @@ def test_finds_an_unused_import(tmp_path):
                    "def f(x: 'Dict') -> None:\n"
                    "    return os.sep, 'List'\n")
     assert unused_imports(mod) == [("List", 3)]
+
+
+def test_exports_resolve_and_cover_every_import():
+    # A name removed from a module must leave ``__all__`` with it, and a
+    # name that ``__init__.py`` imports at module level is there to be
+    # exported.
+    import mhag
+    assert [n for n in mhag.__all__ if not hasattr(mhag, n)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(imported - set(mhag.__all__)) == []
