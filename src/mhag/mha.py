@@ -17,6 +17,13 @@ Provided instances: group algebras, function algebras of groups (finite
 support), the double crossed pair built from both (in two mirrored versions),
 and generic finite-dimensional instances from structure constants (with full
 axiom validation and exact dualisation).
+
+The function algebra and the mirrored double are the function sides of
+pairings that match equal labels, so their T-maps and antipode are the
+transposes of the group side's: T_i is the inverse of the group side's
+T_sigma(i), where sigma swaps 1 and 2, and S is the inverse of the group
+side's S.  They read both from the group side's closed forms (see
+``_Transposed``).
 """
 
 from __future__ import annotations
@@ -275,6 +282,34 @@ class _OnPairs(_OnGroup):
         return [self.group.element_to_json(x), self.group.element_to_json(y)]
 
 
+_SIGMA = {1: 2, 2: 1}           # sigma; T3 and T4 keep their index
+
+
+class _Transposed:
+    """The function side A of a pairing that matches equal labels, with its
+    T-maps and antipode read from the closed forms of its group side B
+    (the class ``_group_side``, whose labels are A's).
+
+    The pairing laws make T_i of A the transpose of T_sigma(i) of B and the
+    antipode of A the transpose of that of B (Van Daele 1994).  Equal labels
+    pair to 1 and B permutes basis labels, so each transpose is the inverse
+    permutation: T_i = B's T_sigma(i)^-1, T_i^-1 = B's T_sigma(i), and
+    S^(+-1) = B's S^(-+1).  The closed forms are read from the class, never
+    from an instance of B, where a session may plant a defect.
+    """
+
+    _group_side: type
+
+    def _t_basis(self, i, x, y):
+        return self._group_side._t_inv_basis(self, _SIGMA.get(i, i), x, y)
+
+    def _t_inv_basis(self, i, x, y):
+        return self._group_side._t_basis(self, _SIGMA.get(i, i), x, y)
+
+    def _antipode_basis(self, x, inverse=False):
+        return self._group_side._antipode_basis(self, x, not inverse)
+
+
 class GroupAlgebra(_OnGroup):
     """The group algebra: basis = group elements, grouplike coproduct."""
 
@@ -327,7 +362,7 @@ class GroupAlgebra(_OnGroup):
         return self.unit()
 
 
-class FunctionAlgebra(_OnGroup):
+class FunctionAlgebra(_Transposed, _OnGroup):
     """Finitely supported functions on a group: basis of point masses.
 
     The product is pointwise (idempotents), the coproduct is dual to the group
@@ -337,6 +372,7 @@ class FunctionAlgebra(_OnGroup):
     """
 
     name = "function-algebra"
+    _group_side = GroupAlgebra
 
     def _mul_basis(self, x, y):
         if x == y:
@@ -346,38 +382,11 @@ class FunctionAlgebra(_OnGroup):
     def _counit_basis(self, x):
         return self.field.one() if x == self.group.identity else self.field.zero()
 
-    def _antipode_basis(self, x, inverse=False):
-        return self.lc(self.group.inv(x))
-
     def _comul_basis(self, x):
         if not self.group.is_finite:
             return super()._comul_basis(x)
         g = self.group
         return lc_combine(self.lc((u, g.op(g.inv(u), x))) for u in g.elements())
-
-    def _t_basis(self, i, x, y):
-        g = self.group
-        if i == 1:
-            return self.lc((g.op(x, g.inv(y)), y))
-        if i == 2:
-            return self.lc((x, g.op(g.inv(x), y)))
-        if i == 3:
-            return self.lc((y, g.op(g.inv(y), x)))
-        if i == 4:
-            return self.lc((g.op(y, g.inv(x)), x))
-        raise ValueError(f"t-map index out of range: {i}")
-
-    def _t_inv_basis(self, i, x, y):
-        g = self.group
-        if i == 1:
-            return self.lc((g.op(x, y), y))
-        if i == 2:
-            return self.lc((x, g.op(x, y)))
-        if i == 3:
-            return self.lc((g.op(x, y), x))
-        if i == 4:
-            return self.lc((y, g.op(x, y)))
-        raise ValueError(f"t-map index out of range: {i}")
 
     def unit(self):
         if not self.is_unital:
@@ -494,7 +503,7 @@ class DrinfeldDouble(_OnPairs):
                                      self.field.one()))
 
 
-class DualDrinfeld(_OnPairs):
+class DualDrinfeld(_Transposed, _OnPairs):
     """The mirrored double on (group element) x (point mass) labels ``(h, p)``.
 
     Product: (h, p)(l, q) = [p = q] (l h, p) — note the reversed group product;
@@ -504,6 +513,7 @@ class DualDrinfeld(_OnPairs):
     """
 
     name = "double-dual"
+    _group_side = DrinfeldDouble
 
     def _mul_basis(self, a, b):
         g = self.group
@@ -516,12 +526,6 @@ class DualDrinfeld(_OnPairs):
     def _counit_basis(self, a):
         return self.field.one() if a[1] == self.group.identity else self.field.zero()
 
-    def _antipode_basis(self, a, inverse=False):
-        g = self.group
-        h, p = a
-        pi = g.inv(p)
-        return self.lc((g.conj(pi, g.inv(h)), pi))
-
     def _comul_basis(self, a):
         if not self.group.is_finite:
             return super()._comul_basis(a)
@@ -530,48 +534,6 @@ class DualDrinfeld(_OnPairs):
         return lc_combine(
             self.lc(((h, t), (g.conj(g.inv(t), h), g.op(g.inv(t), p))))
             for t in g.elements())
-
-    def _t_basis(self, i, a, b):
-        g = self.group
-        h, p = a
-        l, q = b
-        if i == 1:
-            u = g.op(p, g.inv(q))
-            return self.lc(((h, u), (g.op(l, g.conj(g.inv(u), h)), q)))
-        if i == 2:
-            pi = g.inv(p)
-            return self.lc(((g.op(l, h), p), (g.conj(pi, l), g.op(pi, q))))
-        if i == 3:
-            qi = g.inv(q)
-            return self.lc(((g.op(l, h), q), (g.conj(qi, h), g.op(qi, p))))
-        if i == 4:
-            u = g.op(q, g.inv(p))
-            return self.lc(((l, u), (g.op(g.conj(g.inv(u), l), h), p)))
-        raise ValueError(f"t-map index out of range: {i}")
-
-    def _t_inv_basis(self, i, a, b):
-        g = self.group
-        if i == 1:
-            h, u = a
-            z, q = b
-            return self.lc(((h, g.op(u, q)),
-                            (g.op(z, g.conj(g.inv(u), g.inv(h))), q)))
-        if i == 2:
-            z, p = a
-            y, vt = b
-            l = g.conj(p, y)
-            return self.lc(((g.op(g.inv(l), z), p), (l, g.op(p, vt))))
-        if i == 3:
-            z, q = a
-            y, wt = b
-            h = g.conj(q, y)
-            return self.lc(((h, g.op(q, wt)), (g.op(z, g.inv(h)), q)))
-        if i == 4:
-            l, u = a
-            z, p = b
-            return self.lc(((g.op(g.conj(g.inv(u), g.inv(l)), z), p),
-                            (l, g.op(u, p))))
-        raise ValueError(f"t-map index out of range: {i}")
 
     def unit(self):
         if not self.is_unital:

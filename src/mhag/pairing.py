@@ -70,7 +70,8 @@ class Pairing:
         self.skew = False
 
     def pair_basis(self, la, lb):
-        raise NotImplementedError
+        """The form on basis labels: equal labels pair to 1, others to 0."""
+        return self.field.one() if la == lb else self.field.zero()
 
     def pair(self, a: LinComb, b: LinComb):
         total = self.field.zero()
@@ -82,13 +83,16 @@ class Pairing:
         return total
 
     # -- action units ----------------------------------------------------------
+    # An action unit is the local unit of the actor's labels read on the
+    # other side: the two sides of every pairing here share their basis
+    # labels, and check_duality's unit laws hold for that local unit.
     def act_unit_A(self, b_labels: Iterable) -> LinComb:
         """c in A with c |> b = b and b <| c = b for b spanned by ``b_labels``."""
-        raise NotImplementedError
+        return self.A.local_unit_for(b_labels)
 
     def act_unit_B(self, a_labels: Iterable) -> LinComb:
         """e in B with e |> a = a and a <| e = a for a spanned by ``a_labels``."""
-        raise NotImplementedError
+        return self.B.local_unit_for(a_labels)
 
     # -- actions ---------------------------------------------------------------
     def act_into(self, out: Dict, variant: str, scale, actor, target) -> None:
@@ -342,15 +346,6 @@ class GroupPairing(Pairing):
         self.name = "group"
         self.w = _GroupW(self)
 
-    def pair_basis(self, la, lb):
-        return self.field.one() if la == lb else self.field.zero()
-
-    def act_unit_A(self, b_labels):
-        return LinComb(dict.fromkeys(b_labels, self.field.one()))
-
-    def act_unit_B(self, a_labels):
-        return self.B.unit()
-
 
 class FiniteDimPairing(Pairing):
     """A pairing of finite-dimensional instances via an explicit value matrix
@@ -376,13 +371,7 @@ class FiniteDimPairing(Pairing):
     def pair_basis(self, la, lb):
         if self.matrix is not None:
             return self.matrix[la][lb]
-        return self.field.one() if la == lb else self.field.zero()
-
-    def act_unit_A(self, b_labels):
-        return self.A.unit()
-
-    def act_unit_B(self, a_labels):
-        return self.B.unit()
+        return super().pair_basis(la, lb)
 
 
 class DrinfeldPairing(Pairing):
@@ -396,25 +385,6 @@ class DrinfeldPairing(Pairing):
         self.B = DrinfeldDouble(group, self.field)
         self.name = "double"
         self.w = _DrinfeldW(self)
-
-    def pair_basis(self, la, lb):
-        h, p = la
-        q, l = lb
-        return self.field.one() if (h == q and p == l) else self.field.zero()
-
-    def act_unit_A(self, b_labels):
-        e = self.group.identity
-        return LinComb(dict.fromkeys(((e, l) for _, l in b_labels),
-                                     self.field.one()))
-
-    def act_unit_B(self, a_labels):
-        g = self.group
-        e = g.identity
-        ws = []
-        for h, p in a_labels:
-            ws.append(h)
-            ws.append(g.conj(g.inv(p), h))
-        return LinComb(dict.fromkeys(((w, e) for w in ws), self.field.one()))
 
     def crossed_right_unit(self, grading: AutPair, value: LinComb) -> LinComb:
         if self.B.is_unital:

@@ -120,6 +120,25 @@ class TestVerify:
         assert (rc, err) == (0, "")
         assert json.loads(out)["status"] == "pass"
 
+    @pytest.mark.parametrize("suite", mhag.SUITE_NAMES)
+    def test_double_over_the_integers(self, capsys, tmp_path, suite):
+        # The only session whose function side reads its T-maps from the
+        # double over an infinite group, and whose covers come from the
+        # non-unital branch of the double's crossed right unit.  W is not
+        # enumerable there, so the suites that sum over it exit 2.
+        spec = write_spec(tmp_path, session_spec(
+            {"kind": "drinfeld-double", "group": "Z"},
+            gradings=[[IDENT, IDENT], [NEG, NEG]], enum=sampled(40, 3)))
+        rc, out, err = run_cli(capsys, "verify", "--spec", spec,
+                               "--suite", suite)
+        if suite in ("quasitriangular", "lemma42"):
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: w-not-enumerable: ")
+            assert err.count("\n") == 1
+        else:
+            assert (rc, err) == (0, "")
+            assert json.loads(out)["status"] == "pass"
+
     def test_out_flag_writes_file(self, tmp_path, capsys, z2_spec):
         target = tmp_path / "report.json"
         rc, out, _ = run_cli(capsys, "verify", "--spec", z2_spec,

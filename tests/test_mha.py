@@ -158,6 +158,15 @@ def _sweedler(inst, i, x, y):
     return lc_combine(fwd), lc_combine(inv)
 
 
+def _assert_sweedler(inst):
+    labels = inst.basis_labels(None)
+    for i in (1, 2, 3, 4):
+        for x, y in itertools.product(labels, labels):
+            fwd, inv = _sweedler(inst, i, x, y)
+            assert inst.t_pair(i, inst.lc(x), inst.lc(y)) == fwd
+            assert inst.t_map_inv(i, LinComb.unit((x, y))) == inv
+
+
 class TestRescaledTMaps:
     """T-maps of a structure-constant instance whose coefficients are not
     all 1, against the Sweedler formulas; with ``antipode-sign`` planted
@@ -170,12 +179,17 @@ class TestRescaledTMaps:
         inst = rescaled_s3(dual)
         if planted:
             _negate_antipode(inst)
-        labels = inst.basis_labels(None)
-        for i in (1, 2, 3, 4):
-            for x, y in itertools.product(labels, labels):
-                fwd, inv = _sweedler(inst, i, x, y)
-                assert inst.t_pair(i, inst.lc(x), inst.lc(y)) == fwd
-                assert inst.t_map_inv(i, LinComb.unit((x, y))) == inv
+        _assert_sweedler(inst)
+
+
+@pytest.mark.parametrize("cls", [GroupAlgebra, FunctionAlgebra,
+                                 DrinfeldDouble, DualDrinfeld],
+                         ids=lambda c: c.name)
+def test_group_backed_sweedler_formulas(cls):
+    """The closed-form T-maps of the group-backed instances on S3, those
+    the function sides read from their group sides included, against the
+    Sweedler formulas."""
+    _assert_sweedler(cls(S3))
 
 
 class TestDoubles:

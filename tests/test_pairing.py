@@ -10,7 +10,9 @@ from mhag import (DrinfeldPairing, FiniteDimHopf, FiniteDimPairing,
                   GroupPairing, PairingError, PrimeField, RationalField)
 from mhag.crossed import b_embed_left
 from mhag.groups import AutPair, IntGroup, PermGroup, TableGroup, identity_aut
-from mhag.linear import LinComb
+from mhag.linear import LinComb, add_term
+
+from conftest import engine_cases
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -88,6 +90,53 @@ def test_duality_laws_hold_on_integer_window():
     P = GroupPairing(IntGroup())
     labels = list(range(-2, 3))
     assert P.check_duality(labels, labels) is None
+
+
+def _paired_t_table(X, i, inverse, labels, row):
+    """``{((x, y), (u, v)): <T(x (x) y), u (x) v>}`` for T = T_i of ``X``
+    (or its inverse) over basis labels x, y in ``labels``, where ``row(l)``
+    is ``{u: <l, u>}`` over the labels of the other side, with every nonzero
+    value of the form."""
+    t = X.t_map_inv if inverse else X.t_map
+    out: dict = {}
+    for x, y in itertools.product(labels, labels):
+        for (l1, l2), c in t(i, LinComb.unit((x, y))).terms.items():
+            for u, c1 in row(l1).items():
+                for v, c2 in row(l2).items():
+                    add_term(out, ((x, y), (u, v)), c * c1 * c2)
+    return out
+
+
+@pytest.mark.parametrize("case", engine_cases(), ids=lambda c: c[0])
+def test_t_maps_are_transposes(case):
+    """<T_i(x (x) y), u (x) v> = <x (x) y, T_sigma(i)(u (x) v)> on basis
+    labels, and the same for the inverses, where sigma swaps 1 and 2
+    (Van Daele 1994); over Z on the window of radius 2.  Both sides are
+    sparse tables over every basis tuple, so a zero compares as absent."""
+    P = case[1]()
+    a_labels, b_labels = P.A.basis_labels(2), P.B.basis_labels(2)
+    rows: dict = {}
+    cols: dict = {}
+
+    def row(la):            # {lb: <la, lb>}
+        if la not in rows:
+            rows[la] = {lb: v for lb in b_labels
+                        if (v := P.pair_basis(la, lb))}
+        return rows[la]
+
+    def col(lb):            # {la: <la, lb>}
+        if lb not in cols:
+            cols[lb] = {la: v for la in a_labels
+                        if (v := P.pair_basis(la, lb))}
+        return cols[lb]
+
+    for i, inverse in itertools.product((1, 2, 3, 4), (False, True)):
+        lhs = _paired_t_table(P.A, i, inverse, a_labels, row)
+        rhs = _paired_t_table(P.B, {1: 2, 2: 1}.get(i, i), inverse,
+                              b_labels, col)
+        assert lhs, (i, inverse)
+        assert lhs == {(xy, uv): c for (uv, xy), c in rhs.items()}, \
+            (i, inverse)
 
 
 class TestCanonicalW:

@@ -1,6 +1,7 @@
 """Generalized R-multiplier and canonical-multiplier identities."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,11 +9,14 @@ from mhag import (FiniteDimHopf, FiniteDimPairing, GroupPairing,
                   qt_conjugation_residual, qt_coproduct_first_residual,
                   qt_coproduct_second_residual, qt_intertwine_residual,
                   r_apply, w_intertwiner_residual_a, w_intertwiner_residual_b)
+from mhag.crossed import dcp_mul
 from mhag.groups import (AutPair, TableGroup, identity_aut, map_aut)
-from mhag.linear import LinComb
+from mhag.linear import LinComb, add_term
 from mhag.oracle import dual_basis_r_terms, group_r_apply_left
 from mhag.quasitri import (w_coproduct_a_residual, w_coproduct_b_residual,
                            w_inverse_residual)
+
+from conftest import engine_cases
 
 Z3 = TableGroup.cyclic(3)
 Z4 = TableGroup.cyclic(4)
@@ -51,6 +55,53 @@ class TestRApplication:
         parts = [r_apply(PZ3, p, q, LinComb.unit(lab, c))
                  for lab, c in v.terms.items()]
         assert r_apply(PZ3, p, q, v) == parts[0].add(parts[1])
+
+
+def _crossed(a, b):
+    """The crossed value a |x| b of a value of A and a value of B."""
+    return LinComb({(la, lb): ca * cb for la, ca in a.terms.items()
+                    for lb, cb in b.terms.items()})
+
+
+def _r_right_brute(P, p, q, uv):
+    """The R-multiplier of (p, q) applied on the right, summed over every
+    term of W: u (1 |x| beta^-1(w_b)) at p, tensored with v (w_a |x| 1) at
+    q, each a crossed product through ``dcp_mul``."""
+    A, B = P.A, P.B
+    binv = p.beta.inverse()
+    out: dict = {}
+    for (ua, ub, va, vb), c in uv.terms.items():
+        u, v = LinComb.unit((ua, ub), c), LinComb.unit((va, vb))
+        for wb, wa, cw in P.w.all_terms():
+            left = dcp_mul(P, p, u, _crossed(
+                A.unit(), B.apply_aut(binv, B.lc(wb))))
+            right = dcp_mul(P, q, v, _crossed(A.lc(wa), B.unit()))
+            for l1, c1 in left.terms.items():
+                for l2, c2 in right.terms.items():
+                    add_term(out, l1 + l2, cw * c1 * c2)
+    return LinComb(out)
+
+
+@pytest.mark.parametrize("case", [c for c in engine_cases() if c[0] in (
+    "s3-inner", "double-f10007", "h4-sweedler")], ids=lambda c: c[0])
+def test_r_apply_right_matches_brute_force(case):
+    """``r_apply(side="right")`` against the sum over all of W on 48
+    two-term values with mixed coefficients, spread over every ordered pair
+    of gradings."""
+    name, make, gradings, coeffs = case
+    P = make()
+    rng = random.Random(name)
+    basis = crossed_basis(P)
+    checked = 0
+    for p, q in itertools.product(gradings, gradings):
+        for _ in range(48 // len(gradings) ** 2):
+            uv = LinComb.from_pairs(
+                (rng.choice(basis) + rng.choice(basis), rng.choice(coeffs))
+                for _ in range(2))
+            expected = _r_right_brute(P, p, q, uv)
+            assert r_apply(P, p, q, uv, "right") == expected
+            checked += not expected.is_zero()
+    assert checked
 
 
 class TestQtResiduals:
