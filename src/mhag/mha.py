@@ -295,7 +295,10 @@ class _Transposed:
     pair to 1 and B permutes basis labels, so each transpose is the inverse
     permutation: T_i = B's T_sigma(i)^-1, T_i^-1 = B's T_sigma(i), and
     S^(+-1) = B's S^(-+1).  The closed forms are read from the class, never
-    from an instance of B, where a session may plant a defect.
+    from an instance of B, where a session may plant a defect.  They are
+    called with A as ``self``, so B's ``_t_basis``, ``_t_inv_basis`` and
+    ``_antipode_basis`` may read only ``self.group``, ``self.field`` and
+    ``self.lc``, which A and B share.
     """
 
     _group_side: type

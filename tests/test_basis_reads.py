@@ -798,14 +798,14 @@ class TestBasisReads:
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_comul_covered(self, case, side):
         P, gradings, inp = _setup(case)
-        if len(inp.ab) ** 2 <= EXHAUSTIVE_PAIRS:
+        exhaustive = len(inp.ab) ** 2 <= EXHAUSTIVE_PAIRS
+        if exhaustive:
             one = P.field.one()
-            draws = [(LinComb.unit(x, one), LinComb.unit(cover, one))
+            units = [(LinComb.unit(x, one), LinComb.unit(cover, one))
                      for x in inp.ab for cover in inp.ab]
-        else:
-            draws = [(inp.value(inp.ab), inp.value(inp.ab))
-                     for _ in range(2)]
         for p, q in _pairs(gradings):
+            draws = units if exhaustive else [
+                (inp.value(inp.ab), inp.value(inp.ab)) for _ in range(2)]
             for x, cover in draws:
                 assert comul_covered(P, x, p, q, cover, side) == \
                     _ref_comul_covered(P, x, p, q, cover, side)
