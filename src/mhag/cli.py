@@ -209,7 +209,7 @@ def _parse_value(S: Session, spec, pattern: str) -> LinComb:
                 f"optional coefficient")
         labels = term[:len(pattern)]
         try:
-            coeff = (S.field.parse(str(term[len(pattern)]))
+            coeff = (S.field.parse(term[len(pattern)])
                      if len(term) > len(pattern) else S.field.one())
         except ZeroDivisionError:
             raise SessionError(
@@ -258,8 +258,12 @@ def eval_op(S: Session, op: str, params: Dict) -> Dict:
         return {"op": op, "result": _fmt(S, "abab", out)}
     if op == "antipode":
         g = _grading(S, need("grading"))
+        inverse = params.get("inverse", False)
+        if not isinstance(inverse, bool):
+            raise SessionError(
+                f"argument 'inverse' must be true or false, got {inverse!r}")
         out = graded_antipode(P, g, _parse_value(S, need("x"), "ab"),
-                              inverse=bool(params.get("inverse", False)))
+                              inverse=inverse)
         return {"op": op, "result": _fmt(S, "ab", out)}
     if op == "counit":
         val = graded_counit(P, _parse_value(S, need("x"), "ab"))

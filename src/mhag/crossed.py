@@ -21,12 +21,13 @@ no value in between.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from .groups import AutPair, Automorphism
 from .linear import LinComb, add_scaled, add_term
-from .mha import MEMO_CAP
-from .pairing import Pairing
+
+if TYPE_CHECKING:
+    from .pairing import Pairing
 
 
 class EngineError(ValueError):
@@ -77,31 +78,24 @@ def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
     return LinComb(out)
 
 
-def _twist_basis(P: Pairing, grading: AutPair, lb, la) -> tuple:
-    """The twist of one basis term b (x) a, as a tuple of (la', lb') terms,
-    read from or filled into ``P._twc``."""
-    memo = P._twc
-    key = (grading, lb, la)
-    base = memo.get(key)
-    if base is None:
-        alpha, beta = grading
-        unit = LinComb.unit((la, lb), P.field.one())
-        moved = _move(P, 2, beta, unit, inverse=True)
-        base = tuple(_move(P, 1, alpha, moved).terms.items())
-        if len(memo) < MEMO_CAP:
-            memo[key] = base
-    return base
+def twist_fill(P: Pairing, grading: AutPair, lb, la) -> tuple:
+    """The twist of one basis term b (x) a, as a tuple of (la', lb')
+    terms: the fill of ``P._twc``."""
+    alpha, beta = grading
+    unit = LinComb.unit((la, lb), P.field.one())
+    moved = _move(P, 2, beta, unit, inverse=True)
+    return tuple(_move(P, 1, alpha, moved).terms.items())
 
 
 def twist_map(P: Pairing, grading: AutPair, x_ba: LinComb) -> LinComb:
     """The twist at a grading: labels (lb, la) -> sum over (la', lb').
 
     The twist is linear and its covers are absorbed, so it is fixed by its
-    value on each basis term; those values are computed once per pairing
-    and kept in ``P._twc`` as term tuples, up to ``MEMO_CAP`` of them."""
+    value on each basis term; those values are read from ``P._twc``."""
+    twc = P._twc
     out: Dict = {}
     for (lb, la), c in x_ba.terms.items():
-        add_scaled(out, _twist_basis(P, grading, lb, la), c)
+        add_scaled(out, twc[grading, lb, la], c)
     return LinComb(out)
 
 
@@ -134,10 +128,10 @@ def b_left_into(P: Pairing, grading: AutPair, out: Dict, scale, lb,
     """Add ``scale * (1 |x| lb) * y`` to the term dict ``out``: ``lb`` is
     pulled through the A-part of every term of y, one basis twist and basis
     product at a time."""
-    mul_basis = P.B.mul_basis
+    mul_basis, twc = P.B.mul_basis, P._twc
     for (la, lb2), c in y_items:
         cs = scale * c
-        for (la2, lb1), c1 in _twist_basis(P, grading, lb, la):
+        for (la2, lb1), c1 in twc[grading, lb, la]:
             prod = mul_basis(lb1, lb2).terms
             if prod:
                 cc = cs * c1
@@ -159,27 +153,25 @@ def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
     (A-label, B-label) combinations; the grading is the LEFT factor's).
 
     The product is bilinear, so it is fixed by its value on pairs of basis
-    terms: (a |x| b) * y' is (a |x| 1) * ((1 |x| b) * y').  Those values are
-    computed once per pairing and kept in ``P._dcp`` as term tuples, up to
-    ``MEMO_CAP`` of them."""
-    memo = P._dcp
-    one = P.field.one()
+    terms; those values are read from ``P._dcp``."""
+    dcp = P._dcp
     out: Dict = {}
     for xl, c in x.terms.items():
         for yl, cy in y.terms.items():
-            key = (grading, xl, yl)
-            base = memo.get(key)
-            if base is None:
-                la, lb = xl
-                mid: Dict = {}
-                b_left_into(P, grading, mid, one, lb, ((yl, one),))
-                prod: Dict = {}
-                a_left_into(P, prod, one, la, mid.items())
-                base = tuple(prod.items())
-                if len(memo) < MEMO_CAP:
-                    memo[key] = base
-            add_scaled(out, base, c * cy)
+            add_scaled(out, dcp[grading, xl, yl], c * cy)
     return LinComb(out)
+
+
+def dcp_fill(P: Pairing, grading: AutPair, xl, yl) -> tuple:
+    """The product of two basis terms, as a tuple of terms: the fill of
+    ``P._dcp``.  (a |x| b) * y' is (a |x| 1) * ((1 |x| b) * y')."""
+    one = P.field.one()
+    la, lb = xl
+    mid: Dict = {}
+    b_left_into(P, grading, mid, one, lb, ((yl, one),))
+    prod: Dict = {}
+    a_left_into(P, prod, one, la, mid.items())
+    return tuple(prod.items())
 
 
 def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,

@@ -20,6 +20,7 @@ right-to-left throughout (``(f g)(x) = f(g(x))``).
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import json_int
@@ -554,10 +555,8 @@ def aut_from_json(group: Group, spec) -> Automorphism:
 
 def _iter_map_items(images):
     """JSON object keys are strings; decode them leniently (int or list syntax)."""
-    import json as _json
-
     for k, v in images.items():
         try:
-            yield _json.loads(k), v
+            yield json.loads(k), v
         except (ValueError, TypeError):
             yield k, v

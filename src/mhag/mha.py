@@ -36,13 +36,33 @@ from .linear import LinComb, add_scaled, add_term, lc_combine
 from .scalars import Field, FpElement, RationalField, field_from_json, json_int
 
 
-# Entries each basis table may hold: the product and T-map tables of an
-# instance here, the twist and product tables of a pairing in
-# :mod:`mhag.pairing`.  A full table stops growing and later misses are
-# computed afresh.  The cap holds every basis product of a finite S3 session
-# with all 36 inner gradings (36 * 36**2 = 46 656), and bounds every table
-# over infinite carriers.
+# Entries a :class:`BasisTable` may hold.  A full table stops growing and
+# later misses are computed afresh.  The cap holds every basis product of a
+# finite S3 session with all 36 inner gradings (36 * 36**2 = 46 656), and
+# bounds every table over infinite carriers.
 MEMO_CAP = 1 << 16
+
+
+class BasisTable(dict):
+    """A memo of a map fixed by its values on basis keys: a miss computes
+    ``fill(*key)`` and keeps it while the table holds fewer than
+    ``MEMO_CAP`` entries.  A hit is a plain dict read.
+
+    Every basis table is one: the product and T-map tables of an instance,
+    the twist and product tables of a pairing, and the covered-coproduct
+    tables of the ``hopf`` suite."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self.fill(*key)
+        if len(self) < MEMO_CAP:
+            self[key] = value
+        return value
 
 
 class StructureError(ValueError):
@@ -91,11 +111,11 @@ class MhaInstance:
     is_unital: bool
 
     def __init__(self):
-        # Basis products keyed (x, y), and basis T-map images keyed
-        # (i, x, y), each up to ``MEMO_CAP`` entries.
-        self._mc: Dict = {}
-        self._tc: Dict = {}
-        self._tic: Dict = {}
+        # Basis products keyed (x, y), and basis T-map images and their
+        # inverses keyed (i, x, y).
+        self._mc = BasisTable(self._mul_basis)
+        self._tc = BasisTable(self._t_basis)
+        self._tic = BasisTable(self._t_inv_basis)
 
     # -- per-basis primitives (subclasses implement) -------------------------
     def _mul_basis(self, x, y) -> LinComb:
@@ -145,65 +165,39 @@ class MhaInstance:
         return LinComb.unit(label, self.field.one() if coeff is None else coeff)
 
     def mul_basis(self, lx, ly) -> LinComb:
-        """The product of two basis labels, read from or filled into the
-        product table."""
-        mc = self._mc
-        key = (lx, ly)
-        base = mc.get(key)
-        if base is None:
-            base = self._mul_basis(lx, ly)
-            if len(mc) < MEMO_CAP:
-                mc[key] = base
-        return base
+        """The product of two basis labels, read from the product table."""
+        return self._mc[lx, ly]
 
     def mul(self, x: LinComb, y: LinComb) -> LinComb:
         out: Dict = {}
-        mul_basis = self.mul_basis
+        mc = self._mc
         for lx, cx in x.terms.items():
             for ly, cy in y.terms.items():
-                base = mul_basis(lx, ly).terms
+                base = mc[lx, ly].terms
                 if base:
                     add_scaled(out, base.items(), cx * cy)
         return LinComb(out)
 
-    def _t_image(self, table, fn, i: int, lx, ly) -> LinComb:
-        """The T-image of one basis tensor, read from or filled into
-        ``table`` (``_tc`` for ``fn = _t_basis``, ``_tic`` for the
-        inverses)."""
-        key = (i, lx, ly)
-        base = table.get(key)
-        if base is None:
-            base = fn(i, lx, ly)
-            if len(table) < MEMO_CAP:
-                table[key] = base
-        return base
-
-    def _t_linear(self, table, fn, i: int, xy: LinComb) -> LinComb:
-        out: Dict = {}
-        for (lx, ly), c in xy.terms.items():
-            base = self._t_image(table, fn, i, lx, ly)
-            add_scaled(out, base.terms.items(), c)
-        return LinComb(out)
-
     def t_map(self, i: int, xy: LinComb) -> LinComb:
         """T_i on a tensor-square value (labels are 2-tuples)."""
-        return self._t_linear(self._tc, self._t_basis, i, xy)
+        tc = self._tc
+        return xy.map_terms(lambda l: tc[i, l[0], l[1]])
 
     def t_map_inv(self, i: int, xy: LinComb) -> LinComb:
-        return self._t_linear(self._tic, self._t_inv_basis, i, xy)
+        tic = self._tic
+        return xy.map_terms(lambda l: tic[i, l[0], l[1]])
 
     def t_image(self, i: int, lx, ly) -> LinComb:
-        """T_i on the basis tensor lx (x) ly, read from or filled into the
-        T-map table."""
-        return self._t_image(self._tc, self._t_basis, i, lx, ly)
+        """T_i on the basis tensor lx (x) ly, read from the T-map table."""
+        return self._tc[i, lx, ly]
 
     def t_pair(self, i: int, x: LinComb, y: LinComb) -> LinComb:
         """T_i on x (x) y, read term by term from the T-map table."""
         out: Dict = {}
-        t_image = self.t_image
+        tc = self._tc
         for lx, cx in x.terms.items():
             for ly, cy in y.terms.items():
-                add_scaled(out, t_image(i, lx, ly).terms.items(), cx * cy)
+                add_scaled(out, tc[i, lx, ly].terms.items(), cx * cy)
         return LinComb(out)
 
     def counit(self, x: LinComb):
@@ -321,6 +315,7 @@ class GroupAlgebra(_OnGroup):
     def __init__(self, group: Group, field: Optional[Field] = None):
         super().__init__(group, field)
         self.is_unital = True
+        self._unit = self.lc(group.identity)
 
     def _mul_basis(self, x, y):
         return self.lc(self.group.op(x, y))
@@ -359,10 +354,10 @@ class GroupAlgebra(_OnGroup):
         raise ValueError(f"t-map index out of range: {i}")
 
     def unit(self):
-        return self.lc(self.group.identity)
+        return self._unit
 
     def local_unit_for(self, labels):
-        return self.unit()
+        return self._unit
 
 
 class FunctionAlgebra(_Transposed, _OnGroup):

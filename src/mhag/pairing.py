@@ -22,11 +22,13 @@ The graded layers read W, the grading law ``pair_mul`` and the flags
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .crossed import dcp_fill, twist_fill
 from .groups import AutPair, Automorphism, Group, GroupError, aut_pair_mul
 from .linear import LinComb, add_term
-from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
+from .mha import (BasisTable, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance, invert_matrix)
 from .scalars import Field, RationalField
 
@@ -58,10 +60,10 @@ class Pairing:
 
     def __init__(self):
         # Basis twists, keyed (grading, b_label, a_label), and basis
-        # products, keyed (grading, x_label, y_label), each up to
-        # ``mha.MEMO_CAP`` entries: see crossed.twist_map and crossed.dcp_mul.
-        self._twc: Dict = {}
-        self._dcp: Dict = {}
+        # products, keyed (grading, x_label, y_label): see crossed.twist_map
+        # and crossed.dcp_mul.
+        self._twc = BasisTable(partial(twist_fill, self))
+        self._dcp = BasisTable(partial(dcp_fill, self))
         # The grading-group product, whether the co-opposite A-leg goes on
         # the first coproduct slot, and whether the crossing action drops
         # its source-conjugation on the B-leg.

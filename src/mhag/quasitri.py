@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .cograded import _second_leg_aut, comul_apply_full, xi_on_legs
-from .crossed import _twist_basis, a_left_into, b_left_into
+from .crossed import a_left_into, b_left_into
 from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, add_scaled, add_term
 from .mha import MhaInstance
@@ -63,14 +63,14 @@ def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
         return LinComb(out)
     if side != "right":
         raise ValueError(f"unknown r_apply side: {side!r}")
-    b_mul = B.mul_basis
+    b_mul, twc = B.mul_basis, P._twc
     for (ua, ub, va, vb), c in uv.terms.items():
         for wb, wa, cw in P.w.candidates_right(right_g, va, vb):
             s1 = b_mul(ub, aut(binv, wb)).terms   # u * (1 |x| binv(wb))
             if not s1:
                 continue
             s2: Dict = {}                         # v * (wa |x| 1)
-            for (la2, lb2), c1 in _twist_basis(P, right_g, vb, wa):
+            for (la2, lb2), c1 in twc[right_g, vb, wa]:
                 for la3, c2 in a_mul(va, la2).terms.items():
                     add_term(s2, (la3, lb2), c1 * c2)
             if not s2:

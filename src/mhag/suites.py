@@ -44,7 +44,7 @@ from .crossed import (b_embed_left, commutation_residual, dcp_mul, twist_inv,
                       twist_map)
 from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, add_scaled, add_term, label_key
-from .mha import sdiv
+from .mha import BasisTable, sdiv
 from .oracle import (double_antipode, double_comul_covered_brute, double_mul,
                      dual_basis_r_terms, group_antipode, group_comul_covered,
                      group_counit, group_mul, group_r_apply_left)
@@ -359,32 +359,29 @@ def _hopf_suite(S: Session) -> List:
     def comul(x, p, q, cover, side):
         return comul_covered(P, x, p, q, cover, side=side)
 
+    # Covered coproducts of basis terms, one table per cover side, keyed
+    # (label, left grading, right grading, cover label).
+    def covered(side):
+        return BasisTable(lambda xl, p, q, vl: comul(unit(xl), p, q,
+                                                     unit(vl), side))
+
+    covered_l, covered_r = covered("left"), covered("right")
+
     # Covered coassociativity: both re-splittings of a double coproduct
     # agree on every (left, middle, right) cover assignment.
     if unital:
-        cache_l: Dict = {}
-        cache_r: Dict = {}
-
         def coassoc(p, q, r, xl, yl, zl):
             pq, qr = mul(p, q), mul(q, r)
             lhs: Dict = {}
             outer = comul(unit(xl), pq, r, unit(zl), "right")
             for (a1, b1, a2, b2), c in outer.terms.items():
-                key = (a1, b1, p, q, yl)
-                inner = cache_l.get(key)
-                if inner is None:
-                    inner = comul(unit((a1, b1)), p, q, unit(yl), "left")
-                    cache_l[key] = inner
+                inner = covered_l[(a1, b1), p, q, yl]
                 for lab, c2 in inner.terms.items():
                     add_term(lhs, lab + (a2, b2), c * c2)
             rhs: Dict = {}
             outer2 = comul(unit(xl), p, qr, unit(yl), "left")
             for (a1, b1, a2, b2), c in outer2.terms.items():
-                key = (a2, b2, q, r, zl)
-                inner = cache_r.get(key)
-                if inner is None:
-                    inner = comul(unit((a2, b2)), q, r, unit(zl), "right")
-                    cache_r[key] = inner
+                inner = covered_r[(a2, b2), q, r, zl]
                 for lab, c2 in inner.terms.items():
                     add_term(rhs, (a1, b1) + lab, c * c2)
             return LinComb(lhs), LinComb(rhs)
@@ -443,8 +440,6 @@ def _hopf_suite(S: Session) -> List:
                                     "grading:g x:ab cover:ab", "ab"))
 
     # Multiplicativity of the graded comultiplication.
-    cache_dm: Dict = {}
-
     def delta_mult(p, q, xl, yl, vl):
         pq = mul(p, q)
         lhs: Dict = {}
@@ -454,11 +449,7 @@ def _hopf_suite(S: Session) -> List:
         rhs: Dict = {}
         sy = comul(unit(yl), p, q, unit(vl), "right")
         for (s1a, s1b, s2a, s2b), c in sy.terms.items():
-            key = (xl, p, q, s2a, s2b)
-            half = cache_dm.get(key)
-            if half is None:
-                half = comul(unit(xl), p, q, unit((s2a, s2b)), "right")
-                cache_dm[key] = half
+            half = covered_r[xl, p, q, (s2a, s2b)]
             for (u1a, u1b, u2a, u2b), c2 in half.terms.items():
                 m1 = dcp_mul(P, p, unit((u1a, u1b)), unit((s1a, s1b)))
                 for lab1, c3 in m1.terms.items():

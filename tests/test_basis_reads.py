@@ -21,8 +21,8 @@ import pytest
 from mhag import EnumSpec
 from mhag.cograded import (_second_leg_aut, _xi_maps, comul_covered,
                            graded_antipode, xi_on_legs)
-from mhag.crossed import (_move, _twist_basis, a_left_into, b_embed_left,
-                          commutation_residual, dcp_mul, twist_inv, twist_map)
+from mhag.crossed import (_move, a_left_into, b_embed_left, commutation_residual,
+                          dcp_mul, twist_inv, twist_map)
 from mhag.groups import AutPair, aut_pair_inv
 from mhag.linear import LinComb, add_scaled, add_term
 from mhag.pairing import PairingError
@@ -134,7 +134,7 @@ def a_embed_right(P, grading, y, a):
     out: Dict = {}
     for (la1, lb1), c in y.terms.items():
         for la, ca in a.terms.items():
-            for (la2, lb2), c1 in _twist_basis(P, grading, lb1, la):
+            for (la2, lb2), c1 in P._twc[grading, lb1, la]:
                 prod = mul_basis(la1, la2).terms
                 if prod:
                     cc = c * ca * c1

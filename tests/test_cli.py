@@ -264,6 +264,38 @@ class TestEval:
         assert rc == 0
         assert back["result"] == [[0, 1, "1"]]
 
+    @pytest.mark.parametrize("inverse", ["false", 1])
+    def test_inverse_must_be_a_boolean(self, capsys, tmp_path, inverse):
+        # On H4 the antipode is not an involution, so reading "false" as
+        # true would answer with S^-1: the term ["gx", "1", "1"].
+        spec = write_spec(tmp_path, session_spec(hopf_instance(H4_HOPF)))
+        params = {"grading": 0, "x": [[2, 0]]}
+        rc, plain = self.ev(capsys, spec, "antipode", params)
+        assert rc == 0 and plain["result"] == [["gx", "1", "-1"]]
+        rc, data = self.ev(capsys, spec, "antipode",
+                           {**params, "inverse": False})
+        assert rc == 0 and data == plain
+        rc, err = self.ev(capsys, spec, "antipode",
+                          {**params, "inverse": inverse})
+        assert rc == 2 and "'inverse'" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("coeff, result", [
+        ("1/2", [[0, 1, "1/2"]]), (3, [[0, 1, "3"]]),
+        (0.5, None), (True, None)])
+    def test_coefficient_is_an_integer_or_a_string(self, capsys, z2_spec,
+                                                   coeff, result):
+        """A JSON float or boolean is refused, as in session files."""
+        rc, data = self.ev(capsys, z2_spec, "counit", {"x": [[0, 1, coeff]]})
+        if result is None:
+            assert rc == 2 and data.startswith("error: ")
+            assert data.count("\n") == 1
+            return
+        assert rc == 0
+        rc, data = self.ev(capsys, z2_spec, "dcp-mul",
+                           {"grading": 0, "x": [[0, 0]],
+                            "y": [[0, 1, coeff]]})
+        assert rc == 0 and data["result"] == result
+
     def test_twist_both_directions(self, capsys, z2_spec):
         rc, fwd = self.ev(capsys, z2_spec, "twist", {"grading": 0,
                                                      "ba": [[1, 0]]})

@@ -8,7 +8,7 @@ import pytest
 
 from mhag import (EnumSpec, GroupPairing, IntGroup, commutation_residual,
                   dcp_mul, twist_inv, twist_map)
-from mhag import crossed, mha
+from mhag import mha
 from mhag.cograded import graded_antipode
 from mhag.crossed import _move, b_embed_left
 from mhag.groups import (AutPair, TableGroup, identity_aut, map_aut,
@@ -202,7 +202,7 @@ class TestProductMemo:
     def test_tables_stop_growing_at_the_cap(self, monkeypatch):
         assert MEMO_CAP >= 36 * 36 ** 2    # S3 with all 36 inner gradings
         cap = 12
-        monkeypatch.setattr(crossed, "MEMO_CAP", cap)
+        monkeypatch.setattr(mha, "MEMO_CAP", cap)
         Z = IntGroup()
         P = GroupPairing(Z)
         gradings = [AutPair(a, b) for a in (identity_aut(Z), negation_aut(Z))

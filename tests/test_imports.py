@@ -1,8 +1,11 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and imports
+only at module level.
 
 An import that nothing reads is dead code that still costs a reader's
 attention and can hide a layering mistake (a name re-exported through the
-wrong module).  ``__init__.py`` is left out: it imports to re-export.
+wrong module).  An import inside a function hides a dependency from the
+top of the module and can get round an import cycle.  ``__init__.py`` is
+left out: it imports to re-export.
 """
 
 import ast
@@ -55,9 +58,34 @@ def unused_imports(path):
             if name not in read]
 
 
+def function_imports(path):
+    """The line of every import inside a function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_reads_every_import(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_only_at_module_level(path):
+    assert function_imports(path) == []
+
+
+def test_finds_a_function_level_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import os\n"
+                   "def f():\n"
+                   "    def g():\n"
+                   "        from json import loads\n"
+                   "        return loads\n"
+                   "    return g, os\n")
+    assert function_imports(mod) == [4]
 
 
 def test_finds_an_unused_import(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from mhag import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, StructureError)
+from mhag import mha
 from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
                          negation_aut)
 from mhag.linear import LinComb, lc_combine
@@ -122,6 +123,49 @@ class TestTMaps:
                                 ((labels[3], labels[0]), 1)])
         parts = [A.t_map(1, LinComb.unit(lab, c)) for lab, c in v.terms.items()]
         assert A.t_map(1, v) == lc_combine(parts)
+
+
+class TestBasisTable:
+    """The memo every basis table is: fill on a miss, keep below the cap."""
+
+    @staticmethod
+    def recording():
+        calls = []
+
+        def fill(*key):
+            calls.append(key)
+            return sum(key)
+        return mha.BasisTable(fill), calls
+
+    def test_miss_calls_fill_once_with_the_key_items(self):
+        table, calls = self.recording()
+        assert table[2, 5] == 7
+        assert calls == [(2, 5)]
+        assert dict(table) == {(2, 5): 7}
+
+    def test_hit_does_not_call_fill(self):
+        table, calls = self.recording()
+        table[1, 1]
+        assert table[1, 1] == 2 and (1, 1) in table
+        assert calls == [(1, 1)]
+        A = GroupAlgebra(Z4)
+        A.mul_basis(1, 3)
+        A._mc.fill = None                   # a second fill would fail
+        assert A.mul_basis(1, 3) == A.lc(0)
+
+    def test_fill_that_raises_stores_nothing(self):
+        A = GroupAlgebra(Z4)
+        with pytest.raises(ValueError, match="t-map index out of range"):
+            A.t_image(5, 1, 2)
+        assert (5, 1, 2) not in A._tc and not A._tc
+
+    def test_stops_growing_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(mha, "MEMO_CAP", 3)
+        table, calls = self.recording()
+        for k in range(6):
+            assert table[k, 1] == k + 1
+        assert len(table) == 3 and set(table) == {(0, 1), (1, 1), (2, 1)}
+        assert table[4, 1] == 5 and len(calls) == 7    # computed afresh
 
 
 def _tensor(u, v):
