@@ -102,7 +102,7 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
     b_mul, act_into = B.mul_basis, P.act_into
     one = P.field.one()
     one_b = B.unit().terms
-    e = P.act_unit_B([t[0] for t in x.terms])
+    e = B.local_unit_for([t[0] for t in x.terms])
     cov_a = B.apply_aut(alpha.inverse(), e).terms
     for (la, lb), cx in x.terms.items():
         # honest b1 (x) b2, with the automorphisms of both legs applied
@@ -204,7 +204,6 @@ def xi_on_legs(P: Pairing, actor: AutPair, source: AutPair, value: LinComb,
     """Apply the crossing action of ``actor`` to the crossed slot of a flat
     tensor occupying label positions ``(a_idx, b_idx)``."""
     pre, b_aut = _xi_maps(P, actor, source)
-    # ``P.precompose_A(pre, -)`` relabels A by the inverse of ``pre``.
     a_aut = pre.inverse()
     aut_a, aut_b = P.A.aut_basis, P.B.aut_basis
     out: Dict[Tuple, object] = {}

@@ -59,7 +59,7 @@ def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
     t_image, aut, act_into = B.t_image, B.aut_basis, P.act_into
     one = P.field.one()
     out: Dict = {}
-    e = P.act_unit_B([la for la, _ in x.terms])
+    e = B.local_unit_for([la for la, _ in x.terms])
     cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e).terms
     for (la, lb), c in x.terms.items():
         for lv, cv in cov.items():
@@ -190,7 +190,7 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
     binv = beta.inverse()
     a_items = a.terms.items()
     y_items = y.terms.items()
-    e = P.act_unit_B(a.support())
+    e = B.local_unit_for(a.support())
     lhs: Dict = {}
     legs = B.t_pair(4, e, b)                       # sum b1 (x) e*b2
     for (u, v), c1 in legs.terms.items():

@@ -550,6 +550,24 @@ class DualDrinfeld(_Transposed, _OnPairs):
 # Generic finite-dimensional instances from structure constants
 # ---------------------------------------------------------------------------
 
+# The T-maps of a structure-constant instance and their unital Sweedler
+# inverses, one row per (i, inverse): the factor whose coproduct is split
+# (0 for x, 1 for y), the leg of that coproduct that is multiplied, the
+# power of the antipode applied to that leg (0 for none, 1 for S, -1 for
+# S^-1), whether the other factor multiplies from the left, and the slot of
+# the product in the image (the other leg is kept in the other slot).
+_T_ROWS = {
+    (1, False): (0, 1, 0, False, 1),        # x1 (x) x2 y
+    (2, False): (1, 0, 0, True, 0),         # x y1 (x) y2
+    (3, False): (0, 0, 0, False, 0),        # x1 y (x) x2
+    (4, False): (1, 1, 0, True, 1),         # y1 (x) x y2
+    (1, True): (0, 1, 1, False, 1),         # x1 (x) S(x2) y
+    (2, True): (1, 0, 1, True, 0),          # x S(y1) (x) y2
+    (3, True): (1, 0, -1, False, 1),        # y2 (x) S^-1(y1) x
+    (4, True): (0, 1, -1, True, 0),         # y S^-1(x2) (x) x1
+}
+
+
 class FiniteDimHopf(MhaInstance):
     """A finite-dimensional instance given by explicit structure constants.
 
@@ -563,7 +581,7 @@ class FiniteDimHopf(MhaInstance):
     def __init__(self, field: Field, mul_table: List[List[LinComb]],
                  comul_table: List[LinComb], counit_vec: List,
                  unit_vec: LinComb, antipode_tab: List[LinComb],
-                 validate: bool = True, name: str = "finite-dim",
+                 name: str = "finite-dim",
                  aut_label_fn: Optional[Callable] = None,
                  basis_names: Optional[List[str]] = None):
         super().__init__()
@@ -581,8 +599,7 @@ class FiniteDimHopf(MhaInstance):
                             if basis_names else None)
         self._aut_label_fn = aut_label_fn
         self._antipode_inv_tab: Optional[List[LinComb]] = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -627,39 +644,32 @@ class FiniteDimHopf(MhaInstance):
                     f"instance-json-index: {what} index {v!r} out of range")
             return i
 
-        mul_cells: List[List[Dict]] = [[{} for _ in range(n)]
-                                       for _ in range(n)]
-        for row in mul_rows:
-            if len(row) != 4:
-                raise StructureError(
-                    f"instance-json-shape: mul row {row!r} needs [i,j,k,coeff]")
-            i, j, k = (index(row[0], "mul"), index(row[1], "mul"),
-                       index(row[2], "mul"))
-            cell = mul_cells[i][j]
-            cell[k] = cell.get(k, f.zero()) + f.parse(row[3])
-        mul_table = [[LinComb.from_pairs(cell.items())
-                      for cell in row] for row in mul_cells]
-        comul_cells: List[Dict] = [{} for _ in range(n)]
-        for row in comul_rows:
-            if len(row) != 4:
-                raise StructureError(
-                    f"instance-json-shape: comul row {row!r} needs [i,j,k,coeff]")
-            i, j, k = (index(row[0], "comul"), index(row[1], "comul"),
-                       index(row[2], "comul"))
-            cell = comul_cells[i]
-            cell[(j, k)] = cell.get((j, k), f.zero()) + f.parse(row[3])
-        comul_table = [LinComb.from_pairs(cell.items())
-                       for cell in comul_cells]
-        anti_cells: List[Dict] = [{} for _ in range(n)]
-        for row in anti_rows:
-            if len(row) != 3:
-                raise StructureError(
-                    f"instance-json-shape: antipode row {row!r} needs [i,j,coeff]")
-            i, j = index(row[0], "antipode"), index(row[1], "antipode")
-            cell = anti_cells[i]
-            cell[j] = cell.get(j, f.zero()) + f.parse(row[2])
-        antipode_tab = [LinComb.from_pairs(cell.items())
-                        for cell in anti_cells]
+        def decode(rows, what, fields, inputs):
+            """Sum the sparse rows of one structure map, each giving the
+            indices ``fields`` then a coefficient, into one term dict per
+            input (the first ``inputs`` indices), in row order.  The indices
+            left over name the term: one a basis label, two a tensor label."""
+            cells: Dict = {}
+            for row in rows:
+                if len(row) != len(fields) + 1:
+                    raise StructureError(
+                        f"instance-json-shape: {what} row {row!r} needs "
+                        f"[{','.join(fields)},coeff]")
+                ix = tuple(index(v, what) for v in row[:-1])
+                term = ix[inputs:] if len(ix) > inputs + 1 else ix[inputs]
+                cell = cells.setdefault(ix[:inputs], {})
+                cell[term] = cell.get(term, f.zero()) + f.parse(row[-1])
+            return cells
+
+        def table(cells, *key):
+            return LinComb.from_pairs(cells.get(key, {}).items())
+
+        mul = decode(mul_rows, "mul", "ijk", 2)
+        comul = decode(comul_rows, "comul", "ijk", 1)
+        anti = decode(anti_rows, "antipode", "ij", 1)
+        mul_table = [[table(mul, i, j) for j in range(n)] for i in range(n)]
+        comul_table = [table(comul, i) for i in range(n)]
+        antipode_tab = [table(anti, i) for i in range(n)]
         counit_vec = [f.parse(c) for c in counit_row]
         unit_vec = LinComb.from_pairs(
             (i, f.parse(c)) for i, c in enumerate(unit_row))
@@ -667,9 +677,10 @@ class FiniteDimHopf(MhaInstance):
                              antipode_tab, basis_names=basis_names)
 
     @staticmethod
-    def from_group(group: Group, field: Optional[Field] = None,
-                   dual: bool = False) -> "FiniteDimHopf":
-        """Structure constants of a finite group algebra (or its dual)."""
+    def from_group(group: Group, field: Optional[Field] = None
+                   ) -> "FiniteDimHopf":
+        """Structure constants of a finite group algebra; ``dual()`` gives
+        the function algebra."""
         f = field or RationalField()
         els = group.elements()
         idx = {g: i for i, g in enumerate(els)}
@@ -679,27 +690,15 @@ class FiniteDimHopf(MhaInstance):
         def relabel(phi, i):
             return idx[phi(els[i])]
 
-        if not dual:
-            mul_table = [[LinComb.unit(idx[group.op(x, y)], one) for y in els]
-                         for x in els]
-            comul_table = [LinComb.unit((i, i), one) for i in range(n)]
-            counit_vec = [one] * n
-            unit_vec = LinComb.unit(idx[group.identity], one)
-            antipode_tab = [LinComb.unit(idx[group.inv(x)], one) for x in els]
-            name = "finite-dim(group)"
-        else:
-            mul_table = [[LinComb.unit(i, one) if i == j else LinComb.zero()
-                          for j in range(n)] for i in range(n)]
-            comul_table = [
-                lc_combine(LinComb.unit((idx[u], idx[group.op(group.inv(u), p)]),
-                                        one) for u in els)
-                for p in els]
-            counit_vec = [one if x == group.identity else f.zero() for x in els]
-            unit_vec = lc_combine(LinComb.unit(i, one) for i in range(n))
-            antipode_tab = [LinComb.unit(idx[group.inv(x)], one) for x in els]
-            name = "finite-dim(functions)"
-        return FiniteDimHopf(f, mul_table, comul_table, counit_vec, unit_vec,
-                             antipode_tab, name=name, aut_label_fn=relabel)
+        return FiniteDimHopf(
+            f,
+            [[LinComb.unit(idx[group.op(x, y)], one) for y in els]
+             for x in els],
+            [LinComb.unit((i, i), one) for i in range(n)],
+            [one] * n,
+            LinComb.unit(idx[group.identity], one),
+            [LinComb.unit(idx[group.inv(x)], one) for x in els],
+            name="finite-dim(group)", aut_label_fn=relabel)
 
     def dual(self) -> "FiniteDimHopf":
         """The dual instance: all structure maps transposed."""
@@ -838,59 +837,33 @@ class FiniteDimHopf(MhaInstance):
         return self.comul_table[x]
 
     def _t_basis(self, i, x, y):
-        mul_basis = self.mul_basis
-        out: Dict = {}
-        if i == 1:                                  # x1 (x) x2 y
-            for (x1, x2), c in self.comul_table[x].terms.items():
-                for l, d in mul_basis(x2, y).terms.items():
-                    add_term(out, (x1, l), c * d)
-        elif i == 2:                                # x y1 (x) y2
-            for (y1, y2), c in self.comul_table[y].terms.items():
-                for l, d in mul_basis(x, y1).terms.items():
-                    add_term(out, (l, y2), c * d)
-        elif i == 3:                                # x1 y (x) x2
-            for (x1, x2), c in self.comul_table[x].terms.items():
-                for l, d in mul_basis(x1, y).terms.items():
-                    add_term(out, (l, x2), c * d)
-        elif i == 4:                                # y1 (x) x y2
-            for (y1, y2), c in self.comul_table[y].terms.items():
-                for l, d in mul_basis(x, y2).terms.items():
-                    add_term(out, (y1, l), c * d)
-        else:
-            raise ValueError(f"t-map index out of range: {i}")
-        return LinComb(out)
+        return self._t_row(i, False, x, y)
 
     def _t_inv_basis(self, i, x, y):
-        # Unital Sweedler inverses:
-        #   T1^-1(x⊗y) = x1 ⊗ S(x2) y        T2^-1(x⊗y) = x S(y1) ⊗ y2
-        #   T3^-1(x⊗y) = y2 ⊗ S^-1(y1) x     T4^-1(x⊗y) = y S^-1(x2) ⊗ x1
-        # The antipode is read through ``self._antipode_basis``, where a
-        # session may plant a defect.
-        antipode = self._antipode_basis
-        mul_basis = self.mul_basis
+        return self._t_row(i, True, x, y)
+
+    def _t_row(self, i, inverse, x, y):
+        """T_i or T_i^-1 on the basis tensor x (x) y, read from ``_T_ROWS``.
+        The antipode is read through ``self._antipode_basis``, where a
+        session may plant a defect."""
+        try:
+            split, leg, power, other_left, slot = _T_ROWS[i, inverse]
+        except KeyError:
+            raise ValueError(f"t-map index out of range: {i}") from None
+        mul_basis, antipode = self.mul_basis, self._antipode_basis
+        factors = (x, y)
+        other = factors[1 - split]
         out: Dict = {}
-        if i == 1:
-            for (x1, x2), c in self.comul_table[x].terms.items():
-                for s, d in antipode(x2).terms.items():
-                    for l, e in mul_basis(s, y).terms.items():
-                        add_term(out, (x1, l), c * d * e)
-        elif i == 2:
-            for (y1, y2), c in self.comul_table[y].terms.items():
-                for s, d in antipode(y1).terms.items():
-                    for l, e in mul_basis(x, s).terms.items():
-                        add_term(out, (l, y2), c * d * e)
-        elif i == 3:
-            for (y1, y2), c in self.comul_table[y].terms.items():
-                for s, d in antipode(y1, inverse=True).terms.items():
-                    for l, e in mul_basis(s, x).terms.items():
-                        add_term(out, (y2, l), c * d * e)
-        elif i == 4:
-            for (x1, x2), c in self.comul_table[x].terms.items():
-                for s, d in antipode(x2, inverse=True).terms.items():
-                    for l, e in mul_basis(y, s).terms.items():
-                        add_term(out, (l, x1), c * d * e)
-        else:
-            raise ValueError(f"t-map index out of range: {i}")
+        for legs, c in self.comul_table[factors[split]].terms.items():
+            used, kept = legs[leg], legs[1 - leg]
+            images = ([(s, c * d) for s, d in
+                       antipode(used, power < 0).terms.items()]
+                      if power else ((used, c),))
+            for s, cs in images:
+                prod = (mul_basis(other, s) if other_left
+                        else mul_basis(s, other))
+                for l, e in prod.terms.items():
+                    add_term(out, (kept, l) if slot else (l, kept), cs * e)
         return LinComb(out)
 
     def unit(self):

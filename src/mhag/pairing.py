@@ -9,11 +9,13 @@ comultiplication cover:
     b |> a = <a_(2), b> a_(1)        a <| b = <a_(1), b> a_(2)
     a |> b = <a, b_(2)> b_(1)        b <| a = <a, b_(1)> b_(2)
 
-The pairing also owns the canonical duality multiplier W (the element
-``sum_i e_i (x) e^i`` over dual bases, kept lazy when infinite) and the
-"crossed right unit": a finite element of B whose embedded image acts as the
-identity on a given finite crossed-product value — the cover everything in
-the graded layer leans on.
+Every pairing here matches equal labels: a basis label of A pairs to 1
+with the same label of B and to 0 with every other.  So the canonical
+duality multiplier W is ``sum_l l (x) l`` over the basis labels of B, one
+class kept lazy when infinite, with candidate solvers per pairing.  The
+pairing also owns the "crossed right unit": a finite element of B whose
+embedded image acts as the identity on a given finite crossed-product
+value — the cover everything in the graded layer leans on.
 
 The graded layers read W, the grading law ``pair_mul`` and the flags
 ``cop_first_leg`` and ``skew`` from the pairing.  They are built honest;
@@ -26,10 +28,10 @@ from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .crossed import dcp_fill, twist_fill
-from .groups import AutPair, Automorphism, Group, GroupError, aut_pair_mul
+from .groups import AutPair, Group, GroupError, aut_pair_mul
 from .linear import LinComb, add_term
 from .mha import (BasisTable, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
-                  FunctionAlgebra, GroupAlgebra, MhaInstance, invert_matrix)
+                  FunctionAlgebra, GroupAlgebra, MhaInstance)
 from .scalars import Field, RationalField
 
 
@@ -84,18 +86,6 @@ class Pairing:
                     total = total + ca * cb * v
         return total
 
-    # -- action units ----------------------------------------------------------
-    # An action unit is the local unit of the actor's labels read on the
-    # other side: the two sides of every pairing here share their basis
-    # labels, and check_duality's unit laws hold for that local unit.
-    def act_unit_A(self, b_labels: Iterable) -> LinComb:
-        """c in A with c |> b = b and b <| c = b for b spanned by ``b_labels``."""
-        return self.A.local_unit_for(b_labels)
-
-    def act_unit_B(self, a_labels: Iterable) -> LinComb:
-        """e in B with e |> a = a and a <| e = a for a spanned by ``a_labels``."""
-        return self.B.local_unit_for(a_labels)
-
     # -- actions ---------------------------------------------------------------
     def act_into(self, out: Dict, variant: str, scale, actor, target) -> None:
         """Add ``scale`` times one of the four module actions of the basis
@@ -105,18 +95,18 @@ class Pairing:
         A), ``"a<<b"`` (actor in B, target in A), ``"a>>b"`` (actor in A,
         target in B), ``"b<<a"`` (actor in A, target in B).  The T-image of
         the target against an action unit is contracted on one leg with the
-        actor through the form, as ``_ACTIONS`` says.
+        actor through the form, as ``_ACTIONS`` says.  The action unit is
+        the local unit of the actor's label in the target's instance: the
+        two sides share their basis labels, and check_duality's unit laws
+        hold for that local unit.
         """
         try:
             on_a, t, unit_first, leg = _ACTIONS[variant]
         except KeyError:
             raise PairingError(f"action-variant-unknown: {variant!r}") from None
-        if on_a:
-            X, unit = self.A, self.act_unit_A([actor])
-        else:
-            X, unit = self.B, self.act_unit_B([actor])
+        X = self.A if on_a else self.B
         t_image, pair_basis = X.t_image, self.pair_basis
-        for lu, cu in unit.terms.items():
+        for lu, cu in X.local_unit_for([actor]).terms.items():
             legs = (t_image(t, lu, target) if unit_first
                     else t_image(t, target, lu))
             for pair, c in legs.terms.items():
@@ -133,12 +123,6 @@ class Pairing:
             for lt, ct in target.terms.items():
                 self.act_into(out, variant, ca * ct, la, lt)
         return LinComb(out)
-
-    # -- automorphism plumbing ----------------------------------------------------
-    def precompose_A(self, phi: Automorphism, a: LinComb) -> LinComb:
-        """Transpose action on A: the functional a composed with the induced
-        automorphism of B (for label pairings this is relabeling by phi^-1)."""
-        return self.A.apply_aut(phi.inverse(), a)
 
     # -- covers -------------------------------------------------------------------
     def crossed_right_unit(self, grading: AutPair, value: LinComb) -> LinComb:
@@ -199,37 +183,46 @@ class Pairing:
         # unit laws through the action units
         for la in a_labels:
             a = A.lc(la)
-            e = self.act_unit_B([la])
+            e = B.local_unit_for([la])
             if not (self.pair(a, e) == A.counit(a)):
                 return f"pairing-unit-law-fails(B): a={la!r}"
         for lb in b_labels:
             b = B.lc(lb)
-            c = self.act_unit_A([lb])
+            c = A.local_unit_for([lb])
             if not (self.pair(c, b) == B.counit(b)):
                 return f"pairing-unit-law-fails(A): b={lb!r}"
         return None
 
 
 class CanonicalW:
-    """The canonical duality multiplier W = sum_i (basis of B) (x) (dual basis
-    in A), with lazy term enumeration where the sum is infinite.
+    """The canonical duality multiplier W = sum_l l (x) l over the basis
+    labels l of B: the label l of A is the dual basis element of the label l
+    of B, because the pairing matches equal labels.  Its enumeration is lazy
+    where the sum is infinite.
 
     Terms are ``(b_label, a_label, coeff)`` triples.  The ``candidates_*``
     solvers return the finitely many terms that can survive a given
     application context (everything else is annihilated by a point-mass
     product), which is what keeps applications exact over infinite instances.
+    By default every solver returns the whole enumeration.
     """
 
     def __init__(self, pairing: Pairing):
         self.P = pairing
 
     def all_terms(self) -> List[Tuple]:
-        raise PairingError("w-not-enumerable: infinite canonical multiplier; "
-                           "use a candidate solver or a window")
+        try:
+            return self.window_terms(None)
+        except GroupError:
+            raise PairingError(
+                "w-not-enumerable: infinite canonical multiplier; "
+                "use a candidate solver or a window") from None
 
-    def window_terms(self, window: int) -> List[Tuple]:
-        """Truncated enumeration for display/comparison over infinite bases."""
-        return self.all_terms()
+    def window_terms(self, window: Optional[int]) -> List[Tuple]:
+        """The terms over the basis labels of B in ``window``; truncated
+        enumeration for display/comparison over infinite bases."""
+        one = self.P.field.one()
+        return [(l, l, one) for l in self.P.B.basis_labels(window)]
 
     def candidates_left(self, a_labels: Iterable) -> List[Tuple]:
         """Terms surviving left A-multiplication wa * x for x in the span."""
@@ -261,22 +254,7 @@ class CanonicalW:
         return total
 
 
-class _LabelW(CanonicalW):
-    """W for a pairing that matches equal labels: one term ``(l, l, 1)`` per
-    basis label of B, enumerable only over a finite group."""
-
-    def all_terms(self):
-        try:
-            return self.window_terms(None)
-        except GroupError:
-            return super().all_terms()
-
-    def window_terms(self, window):
-        one = self.P.field.one()
-        return [(l, l, one) for l in self.P.B.basis_labels(window)]
-
-
-class _GroupW(_LabelW):
+class _GroupW(CanonicalW):
     """W = sum_g (g in B) (x) (point mass at g in A); lazy over infinite H."""
 
     def candidates_left(self, a_labels):
@@ -299,29 +277,7 @@ class _GroupW(_LabelW):
         return [(x, x, one) for x in out]
 
 
-class _FiniteW(CanonicalW):
-    """Eager W for finite-dimensional pairings, weighted by the inverse Gram
-    matrix when the supplied duality is not in dual-basis position."""
-
-    def __init__(self, pairing):
-        super().__init__(pairing)
-        self._terms = None
-
-    def all_terms(self):
-        if self._terms is None:
-            P = self.P
-            n = P.A.dim
-            gram = [[P.pair_basis(i, j) for j in range(n)] for i in range(n)]
-            inv = invert_matrix(gram, P.field)
-            if inv is None:
-                raise PairingError(
-                    "pairing-degenerate: singular duality matrix")
-            self._terms = [(j, i, inv[j][i]) for j in range(n) for i in range(n)
-                           if inv[j][i]]
-        return self._terms
-
-
-class _DrinfeldW(_LabelW):
+class _DrinfeldW(CanonicalW):
     """W for the double pairing; eager when finite, windowed otherwise, with a
     partial solver that pins the point-mass coordinate."""
 
@@ -350,30 +306,25 @@ class GroupPairing(Pairing):
 
 
 class FiniteDimPairing(Pairing):
-    """A pairing of finite-dimensional instances via an explicit value matrix
-    (validated nondegenerate on first W use); the standard construction takes
-    an instance together with its transpose dual and the identity matrix."""
+    """A structure-constant instance paired with its transpose dual
+    (``FiniteDimHopf.dual``), either way round.  The dual's structure maps
+    are the transposes of the instance's on the same labels, so the form
+    matches equal labels and is nondegenerate, and W is
+    ``sum_i e_i (x) e_i``."""
 
-    def __init__(self, A: FiniteDimHopf, B: FiniteDimHopf,
-                 matrix: Optional[List[List]] = None):
+    def __init__(self, A: FiniteDimHopf, B: FiniteDimHopf):
         super().__init__()
         if A.field != B.field:
             raise PairingError("pairing-field-mismatch")
         self.A = A
         self.B = B
         self.field = A.field
-        self.matrix = matrix
         self.name = "finite-dim"
-        self.w = _FiniteW(self)
+        self.w = CanonicalW(self)
 
     @staticmethod
     def from_instance(B: FiniteDimHopf) -> "FiniteDimPairing":
         return FiniteDimPairing(B.dual(), B)
-
-    def pair_basis(self, la, lb):
-        if self.matrix is not None:
-            return self.matrix[la][lb]
-        return super().pair_basis(la, lb)
 
 
 class DrinfeldPairing(Pairing):

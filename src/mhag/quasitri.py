@@ -439,7 +439,6 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
                             add_term(lhs_terms, (l1a, l1b, l2), c2 * c3)
     # rhs: coproduct with precomposed second leg, times the W-twist
     psi = alpha.compose(binv)
-    # ``P.precompose_A(psi, -)`` relabels A by the inverse of ``psi``.
     psi_inv = psi.inverse()
     cands = []
     union: Dict = {}
@@ -454,7 +453,7 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
                 cands.append((tail, wu))
     if union:
         n_all = A.local_unit_for(list(union))
-        n2 = P.precompose_A(psi.inverse(), n_all).terms
+        n2 = A.apply_aut(psi, n_all).terms
         for la, ca in a.terms.items():
             for l0, k0 in n2.items():
                 for (a1, a2n), c1 in t_a(1, la, l0).terms.items():

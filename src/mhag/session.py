@@ -27,7 +27,7 @@ pairing, whose attributes the engine reads (see :mod:`mhag.pairing`).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .groups import (AutPair, Automorphism, Group, TableGroup, aut_from_json,
                      aut_pair_identity, group_from_json)
@@ -144,7 +144,6 @@ class Session:
                  enum: EnumSpec, mode: str, kind: str,
                  corrupt: Optional[str] = None,
                  group: Optional[Group] = None,
-                 spec_data: Optional[Dict] = None,
                  carrier: Optional[Group] = None):
         self.P = pairing
         self.field = pairing.field
@@ -158,7 +157,6 @@ class Session:
         # or the trivial group the decoder builds for a structure-constant
         # instance.  Automorphisms over two distinct carriers do not compose.
         self.carrier = carrier if carrier is not None else group
-        self.spec_data = spec_data or {}
         _plant(pairing, corrupt)
 
     # -- enumeration helpers ------------------------------------------------
@@ -299,7 +297,7 @@ def session_from_json(data, seed: Optional[int] = None,
             f"session-corrupt: {corrupt!r} not one of {CORRUPTIONS}")
 
     return Session(pairing, gradings, enum, mode, kind, corrupt=corrupt,
-                   group=group, spec_data=data, carrier=aut_carrier)
+                   group=group, carrier=aut_carrier)
 
 
 def session_from_path(path: str, seed: Optional[int] = None,

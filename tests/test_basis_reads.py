@@ -4,7 +4,8 @@ before it multiplied, twisted or T-mapped it.
 
 The former bodies are kept here verbatim, apart from reading the product
 memo's fill and the T-map table of ``t_pair`` straight from the basis
-primitives.  So are the former module action, which the former bodies call
+primitives, and from calling ``local_unit_for`` and ``apply_aut`` in place
+of the pairing's former pass-through wrappers.  So are the former module action, which the former bodies call
 in place of ``Pairing.act``, and the value-level embeddings that the
 library no longer has.  They run on multi-term inputs with mixed
 coefficients over the six pairings of ``conftest.engine_cases``; only the
@@ -64,19 +65,19 @@ def _ref_act(P, variant, actor, target):
     if actor.is_zero() or target.is_zero():
         return LinComb.zero()
     if variant == "b>>a":
-        c = P.act_unit_A(actor.support())
+        c = P.A.local_unit_for(actor.support())
         tt = _ref_t_pair(P.A, 1, target, c)       # sum a1 (x) a2*c
         return _ref_contract(P, tt, actor, slot=2)
     if variant == "a<<b":
-        c = P.act_unit_A(actor.support())
+        c = P.A.local_unit_for(actor.support())
         tt = _ref_t_pair(P.A, 2, c, target)       # sum c*a1 (x) a2
         return _ref_contract(P, tt, actor, slot=1)
     if variant == "a>>b":
-        e = P.act_unit_B(actor.support())
+        e = P.B.local_unit_for(actor.support())
         tt = _ref_t_pair(P.B, 1, target, e)       # sum b1 (x) b2*e
         return _ref_contract_a(P, tt, actor, slot=2)
     if variant == "b<<a":
-        e = P.act_unit_B(actor.support())
+        e = P.B.local_unit_for(actor.support())
         tt = _ref_t_pair(P.B, 2, e, target)       # sum e*b1 (x) b2
         return _ref_contract_a(P, tt, actor, slot=1)
     raise PairingError(f"action-variant-unknown: {variant!r}")
@@ -159,7 +160,7 @@ def _ref_move(P, variant, phi, x, inverse=False):
     t, cov_first, action, leg = _MOVES[variant, inverse]
     B = P.B
     out: Dict = {}
-    e = P.act_unit_B([la for la, _ in x.terms])
+    e = P.B.local_unit_for([la for la, _ in x.terms])
     cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e)
     for (la, lb), c in x.terms.items():
         legs = (B.t_pair(t, cov, B.lc(lb)) if cov_first
@@ -189,7 +190,7 @@ def _ref_dcp_mul(P, grading, x, y):
 def _ref_commutation_residual(P, grading, a, b, y):
     alpha, beta = grading
     B = P.B
-    e = P.act_unit_B(a.support())
+    e = P.B.local_unit_for(a.support())
     lhs: Dict = {}
     legs = B.t_pair(4, e, b)
     for (u, v), c1 in legs.terms.items():
@@ -238,7 +239,7 @@ def _ref_comul_covered(P, x, left_g, right_g, cover, side="right"):
         return LinComb(out)
     alpha, beta = left_g
     one_b = B.unit()
-    e = P.act_unit_B([t[0] for t in x.terms])
+    e = P.B.local_unit_for([t[0] for t in x.terms])
     cov_a = B.apply_aut(alpha.inverse(), e)
     for (la, lb), cx in x.terms.items():
         outer = B.t_pair(1, B.lc(lb), one_b)
@@ -306,7 +307,7 @@ def _ref_xi_on_legs(P, actor, source, value, a_idx, b_idx):
     pre, b_aut = _xi_maps(P, actor, source)
     out: Dict[Tuple, object] = {}
     for label, c in value.terms.items():
-        av = P.precompose_A(pre, P.A.lc(label[a_idx]))
+        av = P.A.apply_aut(pre.inverse(), P.A.lc(label[a_idx]))
         bv = P.B.apply_aut(b_aut, P.B.lc(label[b_idx]))
         for la, c2 in av.terms.items():
             for lb, c3 in bv.terms.items():
@@ -603,11 +604,11 @@ def _ref_w_intertwiner_a(P, p, a, u, m):
             union[l] = None
     if union:
         n_all = A.local_unit_for(list(union))
-        n2 = P.precompose_A(psi.inverse(), n_all)
+        n2 = A.apply_aut(psi, n_all)
         for la, ca in a.terms.items():
             legs = A.t_pair(1, A.lc(la), n2)
             for (a1, a2n), c1 in legs.terms.items():
-                lifted = P.precompose_A(psi, A.lc(a2n))
+                lifted = A.apply_aut(psi.inverse(), A.lc(a2n))
                 for wb, wa, cw in cands:
                     tail = tails[(wb, wa)]
                     if tail.is_zero():

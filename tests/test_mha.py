@@ -2,6 +2,7 @@
 structure-constant instances."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
 from mhag.linear import LinComb, lc_combine
 from mhag.session import _negate_antipode
 
-from conftest import rescaled_s3
+from conftest import H4_HOPF, rescaled_s3
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -212,15 +213,22 @@ def _assert_sweedler(inst):
 
 
 class TestRescaledTMaps:
-    """T-maps of a structure-constant instance whose coefficients are not
+    """T-maps of structure-constant instances whose coefficients are not
     all 1, against the Sweedler formulas; with ``antipode-sign`` planted
-    the inverses must follow the planted antipode."""
+    the inverses must follow the planted antipode.  Sweedler's H4 and its
+    dual have an antipode that is not an involution, so an inverse T-map
+    that applies S in place of S^-1 (or the reverse) fails on them."""
 
     @pytest.mark.parametrize("planted", [False, True],
                              ids=["clean", "antipode-sign"])
-    @pytest.mark.parametrize("dual", [False, True], ids=["group", "functions"])
-    def test_sweedler_formulas(self, dual, planted):
-        inst = rescaled_s3(dual)
+    @pytest.mark.parametrize("make", [
+        lambda: rescaled_s3(False),
+        lambda: rescaled_s3(True),
+        lambda: FiniteDimHopf.from_json(H4_HOPF),
+        lambda: FiniteDimHopf.from_json(H4_HOPF).dual(),
+    ], ids=["group", "functions", "h4", "h4-dual"])
+    def test_sweedler_formulas(self, make, planted):
+        inst = make()
         if planted:
             _negate_antipode(inst)
         _assert_sweedler(inst)
@@ -306,23 +314,45 @@ class TestFiniteDimHopf:
             "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
             "antipode": [[0, 0, "1"], [1, 1, "1"]],
         }
-        fd = FiniteDimHopf.from_json(data)
+        # The same constants with duplicate rows, which sum, and rows that
+        # cancel, whose term is dropped.
+        summed = dict(data, **{
+            "mul": [[0, 0, 0, "1/2"], [0, 0, 0, "1/2"], [0, 1, 1, "1"],
+                    [0, 1, 0, "1"], [0, 1, 0, "-1"],
+                    [1, 0, 1, "1"], [1, 1, 0, "1"]],
+            "comul": [[0, 0, 0, "1"], [1, 0, 1, "1"], [1, 0, 1, "-1"],
+                      [1, 1, 1, "1/2"], [1, 1, 1, "1/2"]],
+            "antipode": [[0, 0, "1"], [1, 0, "1"], [1, 0, "-1"],
+                         [1, 1, "1/2"], [1, 1, "1/2"]],
+        })
         ref = FiniteDimHopf.from_group(Z2)
-        assert fd.mul_table == ref.mul_table
-        assert fd.comul_table == ref.comul_table
+        for d in (data, summed):
+            fd = FiniteDimHopf.from_json(d)
+            assert fd.mul_table == ref.mul_table
+            assert fd.comul_table == ref.comul_table
+            assert fd.antipode_tab == ref.antipode_tab
 
     def test_from_json_shape_errors(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError,
+                           match="^instance-json-missing-field: 'mul'$"):
             FiniteDimHopf.from_json({"dim": 2})
-        with pytest.raises(StructureError):
-            FiniteDimHopf.from_json({
-                "dim": 1, "unit": ["1"], "counit": ["1"],
-                "mul": [[0, 0, "1"]], "comul": [], "antipode": []})
-        with pytest.raises(StructureError):
-            FiniteDimHopf.from_json({
-                "dim": 1, "unit": ["1"], "counit": ["1"],
-                "mul": [[0, 0, 5, "1"]], "comul": [[0, 0, 0, "1"]],
-                "antipode": [[0, 0, "1"]]})
+        one = {"dim": 1, "unit": ["1"], "counit": ["1"],
+               "mul": [[0, 0, 0, "1"]], "comul": [[0, 0, 0, "1"]],
+               "antipode": [[0, 0, "1"]]}
+        for key, row, diag in [
+                ("mul", [0, 0, "1"],
+                 "instance-json-shape: mul row [0, 0, '1'] needs "
+                 "[i,j,k,coeff]"),
+                ("comul", [0, 0, "1"],
+                 "instance-json-shape: comul row [0, 0, '1'] needs "
+                 "[i,j,k,coeff]"),
+                ("antipode", [0, "1"],
+                 "instance-json-shape: antipode row [0, '1'] needs "
+                 "[i,j,coeff]"),
+                ("mul", [0, 0, 5, "1"],
+                 "instance-json-index: mul index 5 out of range")]:
+            with pytest.raises(StructureError, match=f"^{re.escape(diag)}$"):
+                FiniteDimHopf.from_json(dict(one, **{key: [row]}))
 
     def test_aut_transport(self):
         fd = FiniteDimHopf.from_group(S3)

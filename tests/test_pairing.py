@@ -71,10 +71,10 @@ class TestModuleActions:
             self.P.act("a^b", self.P.A.lc(0), self.P.B.lc(0))
 
     def test_action_units(self):
-        c = self.P.act_unit_A([1, 2])
+        c = self.P.A.local_unit_for([1, 2])
         for g in (1, 2):
             assert self.P.act("a>>b", c, self.P.B.lc(g)) == self.P.B.lc(g)
-        e = self.P.act_unit_B([1, 2])
+        e = self.P.B.local_unit_for([1, 2])
         for p in (1, 2):
             assert self.P.act("b>>a", e, self.P.A.lc(p)) == self.P.A.lc(p)
 
@@ -210,21 +210,14 @@ def _first_duality_failure(P, a_labels, b_labels):
         if not (P.pair(A.antipode(a), b) == P.pair(a, B.antipode(b))):
             return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
     for la in a_labels:
-        if not (P.pair(A.lc(la), P.act_unit_B([la])) == A.counit(A.lc(la))):
+        if not (P.pair(A.lc(la), B.local_unit_for([la]))
+                == A.counit(A.lc(la))):
             return f"pairing-unit-law-fails(B): a={la!r}"
     for lb in b_labels:
-        if not (P.pair(P.act_unit_A([lb]), B.lc(lb)) == B.counit(B.lc(lb))):
+        if not (P.pair(A.local_unit_for([lb]), B.lc(lb))
+                == B.counit(B.lc(lb))):
             return f"pairing-unit-law-fails(A): b={lb!r}"
     return None
-
-
-def _perturbed_matrix(A, B, i, j, value):
-    """The structure-constant pairing of ``A`` with its dual ``B`` (or of
-    ``B`` with its dual ``A``), matrix entry (i, j) changed."""
-    n = B.dim
-    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    m[i][j] = value
-    return FiniteDimPairing(A, B, m)
 
 
 def _rescaled_group_algebra(group, scales):
@@ -263,7 +256,8 @@ Z3_235 = _rescaled_group_algebra(Z3, [2, 3, 5])
     # Fails in the A-product law only.
     (_perturbed_group(Z4, (1, 0), Fraction(2)), [0]),
     # Fails at several y for the first failing (a, x).
-    (_perturbed_matrix(Z4_HOPF.dual(), Z4_HOPF, 2, 0, Fraction(2)), None),
+    (_perturbed(FiniteDimPairing(Z4_HOPF.dual(), Z4_HOPF), (2, 0),
+                Fraction(2)), None),
     (_perturbed_group(Z4, (1, 3), F7.from_int(2), F7), None),
     (_perturbed_group(Z4, (1, 0), F7.from_int(3), F7), [0]),
     (_perturbed(DrinfeldPairing(Z2, F7), ((1, 0), (1, 1)), F7.from_int(2)),
@@ -272,9 +266,12 @@ Z3_235 = _rescaled_group_algebra(Z3, [2, 3, 5])
     (_perturbed(DrinfeldPairing(Z3, F7), ((2, 0), (1, 0)), F7.from_int(5)),
      None),
     # Basis products and the action carry coefficients other than 1.
-    (_perturbed_matrix(Z3_123.dual(), Z3_123, 1, 2, Fraction(2)), None),
-    (_perturbed_matrix(Z3_235.dual(), Z3_235, 0, 0, Fraction(1, 2)), None),
-    (_perturbed_matrix(Z3_235, Z3_235.dual(), 1, 2, Fraction(2)), [1]),
+    (_perturbed(FiniteDimPairing(Z3_123.dual(), Z3_123), (1, 2),
+                Fraction(2)), None),
+    (_perturbed(FiniteDimPairing(Z3_235.dual(), Z3_235), (0, 0),
+                Fraction(1, 2)), None),
+    (_perturbed(FiniteDimPairing(Z3_235, Z3_235.dual()), (1, 2),
+                Fraction(2)), [1]),
 ], ids=["z4-0-0", "z4-1-3", "z4-3-2", "s3-e-12", "s3-012-012", "s3-02-12",
         "z4-a-law", "finite-dim-z4", "z4-1-3-f7", "z4-a-law-f7",
         "double-z2-f7", "double-z3-f7", "rescaled-z3-1-2", "rescaled-z3-0-0",
