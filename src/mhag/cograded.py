@@ -122,8 +122,8 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                     cc = cx * cy * k0 * c1
                     for l1, k1 in one_b.items():
                         for (w, z), c2 in t_b(1, v, l1).terms.items():
-                            actor = B.antipode(B.lc(aut(beta, z)),
-                                               inverse=True).terms.items()
+                            actor = B.antipode_basis(aut(beta, z),
+                                                     True).terms.items()
                             for (s, t), c3 in legs_st.items():
                                 x1: Dict = {}
                                 for ls, cs in actor:
@@ -161,8 +161,8 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
         ab = grading.alpha.compose(grading.beta)
         total: Dict[Tuple, object] = {}
         for (la, lb), c in x.terms.items():
-            b_val = B.antipode(B.lc(lb))
-            a_val = A.antipode(A.lc(la), inverse=True)
+            b_val = B.antipode_basis(lb)
+            a_val = A.antipode_basis(la, True)
             for lb2, c1 in b_val.terms.items():
                 lb2 = aut(ab, lb2)
                 for la2, c2 in a_val.terms.items():
@@ -175,8 +175,8 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     back = twist_inv(P, grading, x)                # labels (B, A)
     out: Dict[Tuple, object] = {}
     for (zb, wa), c in back.terms.items():
-        a_val = A.antipode(A.lc(wa))
-        b_val = B.antipode(B.lc(aut(strip, zb)), inverse=True)
+        a_val = A.antipode_basis(wa)
+        b_val = B.antipode_basis(aut(strip, zb), True)
         for la, c1 in a_val.terms.items():
             for lb, c2 in b_val.terms.items():
                 add_term(out, (la, lb), c * c1 * c2)

@@ -57,7 +57,7 @@ def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
     t, cov_first, action, leg = _MOVES[variant, inverse]
     B = P.B
     t_image, aut, act_into = B.t_image, B.aut_basis, P.act_into
-    one = P.field.one()
+    antipode, one = B.antipode_basis, P.field.one()
     out: Dict = {}
     e = B.local_unit_for([la for la, _ in x.terms])
     cov = B.apply_aut(phi.inverse(), B.antipode(e) if inverse else e).terms
@@ -66,7 +66,7 @@ def _move(P: Pairing, variant: int, phi: Automorphism, x: LinComb,
             legs = t_image(t, lv, lb) if cov_first else t_image(t, lb, lv)
             for pair, c1 in legs.terms.items():
                 actor = aut(phi, pair[leg])
-                actors = (B.antipode(B.lc(actor), inverse=True).terms.items()
+                actors = (antipode(actor, True).terms.items()
                           if inverse else ((actor, one),))
                 cc = c * cv * c1
                 hit: Dict = {}

@@ -48,9 +48,9 @@ class BasisTable(dict):
     ``fill(*key)`` and keeps it while the table holds fewer than
     ``MEMO_CAP`` entries.  A hit is a plain dict read.
 
-    Every basis table is one: the product and T-map tables of an instance,
-    the twist and product tables of a pairing, and the covered-coproduct
-    tables of the ``hopf`` suite."""
+    Every basis table is one: the product, T-map and antipode tables of an
+    instance, the twist, product and action tables of a pairing, and the
+    covered-coproduct tables of the ``hopf`` suite."""
 
     __slots__ = ("fill",)
 
@@ -111,11 +111,15 @@ class MhaInstance:
     is_unital: bool
 
     def __init__(self):
-        # Basis products keyed (x, y), and basis T-map images and their
-        # inverses keyed (i, x, y).
+        # Basis products keyed (x, y), basis T-map images and their
+        # inverses keyed (i, x, y), and basis antipodes keyed (x, inverse).
+        # The antipode fill looks ``_antipode_basis`` up when it runs, so a
+        # defect planted on the instance after construction is seen.
         self._mc = BasisTable(self._mul_basis)
         self._tc = BasisTable(self._t_basis)
         self._tic = BasisTable(self._t_inv_basis)
+        self._sc = BasisTable(
+            lambda x, inverse: self._antipode_basis(x, inverse))
 
     # -- per-basis primitives (subclasses implement) -------------------------
     def _mul_basis(self, x, y) -> LinComb:
@@ -206,8 +210,13 @@ class MhaInstance:
             total = total + c * self._counit_basis(label)
         return total
 
+    def antipode_basis(self, lx, inverse: bool = False) -> LinComb:
+        """S or S^-1 of one basis label, read from the antipode table."""
+        return self._sc[lx, inverse]
+
     def antipode(self, x: LinComb, inverse: bool = False) -> LinComb:
-        return x.map_terms(lambda l: self._antipode_basis(l, inverse))
+        sc = self._sc
+        return x.map_terms(lambda l: sc[l, inverse])
 
     def comul_eager(self, x: LinComb) -> LinComb:
         """Full comultiplication as a tensor value — finite instances only."""
@@ -627,6 +636,12 @@ class FiniteDimHopf(MhaInstance):
             anti_rows = data["antipode"]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"instance-json-missing-field: {exc}") from exc
+        for what, value in (("mul", mul_rows), ("comul", comul_rows),
+                            ("counit", counit_row), ("unit", unit_row),
+                            ("antipode", anti_rows)):
+            if not isinstance(value, list):
+                raise StructureError(
+                    f"instance-json-shape: {what} must be a list")
         basis_names = data.get("basis")
         if basis_names is not None:
             basis_names = [str(x) for x in basis_names]
@@ -651,7 +666,7 @@ class FiniteDimHopf(MhaInstance):
             left over name the term: one a basis label, two a tensor label."""
             cells: Dict = {}
             for row in rows:
-                if len(row) != len(fields) + 1:
+                if not isinstance(row, list) or len(row) != len(fields) + 1:
                     raise StructureError(
                         f"instance-json-shape: {what} row {row!r} needs "
                         f"[{','.join(fields)},coeff]")
@@ -844,13 +859,13 @@ class FiniteDimHopf(MhaInstance):
 
     def _t_row(self, i, inverse, x, y):
         """T_i or T_i^-1 on the basis tensor x (x) y, read from ``_T_ROWS``.
-        The antipode is read through ``self._antipode_basis``, where a
-        session may plant a defect."""
+        The antipode is read from the antipode table, whose fill reads
+        ``self._antipode_basis``, where a session may plant a defect."""
         try:
             split, leg, power, other_left, slot = _T_ROWS[i, inverse]
         except KeyError:
             raise ValueError(f"t-map index out of range: {i}") from None
-        mul_basis, antipode = self.mul_basis, self._antipode_basis
+        mul_basis, antipode = self.mul_basis, self.antipode_basis
         factors = (x, y)
         other = factors[1 - split]
         out: Dict = {}

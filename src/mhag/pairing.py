@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .crossed import dcp_fill, twist_fill
 from .groups import AutPair, Group, GroupError, aut_pair_mul
-from .linear import LinComb, add_term
+from .linear import LinComb, add_scaled, add_term
 from .mha import (BasisTable, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance)
 from .scalars import Field, RationalField
@@ -66,6 +66,8 @@ class Pairing:
         # and crossed.dcp_mul.
         self._twc = BasisTable(partial(twist_fill, self))
         self._dcp = BasisTable(partial(dcp_fill, self))
+        # Basis actions, keyed (variant, actor, target): see act_into.
+        self._act = BasisTable(self._act_basis)
         # The grading-group product, whether the co-opposite A-leg goes on
         # the first coproduct slot, and whether the crossing action drops
         # its source-conjugation on the B-leg.
@@ -87,9 +89,9 @@ class Pairing:
         return total
 
     # -- actions ---------------------------------------------------------------
-    def act_into(self, out: Dict, variant: str, scale, actor, target) -> None:
-        """Add ``scale`` times one of the four module actions of the basis
-        label ``actor`` on the basis label ``target`` to the term dict ``out``.
+    def _act_basis(self, variant: str, actor, target) -> tuple:
+        """One of the four module actions of the basis label ``actor`` on the
+        basis label ``target``, as a tuple of terms: the fill of ``_act``.
 
         ``variant`` is one of ``"b>>a"`` (actor in B, target in A, result in
         A), ``"a<<b"`` (actor in B, target in A), ``"a>>b"`` (actor in A,
@@ -98,7 +100,8 @@ class Pairing:
         actor through the form, as ``_ACTIONS`` says.  The action unit is
         the local unit of the actor's label in the target's instance: the
         two sides share their basis labels, and check_duality's unit laws
-        hold for that local unit.
+        hold for that local unit.  The form is read from ``pair_basis`` when
+        the fill runs.
         """
         try:
             on_a, t, unit_first, leg = _ACTIONS[variant]
@@ -106,6 +109,7 @@ class Pairing:
             raise PairingError(f"action-variant-unknown: {variant!r}") from None
         X = self.A if on_a else self.B
         t_image, pair_basis = X.t_image, self.pair_basis
+        out: Dict = {}
         for lu, cu in X.local_unit_for([actor]).terms.items():
             legs = (t_image(t, lu, target) if unit_first
                     else t_image(t, target, lu))
@@ -113,7 +117,14 @@ class Pairing:
                 v = (pair_basis(pair[leg], actor) if on_a
                      else pair_basis(actor, pair[leg]))
                 if v:
-                    add_term(out, pair[1 - leg], scale * cu * c * v)
+                    add_term(out, pair[1 - leg], cu * c * v)
+        return tuple(out.items())
+
+    def act_into(self, out: Dict, variant: str, scale, actor, target) -> None:
+        """Add ``scale`` times one of the four module actions of the basis
+        label ``actor`` on the basis label ``target`` (see ``_act_basis``)
+        to the term dict ``out``, read from the action table."""
+        add_scaled(out, self._act[variant, actor, target], scale)
 
     def act(self, variant: str, actor: LinComb, target: LinComb) -> LinComb:
         """One of the four module actions on values, term by term through
@@ -135,51 +146,91 @@ class Pairing:
     def check_duality(self, a_labels, b_labels) -> Optional[str]:
         """Verify the pairing laws on the given label families.
 
-        Checks product/coproduct exchange in both directions, the unit laws
-        and antipode compatibility; returns a diagnostic string on the first
-        failure, or None.  Comultiplications are evaluated through T-maps, so
-        this works over infinite instances too.
+        Checks product/coproduct exchange in both directions, antipode
+        compatibility and the unit laws; returns a diagnostic string on the
+        first failure in loop order, or None.  Comultiplications are
+        evaluated through T-maps (in the action table), so this works over
+        infinite instances too.
+
+        Each law is compared sparsely.  Both sides of every case are summed
+        into a term dict keyed by the case, from nonzero terms only: a
+        basis product, action or antipode image is read once, and each of
+        its labels pairs through one form row of the nonzero values of
+        ``pair_basis`` against the other family.  The two dicts are then
+        compared once, and the differing key that comes first in loop order
+        is the diagnostic.
         """
         A, B = self.A, self.B
-        pair_basis, act_into = self.pair_basis, self.act_into
-        zero, one = self.field.zero(), self.field.one()
-        # <a, x y> = <a1, x><a2, y> on basis a, x, y in B (tag "B"), and
-        # <x y, b> = <x, b1><y, b2> on basis x, y in A (tag "A").  The left
-        # side sums cz <z, f> over the terms cz z of the basis product x y
-        # with the fixed label f; the right side pairs the action of x on f
-        # (once per (f, x)) with y term by term.
+        pair_basis, act = self.pair_basis, self._act
+        zero = self.field.zero()
+        a_labels = list(dict.fromkeys(a_labels))
+        b_labels = list(dict.fromkeys(b_labels))
+
+        def form_rows(labels, on_a):
+            """A lazy map from a label l (of A when ``on_a``, else of B) to
+            its nonzero form values ``(m, <l, m>)`` (``<m, l>`` for l in B)
+            over the labels m of ``labels``."""
+            rows: Dict = {}
+
+            def row(l):
+                if l not in rows:
+                    values = ((m, pair_basis(l, m) if on_a
+                               else pair_basis(m, l)) for m in labels)
+                    rows[l] = [(m, v) for m, v in values if v]
+                return rows[l]
+            return row
+
+        def first_difference(lhs, rhs, *families):
+            """The key at which ``lhs`` and ``rhs`` differ whose components
+            come first in ``families``, or None."""
+            order = [{l: i for i, l in enumerate(f)} for f in families]
+            bad = [k for k in lhs.keys() | rhs.keys()
+                   if not (lhs.get(k, zero) == rhs.get(k, zero))]
+            return min(bad, default=None,
+                       key=lambda k: tuple(o[c] for o, c in zip(order, k)))
+
+        # <f, x y> = <f1, x><f2, y> on basis f in A and x, y in B (tag "B"),
+        # and <x y, f> = <x, f1><y, f2> on basis f in B and x, y in A (tag
+        # "A").  The left side pairs the basis product x y with f; the right
+        # side pairs the action of x on f with y.
         for tag, name, fixed, factors, X, variant in (
                 ("B", "a", a_labels, b_labels, B, "a<<b"),
                 ("A", "b", b_labels, a_labels, A, "b<<a")):
-            f_in_a = tag == "B"
+            on_a = X is A
+            column, row = form_rows(fixed, on_a), form_rows(factors, not on_a)
+            lhs: Dict = {}
+            rhs: Dict = {}
+            for x in factors:
+                for y in factors:
+                    for lz, cz in X.mul_basis(x, y).terms.items():
+                        for f, v in column(lz):
+                            add_term(lhs, (f, x, y), cz * v)
             for f in fixed:
                 for x in factors:
-                    fx: Dict = {}
-                    act_into(fx, variant, one, x, f)
-                    fx_items = fx.items()
-                    for y in factors:
-                        lhs = zero
-                        for lz, cz in X.mul_basis(x, y).terms.items():
-                            v = (pair_basis(f, lz) if f_in_a
-                                 else pair_basis(lz, f))
-                            if v:
-                                lhs = lhs + cz * v
-                        rhs = zero
-                        for l, c in fx_items:
-                            v = (pair_basis(l, y) if f_in_a
-                                 else pair_basis(y, l))
-                            if v:
-                                rhs = rhs + c * v
-                        if not (lhs == rhs):
-                            return (f"pairing-product-law-fails({tag}): "
-                                    f"{name}={f!r}, x={x!r}, y={y!r}")
+                    for l, c in act[variant, x, f]:
+                        for y, v in row(l):
+                            add_term(rhs, (f, x, y), c * v)
+            bad = first_difference(lhs, rhs, fixed, factors, factors)
+            if bad is not None:
+                f, x, y = bad
+                return (f"pairing-product-law-fails({tag}): "
+                        f"{name}={f!r}, x={x!r}, y={y!r}")
+        # <S(a), b> = <a, S(b)>, with each antipode read once per label.
+        to_b, to_a = form_rows(b_labels, True), form_rows(a_labels, False)
+        lhs = {}
+        rhs = {}
         for la in a_labels:
-            for lb in b_labels:
-                a, b = A.lc(la), B.lc(lb)
-                lhs = self.pair(A.antipode(a), b)
-                rhs = self.pair(a, B.antipode(b))
-                if not (lhs == rhs):
-                    return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
+            for lz, cz in A.antipode_basis(la).terms.items():
+                for lb, v in to_b(lz):
+                    add_term(lhs, (la, lb), cz * v)
+        for lb in b_labels:
+            for lw, cw in B.antipode_basis(lb).terms.items():
+                for la, v in to_a(lw):
+                    add_term(rhs, (la, lb), cw * v)
+        bad = first_difference(lhs, rhs, a_labels, b_labels)
+        if bad is not None:
+            la, lb = bad
+            return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
         # unit laws through the action units
         for la in a_labels:
             a = A.lc(la)

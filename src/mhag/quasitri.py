@@ -376,7 +376,7 @@ def w_inverse_residual(P: Pairing, m: LinComb, n: LinComb
                     continue
                 if antipode:
                     s1: Dict = {}
-                    for lb, cb in B.antipode(B.lc(wb)).terms.items():
+                    for lb, cb in B.antipode_basis(wb).terms.items():
                         add_scaled(s1, b_mul(lb, l1).terms.items(), cb)
                 else:
                     s1 = b_mul(wb, l1).terms

@@ -758,6 +758,11 @@ class TestBasisReads:
 
     def test_act(self, case):
         P, _, inp = _setup(case)
+        # An unknown variant is refused before the action table keeps it.
+        with pytest.raises(PairingError,
+                           match=r"^action-variant-unknown: 'b>>b'$"):
+            P.act("b>>b", inp.value(inp.b), inp.value(inp.a))
+        assert not P._act
         for variant, actors, targets in (("b>>a", inp.b, inp.a),
                                          ("a<<b", inp.b, inp.a),
                                          ("a>>b", inp.a, inp.b),
@@ -766,8 +771,12 @@ class TestBasisReads:
                 for _ in range(3):
                     actor = inp.value(actors, size)
                     target = inp.value(targets)
-                    assert P.act(variant, actor, target) == \
-                        _ref_act(P, variant, actor, target)
+                    acted = P.act(variant, actor, target)
+                    assert acted == _ref_act(P, variant, actor, target)
+                    # A repeated call reads the table and fills nothing new.
+                    filled = set(P._act)
+                    assert P.act(variant, actor, target) == acted
+                    assert set(P._act) == filled
 
     def test_move(self, case):
         P, gradings, inp = _setup(case)

@@ -476,6 +476,20 @@ class TestInputDiagnostics:
         assert err.startswith("error: session-instance: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("mul", [5]), ("mul", 7), ("antipode", [[0, 0, "1"], 2]),
+        ("counit", "1")])
+    def test_structure_map_not_a_list_exits_two(self, capsys, tmp_path,
+                                                field, value):
+        """A structure map or row that is not a JSON list is named."""
+        spec = write_spec(tmp_path, session_spec(
+            hopf_instance(dict(H4_HOPF, **{field: value}))))
+        rc, out, err = run_cli(capsys, "verify", "--spec", spec)
+        assert rc == 2 and out == ""
+        assert err.startswith(
+            f"error: session-instance: instance-json-shape: {field} ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("enum, flags, field", [
         ({"count": -5}, (), "count"),
         ({"count": 0}, (), "count"),

@@ -350,9 +350,21 @@ class TestFiniteDimHopf:
                  "instance-json-shape: antipode row [0, '1'] needs "
                  "[i,j,coeff]"),
                 ("mul", [0, 0, 5, "1"],
-                 "instance-json-index: mul index 5 out of range")]:
+                 "instance-json-index: mul index 5 out of range"),
+                ("mul", 5, "instance-json-shape: mul row 5 needs [i,j,k,coeff]"),
+                ("comul", 5,
+                 "instance-json-shape: comul row 5 needs [i,j,k,coeff]"),
+                ("antipode", "5",
+                 "instance-json-shape: antipode row '5' needs [i,j,coeff]")]:
             with pytest.raises(StructureError, match=f"^{re.escape(diag)}$"):
                 FiniteDimHopf.from_json(dict(one, **{key: [row]}))
+        # A structure map or vector that is not a list at all.
+        for key in ("mul", "comul", "counit", "unit", "antipode"):
+            for value in (7, "1", {"0": "1"}):
+                with pytest.raises(
+                        StructureError,
+                        match=f"^instance-json-shape: {key} must be a list$"):
+                    FiniteDimHopf.from_json(dict(one, **{key: value}))
 
     def test_aut_transport(self):
         fd = FiniteDimHopf.from_group(S3)

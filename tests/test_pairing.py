@@ -11,8 +11,9 @@ from mhag import (DrinfeldPairing, FiniteDimHopf, FiniteDimPairing,
 from mhag.crossed import b_embed_left
 from mhag.groups import AutPair, IntGroup, PermGroup, TableGroup, identity_aut
 from mhag.linear import LinComb, add_term
+from mhag.session import _plant
 
-from conftest import engine_cases
+from conftest import H4_HOPF, engine_cases
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -193,21 +194,28 @@ def _perturbed_group(group, at, value, field=None):
 
 def _first_duality_failure(P, a_labels, b_labels):
     """The diagnostic of check_duality by a plain scan in its loop order,
-    every action evaluated afresh for each triple."""
+    every action and antipode evaluated afresh for each case, past the
+    action and antipode tables."""
     A, B = P.A, P.B
+
+    def act(variant, actor, target):
+        return LinComb(dict(P._act_basis(variant, actor, target)))
+
     for la, lb1, lb2 in itertools.product(a_labels, b_labels, b_labels):
-        a, x, y = A.lc(la), B.lc(lb1), B.lc(lb2)
-        if not (P.pair(a, B.mul(x, y)) == P.pair(P.act("a<<b", x, a), y)):
+        a, y = A.lc(la), B.lc(lb2)
+        if not (P.pair(a, B.mul(B.lc(lb1), y))
+                == P.pair(act("a<<b", lb1, la), y)):
             return (f"pairing-product-law-fails(B): a={la!r}, x={lb1!r}, "
                     f"y={lb2!r}")
     for lb, la1, la2 in itertools.product(b_labels, a_labels, a_labels):
-        b, x, y = B.lc(lb), A.lc(la1), A.lc(la2)
-        if not (P.pair(A.mul(x, y), b) == P.pair(y, P.act("b<<a", x, b))):
+        b, y = B.lc(lb), A.lc(la2)
+        if not (P.pair(A.mul(A.lc(la1), y), b)
+                == P.pair(y, act("b<<a", la1, lb))):
             return (f"pairing-product-law-fails(A): b={lb!r}, x={la1!r}, "
                     f"y={la2!r}")
     for la, lb in itertools.product(a_labels, b_labels):
-        a, b = A.lc(la), B.lc(lb)
-        if not (P.pair(A.antipode(a), b) == P.pair(a, B.antipode(b))):
+        if not (P.pair(A._antipode_basis(la), B.lc(lb))
+                == P.pair(A.lc(la), B._antipode_basis(lb))):
             return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
     for la in a_labels:
         if not (P.pair(A.lc(la), B.local_unit_for([la]))
@@ -238,6 +246,12 @@ def _rescaled_group_algebra(group, scales):
         LinComb.unit(idx[group.identity], 1 / s[idx[group.identity]]),
         [LinComb.unit(idx[group.inv(g)], s[i] / s[idx[group.inv(g)]])
          for i, g in enumerate(els)])
+
+
+def _negated_antipode(P):
+    """``P`` with the antipode-sign defect planted on its group side."""
+    _plant(P, "antipode-sign")
+    return P
 
 
 F7 = PrimeField(7)
@@ -272,10 +286,18 @@ Z3_235 = _rescaled_group_algebra(Z3, [2, 3, 5])
                 Fraction(1, 2)), None),
     (_perturbed(FiniteDimPairing(Z3_235, Z3_235.dual()), (1, 2),
                 Fraction(2)), [1]),
+    # The product laws hold and the antipode law fails.
+    (_negated_antipode(GroupPairing(S3)), None),
+    (_negated_antipode(GroupPairing(S3)), S3.elements()[:0:-1]),
+    (_negated_antipode(DrinfeldPairing(Z3, F7)), None),
+    (_negated_antipode(FiniteDimPairing.from_instance(
+        FiniteDimHopf.from_json(H4_HOPF))), None),
 ], ids=["z4-0-0", "z4-1-3", "z4-3-2", "s3-e-12", "s3-012-012", "s3-02-12",
         "z4-a-law", "finite-dim-z4", "z4-1-3-f7", "z4-a-law-f7",
         "double-z2-f7", "double-z3-f7", "rescaled-z3-1-2", "rescaled-z3-0-0",
-        "rescaled-z3-a-law"])
+        "rescaled-z3-a-law", "antipode-sign-s3", "antipode-sign-s3-reversed",
+        "antipode-sign-double-z3-f7",
+        "antipode-sign-h4"])
 def test_duality_reports_the_first_failing_triple(P, b_labels):
     a_labels = P.A.basis_labels(None)
     b_labels = b_labels or P.B.basis_labels(None)

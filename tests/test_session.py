@@ -12,8 +12,9 @@ from mhag.session import (CORRUPTIONS, INSTANCE_KINDS, DropFirstTermW,
                           _naive_pair_mul)
 from mhag.groups import aut_pair_mul
 
-from conftest import (IDENT, NEG, cyc_inv, group_instance, inner,
-                      make_session, sampled, session_spec, write_spec)
+from conftest import (H4_HOPF, IDENT, NEG, cyc_inv, group_instance,
+                      hopf_instance, inner, make_session, sampled,
+                      session_spec, write_spec)
 
 
 class TestInstanceKinds:
@@ -154,6 +155,42 @@ class TestCorruptionSwitches:
         ref = honest.P.B.antipode(honest.P.B.lc(1))
         S = self.base("antipode-sign")
         assert S.P.B.antipode(S.P.B.lc(1)) == ref.neg()
+
+
+# Sessions whose basis tables a planted defect must find empty: the S3
+# group pairing, the Drinfeld double of S3 over F_10007 and Sweedler's H4.
+_PLANTED_ON = {
+    "s3": ("rational", group_instance("symmetric", 3)),
+    "double-f10007": ({"prime": 10007}, {"kind": "drinfeld-double",
+                                         "group": {"kind": "symmetric",
+                                                   "n": 3}}),
+    "h4": ("rational", hopf_instance(H4_HOPF)),
+}
+
+
+def _planted(name, corrupt):
+    scalars, instance = _PLANTED_ON[name]
+    spec = session_spec(instance, corrupt=corrupt)
+    spec["scalars"] = scalars
+    return session_from_json(spec).P
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("name", list(_PLANTED_ON))
+def test_defects_are_planted_before_any_table_fills(name, corrupt):
+    """Decoding plants the defect on a built pairing.  Every basis table it
+    could reach is still empty then, so no value computed before planting
+    hides the defect, and the antipode table reads the planted antipode."""
+    P = _planted(name, corrupt)
+    for X in (P.A, P.B):
+        assert not X._tc and not X._tic and not X._sc
+    assert not P._twc and not P._dcp and not P._act
+    if corrupt == "antipode-sign":
+        honest = _planted(name, None).B
+        for label in P.B.basis_labels(None):
+            for inverse in (False, True):
+                assert P.B.antipode(P.B.lc(label), inverse) == \
+                    honest.antipode(honest.lc(label), inverse).neg()
 
 
 # The group algebra of Z/2 as structure constants.
