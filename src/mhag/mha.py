@@ -636,13 +636,15 @@ class FiniteDimHopf(MhaInstance):
             anti_rows = data["antipode"]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"instance-json-missing-field: {exc}") from exc
+        basis_names = data.get("basis")
         for what, value in (("mul", mul_rows), ("comul", comul_rows),
                             ("counit", counit_row), ("unit", unit_row),
-                            ("antipode", anti_rows)):
+                            ("antipode", anti_rows),
+                            ("basis", [] if basis_names is None
+                             else basis_names)):
             if not isinstance(value, list):
                 raise StructureError(
                     f"instance-json-shape: {what} must be a list")
-        basis_names = data.get("basis")
         if basis_names is not None:
             basis_names = [str(x) for x in basis_names]
             if len(basis_names) != n:

@@ -359,8 +359,8 @@ class TestFiniteDimHopf:
             with pytest.raises(StructureError, match=f"^{re.escape(diag)}$"):
                 FiniteDimHopf.from_json(dict(one, **{key: [row]}))
         # A structure map or vector that is not a list at all.
-        for key in ("mul", "comul", "counit", "unit", "antipode"):
-            for value in (7, "1", {"0": "1"}):
+        for key in ("mul", "comul", "counit", "unit", "antipode", "basis"):
+            for value in (0, 7, "1", {"0": "1"}):
                 with pytest.raises(
                         StructureError,
                         match=f"^instance-json-shape: {key} must be a list$"):
