@@ -33,13 +33,12 @@ from .pairing import Pairing
 
 
 def graded_counit(P: Pairing, value: LinComb):
-    """Tensor counit on a component value (and, by linearity, on sums)."""
-    total = None
+    """Tensor counit on a component value (and, by linearity, on sums),
+    read from the basis counits of each term's labels."""
+    eps_a, eps_b = P.A.counit_basis, P.B.counit_basis
+    total = P.field.zero()
     for (la, lb), c in value.terms.items():
-        piece = c * P.A.counit(P.A.lc(la)) * P.B.counit(P.B.lc(lb))
-        total = piece if total is None else total + piece
-    if total is None:
-        return P.field.zero()
+        total = total + c * eps_a(la) * eps_b(lb)
     return total
 
 

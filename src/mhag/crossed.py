@@ -162,6 +162,19 @@ def dcp_mul(P: Pairing, grading: AutPair, x: LinComb, y: LinComb) -> LinComb:
     return LinComb(out)
 
 
+def dcp_assoc_residual(P: Pairing, grading: AutPair, xl, yl, zl):
+    """Both bracketings of the product of three basis terms at a grading,
+    ``((x y) z, x (y z))``, read from ``P._dcp`` by label."""
+    dcp = P._dcp
+    left: Dict = {}
+    for l, c in dcp[grading, xl, yl]:
+        add_scaled(left, dcp[grading, l, zl], c)
+    right: Dict = {}
+    for l, c in dcp[grading, yl, zl]:
+        add_scaled(right, dcp[grading, xl, l], c)
+    return LinComb(left), LinComb(right)
+
+
 def dcp_fill(P: Pairing, grading: AutPair, xl, yl) -> tuple:
     """The product of two basis terms, as a tuple of terms: the fill of
     ``P._dcp``.  (a |x| b) * y' is (a |x| 1) * ((1 |x| b) * y')."""

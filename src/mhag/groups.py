@@ -198,7 +198,7 @@ class PermGroup(Group):
 
     def op(self, x, y):
         # (x y)(i) = x(y(i)): apply y first.
-        return tuple(x[y[i]] for i in range(self.n))
+        return tuple(map(x.__getitem__, y))
 
     def inv(self, x):
         out = [0] * self.n

@@ -48,9 +48,9 @@ class BasisTable(dict):
     ``fill(*key)`` and keeps it while the table holds fewer than
     ``MEMO_CAP`` entries.  A hit is a plain dict read.
 
-    Every basis table is one: the product, T-map and antipode tables of an
-    instance, the twist, product and action tables of a pairing, and the
-    covered-coproduct tables of the ``hopf`` suite."""
+    Every basis table is one: the product, T-map, antipode and local-unit
+    tables of an instance, the twist, product and action tables of a
+    pairing, and the covered-coproduct tables of the ``hopf`` suite."""
 
     __slots__ = ("fill",)
 
@@ -120,12 +120,15 @@ class MhaInstance:
         self._tic = BasisTable(self._t_inv_basis)
         self._sc = BasisTable(
             lambda x, inverse: self._antipode_basis(x, inverse))
+        # One-label local units keyed (x,): see local_unit_for.
+        self._luc = BasisTable(lambda x: self._local_unit([x]))
 
     # -- per-basis primitives (subclasses implement) -------------------------
     def _mul_basis(self, x, y) -> LinComb:
         raise NotImplementedError
 
-    def _counit_basis(self, x):
+    def counit_basis(self, x):
+        """The counit of one basis label."""
         raise NotImplementedError
 
     def _antipode_basis(self, x, inverse: bool = False) -> LinComb:
@@ -143,9 +146,15 @@ class MhaInstance:
             "use the T-maps"
         )
 
-    def local_unit_for(self, labels) -> LinComb:
-        """An element e with e*x = x*e = x for every x spanned by ``labels``."""
+    def _local_unit(self, labels) -> LinComb:
         raise NotImplementedError
+
+    def local_unit_for(self, labels) -> LinComb:
+        """An element e with e*x = x*e = x for every x spanned by the list
+        ``labels``; the local unit of one label is read from its table."""
+        if len(labels) == 1:
+            return self._luc[labels[0],]
+        return self._local_unit(labels)
 
     def unit(self) -> LinComb:
         raise StructureError(f"{self.name}: not unital")
@@ -207,7 +216,7 @@ class MhaInstance:
     def counit(self, x: LinComb):
         total = self.field.zero()
         for label, c in x.terms.items():
-            total = total + c * self._counit_basis(label)
+            total = total + c * self.counit_basis(label)
         return total
 
     def antipode_basis(self, lx, inverse: bool = False) -> LinComb:
@@ -329,7 +338,7 @@ class GroupAlgebra(_OnGroup):
     def _mul_basis(self, x, y):
         return self.lc(self.group.op(x, y))
 
-    def _counit_basis(self, x):
+    def counit_basis(self, x):
         return self.field.one()
 
     def _antipode_basis(self, x, inverse=False):
@@ -365,7 +374,7 @@ class GroupAlgebra(_OnGroup):
     def unit(self):
         return self._unit
 
-    def local_unit_for(self, labels):
+    def _local_unit(self, labels):
         return self._unit
 
 
@@ -386,7 +395,7 @@ class FunctionAlgebra(_Transposed, _OnGroup):
             return self.lc(x)
         return LinComb.zero()
 
-    def _counit_basis(self, x):
+    def counit_basis(self, x):
         return self.field.one() if x == self.group.identity else self.field.zero()
 
     def _comul_basis(self, x):
@@ -400,7 +409,7 @@ class FunctionAlgebra(_Transposed, _OnGroup):
             return super().unit()
         return LinComb(dict.fromkeys(self.group.elements(), self.field.one()))
 
-    def local_unit_for(self, labels):
+    def _local_unit(self, labels):
         return LinComb(dict.fromkeys(labels, self.field.one()))
 
 
@@ -422,7 +431,7 @@ class DrinfeldDouble(_OnPairs):
             return self.lc((p, g.op(h, l)))
         return LinComb.zero()
 
-    def _counit_basis(self, a):
+    def counit_basis(self, a):
         return self.field.one() if a[0] == self.group.identity else self.field.zero()
 
     def _antipode_basis(self, a, inverse=False):
@@ -499,7 +508,7 @@ class DrinfeldDouble(_OnPairs):
         return LinComb(dict.fromkeys(((q, e) for q in self.group.elements()),
                                      self.field.one()))
 
-    def local_unit_for(self, labels):
+    def _local_unit(self, labels):
         g = self.group
         e = g.identity
         closure = []
@@ -530,7 +539,7 @@ class DualDrinfeld(_Transposed, _OnPairs):
             return self.lc((g.op(l, h), p))
         return LinComb.zero()
 
-    def _counit_basis(self, a):
+    def counit_basis(self, a):
         return self.field.one() if a[1] == self.group.identity else self.field.zero()
 
     def _comul_basis(self, a):
@@ -549,7 +558,7 @@ class DualDrinfeld(_Transposed, _OnPairs):
         return LinComb(dict.fromkeys(((e, p) for p in self.group.elements()),
                                      self.field.one()))
 
-    def local_unit_for(self, labels):
+    def _local_unit(self, labels):
         e = self.group.identity
         return LinComb(dict.fromkeys(((e, p) for _, p in labels),
                                      self.field.one()))
@@ -654,6 +663,13 @@ class FiniteDimHopf(MhaInstance):
             raise StructureError(
                 "instance-json-shape: unit/counit vectors must be sized by dim")
 
+        def scalar(v, where):
+            try:
+                return f.parse(v)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise StructureError(
+                    f"instance-json-shape: {where}: {exc}") from None
+
         def index(v, what):
             i = json_int(v, f"{what} index")
             if not 0 <= i < n:
@@ -675,7 +691,8 @@ class FiniteDimHopf(MhaInstance):
                 ix = tuple(index(v, what) for v in row[:-1])
                 term = ix[inputs:] if len(ix) > inputs + 1 else ix[inputs]
                 cell = cells.setdefault(ix[:inputs], {})
-                cell[term] = cell.get(term, f.zero()) + f.parse(row[-1])
+                cell[term] = (cell.get(term, f.zero())
+                              + scalar(row[-1], f"{what} row {row!r}"))
             return cells
 
         def table(cells, *key):
@@ -687,9 +704,10 @@ class FiniteDimHopf(MhaInstance):
         mul_table = [[table(mul, i, j) for j in range(n)] for i in range(n)]
         comul_table = [table(comul, i) for i in range(n)]
         antipode_tab = [table(anti, i) for i in range(n)]
-        counit_vec = [f.parse(c) for c in counit_row]
+        counit_vec = [scalar(c, f"counit entry {i}")
+                      for i, c in enumerate(counit_row)]
         unit_vec = LinComb.from_pairs(
-            (i, f.parse(c)) for i, c in enumerate(unit_row))
+            (i, scalar(c, f"unit entry {i}")) for i, c in enumerate(unit_row))
         return FiniteDimHopf(f, mul_table, comul_table, counit_vec, unit_vec,
                              antipode_tab, basis_names=basis_names)
 
@@ -842,7 +860,7 @@ class FiniteDimHopf(MhaInstance):
     def _mul_basis(self, x, y):
         return self.mul_table[x][y]
 
-    def _counit_basis(self, x):
+    def counit_basis(self, x):
         return self.counit_vec[x]
 
     def _antipode_basis(self, x, inverse=False):
@@ -886,7 +904,7 @@ class FiniteDimHopf(MhaInstance):
     def unit(self):
         return self.unit_vec
 
-    def local_unit_for(self, labels):
+    def _local_unit(self, labels):
         return self.unit_vec
 
     def aut_label(self, phi, label):

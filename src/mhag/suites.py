@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cograded import (comul_covered, crossing_apply, graded_antipode,
                        graded_counit, xi_on_legs)
-from .crossed import (b_embed_left, commutation_residual, dcp_mul, twist_inv,
-                      twist_map)
+from .crossed import (b_embed_left, commutation_residual, dcp_assoc_residual,
+                      dcp_mul, twist_inv, twist_map)
 from .groups import AutPair, aut_pair_inv
 from .linear import LinComb, add_scaled, add_term, label_key
 from .mha import BasisTable, sdiv
@@ -63,6 +63,9 @@ SUITE_NAMES = ("hopf", "cograded", "crossing", "quasitriangular", "lemma42",
 BUDGET = 120_000
 BUDGET_HEAVY = 60_000
 RANK_DIM_CAP = 10_000
+# Length cap of one product list of adjacent secondary pools that a capped
+# schedule reads its tuples from (see :func:`_runs`).
+RUN_CAP = 4096
 
 
 class NoCasesError(ValueError):
@@ -104,56 +107,63 @@ def _stride(n: int) -> int:
     return s
 
 
-def _decode(i: int, pools: List[List]) -> Tuple:
-    """Mixed-radix decoding of an index into one element per pool."""
-    out = []
-    for pool in reversed(pools):
-        i, r = divmod(i, len(pool))
-        out.append(pool[r])
-    return tuple(reversed(out))
+def _runs(pools: List[List], cap: int = RUN_CAP
+          ) -> List[Tuple[List[Tuple], int, int]]:
+    """The pools as runs of adjacent pools, each read from one product list
+    of at most ``cap`` tuples (a longer pool is a run of its own), left to
+    right: ``(product list, place, size)``.  The tuple of mixed-radix index
+    k over the pools is the sum of ``table[k // place % size]``."""
+    runs = []
+    place, end = 1, len(pools)
+    while end:
+        start, size = end - 1, len(pools[end - 1])
+        while start and size * len(pools[start - 1]) <= cap:
+            start -= 1
+            size *= len(pools[start])
+        runs.append((list(itertools.product(*pools[start:end])), place, size))
+        place *= size
+        end = start
+    return runs[::-1]
 
 
 def _cases(S: Session, tag: str, primary: List[List],
            secondary: Optional[List[List]] = None,
            budget: int = BUDGET):
-    """Deterministic case tuples over ``primary + secondary`` pools."""
+    """Deterministic case tuples over ``primary + secondary`` pools, yielded
+    one at a time."""
     secondary = secondary or []
     pools = list(primary) + list(secondary)
-    if not pools:
-        return [()]
-    for pool in pools:
-        if not pool:
-            return []
-    total = 1
-    for pool in pools:
-        total *= len(pool)
+    if not all(pools):
+        return
+    total = math.prod(map(len, pools))
     if not S.exhaustive:
         if total <= S.enum.max_cases:
-            return itertools.product(*pools)
+            yield from itertools.product(*pools)
+            return
         rng = S.enum.rng(tag)
-        return [tuple(rng.choice(pool) for pool in pools)
-                for _ in range(S.enum.max_cases)]
+        for _ in range(S.enum.max_cases):
+            yield tuple(rng.choice(pool) for pool in pools)
+        return
     if total <= budget or not secondary:
-        return itertools.product(*pools)
-    n_sec = 1
-    for pool in secondary:
-        n_sec *= len(pool)
+        yield from itertools.product(*pools)
+        return
+    n_sec = math.prod(map(len, secondary))
     n_prim = total // n_sec
     picks = max(1, (budget // 2) // n_prim)
     st = _stride(n_sec)
-    out: List[Tuple] = []
+    runs = _runs(secondary)
     for i, prim in enumerate(itertools.product(*primary)):
-        base = i * picks
-        for j in range(picks):
-            out.append(prim + _decode(((base + j) * st + i) % n_sec,
-                                      secondary))
+        for j in range(i * picks, (i + 1) * picks):
+            k = (j * st + i) % n_sec
+            case = prim
+            for table, place, size in runs:
+                case += table[k // place % size]
+            yield case
     if 2 * n_sec <= budget:
-        sweeps = min(n_prim, max(1, (budget - len(out)) // n_sec))
-        for i in range(sweeps):
-            prim = _decode(i, primary)
-            for j in range(n_sec):
-                out.append(prim + _decode(j, secondary))
-    return out
+        sweeps = min(n_prim, max(1, (budget - n_prim * picks) // n_sec))
+        for prim in itertools.islice(itertools.product(*primary), sweeps):
+            for sec in itertools.product(*secondary):
+                yield prim + sec
 
 
 def _check(name: str, cases_fn: Callable[[], object],
@@ -657,11 +667,6 @@ def _cograded_suite(S: Session) -> List:
     # Componentwise associativity of the crossed product, the commutation
     # rule between the two embedded factors, and the factor-exchange twist
     # against its inverse.
-    def dcp_assoc(g, xl, yl, zl):
-        x, y, z = (unit(l) for l in (xl, yl, zl))
-        return (dcp_mul(P, g, dcp_mul(P, g, x, y), z),
-                dcp_mul(P, g, x, dcp_mul(P, g, y, z)))
-
     def twist_roundtrip(g, la, lb):
         ba, ab = unit((lb, la)), unit((la, lb))
         return ([twist_inv(P, g, twist_map(P, g, ba)),
@@ -669,7 +674,8 @@ def _cograded_suite(S: Session) -> List:
 
     checks += [
         _Identity("dcp-associativity", [G], [crossed, crossed, crossed],
-                  BUDGET_HEAVY, dcp_assoc, _GXY + " z:ab", "ab"),
+                  BUDGET_HEAVY, partial(dcp_assoc_residual, P),
+                  _GXY + " z:ab", "ab"),
         _Identity("commutation-rule", [G], [a_labels, b_labels, crossed],
                   BUDGET,
                   lambda g, al, bl, yl: commutation_residual(

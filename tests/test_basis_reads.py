@@ -12,19 +12,26 @@ coefficients over the six pairings of ``conftest.engine_cases``; only the
 rescaled structure-constant pairing and H4 have basis images whose
 coefficients are not 1, so only they see a dropped coefficient, and only
 H4 has an antipode that is not an involution.
+
+Three former bodies that did not read a table are kept as well: the case
+scheduler that built a list and decoded every tuple by mixed radix, the
+``dcp-associativity`` residual that multiplied one-term values, and the
+permutation product that composed index by index.
 """
 
+import itertools
+import math
 import random
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
-from mhag import EnumSpec
+from mhag import EnumSpec, suites
 from mhag.cograded import (_second_leg_aut, _xi_maps, comul_covered,
                            graded_antipode, xi_on_legs)
 from mhag.crossed import (_move, a_left_into, b_embed_left, commutation_residual,
-                          dcp_mul, twist_inv, twist_map)
-from mhag.groups import AutPair, aut_pair_inv
+                          dcp_assoc_residual, dcp_mul, twist_inv, twist_map)
+from mhag.groups import AutPair, PermGroup, aut_pair_inv, group_from_json
 from mhag.linear import LinComb, add_scaled, add_term
 from mhag.pairing import PairingError
 from mhag.quasitri import (qt_coproduct_first_residual,
@@ -33,7 +40,8 @@ from mhag.quasitri import (qt_coproduct_first_residual,
                            w_intertwiner_residual_a, w_intertwiner_residual_b,
                            w_inverse_residual)
 
-from conftest import engine_cases
+from conftest import (IDENT, engine_cases, group_instance, inner, make_session,
+                      s3_36_gradings, session_spec)
 
 CASES = engine_cases()
 IDS = [c[0] for c in CASES]
@@ -687,6 +695,66 @@ def _ref_w_intertwiner_b(P, p, q, b, m, u):
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
+# -- former bodies: suites and groups ----------------------------------------------
+
+def _ref_decode(i, pools):
+    out = []
+    for pool in reversed(pools):
+        i, r = divmod(i, len(pool))
+        out.append(pool[r])
+    return tuple(reversed(out))
+
+
+def _ref_cases(S, tag, primary, secondary=None, budget=suites.BUDGET):
+    secondary = secondary or []
+    pools = list(primary) + list(secondary)
+    if not pools:
+        return [()]
+    for pool in pools:
+        if not pool:
+            return []
+    total = 1
+    for pool in pools:
+        total *= len(pool)
+    if not S.exhaustive:
+        if total <= S.enum.max_cases:
+            return itertools.product(*pools)
+        rng = S.enum.rng(tag)
+        return [tuple(rng.choice(pool) for pool in pools)
+                for _ in range(S.enum.max_cases)]
+    if total <= budget or not secondary:
+        return itertools.product(*pools)
+    n_sec = 1
+    for pool in secondary:
+        n_sec *= len(pool)
+    n_prim = total // n_sec
+    picks = max(1, (budget // 2) // n_prim)
+    st = suites._stride(n_sec)
+    out: List[Tuple] = []
+    for i, prim in enumerate(itertools.product(*primary)):
+        base = i * picks
+        for j in range(picks):
+            out.append(prim + _ref_decode(((base + j) * st + i) % n_sec,
+                                          secondary))
+    if 2 * n_sec <= budget:
+        sweeps = min(n_prim, max(1, (budget - len(out)) // n_sec))
+        for i in range(sweeps):
+            prim = _ref_decode(i, primary)
+            for j in range(n_sec):
+                out.append(prim + _ref_decode(j, secondary))
+    return out
+
+
+def _ref_dcp_assoc(P, g, xl, yl, zl):
+    x, y, z = (LinComb.unit(l) for l in (xl, yl, zl))
+    return (dcp_mul(P, g, dcp_mul(P, g, x, y), z),
+            dcp_mul(P, g, x, dcp_mul(P, g, y, z)))
+
+
+def _ref_perm_op(group, x, y):
+    return tuple(x[y[i]] for i in range(group.n))
+
+
 # -- the comparisons ---------------------------------------------------------------
 
 
@@ -796,6 +864,14 @@ class TestBasisReads:
                 x, y = inp.value(inp.ab), inp.value(inp.ab)
                 assert dcp_mul(P, g, x, y) == _ref_dcp_mul(P, g, x, y)
 
+    def test_dcp_assoc_residual(self, case):
+        P, gradings, inp = _setup(case)
+        for g in gradings:
+            for _ in range(20):
+                xl, yl, zl = (inp.rng.choice(inp.ab) for _ in range(3))
+                assert dcp_assoc_residual(P, g, xl, yl, zl) == \
+                    _ref_dcp_assoc(P, g, xl, yl, zl)
+
     def test_commutation_residual(self, case):
         P, gradings, inp = _setup(case)
         for g in gradings:
@@ -879,3 +955,59 @@ class TestBasisReads:
             b, mb = inp.value(inp.b), inp.value(inp.b)
             assert w_intertwiner_residual_b(P, p, q, b, mb, u) == \
                 _ref_w_intertwiner_b(P, p, q, b, mb, u)
+
+
+# Exact-rank checks: they schedule no case, and on 36 gradings they take
+# seconds.
+_RANK_CHECKS = ("axiom-ii-surjectivity", "crossed-nondegenerate")
+
+
+def _scheduled_calls(gradings, monkeypatch):
+    """The arguments of every ``suites._cases`` call that the six suites of
+    an exhaustive S3 session make, with the checks run on no cases."""
+    S = make_session(session_spec(group_instance("symmetric", 3),
+                                  gradings=gradings))
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return []
+
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_cases", record)
+        for suite in suites.SUITE_NAMES:
+            for name, run in suites.suite_axioms(S, suite):
+                if name in _RANK_CHECKS:
+                    continue
+                try:
+                    run()
+                except suites.NoCasesError:
+                    pass
+    return calls
+
+
+@pytest.mark.parametrize("gradings, n_capped", [
+    ([[IDENT, IDENT], [inner((1, 0, 2)), inner((0, 2, 1))]], 6),
+    (s3_36_gradings(), 13)], ids=["two-gradings", "36-gradings"])
+def test_cases_match_the_former_list(gradings, n_capped, monkeypatch):
+    """Every capped schedule yields the former list, tuple for tuple."""
+    capped = [(S, tag, primary, secondary, budget)
+              for S, tag, primary, secondary, budget
+              in _scheduled_calls(gradings, monkeypatch)
+              if math.prod(map(len, primary + secondary)) > budget]
+    assert len(capped) == n_capped
+    for call in capped:
+        assert list(suites._cases(*call)) == _ref_cases(*call), call[1]
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup.symmetric(4),
+    group_from_json({"kind": "perm", "degree": 6,
+                     "generators": [[1, 2, 3, 4, 5, 0], [5, 4, 3, 2, 1, 0]]})],
+    ids=["s4", "perm-dihedral-6"])
+def test_perm_op_matches_the_former_composition(group):
+    """The product is x(y(i)) on every pair of elements."""
+    els = group.elements()
+    for x in els:
+        for y in els:
+            assert group.op(x, y) == _ref_perm_op(group, x, y)

@@ -358,6 +358,25 @@ class TestFiniteDimHopf:
                  "instance-json-shape: antipode row '5' needs [i,j,coeff]")]:
             with pytest.raises(StructureError, match=f"^{re.escape(diag)}$"):
                 FiniteDimHopf.from_json(dict(one, **{key: [row]}))
+        # A coefficient that is not a scalar names its field and row.
+        for key, value, diag in [
+                ("mul", [[0, 0, 0, None]],
+                 "instance-json-shape: mul row [0, 0, 0, None]: cannot "
+                 "parse rational scalar from None"),
+                ("comul", [[0, 0, 0, [1]]],
+                 "instance-json-shape: comul row [0, 0, 0, [1]]: cannot "
+                 "parse rational scalar from [1]"),
+                ("antipode", [[0, 0, True]],
+                 "instance-json-shape: antipode row [0, 0, True]: scalar "
+                 "must be a number or a string, got True"),
+                ("counit", [None],
+                 "instance-json-shape: counit entry 0: cannot parse "
+                 "rational scalar from None"),
+                ("unit", [{"1": 1}],
+                 "instance-json-shape: unit entry 0: cannot parse "
+                 "rational scalar from {'1': 1}")]:
+            with pytest.raises(StructureError, match=f"^{re.escape(diag)}$"):
+                FiniteDimHopf.from_json(dict(one, **{key: value}))
         # A structure map or vector that is not a list at all.
         for key in ("mul", "comul", "counit", "unit", "antipode", "basis"):
             for value in (0, 7, "1", {"0": "1"}):

@@ -183,7 +183,7 @@ def test_defects_are_planted_before_any_table_fills(name, corrupt):
     hides the defect, and the antipode table reads the planted antipode."""
     P = _planted(name, corrupt)
     for X in (P.A, P.B):
-        assert not X._tc and not X._tic and not X._sc
+        assert not X._tc and not X._tic and not X._sc and not X._luc
     assert not P._twc and not P._dcp and not P._act
     if corrupt == "antipode-sign":
         honest = _planted(name, None).B

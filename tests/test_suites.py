@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mhag import (LinComb, RationalField, SUITE_NAMES, run_suite,
                   run_verify, session_from_json, suite_axioms)
-from mhag.suites import (NoCasesError, _check, _Rank, _cases, _decode,
+from mhag.suites import (NoCasesError, _check, _Rank, _cases, _runs,
                          _stride)
 
 from conftest import (IDENT, NEG, group_instance, inner, make_session,
@@ -238,12 +238,19 @@ class TestCaseScheduling:
         assert math.gcd(_stride(n), n) == 1
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
-                    max_size=4))
-    def test_decode_roundtrip(self, sizes):
+                    max_size=4), st.integers(min_value=1, max_value=30))
+    def test_decode_roundtrip(self, sizes, cap):
+        """Every index read through the runs of the pools is the tuple of
+        the same mixed-radix index of their product, and no product list
+        of a run outgrows the cap unless it holds one pool."""
         pools = [list(range(s)) for s in sizes]
-        total = math.prod(sizes)
-        seen = {_decode(i, pools) for i in range(total)}
-        assert seen == set(itertools.product(*pools))
+        runs = _runs(pools, cap)
+        assert all(len(table) == size and (size <= cap or len(table[0]) == 1)
+                   for table, _, size in runs)
+        decoded = [sum((table[k // place % size]
+                        for table, place, size in runs), ())
+                   for k in range(math.prod(sizes))]
+        assert decoded == list(itertools.product(*pools))
 
     def test_exhaustive_small_is_full_product(self, z2_session):
         pools = [[0, 1], ["x", "y", "z"]]
