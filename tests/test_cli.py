@@ -490,17 +490,19 @@ class TestInputDiagnostics:
             f"error: session-instance: instance-json-shape: {field} ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_null_coefficient_exits_two(self, capsys, tmp_path):
-        """A null coefficient at the end of a mul row is named with its
-        row, not read as a scalar."""
-        mul = H4_HOPF["mul"][:-1] + [[3, 1, 2, None]]
+    @pytest.mark.parametrize("coeff, why", [
+        (None, "cannot parse rational scalar from None"),
+        ("1/0", "Fraction(1, 0)")])
+    def test_bad_coefficient_exits_two(self, capsys, tmp_path, coeff, why):
+        """A coefficient at the end of a mul row that is not a scalar is
+        named with its row; a zero denominator is no traceback."""
+        mul = H4_HOPF["mul"][:-1] + [[3, 1, 2, coeff]]
         spec = write_spec(tmp_path, session_spec(
             hopf_instance(dict(H4_HOPF, mul=mul))))
         rc, out, err = run_cli(capsys, "verify", "--spec", spec)
         assert rc == 2 and out == ""
         assert err == ("error: session-instance: instance-json-shape: mul "
-                       "row [3, 1, 2, None]: cannot parse rational scalar "
-                       "from None\n")
+                       f"row [3, 1, 2, {coeff!r}]: {why}\n")
 
     @pytest.mark.parametrize("enum, flags, field", [
         ({"count": -5}, (), "count"),

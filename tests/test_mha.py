@@ -363,6 +363,9 @@ class TestFiniteDimHopf:
                 ("mul", [[0, 0, 0, None]],
                  "instance-json-shape: mul row [0, 0, 0, None]: cannot "
                  "parse rational scalar from None"),
+                ("mul", [[0, 0, 0, "1/0"]],
+                 "instance-json-shape: mul row [0, 0, 0, '1/0']: "
+                 "Fraction(1, 0)"),
                 ("comul", [[0, 0, 0, [1]]],
                  "instance-json-shape: comul row [0, 0, 0, [1]]: cannot "
                  "parse rational scalar from [1]"),
