@@ -28,13 +28,19 @@ from .crossed import commutation_residual, dcp_mul, twist_inv, twist_map
 from .linear import LinComb, label_key
 from .quasitri import r_apply
 from .session import Session, SessionError, grading_to_json, session_from_path
-from .suites import SUITE_NAMES, suite_axioms, _fmt, _lab
+# ``_lab`` is not called here since export builds its rows from shared
+# slot lists, but perfbench's tracer times it as a name of this module.
+from .suites import SUITE_NAMES, suite_axioms, _fmt, _lab  # noqa: F401
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SessionError(
+                f"output-file: cannot write {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -45,10 +51,14 @@ def _dump(payload) -> str:
     The bytes are the same, but the stdlib writes an indented document
     with its pure-Python encoder.  Here dicts with ``str`` keys and lists
     are laid out directly, and each list of scalars is written in one
-    join.  Whatever else appears (a non-``str`` key, a tuple, a float) is
+    join.  A list met again at the same indent (the export shares its
+    label lists) is written from a string kept on its second visit.
+    Whatever else appears (a non-``str`` key, a tuple, a float) is
     written by ``json.dumps`` and indented to its depth."""
     parts: List[str] = []
-    _write(payload, "\n", parts.append)
+    # (id, indent) of each list met so far -> its text once met twice.
+    # Ids stay unique because ``payload`` keeps every list alive.
+    _write(payload, "\n", parts.append, {})
     parts.append("\n")
     return "".join(parts)
 
@@ -75,33 +85,48 @@ def _scalars(items: list) -> Optional[List[str]]:
     return out
 
 
-def _write(o, nl: str, out) -> None:
+def _write(o, nl: str, out, seen: Dict) -> None:
     """Pass the JSON of ``o`` to ``out`` in pieces; ``nl`` is a newline and
-    the indent of the line ``o`` starts on."""
+    the indent of the line ``o`` starts on.  ``seen`` is ``_dump``'s memo
+    of lists."""
     kind = type(o)
     if kind is list and o:
-        inner = nl + "  "
-        strs = _scalars(o)
-        if strs is not None:
-            out("[" + inner + ("," + inner).join(strs) + nl + "]")
-            return
-        sep = "[" + inner
-        for item in o:
-            out(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out(nl + "]")
+        key = (id(o), nl)
+        if key in seen:
+            text = seen[key]
+            if text is None:
+                pieces: List[str] = []
+                _write_list(o, nl, pieces.append, seen)
+                text = seen[key] = "".join(pieces)
+            out(text)
+        else:
+            seen[key] = None
+            _write_list(o, nl, out, seen)
     elif kind is dict and o and all(type(k) is str for k in o):
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(o):
             out(sep + _quote(key) + ": ")
-            _write(o[key], inner, out)
+            _write(o[key], inner, out, seen)
             sep = "," + inner
         out(nl + "}")
     else:
         strs = _scalars([o])
         out(strs[0] if strs is not None else _stdlib(o, nl))
+
+
+def _write_list(o: list, nl: str, out, seen: Dict) -> None:
+    inner = nl + "  "
+    strs = _scalars(o)
+    if strs is not None:
+        out("[" + inner + ("," + inner).join(strs) + nl + "]")
+        return
+    sep = "[" + inner
+    for item in o:
+        out(sep)
+        _write(item, inner, out, seen)
+        sep = "," + inner
+    out(nl + "]")
 
 
 def run_verify(S: Session, suites: List[str]) -> Dict:
@@ -152,10 +177,12 @@ def export_structure(S: Session) -> Dict:
         raise SessionError("export requires a finite instance")
     P = S.P
     to_str = S.field.to_str
+    # Each A label, B label and grading is rendered once; the document
+    # shares the rendered lists wherever the same slot or grading recurs.
+    a_shown = {a: P.A.label_to_json(a) for a in S.a_labels()}
+    b_shown = {b: P.B.label_to_json(b) for b in S.b_labels()}
     crossed = sorted(S.crossed_labels(), key=label_key)
-    # Each label and grading is rendered once; the document shares the
-    # rendered lists wherever the same label or grading recurs.
-    shown = {x: _lab(S, "ab", x) for x in crossed}
+    shown = {(a, b): [a_shown[a], b_shown[b]] for a, b in crossed}
     gradings = [(g, grading_to_json(g)) for g in S.gradings]
     components = []
     for g, g_json in gradings:
@@ -176,8 +203,10 @@ def export_structure(S: Session) -> Dict:
                     half = comul_covered(
                         P, LinComb.unit(x), p, q, LinComb.unit(cover),
                         side="right")
-                    images.append([shown[x], shown[cover],
-                                   _fmt(S, "abab", half)])
+                    images.append([shown[x], shown[cover], [
+                        [a_shown[a1], b_shown[b1], a_shown[a2], b_shown[b2],
+                         to_str(c)]
+                        for (a1, b1, a2, b2), c in half.sorted_items()]])
             splits.append({"left": p_json, "right": q_json,
                            "side": "right", "images": images})
     return {"gradings": [g_json for _, g_json in gradings],

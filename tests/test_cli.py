@@ -19,12 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhag
-from mhag import export_structure
+from mhag import EnumSpec, Session, export_structure
 from mhag.cli import _dump, main
+from mhag.cograded import comul_covered
+from mhag.crossed import dcp_mul
+from mhag.linear import LinComb, label_key
+from mhag.session import grading_to_json
+from mhag.suites import _fmt, _lab
 
-from conftest import (C2_HOPF, H4_HOPF, IDENT, NEG, cyc_inv, group_instance,
-                      hopf_instance, inner, make_session, sampled,
-                      session_spec, write_spec)
+from conftest import (C2_HOPF, H4_HOPF, IDENT, NEG, cyc_inv, engine_cases,
+                      group_instance, hopf_instance, inner, make_session,
+                      sampled, session_spec, write_spec)
 
 try:
     import tomllib
@@ -160,6 +165,59 @@ class TestOracleCompare:
             "oracle-antipode", "oracle-r"}
 
 
+def _ref_export_structure(S):
+    """``export_structure`` as it was when every coproduct row was built by
+    ``_fmt``, one fresh list per label slot."""
+    P = S.P
+    to_str = S.field.to_str
+    crossed = sorted(S.crossed_labels(), key=label_key)
+    shown = {x: _lab(S, "ab", x) for x in crossed}
+    gradings = [(g, grading_to_json(g)) for g in S.gradings]
+    components = []
+    for g, g_json in gradings:
+        entries = []
+        for x in crossed:
+            for y in crossed:
+                prod = dcp_mul(P, g, LinComb.unit(x), LinComb.unit(y))
+                for lab, c in prod.sorted_items():
+                    entries.append([shown[x], shown[y], shown[lab],
+                                    to_str(c)])
+        components.append({"grading": g_json, "mul": entries})
+    splits = []
+    for p, p_json in gradings:
+        for q, q_json in gradings:
+            images = []
+            for x in crossed:
+                for cover in crossed:
+                    half = comul_covered(
+                        P, LinComb.unit(x), p, q, LinComb.unit(cover),
+                        side="right")
+                    images.append([shown[x], shown[cover],
+                                   _fmt(S, "abab", half)])
+            splits.append({"left": p_json, "right": q_json,
+                           "side": "right", "images": images})
+    return {"gradings": [g_json for _, g_json in gradings],
+            "components": components, "splits": splits}
+
+
+def _engine_session(make, gradings):
+    return lambda: Session(make(), gradings, EnumSpec(), "exhaustive",
+                           "engine-case")
+
+
+# Every finite pairing of ``conftest.engine_cases`` but the double of S3,
+# whose 1296 crossed labels make 1296 x 1296 products per component; the
+# double of Z3 over F_7 stands in for it.
+_EXPORT_CASES = {
+    name: _engine_session(make, gradings)
+    for name, make, gradings, _ in engine_cases()
+    if name not in ("z-sign", "double-f10007")}
+_EXPORT_CASES["double-z3-f7"] = lambda: make_session({
+    **session_spec({"kind": "drinfeld-double",
+                    "group": {"kind": "cyclic", "n": 3}}),
+    "scalars": {"prime": 7}})
+
+
 class TestExport:
     def test_byte_stable_and_complete(self, capsys, z2_spec):
         rc1, out1, _ = run_cli(capsys, "export", "--spec", z2_spec)
@@ -178,6 +236,11 @@ class TestExport:
         rc, _, err = run_cli(capsys, "export", "--spec", z_spec)
         assert rc == 2
         assert "export requires a finite instance" in err
+
+    @pytest.mark.parametrize("name", _EXPORT_CASES)
+    def test_matches_the_former_row_builder(self, name):
+        S = _EXPORT_CASES[name]()
+        assert export_structure(S) == _ref_export_structure(S)
 
 
 def _stdlib_dump(payload) -> str:
@@ -200,6 +263,30 @@ _documents = st.recursive(
     | st.dictionaries(_texts, kids, max_size=4),
     max_leaves=24)
 
+_shared_items = st.one_of(
+    _scalar_leaves, st.tuples(_scalar_leaves, _scalar_leaves),
+    st.dictionaries(_texts, _scalar_leaves, max_size=2))
+
+
+@st.composite
+def _documents_sharing_lists(draw):
+    """Documents that hold the same list objects several times, at one
+    indent and at several.  A shared list holds scalars, floats, tuples,
+    dicts, ``[]`` and earlier shared lists."""
+    pool: list = []
+    for _ in range(draw(st.integers(1, 4))):
+        items = _shared_items | st.sampled_from(pool) if pool else \
+            _shared_items
+        pool.append(draw(st.lists(items, max_size=4)))
+    return draw(st.recursive(
+        st.sampled_from(pool),
+        lambda kids: st.lists(kids, max_size=5)
+        | st.dictionaries(_texts, kids, max_size=3),
+        max_leaves=16))
+
+
+_twice = [1, ["x", 2.5]]
+
 
 class TestDump:
     """``_dump`` writes exactly what ``json.dumps`` writes."""
@@ -207,6 +294,21 @@ class TestDump:
     @settings(max_examples=400, deadline=None)
     @given(_documents)
     def test_matches_json_dumps(self, payload):
+        assert _dump(payload) == _stdlib_dump(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents_sharing_lists())
+    def test_shared_lists_match_json_dumps(self, payload):
+        assert _dump(payload) == _stdlib_dump(payload)
+
+    # One list met twice at one indent, then at a deeper one (or the
+    # other way round): a memo keyed on the list alone would write the
+    # text kept at the first indent.
+    @pytest.mark.parametrize("payload", [
+        [_twice, _twice, {"deeper": [_twice, _twice]}],
+        [{"deeper": [_twice, _twice, _twice]}, _twice, _twice],
+    ], ids=["shallow-first", "deep-first"])
+    def test_one_list_at_two_depths(self, payload):
         assert _dump(payload) == _stdlib_dump(payload)
 
     @pytest.mark.parametrize("payload", [
@@ -454,6 +556,20 @@ class TestInputDiagnostics:
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--spec", "/no/such.json")
         assert rc == 2 and "cannot read spec file" in err
+
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    @pytest.mark.parametrize("target,why", [
+        ("missing/report.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, z2_spec,
+                                      command, target, why):
+        out = str(tmp_path / target)
+        rc, stdout, err = run_cli(capsys, command, "--spec", z2_spec,
+                                  "--out", out)
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: output-file: cannot write {out!r}: {why}\n"
+        assert "Traceback" not in err
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
