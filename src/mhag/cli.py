@@ -28,9 +28,7 @@ from .crossed import commutation_residual, dcp_mul, twist_inv, twist_map
 from .linear import LinComb, label_key
 from .quasitri import r_apply
 from .session import Session, SessionError, grading_to_json, session_from_path
-# ``_lab`` is not called here since export builds its rows from shared
-# slot lists, but perfbench's tracer times it as a name of this module.
-from .suites import SUITE_NAMES, suite_axioms, _fmt, _lab  # noqa: F401
+from .suites import SUITE_NAMES, suite_axioms, _fmt, _lab
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -177,12 +175,13 @@ def export_structure(S: Session) -> Dict:
         raise SessionError("export requires a finite instance")
     P = S.P
     to_str = S.field.to_str
-    # Each A label, B label and grading is rendered once; the document
-    # shares the rendered lists wherever the same slot or grading recurs.
-    a_shown = {a: P.A.label_to_json(a) for a in S.a_labels()}
-    b_shown = {b: P.B.label_to_json(b) for b in S.b_labels()}
     crossed = sorted(S.crossed_labels(), key=label_key)
-    shown = {(a, b): [a_shown[a], b_shown[b]] for a, b in crossed}
+    # Each crossed label and grading is rendered once, and each coproduct
+    # row takes its A and B slots from those renderings; the document
+    # shares the rendered lists wherever the same label or grading recurs.
+    shown = {x: _lab(S, "ab", x) for x in crossed}
+    a_shown = {a: lab[0] for (a, _), lab in shown.items()}
+    b_shown = {b: lab[1] for (_, b), lab in shown.items()}
     gradings = [(g, grading_to_json(g)) for g in S.gradings]
     components = []
     for g, g_json in gradings:

@@ -273,16 +273,16 @@ def _documents_sharing_lists(draw):
     """Documents that hold the same list objects several times, at one
     indent and at several.  A shared list holds scalars, floats, tuples,
     dicts, ``[]`` and earlier shared lists."""
-    pool: list = []
-    for _ in range(draw(st.integers(1, 4))):
-        items = _shared_items | st.sampled_from(pool) if pool else \
-            _shared_items
-        pool.append(draw(st.lists(items, max_size=4)))
-    return draw(st.recursive(
+    pool = [draw(st.lists(_shared_items, min_size=1, max_size=4))]
+    for _ in range(draw(st.integers(0, 3))):
+        items = _shared_items | st.sampled_from(pool)
+        pool.append(draw(st.lists(items, min_size=1, max_size=4)))
+    trees = st.recursive(
         st.sampled_from(pool),
-        lambda kids: st.lists(kids, max_size=5)
+        lambda kids: st.lists(kids, max_size=4)
         | st.dictionaries(_texts, kids, max_size=3),
-        max_leaves=16))
+        max_leaves=12)
+    return draw(st.lists(trees, min_size=2, max_size=4))
 
 
 _twice = [1, ["x", 2.5]]
