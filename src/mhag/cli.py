@@ -114,6 +114,7 @@ def _write(o, nl: str, out, seen: Dict) -> None:
 
 
 def _write_list(o: list, nl: str, out, seen: Dict) -> None:
+    """Write the non-empty list ``o`` as ``_write`` does, past its memo."""
     inner = nl + "  "
     strs = _scalars(o)
     if strs is not None:
