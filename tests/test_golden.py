@@ -78,6 +78,22 @@ DOUBLE_F10007_VERIFY = (
 # whose antipode is not an involution, so S and S^-1 differ.
 H4_VERIFY = (
     "276a84232e84eb1e2c17bafec22a934478105becfaa61c37ed13303b8f73164b")
+# S3 with four non-commuting inner gradings, sampled, through the four
+# suites that compose gradings: the product, inverse and crossing target of
+# many distinct grading pairs, and the automorphisms derived from them.
+# Each of the two grading-law defects fails some of its checks.
+S3_FOUR_GRADINGS = [[inner((1, 0, 2)), inner((0, 2, 1))],
+                    [inner((2, 1, 0)), inner((1, 2, 0))],
+                    [inner((1, 2, 0)), inner((1, 0, 2))],
+                    [inner((0, 2, 1)), inner((2, 0, 1))]]
+S3_FOUR_GRADINGS_SUITES = ["hopf", "cograded", "crossing", "quasitriangular"]
+S3_FOUR_GRADINGS_VERIFY = {
+    None: "850dd81c7bc0cd06d080f872ed023a9a75c9b1373fc4b460a7adbf5903e0f472",
+    "pair-mul-twist":
+        "44d56b301c460daf1acb6c8bd8d80954b399fa7d2608793e1e4174ee7a919f7d",
+    "xi-composite":
+        "80f7fc8cea62421b9a533faeb4b91337ef84e43815bf258f37901fe91ad804ff",
+}
 S3_EXPORT = "f743d69c610801f60f4bf69a421b008e77e3c5805ac81c5870502bc4f6dd8e7e"
 
 # With every value comparison forced false, each check that compares
@@ -176,6 +192,16 @@ def test_finite_dim_s3_sampled_all_suites(corrupt):
                         enum={"mode": "sampled", "count": 15, "seed": 7},
                         corrupt=corrupt)
     assert _verify_digest(spec) == FINITE_DIM_S3_VERIFY[corrupt]
+
+
+@pytest.mark.parametrize("corrupt", list(S3_FOUR_GRADINGS_VERIFY))
+def test_s3_four_gradings_sampled(corrupt):
+    spec = session_spec(group_instance("symmetric", 3),
+                        gradings=S3_FOUR_GRADINGS,
+                        enum={"mode": "sampled", "count": 15, "seed": 7},
+                        corrupt=corrupt)
+    report = run_verify(make_session(spec), S3_FOUR_GRADINGS_SUITES)
+    assert _digest(report) == S3_FOUR_GRADINGS_VERIFY[corrupt]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS_SEED_101))
