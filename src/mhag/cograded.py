@@ -17,9 +17,13 @@ Conventions
   is the slot at ``left_g``, the second the slot at ``right_g``.
 * All sums are exact; covers are chosen so every intermediate is an
   honest element (never a formal multiplier).
-* The grading-group product, the coproduct-leg order and the crossing
-  action's B-leg map are read from the pairing (``P.pair_mul``,
-  ``P.cop_first_leg``, ``P.skew``), where a session may plant a defect.
+* The coproduct-leg order is read from the pairing
+  (``P.cop_first_leg``), and so is every automorphism derived from
+  gradings: the second-leg automorphism of a split (``P._split``), the
+  graded antipode's maps and the group inverse (``P._gaut``) and the
+  crossing action (``P._cross``), whose entries follow the grading law
+  ``P.pair_mul`` and the flag ``P.skew``.  A session may plant a defect on
+  any of the three.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .crossed import EngineError, b_left_into, dcp_mul, twist_inv, twist_map
-from .groups import AutPair, aut_pair_inv
+from .groups import AutPair
 from .linear import LinComb, add_scaled, add_term
 from .pairing import Pairing
 
@@ -40,14 +44,6 @@ def graded_counit(P: Pairing, value: LinComb):
     for (la, lb), c in value.terms.items():
         total = total + c * eps_a(la) * eps_b(lb)
     return total
-
-
-def _second_leg_aut(P: Pairing, left_g: AutPair,
-                    right_g: AutPair) -> "Automorphism":
-    """The automorphism applied to the second comultiplication leg of the
-    B-part.  Derived from the pairing's grading-group product so that a
-    corrupted product law propagates faithfully into the comultiplication."""
-    return right_g.beta.inverse().compose(P.pair_mul(left_g, right_g).beta)
 
 
 def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
@@ -68,12 +64,12 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
     t_a, t_b, aut = A.t_image, B.t_image, B.aut_basis
     cop_first = P.cop_first_leg
     gamma = right_g.alpha
-    gamma_p = _second_leg_aut(P, left_g, right_g)
+    gamma_p, gamma_p_inv = P._split[left_g, right_g]
     out: Dict[Tuple, object] = {}
 
     if side == "right":
         c = P.crossed_right_unit(right_g, cover)
-        c0 = B.apply_aut(gamma_p.inverse(), c).terms
+        c0 = B.apply_aut(gamma_p_inv, c).terms
         cover_items = cover.terms.items()
         for (la, lb), cx in x.terms.items():
             for l0, k0 in c0.items():
@@ -156,8 +152,9 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     """
     A, B = P.A, P.B
     aut = B.aut_basis
+    derived = P._gaut[grading]
     if not inverse:
-        ab = grading.alpha.compose(grading.beta)
+        ab = derived.alpha_beta
         total: Dict[Tuple, object] = {}
         for (la, lb), c in x.terms.items():
             b_val = B.antipode_basis(lb)
@@ -166,11 +163,10 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
                 lb2 = aut(ab, lb2)
                 for la2, c2 in a_val.terms.items():
                     add_term(total, (lb2, la2), c * c1 * c2)
-        return twist_map(P, aut_pair_inv(grading), LinComb(total))
+        return twist_map(P, derived.inv, LinComb(total))
     # Inverse direction: x lives at `grading`; produce the unique value at
     # the inverse grading whose forward antipode is x.
-    ginv = aut_pair_inv(grading)
-    strip = ginv.beta.inverse().compose(ginv.alpha.inverse())
+    strip = derived.strip
     back = twist_inv(P, grading, x)                # labels (B, A)
     out: Dict[Tuple, object] = {}
     for (zb, wa), c in back.terms.items():
@@ -182,28 +178,12 @@ def graded_antipode(P: Pairing, grading: AutPair, x: LinComb,
     return LinComb(out)
 
 
-def _xi_maps(P: Pairing, actor: AutPair, source: AutPair):
-    """The two leg maps of the crossing action of ``actor`` on a component
-    at ``source``: precomposition on the A-leg and an automorphism on the
-    B-leg.  ``P.skew`` drops the source-conjugation from the B-leg (a
-    defect planted for mutation testing)."""
-    alpha, beta = actor
-    pre = beta.compose(alpha.inverse())
-    if P.skew:
-        b_aut = alpha.compose(beta.inverse())
-    else:
-        gamma = source.alpha
-        b_aut = alpha.compose(gamma.inverse()).compose(
-            beta.inverse()).compose(gamma)
-    return pre, b_aut
-
-
 def xi_on_legs(P: Pairing, actor: AutPair, source: AutPair, value: LinComb,
                a_idx: int, b_idx: int) -> LinComb:
     """Apply the crossing action of ``actor`` to the crossed slot of a flat
-    tensor occupying label positions ``(a_idx, b_idx)``."""
-    pre, b_aut = _xi_maps(P, actor, source)
-    a_aut = pre.inverse()
+    tensor occupying label positions ``(a_idx, b_idx)``; the leg maps
+    are read from ``P._cross``."""
+    _, a_aut, b_aut = P._cross[actor, source]
     aut_a, aut_b = P.A.aut_basis, P.B.aut_basis
     out: Dict[Tuple, object] = {}
     for label, c in value.terms.items():
@@ -219,9 +199,8 @@ def crossing_apply(P: Pairing, actor: AutPair, source: AutPair, x: LinComb
     """Apply the crossing action of ``actor`` to a component value at
     ``source``; returns the target grading (the conjugate of ``source``
     by ``actor``) together with the transformed value."""
-    mul = P.pair_mul
-    target = mul(mul(actor, source), aut_pair_inv(actor))
-    return target, xi_on_legs(P, actor, source, x, 0, 1)
+    return (P._cross[actor, source].target,
+            xi_on_legs(P, actor, source, x, 0, 1))
 
 
 def comul_apply_full(P: Pairing, x: LinComb, left_g: AutPair,

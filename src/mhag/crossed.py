@@ -197,10 +197,10 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
     Returns the pair (lhs, rhs); equality for all inputs is the component's
     commutation law.
     """
-    alpha, beta = grading
     B = P.B
     aut, act_into = B.aut_basis, P.act_into
-    binv = beta.inverse()
+    derived = P._gaut[grading]
+    binv = derived.beta_inv
     a_items = a.terms.items()
     y_items = y.terms.items()
     e = B.local_unit_for(a.support())
@@ -215,8 +215,8 @@ def commutation_residual(P: Pairing, grading: AutPair, a: LinComb,
             a_left_into(P, inner, ca, la, y_items)
         b_left_into(P, grading, lhs, c1, aut(binv, u), inner.items())
     rhs: Dict = {}
-    ab_inv = alpha.compose(binv)
-    cov = B.apply_aut(beta.compose(alpha.inverse()), e)
+    ab_inv = derived.quotient
+    cov = B.apply_aut(derived.quotient_inv, e)
     legs2 = B.t_pair(3, b, cov)                    # sum b1*cov (x) b2
     for (u, v), c1 in legs2.terms.items():
         au: Dict = {}

@@ -50,7 +50,11 @@ class BasisTable(dict):
 
     Every basis table is one: the product, T-map, antipode and local-unit
     tables of an instance, the twist, product and action tables of a
-    pairing, and the covered-coproduct tables of the ``hopf`` suite."""
+    pairing, its grading tables (the grading product, the inverse and
+    derived automorphisms of a grading, the second-leg automorphism of a
+    split, the crossing action and the second intertwiner law's
+    automorphisms), and the covered-coproduct tables of the ``hopf``
+    suite."""
 
     __slots__ = ("fill",)
 

@@ -17,18 +17,22 @@ pairing also owns the "crossed right unit": a finite element of B whose
 embedded image acts as the identity on a given finite crossed-product
 value — the cover everything in the graded layer leans on.
 
-The graded layers read W, the grading law ``pair_mul`` and the flags
-``cop_first_leg`` and ``skew`` from the pairing.  They are built honest;
-:mod:`mhag.session` plants a named defect on a session's own pairing.
+The graded layers read W and the flag ``cop_first_leg`` from the
+pairing, and their grading-group arithmetic from its grading tables: the
+product, filled from the grading law ``pair_mul``, the inverse, and the
+automorphisms each layer derives from its gradings, some of which read
+the flag ``skew``.  The pairing is built honest; :mod:`mhag.session`
+plants a named defect on a session's own pairing before any table fills.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .crossed import dcp_fill, twist_fill
-from .groups import AutPair, Group, GroupError, aut_pair_mul
+from .groups import (AutPair, Automorphism, Group, GroupError, aut_pair_inv,
+                     aut_pair_mul)
 from .linear import LinComb, add_scaled, add_term
 from .mha import (BasisTable, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance)
@@ -51,6 +55,26 @@ _ACTIONS = {
 }
 
 
+class GradingAuts(NamedTuple):
+    """What the graded layers derive from one grading ``(alpha, beta)``."""
+
+    inv: AutPair                 # the group inverse, by aut_pair_inv
+    beta_inv: Automorphism       # beta^-1
+    alpha_beta: Automorphism     # alpha beta: the forward graded antipode
+    strip: Automorphism          # beta'^-1 alpha'^-1 of the inverse grading
+    quotient: Automorphism       # alpha beta^-1
+    quotient_inv: Automorphism   # beta alpha^-1
+
+
+class Crossing(NamedTuple):
+    """The crossing action of an actor on a component: the target grading
+    and the maps applied to the A-leg and the B-leg."""
+
+    target: AutPair
+    a_aut: Automorphism
+    b_aut: Automorphism
+
+
 class Pairing:
     """Base class: exact action evaluation over per-basis pairing values."""
 
@@ -68,6 +92,17 @@ class Pairing:
         self._dcp = BasisTable(partial(dcp_fill, self))
         # Basis actions, keyed (variant, actor, target): see act_into.
         self._act = BasisTable(self._act_basis)
+        # The grading tables, filled lazily because the grading group may
+        # be infinite: the product, keyed (p, q), read from ``pair_mul``
+        # when an entry is computed; per grading, keyed by it, its inverse
+        # and derived automorphisms; and, keyed by a pair of gradings, the
+        # second-leg automorphism of a split, the crossing action and the
+        # automorphisms of the second intertwiner law.
+        self._gmul = BasisTable(lambda p, q: self.pair_mul(p, q))
+        self._gaut = BasisTable(self._grading_fill)
+        self._split = BasisTable(self._split_fill)
+        self._cross = BasisTable(self._crossing_fill)
+        self._wbaut = BasisTable(self._w_b_fill)
         # The grading-group product, whether the co-opposite A-leg goes on
         # the first coproduct slot, and whether the crossing action drops
         # its source-conjugation on the B-leg.
@@ -87,6 +122,57 @@ class Pairing:
                 if v:
                     total = total + ca * cb * v
         return total
+
+    # -- grading-group arithmetic ----------------------------------------------
+    def _grading_fill(self, alpha: Automorphism,
+                      beta: Automorphism) -> GradingAuts:
+        """The inverse of the grading ``(alpha, beta)`` and the
+        automorphisms derived from it alone: the fill of ``_gaut``."""
+        ginv = aut_pair_inv(AutPair(alpha, beta))
+        binv = beta.inverse()
+        return GradingAuts(
+            inv=ginv, beta_inv=binv, alpha_beta=alpha.compose(beta),
+            strip=ginv.beta.inverse().compose(ginv.alpha.inverse()),
+            quotient=alpha.compose(binv),
+            quotient_inv=beta.compose(alpha.inverse()))
+
+    def _split_fill(self, left_g: AutPair,
+                    right_g: AutPair) -> Tuple[Automorphism, Automorphism]:
+        """The automorphism applied to the second comultiplication leg of
+        the B-part at the split ``(left_g, right_g)``, and its inverse: the
+        fill of ``_split``.  It is derived from the product table, so a
+        planted product law propagates into the comultiplication."""
+        gamma_p = right_g.beta.inverse().compose(
+            self._gmul[left_g, right_g].beta)
+        return gamma_p, gamma_p.inverse()
+
+    def _crossing_fill(self, actor: AutPair, source: AutPair) -> Crossing:
+        """The crossing action of ``actor`` on a component at ``source``:
+        the fill of ``_cross``.  The target is the conjugate of ``source``
+        by ``actor`` in the product table.  ``skew`` drops the
+        source-conjugation from the B-leg map."""
+        alpha, beta = actor
+        target = self._gmul[self._gmul[actor, source], self._gaut[actor].inv]
+        pre = beta.compose(alpha.inverse())
+        if self.skew:
+            b_aut = alpha.compose(beta.inverse())
+        else:
+            gamma = source.alpha
+            b_aut = alpha.compose(gamma.inverse()).compose(
+                beta.inverse()).compose(gamma)
+        return Crossing(target, pre.inverse(), b_aut)
+
+    def _w_b_fill(self, p: AutPair, q: AutPair) -> Tuple[Automorphism, ...]:
+        """The automorphisms of ``quasitri.w_intertwiner_residual_b`` with
+        the twist from ``p`` and the crossed value at ``q = (gamma,
+        delta)``: ``gamma_p = gamma^-1 beta gamma`` and ``aut1 = beta^-1
+        delta gamma_p``, each followed by its inverse.  The fill of
+        ``_wbaut``."""
+        beta = p.beta
+        gamma, delta = q
+        gamma_p = gamma.inverse().compose(beta).compose(gamma)
+        aut1 = beta.inverse().compose(delta).compose(gamma_p)
+        return gamma_p, gamma_p.inverse(), aut1, aut1.inverse()
 
     # -- actions ---------------------------------------------------------------
     def _act_basis(self, variant: str, actor, target) -> tuple:

@@ -12,17 +12,21 @@ minus nothing — they return the pair ``(lhs, rhs)`` of honestly computed
 tensor values so callers can compare or report counterexamples.  Slots in
 flat tensors are ordered as in :mod:`mhag.cograded`: crossed slots
 contribute ``(A-label, B-label)`` pairs, plain algebra slots one label.
-The canonical multiplier, the grading-group product and the crossing
-action come from the pairing (``P.w``, ``P.pair_mul``, ``P.skew``).
+The canonical multiplier comes from the pairing (``P.w``), and so does
+the grading-group arithmetic: products of gradings (``P._gmul``, filled
+from the grading law ``P.pair_mul``), inverses and the automorphisms
+derived from one grading (``P._gaut``), the second-leg automorphism of a
+split (``P._split``), crossing targets (``P._cross``) and the
+automorphisms of the second intertwiner law (``P._wbaut``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .cograded import _second_leg_aut, comul_apply_full, xi_on_legs
+from .cograded import comul_apply_full, xi_on_legs
 from .crossed import a_left_into, b_left_into
-from .groups import AutPair, aut_pair_inv
+from .groups import AutPair
 from .linear import LinComb, add_scaled, add_term
 from .mha import MhaInstance
 from .pairing import Pairing
@@ -44,7 +48,7 @@ def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
             side: str = "left") -> LinComb:
     """Apply the R-multiplier of the ordered pair ``(left_g, right_g)`` to a
     4-tuple tensor value (slot 1 at ``left_g``, slot 2 at ``right_g``)."""
-    binv = left_g.beta.inverse()
+    binv = P._gaut[left_g].beta_inv
     A, B = P.A, P.B
     a_mul, aut = A.mul_basis, B.aut_basis
     out: Dict[Tuple, object] = {}
@@ -91,9 +95,9 @@ def _comul_b_embedded(P: Pairing, lb, scale, left_g: AutPair,
     B = P.B
     t_b, aut = B.t_image, B.aut_basis
     gamma = right_g.alpha
-    gamma_p = _second_leg_aut(P, left_g, right_g)
+    gamma_p, gamma_p_inv = P._split[left_g, right_g]
     c = P.crossed_right_unit(right_g, v)
-    c0 = B.apply_aut(gamma_p.inverse(), c).terms
+    c0 = B.apply_aut(gamma_p_inv, c).terms
     one = P.field.one()
     v_items = v.terms.items()
     out: Dict[Tuple, object] = {}
@@ -124,10 +128,9 @@ def qt_conjugation_residual(P: Pairing, t: AutPair, p: AutPair, q: AutPair,
     the crossing action of ``t`` lands on the R-multiplier of the
     conjugated grading pair.  ``uv`` is a 4-tuple tensor with slots at the
     conjugated gradings."""
-    mul = P.pair_mul
-    tinv = aut_pair_inv(t)
-    tp = mul(mul(t, p), tinv)
-    tq = mul(mul(t, q), tinv)
+    cross = P._cross
+    tinv = P._gaut[t].inv
+    tp, tq = cross[t, p].target, cross[t, q].target
     rhs = r_apply(P, tp, tq, uv, "left")
     back = xi_on_legs(P, tinv, tp, uv, 0, 1)
     back = xi_on_legs(P, tinv, tq, back, 2, 3)
@@ -144,15 +147,13 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
     R-multiplier's first leg factors through two R-multipliers, with a
     crossing correction on the outer 13-factor.  ``uvz`` is a 6-tuple
     tensor with slots at ``p, q, r``."""
-    mul = P.pair_mul
     A, B = P.A, P.B
     a_mul, aut = A.mul_basis, B.aut_basis
-    pq = mul(p, q)
-    binv = pq.beta.inverse()
+    binv = P._gaut[P._gmul[p, q]].beta_inv
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
-    qinv = aut_pair_inv(q)
-    qrq = mul(mul(q, r), qinv)
+    qinv = P._gaut[q].inv
+    qrq = P._cross[q, r].target
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
         u_items = (((ua, ub), c),)
         v = LinComb.unit((va, vb))
@@ -188,7 +189,7 @@ def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
     correction.  ``uvz`` is a 6-tuple tensor with slots at ``p, q, r``."""
     A, B = P.A, P.B
     a_mul, t_a, aut = A.mul_basis, A.t_image, B.aut_basis
-    binv = p.beta.inverse()
+    binv = P._gaut[p].beta_inv
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
@@ -233,9 +234,8 @@ def qt_intertwine_residual(P: Pairing, p: AutPair, q: AutPair, x: LinComb,
     crossing-twisted co-opposite: ``R * Delta(x)`` against
     ``Delta-twisted-cop(x) * R`` applied to ``(u (x) v)``; ``x`` lives at
     ``p*q``, ``u`` at ``p``, ``v`` at ``q``."""
-    mul = P.pair_mul
-    pinv = aut_pair_inv(p)
-    pprime = mul(mul(p, q), pinv)
+    pinv = P._gaut[p].inv
+    pprime = P._cross[p, q].target
     lhs = r_apply(P, p, q, comul_apply_full(P, x, p, q, u, v), "left")
     uv: Dict[Tuple, object] = {}
     for (la1, lb1), c1 in u.terms.items():
@@ -411,8 +411,8 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
     are flat ``(A, B, A)`` triples."""
     A, B = P.A, P.B
     t_a, aut_a, aut = A.t_image, A.aut_basis, B.aut_basis
-    alpha, beta = p
-    binv = beta.inverse()
+    derived = P._gaut[p]
+    binv = derived.beta_inv
     u_items = u.terms.items()
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
@@ -438,8 +438,7 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
                         for l2, c3 in s2.items():
                             add_term(lhs_terms, (l1a, l1b, l2), c2 * c3)
     # rhs: coproduct with precomposed second leg, times the W-twist
-    psi = alpha.compose(binv)
-    psi_inv = psi.inverse()
+    psi, psi_inv = derived.quotient, derived.quotient_inv
     cands = []
     union: Dict = {}
     for wb, wa, cw in P.w.candidates_left(m.support()):
@@ -481,16 +480,15 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
     flat ``(B, A, B)`` triples."""
     B = P.B
     t_b, aut = B.t_image, B.aut_basis
-    beta = p.beta
-    binv = beta.inverse()
-    gamma, delta = q
-    gamma_p = gamma.inverse().compose(beta).compose(gamma)
+    binv = P._gaut[p].beta_inv
+    gamma = q.alpha
+    gamma_p, gamma_p_inv, aut1, aut1_inv = P._wbaut[p, q]
     u_items = u.terms.items()
     lhs_terms: Dict[Tuple, object] = {}
     rhs_terms: Dict[Tuple, object] = {}
     # lhs: W-twist times the graded coproduct legs
     c = P.crossed_right_unit(q, u)
-    c0 = B.apply_aut(gamma_p.inverse(), c).terms
+    c0 = B.apply_aut(gamma_p_inv, c).terms
     for lb, cb in b.terms.items():
         for l0, k0 in c0.items():
             for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
@@ -511,7 +509,6 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
                         for (l2a, l2b), cc2 in s2.items():
                             add_term(lhs_terms, (l1, l2a, l2b), cc1 * cc2)
     # rhs: dressed co-opposite coproduct times the W-twist
-    aut1 = binv.compose(delta).compose(gamma_p)
     for wb, wa, cw in P.w.candidates_left([t[0] for t in u.terms]):
         emb: Dict = {}
         a_left_into(P, emb, cw, wa, u_items)
@@ -521,7 +518,7 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
         if not y:
             continue
         n = B.local_unit_for(list(y))
-        c0p = B.apply_aut(aut1.inverse(), n).terms
+        c0p = B.apply_aut(aut1_inv, n).terms
         emb_items = emb.items()
         for lb, cb in b.terms.items():
             for l0, k0 in c0p.items():

@@ -359,8 +359,7 @@ _GGGUVZ = "gradings:ggg u:ab v:ab z:ab"
 def _hopf_suite(S: Session) -> List:
     P = S.P
     A, B = P.A, P.B
-    mul = P.pair_mul
-    inv = aut_pair_inv
+    mul, gaut = P._gmul, P._gaut
     unit = LinComb.unit
     e = S.unit_grading()
     G = list(S.gradings)
@@ -383,7 +382,7 @@ def _hopf_suite(S: Session) -> List:
     # agree on every (left, middle, right) cover assignment.
     if unital:
         def coassoc(p, q, r, xl, yl, zl):
-            pq, qr = mul(p, q), mul(q, r)
+            pq, qr = mul[p, q], mul[q, r]
             lhs: Dict = {}
             outer = comul(unit(xl), pq, r, unit(zl), "right")
             for (a1, b1, a2, b2), c in outer.terms.items():
@@ -424,7 +423,7 @@ def _hopf_suite(S: Session) -> List:
     # the unit-grading input collapses to its counit.  The second display
     # uses a left cover, so it needs a unital B-instance.
     def antipode_left(g, xl, yl):
-        gi = inv(g)
+        gi = gaut[g].inv
         x, y = unit(xl), unit(yl)
         acc: Dict = {}
         for (a1, b1, a2, b2), c in comul(x, gi, g, y, "right").terms.items():
@@ -433,7 +432,7 @@ def _hopf_suite(S: Session) -> List:
         return LinComb(acc), y.scale(graded_counit(P, x))
 
     def antipode_right(g, xl, yl):
-        gi = inv(g)
+        gi = gaut[g].inv
         x, y = unit(xl), unit(yl)
         acc: Dict = {}
         for (a1, b1, a2, b2), c in comul(x, g, gi, y, "left").terms.items():
@@ -453,7 +452,7 @@ def _hopf_suite(S: Session) -> List:
 
     # Multiplicativity of the graded comultiplication.
     def delta_mult(p, q, xl, yl, vl):
-        pq = mul(p, q)
+        pq = mul[p, q]
         lhs: Dict = {}
         for lab, c in dcp_mul(P, pq, unit(xl), unit(yl)).terms.items():
             half = comul(unit(lab), p, q, unit(vl), "right")
@@ -476,11 +475,11 @@ def _hopf_suite(S: Session) -> List:
     # grading, and it and its inverse are mutually inverse bijections.
     def antihom(g, xl, yl):
         return (graded_antipode(P, g, dcp_mul(P, g, unit(xl), unit(yl))),
-                dcp_mul(P, inv(g), graded_antipode(P, g, unit(yl)),
+                dcp_mul(P, gaut[g].inv, graded_antipode(P, g, unit(yl)),
                         graded_antipode(P, g, unit(xl))))
 
     def roundtrip(g, xl):
-        gi = inv(g)
+        gi = gaut[g].inv
         x = unit(xl)
         back = graded_antipode(P, gi, graded_antipode(P, g, x), inverse=True)
         again = graded_antipode(P, gi, graded_antipode(P, g, x, inverse=True))
@@ -732,8 +731,7 @@ def _cograded_suite(S: Session) -> List:
 
 def _crossing_suite(S: Session) -> List:
     P = S.P
-    mul = P.pair_mul
-    inv = aut_pair_inv
+    mul, gaut, cross = P._gmul, P._gaut, P._cross
     unit = LinComb.unit
     e = S.unit_grading()
     G = list(S.gradings)
@@ -756,7 +754,7 @@ def _crossing_suite(S: Session) -> List:
         x = unit(xl)
         g1, v1 = xi(s, q, x)
         g2, v2 = xi(t, g1, v1)
-        g3, v3 = xi(mul(t, s), q, x)
+        g3, v3 = xi(mul[t, s], q, x)
         return _With(v2, g2), _With(v3, g3), {"targets": (g2, g3)}
 
     # The unit grading acts as the identity; the inverse actor undoes the
@@ -769,14 +767,13 @@ def _crossing_suite(S: Session) -> List:
     def inverse(t, q, xl):
         x = unit(xl)
         g1, v1 = xi(t, q, x)
-        g2, v2 = xi(inv(t), g1, v1)
+        g2, v2 = xi(gaut[t].inv, g1, v1)
         return _With(v2, g2), _With(x, q), {"target": (g2,)}
 
     # Compatibility with the graded comultiplication.
     def comul_compat(t, p, q, xl, yl):
-        tp = mul(mul(t, p), inv(t))
-        tq = mul(mul(t, q), inv(t))
-        _, xv = xi(t, mul(p, q), unit(xl))
+        tp, tq = cross[t, p].target, cross[t, q].target
+        _, xv = xi(t, mul[p, q], unit(xl))
         _, yv = xi(t, q, unit(yl))
         lhs = comul_covered(P, xv, tp, tq, yv, side="right")
         base = comul_covered(P, unit(xl), p, q, unit(yl), side="right")

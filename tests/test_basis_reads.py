@@ -6,8 +6,8 @@ The former bodies are kept here verbatim, apart from reading the product
 memo's fill and the T-map table of ``t_pair`` straight from the basis
 primitives, and from calling ``local_unit_for`` and ``apply_aut`` in place
 of the pairing's former pass-through wrappers.  So are the former module action, which the former bodies call
-in place of ``Pairing.act``, and the value-level embeddings that the
-library no longer has.  They run on multi-term inputs with mixed
+in place of ``Pairing.act``, and the value-level embeddings and the
+per-call grading derivations that the library no longer has.  They run on multi-term inputs with mixed
 coefficients over the six pairings of ``conftest.engine_cases``; only the
 rescaled structure-constant pairing and H4 have basis images whose
 coefficients are not 1, so only they see a dropped coefficient, and only
@@ -27,8 +27,7 @@ from typing import Dict, List, Tuple
 import pytest
 
 from mhag import EnumSpec, suites
-from mhag.cograded import (_second_leg_aut, _xi_maps, comul_covered,
-                           graded_antipode, xi_on_legs)
+from mhag.cograded import comul_covered, graded_antipode, xi_on_legs
 from mhag.crossed import (_move, a_left_into, b_embed_left, commutation_residual,
                           dcp_assoc_residual, dcp_mul, twist_inv, twist_map)
 from mhag.groups import AutPair, PermGroup, aut_pair_inv, group_from_json
@@ -219,6 +218,24 @@ def _ref_commutation_residual(P, grading, a, b, y):
 
 
 # -- former bodies: cograded ----------------------------------------------------------
+
+# The two grading derivations that the engine made on every call, before it
+# read them from the pairing's grading tables.
+def _second_leg_aut(P, left_g, right_g):
+    return right_g.beta.inverse().compose(P.pair_mul(left_g, right_g).beta)
+
+
+def _xi_maps(P, actor, source):
+    alpha, beta = actor
+    pre = beta.compose(alpha.inverse())
+    if P.skew:
+        b_aut = alpha.compose(beta.inverse())
+    else:
+        gamma = source.alpha
+        b_aut = alpha.compose(gamma.inverse()).compose(
+            beta.inverse()).compose(gamma)
+    return pre, b_aut
+
 
 def _ref_comul_covered(P, x, left_g, right_g, cover, side="right"):
     A, B = P.A, P.B

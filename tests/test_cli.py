@@ -247,6 +247,20 @@ def _stdlib_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _first_difference(a: str, b: str) -> int:
+    """The first offset at which ``a`` and ``b`` differ, or the length of
+    the shorter one when it is a prefix of the other: the longest common
+    prefix, found by bisection on prefix comparisons."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 # Quotes, backslashes, control characters and non-ASCII (an astral one
 # too, which escapes as a surrogate pair) in keys and strings.
 _chars = st.sampled_from('ab "\\/\n\t\x00\x1f\x7fé€\U0001f600')
@@ -334,7 +348,14 @@ class TestDump:
     ], ids=["s3-group", "s3-finite-dim", "double-z3-f7"])
     def test_export_matches_json_dumps(self, spec):
         out = export_structure(make_session(spec))
-        assert _dump(out) == _stdlib_dump(out)
+        got, want = _dump(out), _stdlib_dump(out)
+        # The documents run to megabytes: compare offsets, so a failure
+        # names the first differing bytes instead of diffing both strings.
+        at, n_got, n_want = _first_difference(got, want), len(got), len(want)
+        near = slice(max(at - 40, 0), at + 40)
+        assert at == n_got == n_want, (
+            f"first difference at offset {at}: "
+            f"{got[near]!r} != {want[near]!r}")
 
 
 class TestEval:

@@ -6,12 +6,15 @@ the group case and in the double case.  The engine must reproduce them
 exactly; the suites exercise the same comparisons at acceptance scale.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 from mhag import DrinfeldPairing, GroupPairing, comul_covered, dcp_mul, r_apply
 from mhag.cograded import graded_antipode, graded_counit
 from mhag.groups import AutPair, TableGroup, identity_aut, map_aut
 from mhag.linear import LinComb
+from mhag.mha import BasisTable
 from mhag.oracle import (double_antipode, double_comul_covered_brute,
                          double_mul, group_antipode, group_comul_covered,
                          group_counit, group_mul, group_r_apply_left)
@@ -108,3 +111,20 @@ class TestDoubleClosedForms:
             for t in basis[::5]:
                 assert graded_antipode(P, g, LinComb.unit(t)) == \
                     double_antipode(P, g, t)
+
+
+def test_closed_forms_read_no_engine_table():
+    """The closed forms are independent of the engine: ``oracle.py`` reads
+    none of the pairing's tables (the grading tables among them) and
+    composes gradings with the honest ``aut_pair_mul``."""
+    tables = {name for name, value in vars(GroupPairing(Z3)).items()
+              if isinstance(value, BasisTable)}
+    assert {"_gmul", "_gaut", "_split", "_cross", "_wbaut"} <= tables
+    path = Path(__file__).resolve().parent.parent / "src/mhag/oracle.py"
+    tree = ast.parse(path.read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert not read & (tables | {"pair_mul"})
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"aut_pair_mul", "aut_pair_inv"} <= called

@@ -10,7 +10,7 @@ from mhag import (DrinfeldPairing, FiniteDimPairing, GroupPairing, Session,
 from mhag.cli import main
 from mhag.session import (CORRUPTIONS, INSTANCE_KINDS, DropFirstTermW,
                           _naive_pair_mul)
-from mhag.groups import aut_pair_mul
+from mhag.groups import aut_pair_inv, aut_pair_mul
 
 from conftest import (H4_HOPF, IDENT, NEG, cyc_inv, group_instance,
                       hopf_instance, inner, make_session, sampled,
@@ -185,12 +185,31 @@ def test_defects_are_planted_before_any_table_fills(name, corrupt):
     for X in (P.A, P.B):
         assert not X._tc and not X._tic and not X._sc and not X._luc
     assert not P._twc and not P._dcp and not P._act
+    assert not (P._gmul or P._gaut or P._split or P._cross or P._wbaut)
     if corrupt == "antipode-sign":
         honest = _planted(name, None).B
         for label in P.B.basis_labels(None):
             for inverse in (False, True):
                 assert P.B.antipode(P.B.lc(label), inverse) == \
                     honest.antipode(honest.lc(label), inverse).neg()
+
+
+def test_product_table_reads_the_planted_law():
+    """Under ``pair-mul-twist`` the product table holds the naive product,
+    and the crossing target is conjugated in it, on a non-commuting S3
+    pair where the naive and the honest products differ."""
+    spec = session_spec(group_instance("symmetric", 3), gradings=[
+        [inner((1, 0, 2)), inner((0, 2, 1))],
+        [inner((2, 1, 0)), inner((1, 2, 0))]], corrupt="pair-mul-twist")
+    S = session_from_json(spec)
+    P = S.P
+    p, q = S.gradings
+    naive, honest = _naive_pair_mul(p, q), aut_pair_mul(p, q)
+    assert naive != honest
+    assert P._gmul[p, q] == naive
+    assert P._cross[p, q].target == _naive_pair_mul(naive, aut_pair_inv(p))
+    clean = session_from_json({**spec, "corrupt": None}).P
+    assert clean._gmul[p, q] == honest
 
 
 # The group algebra of Z/2 as structure constants.
