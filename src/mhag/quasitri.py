@@ -1,23 +1,33 @@
 """The generalized R-multiplier and its exact applied identities.
 
 For an ordered pair of gradings the R-multiplier is the canonical duality
-multiplier with its B-leg twisted by the inverse of the first grading's
+multiplier W with its B-leg twisted by the inverse of the first grading's
 second automorphism, embedded legwise into the two components.  It only
-ever appears here *applied* to honest tensor values, from the left or the
-right; the candidate solvers on the canonical multiplier keep every
-application a finite exact sum.
+ever appears here *applied* to honest tensor values; the candidate
+solvers on W keep every application a finite exact sum.
 
-The residual functions each evaluate one side of a structural identity
-minus nothing — they return the pair ``(lhs, rhs)`` of honestly computed
-tensor values so callers can compare or report counterexamples.  Slots in
-flat tensors are ordered as in :mod:`mhag.cograded`: crossed slots
-contribute ``(A-label, B-label)`` pairs, plain algebra slots one label.
-The canonical multiplier comes from the pairing (``P.w``), and so does
-the grading-group arithmetic: products of gradings (``P._gmul``, filled
-from the grading law ``P.pair_mul``), inverses and the automorphisms
-derived from one grading (``P._gaut``), the second-leg automorphism of a
-split (``P._split``), crossing targets (``P._cross``) and the
-automorphisms of the second intertwiner law (``P._wbaut``).
+W is applied from the left in one place, ``_w_left``: its A-leg
+multiplies one A-label of a flat tensor value, its B-leg (twisted when
+asked) one plain B-label or one crossed slot.  The left R-multiplier, the
+W_13 W_23 and W_12 W_13 sides of the two coproduct identities of W, the
+plain W of its inverse law and the W step of both sides of the two
+intertwiner laws are calls to it.  Six loops over W keep their own
+formula, each the independent side of its identity: the right
+R-multiplier (W acts from the right), the lhs of ``qt_coproduct_first``,
+``qt_coproduct_second``, ``w_coproduct_b`` and ``w_coproduct_a`` (a leg
+of W goes through a coproduct) and the (S (x) id)W step of
+``w_inverse_residual`` (its B-leg is an antipode image).
+
+The residual functions each return the sides of a structural identity,
+``(lhs, rhs)``, as honestly computed tensor values so callers can compare
+or report counterexamples.  Slots in flat tensors are ordered as in
+:mod:`mhag.cograded`: crossed slots contribute ``(A-label, B-label)``
+pairs, plain algebra slots one label.  The grading-group arithmetic comes
+from the pairing: products of gradings (``P._gmul``, filled from the
+grading law ``P.pair_mul``), inverses and the automorphisms derived from
+one grading (``P._gaut``), the second-leg automorphism of a split
+(``P._split``), crossing targets (``P._cross``) and the automorphisms of
+the second intertwiner law (``P._wbaut``).
 """
 
 from __future__ import annotations
@@ -44,30 +54,67 @@ def _lmul(X: MhaInstance, lx, y: Dict) -> Dict:
     return out
 
 
+def _w_left(P: Pairing, terms: Dict, b_at, a_at: int, binv=None) -> Dict:
+    """``W * value`` for a flat tensor value given as a term dict.  Each term
+    ``(wb, wa)`` of the canonical multiplier multiplies ``wa`` into the
+    A-label at position ``a_at`` and ``wb``, twisted by ``binv`` when one
+    is given, into the plain B-label at ``b_at`` or, when ``b_at`` is
+    ``(i, grading)``, into the crossed slot at ``i, i+1`` at that
+    grading."""
+    if not terms:                   # an intertwiner lhs is often zero
+        return {}
+    a_mul, aut = P.A.mul_basis, P.B.aut_basis
+    candidates = P.w.candidates_left
+    if binv is not None and binv.is_identity():
+        binv = None
+    out: Dict[Tuple, object] = {}
+    if type(b_at) is tuple:
+        i, grading = b_at
+        for key, c in terms.items():
+            la, k, y = key[a_at], list(key), ((key[i:i + 2], c),)
+            for wb, wa, cw in candidates((la,)):
+                s_a = a_mul(wa, la).terms
+                if not s_a:
+                    continue
+                s_b: Dict = {}
+                b_left_into(P, grading, s_b, cw,
+                            wb if binv is None else aut(binv, wb), y)
+                for (l1a, l1b), c1 in s_b.items():
+                    k[i], k[i + 1] = l1a, l1b
+                    for la2, c2 in s_a.items():
+                        k[a_at] = la2
+                        add_term(out, tuple(k), c1 * c2)
+        return out
+    b_mul = P.B.mul_basis
+    for key, c in terms.items():
+        la, lb, k = key[a_at], key[b_at], list(key)
+        for wb, wa, cw in candidates((la,)):
+            s_a = a_mul(wa, la).terms
+            if not s_a:
+                continue
+            cc = c * cw
+            for lb1, c1 in b_mul(wb if binv is None else aut(binv, wb),
+                                 lb).terms.items():
+                k[b_at], c1 = lb1, cc * c1
+                for la2, c2 in s_a.items():
+                    k[a_at] = la2
+                    add_term(out, tuple(k), c1 * c2)
+    return out
+
+
 def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
             side: str = "left") -> LinComb:
     """Apply the R-multiplier of the ordered pair ``(left_g, right_g)`` to a
     4-tuple tensor value (slot 1 at ``left_g``, slot 2 at ``right_g``)."""
     binv = P._gaut[left_g].beta_inv
-    A, B = P.A, P.B
-    a_mul, aut = A.mul_basis, B.aut_basis
-    out: Dict[Tuple, object] = {}
     if side == "left":
-        for (ua, ub, va, vb), c in uv.terms.items():
-            u_items = (((ua, ub), c),)
-            for wb, wa, cw in P.w.candidates_left([va]):
-                s2 = a_mul(wa, va).terms          # (wa |x| 1) * v
-                if not s2:
-                    continue
-                s1: Dict = {}                     # cw * (1 |x| binv(wb)) * u
-                b_left_into(P, left_g, s1, cw, aut(binv, wb), u_items)
-                for (l1a, l1b), c1 in s1.items():
-                    for l2a, c2 in s2.items():
-                        add_term(out, (l1a, l1b, l2a, vb), c1 * c2)
-        return LinComb(out)
+        return LinComb(_w_left(P, uv.terms, (0, left_g), 2, binv))
     if side != "right":
         raise ValueError(f"unknown r_apply side: {side!r}")
-    b_mul, twc = B.mul_basis, P._twc
+    # Own loop: W acts from the right, which ``_w_left`` does not cover.
+    a_mul, b_mul, aut = P.A.mul_basis, P.B.mul_basis, P.B.aut_basis
+    twc = P._twc
+    out: Dict[Tuple, object] = {}
     for (ua, ub, va, vb), c in uv.terms.items():
         for wb, wa, cw in P.w.candidates_right(right_g, va, vb):
             s1 = b_mul(ub, aut(binv, wb)).terms   # u * (1 |x| binv(wb))
@@ -157,7 +204,8 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
         u_items = (((ua, ub), c),)
         v = LinComb.unit((va, vb))
-        # lhs: (Delta_{p,q} (x) id) applied to the R-multiplier at (p*q, r)
+        # lhs: (Delta_{p,q} (x) id) applied to the R-multiplier at (p*q, r);
+        # own loop: the B-leg of W goes through the graded coproduct
         for wb, wa, cw in P.w.candidates_left([za]):
             s3 = a_mul(wa, za).terms              # (wa |x| 1) * z
             if not s3:
@@ -194,7 +242,8 @@ def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
     rhs_terms: Dict[Tuple, object] = {}
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
         u_items = (((ua, ub), c),)
-        # lhs: the A-leg coproduct (co-opposite) spread over slots 3 and 2
+        # lhs: the A-leg coproduct (co-opposite) spread over slots 3 and 2;
+        # own loop: the A-leg of W goes through Delta_A
         n = A.local_unit_for([za]).terms
         for wb, wa, cw in P.w.candidates_pairs([za], [va]):
             s1: Dict = {}                         # c * (1 |x| binv(wb)) * u
@@ -265,7 +314,7 @@ def w_coproduct_b_residual(P: Pairing, m: LinComb, m2: LinComb, n: LinComb
     A, B = P.A, P.B
     t_b = B.t_image
     lhs_terms: Dict[Tuple, object] = {}
-    rhs_terms: Dict[Tuple, object] = {}
+    # lhs, own loop: the B-leg of W goes through Delta_B
     c0 = B.local_unit_for(m2.support()).terms
     for wb, wa, cw in P.w.candidates_left(n.support()):
         s3 = _lmul(A, wa, n.terms)
@@ -285,27 +334,11 @@ def w_coproduct_b_residual(P: Pairing, m: LinComb, m2: LinComb, n: LinComb
                         c12 = cc * cc1 * cc2
                         for l3, cc3 in s3.items():
                             add_term(lhs_terms, (l1, l2, l3), c12 * cc3)
-    for wb, wa, cw in P.w.candidates_left(n.support()):
-        mid3 = _lmul(A, wa, n.terms)
-        if not mid3:
-            continue
-        mid2 = _lmul(B, wb, m2.terms)
-        if not mid2:
-            continue
-        for wb2, wa2, cw2 in P.w.candidates_left(list(mid3)):
-            s3 = _lmul(A, wa2, mid3)
-            if not s3:
-                continue
-            s1 = _lmul(B, wb2, m.terms)
-            if not s1:
-                continue
-            cc = cw * cw2
-            for l1, cc1 in s1.items():
-                for l2, cc2 in mid2.items():
-                    c12 = cc * cc1 * cc2
-                    for l3, cc3 in s3.items():
-                        add_term(rhs_terms, (l1, l2, l3), c12 * cc3)
-    return LinComb(lhs_terms), LinComb(rhs_terms)
+    # rhs: W_13 W_23, W applied from the left twice
+    mmn = {(l1, l2, l3): c1 * c2 * c3 for l1, c1 in m.terms.items()
+           for l2, c2 in m2.terms.items() for l3, c3 in n.terms.items()}
+    rhs = _w_left(P, _w_left(P, mmn, 1, 2), 0, 2)
+    return LinComb(lhs_terms), LinComb(rhs)
 
 
 def w_coproduct_a_residual(P: Pairing, m: LinComb, n1: LinComb, n2: LinComb
@@ -316,7 +349,7 @@ def w_coproduct_a_residual(P: Pairing, m: LinComb, n1: LinComb, n2: LinComb
     A, B = P.A, P.B
     t_a = A.t_image
     lhs_terms: Dict[Tuple, object] = {}
-    rhs_terms: Dict[Tuple, object] = {}
+    # lhs, own loop: the A-leg of W goes through Delta_A
     n0 = A.local_unit_for(n2.support()).terms
     for wb, wa, cw in P.w.candidates_pairs(n1.support(), n2.support()):
         s1 = _lmul(B, wb, m.terms)
@@ -336,27 +369,11 @@ def w_coproduct_a_residual(P: Pairing, m: LinComb, n1: LinComb, n2: LinComb
                         c12 = cc * cc1 * cc2
                         for l3, cc3 in s3.items():
                             add_term(lhs_terms, (l1, l2, l3), c12 * cc3)
-    for wb, wa, cw in P.w.candidates_left(n2.support()):
-        mid3 = _lmul(A, wa, n2.terms)
-        if not mid3:
-            continue
-        mid1 = _lmul(B, wb, m.terms)
-        if not mid1:
-            continue
-        for wb2, wa2, cw2 in P.w.candidates_left(n1.support()):
-            s2 = _lmul(A, wa2, n1.terms)
-            if not s2:
-                continue
-            s1 = _lmul(B, wb2, mid1)
-            if not s1:
-                continue
-            cc = cw * cw2
-            for l1, cc1 in s1.items():
-                for l2, cc2 in s2.items():
-                    c12 = cc * cc1 * cc2
-                    for l3, cc3 in mid3.items():
-                        add_term(rhs_terms, (l1, l2, l3), c12 * cc3)
-    return LinComb(lhs_terms), LinComb(rhs_terms)
+    # rhs: W_12 W_13, W applied from the left twice
+    mnn = {(l1, l2, l3): c1 * c2 * c3 for l1, c1 in m.terms.items()
+           for l2, c2 in n1.terms.items() for l3, c3 in n2.terms.items()}
+    rhs = _w_left(P, _w_left(P, mnn, 0, 2), 0, 1)
+    return LinComb(lhs_terms), LinComb(rhs)
 
 
 def w_inverse_residual(P: Pairing, m: LinComb, n: LinComb
@@ -364,38 +381,32 @@ def w_inverse_residual(P: Pairing, m: LinComb, n: LinComb
     """Invertibility of the canonical multiplier: its antipode twist is a
     two-sided inverse.  Returns (left roundtrip, right roundtrip,
     expected), where expected is ``m (x) n`` itself."""
-    A, B = P.A, P.B
-    a_mul, b_mul = A.mul_basis, B.mul_basis
+    B = P.B
+    a_mul, b_mul = P.A.mul_basis, B.mul_basis
 
-    def apply_w(val: LinComb, antipode: bool) -> LinComb:
+    def apply_sw(val: Dict) -> Dict:
+        # Own loop: the B-leg of (S (x) id)W is an antipode image, not a
+        # twisted basis label
         out: Dict[Tuple, object] = {}
-        for (l1, l2), c in val.terms.items():
+        for (l1, l2), c in val.items():
             for wb, wa, cw in P.w.candidates_left([l2]):
                 s2 = a_mul(wa, l2).terms
                 if not s2:
                     continue
-                if antipode:
-                    s1: Dict = {}
-                    for lb, cb in B.antipode_basis(wb).terms.items():
-                        add_scaled(s1, b_mul(lb, l1).terms.items(), cb)
-                else:
-                    s1 = b_mul(wb, l1).terms
-                if not s1:
-                    continue
+                s1: Dict = {}
+                for lb, cb in B.antipode_basis(wb).terms.items():
+                    add_scaled(s1, b_mul(lb, l1).terms.items(), cb)
                 cc = c * cw
                 for lb, c1 in s1.items():
                     for la, c2 in s2.items():
                         add_term(out, (lb, la), cc * c1 * c2)
-        return LinComb(out)
+        return out
 
-    expected: Dict[Tuple, object] = {}
-    for l1, c1 in m.terms.items():
-        for l2, c2 in n.terms.items():
-            add_term(expected, (l1, l2), c1 * c2)
-    start = LinComb(expected)
-    left_rt = apply_w(apply_w(start, True), False)    # W (S W) = 1
-    right_rt = apply_w(apply_w(start, False), True)   # (S W) W = 1
-    return left_rt, right_rt, start
+    start = {(l1, l2): c1 * c2 for l1, c1 in m.terms.items()
+             for l2, c2 in n.terms.items()}
+    left_rt = _w_left(P, apply_sw(start), 0, 1)      # W (S W) = 1
+    right_rt = apply_sw(_w_left(P, start, 0, 1))     # (S W) W = 1
+    return LinComb(left_rt), LinComb(right_rt), LinComb(start)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +420,13 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
     second leg, with the grading's automorphism quotient.  Applied to
     ``(u (x) m)`` — a crossed value at ``p`` and a plain A value.  Labels
     are flat ``(A, B, A)`` triples."""
-    A, B = P.A, P.B
-    t_a, aut_a, aut = A.t_image, A.aut_basis, B.aut_basis
+    A = P.A
+    a_mul, t_a, aut_a = A.mul_basis, A.t_image, A.aut_basis
     derived = P._gaut[p]
     binv = derived.beta_inv
     u_items = u.terms.items()
-    lhs_terms: Dict[Tuple, object] = {}
-    rhs_terms: Dict[Tuple, object] = {}
-    # lhs: W-twist times co-opposite coproduct
+    # lhs: W-twist times co-opposite coproduct, built first
+    cop: Dict[Tuple, object] = {}
     n = A.local_unit_for(m.support()).terms
     for la, ca in a.terms.items():
         for l0, k0 in n.items():
@@ -426,48 +436,36 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
                     continue
                 a2u: Dict = {}                    # (a2 |x| 1) * u, scaled
                 a_left_into(P, a2u, ca * k0 * c1, a2, u_items)
-                if not a2u:
-                    continue
-                for wb, wa, cw in P.w.candidates_left(list(tail)):
-                    s2 = _lmul(A, wa, tail)
-                    if not s2:
-                        continue
-                    s1: Dict = {}
-                    b_left_into(P, p, s1, cw, aut(binv, wb), a2u.items())
-                    for (l1a, l1b), c2 in s1.items():
-                        for l2, c3 in s2.items():
-                            add_term(lhs_terms, (l1a, l1b, l2), c2 * c3)
-    # rhs: coproduct with precomposed second leg, times the W-twist
-    psi, psi_inv = derived.quotient, derived.quotient_inv
-    cands = []
-    union: Dict = {}
-    for wb, wa, cw in P.w.candidates_left(m.support()):
-        tail = _lmul(A, wa, m.terms)
-        union.update(dict.fromkeys(tail))
-        if tail:
-            # (1 |x| binv(wb)) * u, the same for every term of a
-            wu: Dict = {}
-            b_left_into(P, p, wu, cw, aut(binv, wb), u_items)
-            if wu:
-                cands.append((tail, wu))
-    if union:
-        n_all = A.local_unit_for(list(union))
-        n2 = A.apply_aut(psi, n_all).terms
+                for (l1a, l1b), c2 in a2u.items():
+                    for l2, c3 in tail.items():
+                        add_term(cop, (l1a, l1b, l2), c2 * c3)
+    lhs = _w_left(P, cop, (0, p), 2, binv)
+    # rhs: coproduct with precomposed second leg, times the W-twist; the
+    # terms of W (u (x) m) are read in rows of one A-label
+    rows: Dict = {}
+    um = {(l1a, l1b, l2): c1 * c2 for (l1a, l1b), c1 in u_items
+          for l2, c2 in m.terms.items()}
+    for (l1a, l1b, l2), c in _w_left(P, um, (0, p), 2, binv).items():
+        rows.setdefault(l2, {})[l1a, l1b] = c
+    rhs_terms: Dict[Tuple, object] = {}
+    if rows:
+        psi, psi_inv = derived.quotient, derived.quotient_inv
+        n2 = A.apply_aut(psi, A.local_unit_for(list(rows))).terms
         for la, ca in a.terms.items():
             for l0, k0 in n2.items():
                 for (a1, a2n), c1 in t_a(1, la, l0).terms.items():
                     lifted = aut_a(psi_inv, a2n)
                     cc = ca * k0 * c1
-                    for tail, wu in cands:
-                        s2 = _lmul(A, lifted, tail)
+                    for l2, row in rows.items():
+                        s2 = a_mul(lifted, l2).terms
                         if not s2:
                             continue
                         s1: Dict = {}
-                        a_left_into(P, s1, cc, a1, wu.items())
+                        a_left_into(P, s1, cc, a1, row.items())
                         for (l1a, l1b), c2 in s1.items():
-                            for l2, c3 in s2.items():
-                                add_term(rhs_terms, (l1a, l1b, l2), c2 * c3)
-    return LinComb(lhs_terms), LinComb(rhs_terms)
+                            for l3, c3 in s2.items():
+                                add_term(rhs_terms, (l1a, l1b, l3), c2 * c3)
+    return LinComb(lhs), LinComb(rhs_terms)
 
 
 def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
@@ -479,14 +477,13 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
     value at ``q``; the twist automorphism comes from ``p``.  Labels are
     flat ``(B, A, B)`` triples."""
     B = P.B
-    t_b, aut = B.t_image, B.aut_basis
+    b_mul, t_b, aut = B.mul_basis, B.t_image, B.aut_basis
     binv = P._gaut[p].beta_inv
     gamma = q.alpha
     gamma_p, gamma_p_inv, aut1, aut1_inv = P._wbaut[p, q]
     u_items = u.terms.items()
-    lhs_terms: Dict[Tuple, object] = {}
-    rhs_terms: Dict[Tuple, object] = {}
-    # lhs: W-twist times the graded coproduct legs
+    # lhs: W-twist times the graded coproduct legs, built first
+    cop: Dict[Tuple, object] = {}
     c = P.crossed_right_unit(q, u)
     c0 = B.apply_aut(gamma_p_inv, c).terms
     for lb, cb in b.terms.items():
@@ -496,40 +493,31 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
                 b_left_into(P, q, s, cb * k0 * c1, aut(gamma_p, b2c), u_items)
                 if not s:
                     continue
-                gb1m = _lmul(B, aut(gamma, b1), m.terms)
-                if not gb1m:
-                    continue
-                for wb, wa, cw in P.w.candidates_left([t[0] for t in s]):
-                    s2: Dict = {}
-                    a_left_into(P, s2, cw, wa, s.items())
-                    if not s2:
-                        continue
-                    s1 = _lmul(B, aut(binv, wb), gb1m)
-                    for l1, cc1 in s1.items():
-                        for (l2a, l2b), cc2 in s2.items():
-                            add_term(lhs_terms, (l1, l2a, l2b), cc1 * cc2)
-    # rhs: dressed co-opposite coproduct times the W-twist
-    for wb, wa, cw in P.w.candidates_left([t[0] for t in u.terms]):
-        emb: Dict = {}
-        a_left_into(P, emb, cw, wa, u_items)
-        if not emb:
-            continue
-        y = _lmul(B, aut(binv, wb), m.terms)
-        if not y:
-            continue
-        n = B.local_unit_for(list(y))
-        c0p = B.apply_aut(aut1_inv, n).terms
-        emb_items = emb.items()
+                for l1, cc1 in _lmul(B, aut(gamma, b1), m.terms).items():
+                    for (l2a, l2b), cc2 in s.items():
+                        add_term(cop, (l1, l2a, l2b), cc1 * cc2)
+    lhs = _w_left(P, cop, 0, 1, binv)
+    # rhs: dressed co-opposite coproduct times the W-twist; the terms of
+    # W (m (x) u) are read in rows of one B-label, each with its own unit
+    rows: Dict = {}
+    mu = {(l1, l2a, l2b): c1 * c2 for l1, c1 in m.terms.items()
+          for (l2a, l2b), c2 in u_items}
+    for (l1, l2a, l2b), c in _w_left(P, mu, 0, 1, binv).items():
+        rows.setdefault(l1, {})[l2a, l2b] = c
+    rhs_terms: Dict[Tuple, object] = {}
+    for l1, row in rows.items():
+        c0p = B.apply_aut(aut1_inv, B.local_unit_for([l1])).terms
+        row_items = row.items()
         for lb, cb in b.terms.items():
             for l0, k0 in c0p.items():
                 for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
-                    s1 = _lmul(B, aut(aut1, b2c), y)
+                    s1 = b_mul(aut(aut1, b2c), l1).terms
                     if not s1:
                         continue
                     s2: Dict = {}
                     b_left_into(P, q, s2, cb * k0 * c1, aut(gamma_p, b1),
-                                emb_items)
-                    for l1, cc1 in s1.items():
+                                row_items)
+                    for l3, cc1 in s1.items():
                         for (l2a, l2b), cc2 in s2.items():
-                            add_term(rhs_terms, (l1, l2a, l2b), cc1 * cc2)
-    return LinComb(lhs_terms), LinComb(rhs_terms)
+                            add_term(rhs_terms, (l3, l2a, l2b), cc1 * cc2)
+    return LinComb(lhs), LinComb(rhs_terms)

@@ -63,19 +63,23 @@ def _crossed(a, b):
                     for lb, cb in b.terms.items()})
 
 
-def _r_right_brute(P, p, q, uv):
-    """The R-multiplier of (p, q) applied on the right, summed over every
-    term of W: u (1 |x| beta^-1(w_b)) at p, tensored with v (w_a |x| 1) at
-    q, each a crossed product through ``dcp_mul``."""
+def _r_brute(P, p, q, uv, side):
+    """The R-multiplier of (p, q) applied from ``side``, summed over every
+    term of W: on the left (1 |x| beta^-1(w_b)) u at p, tensored with
+    (w_a |x| 1) v at q; on the right u (1 |x| beta^-1(w_b)) at p, tensored
+    with v (w_a |x| 1) at q; each a crossed product through ``dcp_mul``."""
     A, B = P.A, P.B
     binv = p.beta.inverse()
     out: dict = {}
     for (ua, ub, va, vb), c in uv.terms.items():
         u, v = LinComb.unit((ua, ub), c), LinComb.unit((va, vb))
         for wb, wa, cw in P.w.all_terms():
-            left = dcp_mul(P, p, u, _crossed(
-                A.unit(), B.apply_aut(binv, B.lc(wb))))
-            right = dcp_mul(P, q, v, _crossed(A.lc(wa), B.unit()))
+            b_leg = _crossed(A.unit(), B.apply_aut(binv, B.lc(wb)))
+            a_leg = _crossed(A.lc(wa), B.unit())
+            if side == "left":
+                left, right = dcp_mul(P, p, b_leg, u), dcp_mul(P, q, a_leg, v)
+            else:
+                left, right = dcp_mul(P, p, u, b_leg), dcp_mul(P, q, v, a_leg)
             for l1, c1 in left.terms.items():
                 for l2, c2 in right.terms.items():
                     add_term(out, l1 + l2, cw * c1 * c2)
@@ -84,8 +88,9 @@ def _r_right_brute(P, p, q, uv):
 
 @pytest.mark.parametrize("case", [c for c in engine_cases() if c[0] in (
     "s3-inner", "double-f10007", "h4-sweedler")], ids=lambda c: c[0])
-def test_r_apply_right_matches_brute_force(case):
-    """``r_apply(side="right")`` against the sum over all of W on 48
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_r_apply_matches_brute_force(side, case):
+    """``r_apply`` from either side against the sum over all of W on 48
     two-term values with mixed coefficients, spread over every ordered pair
     of gradings."""
     name, make, gradings, coeffs = case
@@ -98,8 +103,8 @@ def test_r_apply_right_matches_brute_force(case):
             uv = LinComb.from_pairs(
                 (rng.choice(basis) + rng.choice(basis), rng.choice(coeffs))
                 for _ in range(2))
-            expected = _r_right_brute(P, p, q, uv)
-            assert r_apply(P, p, q, uv, "right") == expected
+            expected = _r_brute(P, p, q, uv, side)
+            assert r_apply(P, p, q, uv, side) == expected
             checked += not expected.is_zero()
     assert checked
 
