@@ -442,9 +442,9 @@ def w_intertwiner_residual_a(P: Pairing, p: AutPair, a: LinComb, u: LinComb,
     lhs = _w_left(P, cop, (0, p), 2, binv)
     # rhs: coproduct with precomposed second leg, times the W-twist; the
     # terms of W (u (x) m) are read in rows of one A-label
-    rows: Dict = {}
     um = {(l1a, l1b, l2): c1 * c2 for (l1a, l1b), c1 in u_items
           for l2, c2 in m.terms.items()}
+    rows: Dict = {}
     for (l1a, l1b, l2), c in _w_left(P, um, (0, p), 2, binv).items():
         rows.setdefault(l2, {})[l1a, l1b] = c
     rhs_terms: Dict[Tuple, object] = {}
@@ -499,9 +499,9 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
     lhs = _w_left(P, cop, 0, 1, binv)
     # rhs: dressed co-opposite coproduct times the W-twist; the terms of
     # W (m (x) u) are read in rows of one B-label, each with its own unit
-    rows: Dict = {}
     mu = {(l1, l2a, l2b): c1 * c2 for l1, c1 in m.terms.items()
           for (l2a, l2b), c2 in u_items}
+    rows: Dict = {}
     for (l1, l2a, l2b), c in _w_left(P, mu, 0, 1, binv).items():
         rows.setdefault(l1, {})[l2a, l2b] = c
     rhs_terms: Dict[Tuple, object] = {}
