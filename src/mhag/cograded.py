@@ -9,6 +9,13 @@ action that permutes components by conjugation, and the twisted
 comultiplication obtained by composing with the crossing action on the
 first slot.
 
+The second B-leg of the graded comultiplication is covered in one place,
+``b_split``: it splits one B-label by ``Delta_B`` against a finite right
+unit and returns the first legs, twisted, with the covered second legs as
+crossed values.  The right side of ``comul_covered``, the lhs of
+``quasitri.qt_coproduct_first_residual`` and the lhs of
+``quasitri.w_intertwiner_residual_b`` read it.
+
 Conventions
 -----------
 * A homogeneous component value is a ``LinComb`` over ``(A-label,
@@ -28,7 +35,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .crossed import EngineError, b_left_into, dcp_mul, twist_inv, twist_map
 from .groups import AutPair
@@ -46,6 +53,30 @@ def graded_counit(P: Pairing, value: LinComb):
     return total
 
 
+def b_split(P: Pairing, lb, scale, right_g: AutPair, gamma_p, gamma_p_inv,
+            cover: LinComb) -> List[Tuple[object, Dict]]:
+    """The B-leg of the graded coproduct, covered on its second leg: the
+    pairs ``(gamma(b1), s2)`` of the sum ``Delta_B(lb)`` with ``gamma =
+    right_g.alpha``, where ``s2`` is the term dict of ``scale * (1 |x|
+    gamma_p(b2)) * cover`` at ``right_g``.  The cover of ``b2`` is the
+    ``gamma_p_inv`` image of ``P.crossed_right_unit(right_g, cover)``, so
+    every sum is finite; pairs whose ``s2`` is zero are left out."""
+    B = P.B
+    t_b, aut = B.t_image, B.aut_basis
+    gamma = right_g.alpha
+    c0 = B.apply_aut(gamma_p_inv, P.crossed_right_unit(right_g, cover)).terms
+    cover_items = cover.terms.items()
+    out = []
+    for l0, k0 in c0.items():
+        for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+            s2: Dict = {}
+            b_left_into(P, right_g, s2, scale * k0 * c1, aut(gamma_p, b2c),
+                        cover_items)
+            if s2:
+                out.append((aut(gamma, b1), s2))
+    return out
+
+
 def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                   cover: LinComb, side: str = "right") -> LinComb:
     """Covered graded comultiplication of a homogeneous value ``x`` (at the
@@ -61,31 +92,19 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
     emitted on which slot (a defect planted for mutation testing).
     """
     A, B = P.A, P.B
-    t_a, t_b, aut = A.t_image, B.t_image, B.aut_basis
-    cop_first = P.cop_first_leg
-    gamma = right_g.alpha
+    t_a, cop_first = A.t_image, P.cop_first_leg
     gamma_p, gamma_p_inv = P._split[left_g, right_g]
     out: Dict[Tuple, object] = {}
 
     if side == "right":
-        c = P.crossed_right_unit(right_g, cover)
-        c0 = B.apply_aut(gamma_p_inv, c).terms
-        cover_items = cover.terms.items()
         for (la, lb), cx in x.terms.items():
-            for l0, k0 in c0.items():
-                # sum b1 (x) b2*c0
-                for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
-                    s2: Dict = {}
-                    b_left_into(P, right_g, s2, cx * k0 * c1,
-                                aut(gamma_p, b2c), cover_items)
-                    if not s2:
-                        continue
-                    lb1g = aut(gamma, b1)
-                    for (a_t, b_t), c2 in s2.items():
-                        for (a1c, a2), c3 in t_a(3, la, a_t).terms.items():
-                            first, second = ((a2, a1c) if cop_first
-                                             else (a1c, a2))
-                            add_term(out, (first, lb1g, second, b_t), c2 * c3)
+            for lb1g, s2 in b_split(P, lb, cx, right_g, gamma_p, gamma_p_inv,
+                                    cover):
+                for (a_t, b_t), c2 in s2.items():
+                    for (a1c, a2), c3 in t_a(3, la, a_t).terms.items():
+                        first, second = ((a2, a1c) if cop_first
+                                         else (a1c, a2))
+                        add_term(out, (first, lb1g, second, b_t), c2 * c3)
         return LinComb(out)
 
     if side != "left":
@@ -94,7 +113,8 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
         raise EngineError(
             "left-covered-comultiplication-requires-unital-B")
     alpha, beta = left_g
-    b_mul, act_into = B.mul_basis, P.act_into
+    gamma = right_g.alpha
+    t_b, aut, b_mul, act_into = B.t_image, B.aut_basis, B.mul_basis, P.act_into
     one = P.field.one()
     one_b = B.unit().terms
     e = B.local_unit_for([t[0] for t in x.terms])

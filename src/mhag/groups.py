@@ -306,6 +306,12 @@ class Automorphism:
             self._key = tuple(mapping[x] for x in order)
             self._id = self._key == tuple(order)
         else:
+            # An image map cannot describe an automorphism of the integers;
+            # dropping it would read any map as the identity.
+            if mapping is not None:
+                raise GroupError(
+                    "int-automorphism: an automorphism of the integers is "
+                    "'identity' or 'negation', not an image map")
             if sign not in (1, -1):
                 raise GroupError("int-automorphism: sign must be +1 or -1")
             self._map = None
@@ -521,7 +527,7 @@ def aut_from_json(group: Group, spec) -> Automorphism:
     Accepted forms: ``"identity"``, ``"negation"``,
     ``{"kind": "inner", "by": <element>}``, and
     ``{"kind": "map", "images": {<elem>: <elem>, ...}}`` (or an image list
-    aligned with the group's canonical element order).
+    aligned with the group's canonical element order; finite groups only).
     """
     if spec == "identity" or spec is None:
         return identity_aut(group)

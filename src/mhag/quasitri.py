@@ -11,12 +11,18 @@ multiplies one A-label of a flat tensor value, its B-leg (twisted when
 asked) one plain B-label or one crossed slot.  The left R-multiplier, the
 W_13 W_23 and W_12 W_13 sides of the two coproduct identities of W, the
 plain W of its inverse law and the W step of both sides of the two
-intertwiner laws are calls to it.  Six loops over W keep their own
-formula, each the independent side of its identity: the right
-R-multiplier (W acts from the right), the lhs of ``qt_coproduct_first``,
-``qt_coproduct_second``, ``w_coproduct_b`` and ``w_coproduct_a`` (a leg
-of W goes through a coproduct) and the (S (x) id)W step of
-``w_inverse_residual`` (its B-leg is an antipode image).
+intertwiner laws are calls to it; the right-hand sides of
+``qt_coproduct_first`` and ``qt_coproduct_second`` are compositions of
+``_w_left`` and ``cograded.xi_on_legs`` on the whole six-slot tensor.
+Six loops over W keep their own formula, each the independent side of its
+identity: the right R-multiplier (W acts from the right), the lhs of
+``qt_coproduct_first``, ``qt_coproduct_second``, ``w_coproduct_b`` and
+``w_coproduct_a`` (a leg of W goes through a coproduct) and the
+(S (x) id)W step of ``w_inverse_residual`` (its B-leg is an antipode
+image).  Where the B-leg of W (or of ``b``) goes through the graded
+coproduct, in the lhs of ``qt_coproduct_first`` and of
+``w_intertwiner_residual_b``, its covered split is read from
+``cograded.b_split``.
 
 The residual functions each return the sides of a structural identity,
 ``(lhs, rhs)``, as honestly computed tensor values so callers can compare
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .cograded import comul_apply_full, xi_on_legs
+from .cograded import b_split, comul_apply_full, xi_on_legs
 from .crossed import a_left_into, b_left_into
 from .groups import AutPair
 from .linear import LinComb, add_scaled, add_term
@@ -133,38 +139,6 @@ def r_apply(P: Pairing, left_g: AutPair, right_g: AutPair, uv: LinComb,
     return LinComb(out)
 
 
-def _comul_b_embedded(P: Pairing, lb, scale, left_g: AutPair,
-                      right_g: AutPair, u_items, v: LinComb) -> Dict:
-    """``scale * Delta(1 |x| lb) * (u (x) v)`` for a B-embedded basis
-    multiplier, as a term dict: the graded comultiplication has no A-legs
-    here, so both slots are plain B-embedded left multiplications, covered
-    on the right leg."""
-    B = P.B
-    t_b, aut = B.t_image, B.aut_basis
-    gamma = right_g.alpha
-    gamma_p, gamma_p_inv = P._split[left_g, right_g]
-    c = P.crossed_right_unit(right_g, v)
-    c0 = B.apply_aut(gamma_p_inv, c).terms
-    one = P.field.one()
-    v_items = v.terms.items()
-    out: Dict[Tuple, object] = {}
-    for l0, k0 in c0.items():
-        for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
-            s2: Dict = {}
-            b_left_into(P, right_g, s2, scale * k0 * c1, aut(gamma_p, b2c),
-                        v_items)
-            if not s2:
-                continue
-            s1: Dict = {}
-            b_left_into(P, left_g, s1, one, aut(gamma, b1), u_items)
-            if not s1:
-                continue
-            for (l1a, l1b), c2 in s1.items():
-                for (l2a, l2b), c3 in s2.items():
-                    add_term(out, (l1a, l1b, l2a, l2b), c2 * c3)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The four structural identities of the R-multiplier.
 # ---------------------------------------------------------------------------
@@ -194,13 +168,11 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
     R-multiplier's first leg factors through two R-multipliers, with a
     crossing correction on the outer 13-factor.  ``uvz`` is a 6-tuple
     tensor with slots at ``p, q, r``."""
-    A, B = P.A, P.B
-    a_mul, aut = A.mul_basis, B.aut_basis
+    a_mul, aut = P.A.mul_basis, P.B.aut_basis
     binv = P._gaut[P._gmul[p, q]].beta_inv
+    gamma_p, gamma_p_inv = P._split[p, q]
+    one = P.field.one()
     lhs_terms: Dict[Tuple, object] = {}
-    rhs_terms: Dict[Tuple, object] = {}
-    qinv = P._gaut[q].inv
-    qrq = P._cross[q, r].target
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
         u_items = (((ua, ub), c),)
         v = LinComb.unit((va, vb))
@@ -210,23 +182,24 @@ def qt_coproduct_first_residual(P: Pairing, p: AutPair, q: AutPair,
             s3 = a_mul(wa, za).terms              # (wa |x| 1) * z
             if not s3:
                 continue
-            s12 = _comul_b_embedded(P, aut(binv, wb), cw, p, q, u_items, v)
-            for (l1a, l1b, l2a, l2b), c1 in s12.items():
-                for l3a, c2 in s3.items():
-                    add_term(lhs_terms, (l1a, l1b, l2a, l2b, l3a, zb),
-                             c1 * c2)
-        # rhs: 23-factor first, then the crossing-corrected 13-factor
-        base23 = r_apply(P, q, r, LinComb.unit((va, vb, za, zb)), "left")
-        for (v1a, v1b, z1a, z1b), c1 in base23.terms.items():
-            zconj = xi_on_legs(P, q, r, LinComb.unit((z1a, z1b)), 0, 1)
-            pairin: Dict[Tuple, object] = {}
-            for (zca, zcb), c2 in zconj.terms.items():
-                add_term(pairin, (ua, ub, zca, zcb), c2)
-            t13 = r_apply(P, p, qrq, LinComb(pairin), "left")
-            t13 = xi_on_legs(P, qinv, qrq, t13, 2, 3)
-            for (u1a, u1b, z2a, z2b), c3 in t13.terms.items():
-                add_term(rhs_terms, (u1a, u1b, v1a, v1b, z2a, z2b), c * c1 * c3)
-    return LinComb(lhs_terms), LinComb(rhs_terms)
+            for lb1g, s2 in b_split(P, aut(binv, wb), cw, q, gamma_p,
+                                    gamma_p_inv, v):
+                s1: Dict = {}
+                b_left_into(P, p, s1, one, lb1g, u_items)
+                for (l1a, l1b), c1 in s1.items():
+                    for (l2a, l2b), c2 in s2.items():
+                        c12 = c1 * c2
+                        for l3a, c3 in s3.items():
+                            add_term(lhs_terms, (l1a, l1b, l2a, l2b, l3a, zb),
+                                     c12 * c3)
+    # rhs: the 23-factor, then the 13-factor conjugated into place by the
+    # crossing action of q on the third slot and back
+    qinv = P._gaut[q].inv
+    qrq = P._cross[q, r].target
+    t23 = _w_left(P, uvz.terms, (2, q), 4, P._gaut[q].beta_inv)
+    conj = xi_on_legs(P, q, r, LinComb(t23), 4, 5)
+    t13 = _w_left(P, conj.terms, (0, p), 4, P._gaut[p].beta_inv)
+    return LinComb(lhs_terms), xi_on_legs(P, qinv, qrq, LinComb(t13), 4, 5)
 
 
 def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
@@ -239,7 +212,6 @@ def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
     a_mul, t_a, aut = A.mul_basis, A.t_image, B.aut_basis
     binv = P._gaut[p].beta_inv
     lhs_terms: Dict[Tuple, object] = {}
-    rhs_terms: Dict[Tuple, object] = {}
     for (ua, ub, va, vb, za, zb), c in uvz.terms.items():
         u_items = (((ua, ub), c),)
         # lhs: the A-leg coproduct (co-opposite) spread over slots 3 and 2;
@@ -266,14 +238,9 @@ def qt_coproduct_second_residual(P: Pairing, p: AutPair, q: AutPair,
                                 add_term(lhs_terms,
                                          (l1a, l1b, l2a, vb, l3a, zb),
                                          c4 * c5)
-        # rhs: 12-factor first, then 13
-        t12 = r_apply(P, p, q, LinComb.unit((ua, ub, va, vb)), "left")
-        for (u1a, u1b, v1a, v1b), c1 in t12.terms.items():
-            t13 = r_apply(P, p, r, LinComb.unit((u1a, u1b, za, zb)), "left")
-            for (u2a, u2b, z1a, z1b), c2 in t13.terms.items():
-                add_term(rhs_terms, (u2a, u2b, v1a, v1b, z1a, z1b),
-                         c * c1 * c2)
-    return LinComb(lhs_terms), LinComb(rhs_terms)
+    # rhs: 12-factor first, then 13
+    rhs = _w_left(P, _w_left(P, uvz.terms, (0, p), 2, binv), (0, p), 4, binv)
+    return LinComb(lhs_terms), LinComb(rhs)
 
 
 def qt_intertwine_residual(P: Pairing, p: AutPair, q: AutPair, x: LinComb,
@@ -286,15 +253,10 @@ def qt_intertwine_residual(P: Pairing, p: AutPair, q: AutPair, x: LinComb,
     pinv = P._gaut[p].inv
     pprime = P._cross[p, q].target
     lhs = r_apply(P, p, q, comul_apply_full(P, x, p, q, u, v), "left")
-    uv: Dict[Tuple, object] = {}
-    for (la1, lb1), c1 in u.terms.items():
-        for (la2, lb2), c2 in v.terms.items():
-            add_term(uv, (la1, lb1, la2, lb2), c1 * c2)
-    base = r_apply(P, p, q, LinComb(uv), "left")
+    conj = xi_on_legs(P, p, q, r_apply(P, p, q, u.tensor(v), "left"), 2, 3)
     rhs_terms: Dict[Tuple, object] = {}
-    for (u1a, u1b, v1a, v1b), c in base.terms.items():
-        vconj = xi_on_legs(P, p, q, LinComb.unit((v1a, v1b)), 0, 1)
-        full = comul_apply_full(P, x, pprime, p, vconj,
+    for (u1a, u1b, v1a, v1b), c in conj.terms.items():
+        full = comul_apply_full(P, x, pprime, p, LinComb.unit((v1a, v1b)),
                                 LinComb.unit((u1a, u1b)))
         full = xi_on_legs(P, pinv, pprime, full, 0, 1)
         for (s1a, s1b, s2a, s2b), c1 in full.terms.items():
@@ -479,23 +441,15 @@ def w_intertwiner_residual_b(P: Pairing, p: AutPair, q: AutPair, b: LinComb,
     B = P.B
     b_mul, t_b, aut = B.mul_basis, B.t_image, B.aut_basis
     binv = P._gaut[p].beta_inv
-    gamma = q.alpha
     gamma_p, gamma_p_inv, aut1, aut1_inv = P._wbaut[p, q]
     u_items = u.terms.items()
     # lhs: W-twist times the graded coproduct legs, built first
     cop: Dict[Tuple, object] = {}
-    c = P.crossed_right_unit(q, u)
-    c0 = B.apply_aut(gamma_p_inv, c).terms
     for lb, cb in b.terms.items():
-        for l0, k0 in c0.items():
-            for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
-                s: Dict = {}
-                b_left_into(P, q, s, cb * k0 * c1, aut(gamma_p, b2c), u_items)
-                if not s:
-                    continue
-                for l1, cc1 in _lmul(B, aut(gamma, b1), m.terms).items():
-                    for (l2a, l2b), cc2 in s.items():
-                        add_term(cop, (l1, l2a, l2b), cc1 * cc2)
+        for lb1g, s in b_split(P, lb, cb, q, gamma_p, gamma_p_inv, u):
+            for l1, cc1 in _lmul(B, lb1g, m.terms).items():
+                for (l2a, l2b), cc2 in s.items():
+                    add_term(cop, (l1, l2a, l2b), cc1 * cc2)
     lhs = _w_left(P, cop, 0, 1, binv)
     # rhs: dressed co-opposite coproduct times the W-twist; the terms of
     # W (m (x) u) are read in rows of one B-label, each with its own unit

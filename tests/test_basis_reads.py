@@ -943,13 +943,16 @@ class TestBasisReads:
 
     def test_qt_coproduct_residuals(self, case):
         P, gradings, inp = _setup(case)
+        # A one-term tensor, as the suites pass, and a multi-term one: the
+        # right-hand sides apply W to the whole tensor at once.
         for p, q in _pairs(gradings)[:3]:
             r = gradings[-1]
-            uvz = inp.crossed6(1)
-            assert qt_coproduct_first_residual(P, p, q, r, uvz) == \
-                _ref_qt_coproduct_first(P, p, q, r, uvz)
-            assert qt_coproduct_second_residual(P, p, q, r, uvz) == \
-                _ref_qt_coproduct_second(P, p, q, r, uvz)
+            for size in (1, 3):
+                uvz = inp.crossed6(size)
+                assert qt_coproduct_first_residual(P, p, q, r, uvz) == \
+                    _ref_qt_coproduct_first(P, p, q, r, uvz)
+                assert qt_coproduct_second_residual(P, p, q, r, uvz) == \
+                    _ref_qt_coproduct_second(P, p, q, r, uvz)
 
     def test_w_residuals(self, case):
         P, _, inp = _setup(case)

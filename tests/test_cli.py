@@ -144,6 +144,18 @@ class TestVerify:
             assert (rc, err) == (0, "")
             assert json.loads(out)["status"] == "pass"
 
+    def test_map_grading_on_the_integers_exits_two(self, capsys, tmp_path):
+        # Negation given as an image map once ran as the identity grading.
+        neg_map = {"kind": "map", "images": {"1": -1}}
+        spec = write_spec(tmp_path, session_spec(
+            group_instance("Z"), gradings=[[IDENT, IDENT], [neg_map, NEG]],
+            enum=sampled(40, 3)))
+        rc, out, err = run_cli(capsys, "verify", "--spec", spec,
+                               "--suite", "cograded")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "'negation'" in err
+        assert err.count("\n") == 1
+
     def test_out_flag_writes_file(self, tmp_path, capsys, z2_spec):
         target = tmp_path / "report.json"
         rc, out, _ = run_cli(capsys, "verify", "--spec", z2_spec,

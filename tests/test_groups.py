@@ -225,6 +225,17 @@ def test_aut_from_json_kinds():
         aut_from_json(z3, {"kind": "outer"})
 
 
+@pytest.mark.parametrize("images", [{"1": -1}, {"1": 7}, {"1": 1}])
+def test_map_aut_on_the_integers_is_refused(images):
+    # An image map on Z was once dropped, so negation and a non-automorphism
+    # alike decoded as the identity.
+    z = IntGroup()
+    with pytest.raises(GroupError, match="'identity' or 'negation'"):
+        aut_from_json(z, {"kind": "map", "images": images})
+    with pytest.raises(GroupError, match="'identity' or 'negation'"):
+        map_aut(z, {1: -1})
+
+
 class TestAutPairStructure:
     """The grading set: ordered automorphism pairs with the twisted product."""
 
