@@ -8,7 +8,12 @@ Three element backends are provided:
 * :class:`IntGroup` — the additive integers (the one infinite backend).
 
 An :class:`Automorphism` is stored extensionally (image tuple) for finite
-groups and as a sign for the integers, so equality and hashing are by value.
+groups and as a sign for the integers.  Each group interns its
+automorphisms: however one is built (decoded, composed, inverted or
+constructed directly), the same map of the same group is the same object.
+So equality and hashing are by identity, and a table keyed by gradings
+compares and hashes them without a Python call.  Automorphisms of two
+group objects are never equal, even when the groups are.
 :class:`AutPair` carries two commuting-datum automorphisms ``(alpha, beta)``;
 the pair set forms a group under
 
@@ -23,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .linear import BasisTable
 from .scalars import json_int
 
 
@@ -34,6 +40,13 @@ class Group:
     """Common interface: hashable element labels with exact operations."""
 
     is_finite: bool
+
+    def __init__(self):
+        # The automorphisms of this group built so far, by their key (see
+        # Automorphism).  It only grows, and it is bounded: a finite group
+        # has finitely many automorphisms and the integers have two; a group
+        # with infinitely many would hold only those a session builds.
+        self._auts: Dict = {}
 
     def op(self, x, y):
         raise NotImplementedError
@@ -80,6 +93,7 @@ class TableGroup(Group):
     is_finite = True
 
     def __init__(self, labels: Sequence, table: Dict[Tuple, object], identity):
+        super().__init__()
         self._labels = list(labels)
         if len(set(self._labels)) != len(self._labels):
             raise GroupError("duplicate-labels: group labels must be distinct")
@@ -158,17 +172,25 @@ class TableGroup(Group):
         return f"TableGroup(order={len(self._labels)})"
 
 
+def _perm_product(x, y):
+    """(x y)(i) = x(y(i)): apply y first."""
+    return tuple(map(x.__getitem__, y))
+
+
 class PermGroup(Group):
     """A permutation group on ``{0, ..., n-1}``; elements are image tuples.
 
     The element set is the BFS closure of the generators (bounded at 20000
-    elements to catch runaway input).
+    elements to catch runaway input).  Inverses are read from a dict filled
+    with the closure; products from a table filled on first use, since a
+    full Cayley table of 20000 elements would hold 4 * 10**8 entries.
     """
 
     is_finite = True
     _CLOSURE_BOUND = 20000
 
     def __init__(self, n: int, generators: Iterable[Tuple[int, ...]]):
+        super().__init__()
         self.n = n
         gens = []
         for g in generators:
@@ -195,16 +217,19 @@ class PermGroup(Group):
             frontier = nxt
         self._elements = sorted(seen)
         self._set = seen
+        self._inv = {}
+        for x in self._elements:
+            out = [0] * n
+            for i, xi in enumerate(x):
+                out[xi] = i
+            self._inv[x] = tuple(out)
+        self._mul = BasisTable(_perm_product)
 
     def op(self, x, y):
-        # (x y)(i) = x(y(i)): apply y first.
-        return tuple(map(x.__getitem__, y))
+        return self._mul[x, y]
 
     def inv(self, x):
-        out = [0] * self.n
-        for i, xi in enumerate(x):
-            out[xi] = i
-        return tuple(out)
+        return self._inv[x]
 
     @property
     def identity(self):
@@ -277,34 +302,40 @@ class IntGroup(Group):
         return "IntGroup()"
 
 
+def _validate_finite(group: Group, m: Dict, order: List) -> None:
+    if set(m.keys()) != set(order) or set(m.values()) != set(order):
+        raise GroupError("automorphism-not-bijective: images must permute the group")
+    for x in order:
+        for y in order:
+            if m[group.op(x, y)] != group.op(m[x], m[y]):
+                raise GroupError(
+                    f"automorphism-not-homomorphic: fails at ({x!r}, {y!r})"
+                )
+
+
 class Automorphism:
     """A group automorphism in extensional normal form.
 
-    Finite backends store the full image map (hash/eq via the image tuple in
-    the group's canonical element order); the integer backend stores a sign.
-    Constructors validate the homomorphism and bijection properties.
+    Finite backends store the full image map, keyed by the image tuple in
+    the group's canonical element order; the integer backend stores a sign.
+    Constructors validate the homomorphism and bijection properties, then
+    return the group's existing automorphism with the same key if there is
+    one: so equal automorphisms of one group are one object, and equality
+    and hashing are the default identity tests.
     """
 
-    __slots__ = ("group", "_map", "_sign", "_key", "_hash", "_id", "_inv",
-                 "_comp")
+    __slots__ = ("group", "_map", "_sign", "_id", "_inv", "_comp")
 
-    def __init__(self, group: Group, mapping: Optional[Dict] = None, sign: int = 1,
-                 _validated: bool = False):
-        self.group = group
-        # Derived automorphisms, made once each: the inverse, and
-        # compositions keyed by the right factor's key.
-        self._inv: Optional[Automorphism] = None
-        self._comp: Dict = {}
+    def __new__(cls, group: Group, mapping: Optional[Dict] = None,
+                sign: int = 1, _validated: bool = False):
         if group.is_finite:
-            if mapping is None:
-                mapping = {x: x for x in group.elements()}
-            self._map = mapping
-            self._sign = 0
             order = group.elements()
-            if not _validated:
-                self._validate_finite(order)
-            self._key = tuple(mapping[x] for x in order)
-            self._id = self._key == tuple(order)
+            if mapping is None:
+                mapping = {x: x for x in order}
+            elif not _validated:
+                _validate_finite(group, mapping, order)
+            key = tuple(mapping[x] for x in order)
+            sign, identity_key = 0, tuple(order)
         else:
             # An image map cannot describe an automorphism of the integers;
             # dropping it would read any map as the identity.
@@ -314,25 +345,22 @@ class Automorphism:
                     "'identity' or 'negation', not an image map")
             if sign not in (1, -1):
                 raise GroupError("int-automorphism: sign must be +1 or -1")
-            self._map = None
+            key, identity_key = sign, 1
+        # Only a validated map reaches the registry.
+        self = group._auts.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.group = group
+            self._map = mapping
             self._sign = sign
-            self._key = sign
-            self._id = sign == 1
-        # Decided once: the hash is read on every table lookup keyed by a
-        # grading, and _id on every MhaInstance.apply_aut.
-        self._hash = hash(self._key)
-
-    def _validate_finite(self, order):
-        m = self._map
-        if set(m.keys()) != set(order) or set(m.values()) != set(order):
-            raise GroupError("automorphism-not-bijective: images must permute the group")
-        g = self.group
-        for x in order:
-            for y in order:
-                if m[g.op(x, y)] != g.op(m[x], m[y]):
-                    raise GroupError(
-                        f"automorphism-not-homomorphic: fails at ({x!r}, {y!r})"
-                    )
+            # Decided once: read on every MhaInstance.apply_aut.
+            self._id = key == identity_key
+            # Derived automorphisms, made once each: the inverse, and
+            # compositions keyed by the right factor.
+            self._inv: Optional[Automorphism] = None
+            self._comp: Dict = {}
+            group._auts[key] = self
+        return self
 
     def apply(self, x):
         if self._map is not None:
@@ -343,16 +371,16 @@ class Automorphism:
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        if self.group is not other.group and self.group != other.group:
+        if self.group is not other.group:
             raise GroupError("automorphism-group-mismatch")
-        out = self._comp.get(other._key)
+        out = self._comp.get(other)
         if out is None:
             if self._map is not None:
                 m = {x: self._map[y] for x, y in other._map.items()}
                 out = Automorphism(self.group, m, _validated=True)
             else:
                 out = Automorphism(self.group, sign=self._sign * other._sign)
-            self._comp[other._key] = out
+            self._comp[other] = out
         return out
 
     def inverse(self) -> "Automorphism":
@@ -367,14 +395,6 @@ class Automorphism:
 
     def is_identity(self) -> bool:
         return self._id
-
-    def __eq__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.group == other.group and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self._map is None:
@@ -495,6 +515,9 @@ def group_from_json(spec) -> Group:
                 i, j, k = (json_int(v, "table-mul index") for v in row)
                 if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                     raise GroupError(f"table-mul-row: index out of range in {row!r}")
+                if (elements[i], elements[j]) in table:
+                    raise GroupError(f"table-mul-row: pair ({i}, {j}) given "
+                                     f"twice, again in {row!r}")
                 table[(elements[i], elements[j])] = elements[k]
             if len(table) != n * n:
                 raise GroupError("table-incomplete: mul triples must cover "

@@ -3,7 +3,8 @@
 Every algebra element in this package is a :class:`LinComb`: a dictionary from
 hashable basis labels to nonzero exact scalars.  Tensors are linear
 combinations over tuple labels.  Zero coefficients are dropped eagerly, so
-equality of values is plain dictionary equality.
+equality of values is plain dictionary equality.  :class:`BasisTable` is
+the one memo of every map fixed by its values on basis keys.
 """
 
 from __future__ import annotations
@@ -26,6 +27,41 @@ def label_key(label):
     if isinstance(label, int) and not isinstance(label, bool):
         return (0, label)
     return (1, repr(label))
+
+
+# Entries a :class:`BasisTable` may hold.  A full table stops growing and
+# later misses are computed afresh.  The cap holds every basis product of a
+# finite S3 session with all 36 inner gradings (36 * 36**2 = 46 656), and
+# bounds every table over infinite carriers and every product table of a
+# large permutation group.
+MEMO_CAP = 1 << 16
+
+
+class BasisTable(dict):
+    """A memo of a map fixed by its values on basis keys: a miss computes
+    ``fill(*key)`` and keeps it while the table holds fewer than
+    ``MEMO_CAP`` entries.  A hit is a plain dict read.
+
+    Every basis table is one: the product, T-map, antipode and local-unit
+    tables of an instance, the twist, product and action tables of a
+    pairing, its grading tables (the grading product, the inverse and
+    derived automorphisms of a grading, the second-leg automorphism of a
+    split, the crossing action and the second intertwiner law's
+    automorphisms), the covered-coproduct tables of the ``hopf`` suite,
+    and the product table of a permutation group.  It lives here, below
+    :mod:`mhag.groups`, so that a group can keep one too."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self.fill(*key)
+        if len(self) < MEMO_CAP:
+            self[key] = value
+        return value
 
 
 class LinComb:

@@ -32,41 +32,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .groups import Automorphism, Group
-from .linear import LinComb, add_scaled, add_term, lc_combine
+from .linear import BasisTable, LinComb, add_scaled, add_term, lc_combine
 from .scalars import Field, FpElement, RationalField, field_from_json, json_int
-
-
-# Entries a :class:`BasisTable` may hold.  A full table stops growing and
-# later misses are computed afresh.  The cap holds every basis product of a
-# finite S3 session with all 36 inner gradings (36 * 36**2 = 46 656), and
-# bounds every table over infinite carriers.
-MEMO_CAP = 1 << 16
-
-
-class BasisTable(dict):
-    """A memo of a map fixed by its values on basis keys: a miss computes
-    ``fill(*key)`` and keeps it while the table holds fewer than
-    ``MEMO_CAP`` entries.  A hit is a plain dict read.
-
-    Every basis table is one: the product, T-map, antipode and local-unit
-    tables of an instance, the twist, product and action tables of a
-    pairing, its grading tables (the grading product, the inverse and
-    derived automorphisms of a grading, the second-leg automorphism of a
-    split, the crossing action and the second intertwiner law's
-    automorphisms), and the covered-coproduct tables of the ``hopf``
-    suite."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill: Callable):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self.fill(*key)
-        if len(self) < MEMO_CAP:
-            self[key] = value
-        return value
 
 
 class StructureError(ValueError):

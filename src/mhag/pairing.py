@@ -33,8 +33,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .crossed import dcp_fill, twist_fill
 from .groups import (AutPair, Automorphism, Group, GroupError, aut_pair_inv,
                      aut_pair_mul)
-from .linear import LinComb, add_scaled, add_term
-from .mha import (BasisTable, DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
+from .linear import BasisTable, LinComb, add_scaled, add_term
+from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance)
 from .scalars import Field, RationalField
 

@@ -10,8 +10,7 @@ perturbs the draws of existing ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _MASK = (1 << 64) - 1
 
@@ -50,8 +49,7 @@ def _mix_tag(seed: int, tag: str) -> int:
     return (seed ^ h) & _MASK
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(NamedTuple):
     """How a suite enumerates cases: master seed, integer window, case cap.
 
     ``window`` bounds the labels of an infinite group (``Group.ball``);

@@ -59,6 +59,17 @@ class FpElement:
         return FpElement(o.value - self.value, self.p)
 
     def __mul__(self, other):
+        # Most products are by 1 (57 733 of 58 889 in a sampled verify of
+        # the double of S3): a factor 1 returns the other operand, which is
+        # safe because no residue is ever mutated.
+        if type(other) is FpElement and other.p == self.p:
+            if self.value == 1:
+                return other
+            if other.value == 1:
+                return self
+            return FpElement(self.value * other.value, self.p)
+        if type(other) is int and other == 1:
+            return self
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -174,8 +185,8 @@ class PrimeField(Field):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        # One shared object each: every FpElement operator returns a new
-        # object, so nothing mutates these.
+        # One shared object each: no FpElement operator mutates a residue,
+        # so nothing changes these.
         self._one = FpElement(1, p)
         self._zero = FpElement(0, p)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -43,8 +42,8 @@ from .cograded import (comul_covered, crossing_apply, graded_antipode,
 from .crossed import (b_embed_left, commutation_residual, dcp_assoc_residual,
                       dcp_mul, twist_inv, twist_map)
 from .groups import AutPair, aut_pair_inv
-from .linear import LinComb, add_scaled, add_term, label_key
-from .mha import BasisTable, sdiv
+from .linear import BasisTable, LinComb, add_scaled, add_term, label_key
+from .mha import sdiv
 from .oracle import (double_antipode, double_comul_covered_brute, double_mul,
                      dual_basis_r_terms, group_antipode, group_comul_covered,
                      group_counit, group_mul, group_r_apply_left)
@@ -72,8 +71,7 @@ class NoCasesError(ValueError):
     """Raised when a check evaluated zero cases, which is not a pass."""
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of a single named check."""
 
     axiom: str

@@ -13,10 +13,10 @@ rescaled structure-constant pairing and H4 have basis images whose
 coefficients are not 1, so only they see a dropped coefficient, and only
 H4 has an antipode that is not an involution.
 
-Three former bodies that did not read a table are kept as well: the case
+Four former bodies that did not read a table are kept as well: the case
 scheduler that built a list and decoded every tuple by mixed radix, the
 ``dcp-associativity`` residual that multiplied one-term values, and the
-permutation product that composed index by index.
+permutation product and inverse that worked index by index.
 """
 
 import itertools
@@ -772,6 +772,13 @@ def _ref_perm_op(group, x, y):
     return tuple(x[y[i]] for i in range(group.n))
 
 
+def _ref_perm_inv(group, x):
+    out = [0] * group.n
+    for i, xi in enumerate(x):
+        out[xi] = i
+    return tuple(out)
+
+
 # -- the comparisons ---------------------------------------------------------------
 
 
@@ -1020,14 +1027,23 @@ def test_cases_match_the_former_list(gradings, n_capped, monkeypatch):
         assert list(suites._cases(*call)) == _ref_cases(*call), call[1]
 
 
-@pytest.mark.parametrize("group", [
+_PERM_GROUPS = [
     PermGroup.symmetric(4),
     group_from_json({"kind": "perm", "degree": 6,
-                     "generators": [[1, 2, 3, 4, 5, 0], [5, 4, 3, 2, 1, 0]]})],
-    ids=["s4", "perm-dihedral-6"])
+                     "generators": [[1, 2, 3, 4, 5, 0], [5, 4, 3, 2, 1, 0]]})]
+_PERM_IDS = ["s4", "perm-dihedral-6"]
+
+
+@pytest.mark.parametrize("group", _PERM_GROUPS, ids=_PERM_IDS)
 def test_perm_op_matches_the_former_composition(group):
     """The product is x(y(i)) on every pair of elements."""
     els = group.elements()
     for x in els:
         for y in els:
             assert group.op(x, y) == _ref_perm_op(group, x, y)
+
+
+@pytest.mark.parametrize("group", _PERM_GROUPS, ids=_PERM_IDS)
+def test_perm_inv_matches_the_former_loop(group):
+    for x in group.elements():
+        assert group.inv(x) == _ref_perm_inv(group, x)

@@ -156,6 +156,18 @@ class TestVerify:
         assert err.startswith("error: ") and "'negation'" in err
         assert err.count("\n") == 1
 
+    def test_repeated_table_mul_row_exits_two(self, capsys, tmp_path):
+        # (1, 1) given twice: the last row once won and the session ran as Z/2.
+        group = {"kind": "table", "elements": [0, 1],
+                 "mul": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1],
+                         [1, 1, 0]]}
+        spec = write_spec(tmp_path, session_spec({"kind": "group",
+                                                  "group": group}))
+        rc, out, err = run_cli(capsys, "verify", "--spec", spec)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "table-mul-row" in err
+        assert err.count("\n") == 1
+
     def test_out_flag_writes_file(self, tmp_path, capsys, z2_spec):
         target = tmp_path / "report.json"
         rc, out, _ = run_cli(capsys, "verify", "--spec", z2_spec,

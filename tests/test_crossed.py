@@ -8,14 +8,13 @@ import pytest
 
 from mhag import (EnumSpec, GroupPairing, IntGroup, commutation_residual,
                   dcp_mul, twist_inv, twist_map)
-from mhag import mha
+from mhag import linear
 from mhag.cograded import graded_antipode
 from mhag.crossed import _move, b_embed_left
 from mhag.groups import (AutPair, TableGroup, identity_aut, map_aut,
                          negation_aut)
-from mhag.linear import LinComb
+from mhag.linear import MEMO_CAP, LinComb
 from mhag.oracle import group_mul
-from mhag.mha import MEMO_CAP
 
 from conftest import (IDENT, NEG, S3, engine_cases, group_instance,
                       make_session, memo_cases, s3_gradings, sampled,
@@ -202,7 +201,7 @@ class TestProductMemo:
     def test_tables_stop_growing_at_the_cap(self, monkeypatch):
         assert MEMO_CAP >= 36 * 36 ** 2    # S3 with all 36 inner gradings
         cap = 12
-        monkeypatch.setattr(mha, "MEMO_CAP", cap)
+        monkeypatch.setattr(linear, "MEMO_CAP", cap)
         Z = IntGroup()
         P = GroupPairing(Z)
         gradings = [AutPair(a, b) for a in (identity_aut(Z), negation_aut(Z))
@@ -219,9 +218,9 @@ class TestProductMemo:
 
     def test_instance_tables_stop_growing_at_the_cap(self, monkeypatch):
         # The product and T-map tables of A and B stop at the same cap.
-        assert mha.MEMO_CAP == MEMO_CAP
+        assert linear.MEMO_CAP == MEMO_CAP
         cap = 12
-        monkeypatch.setattr(mha, "MEMO_CAP", cap)
+        monkeypatch.setattr(linear, "MEMO_CAP", cap)
         S = make_session(session_spec(
             group_instance("Z"),
             gradings=[[IDENT, IDENT], [IDENT, NEG], [NEG, IDENT], [NEG, NEG]],

@@ -7,8 +7,11 @@ import pytest
 from mhag import (AutPair, GroupError, IntGroup, TableGroup, aut_pair_identity,
                   aut_pair_inv, aut_pair_mul, group_from_json, identity_aut,
                   inner_aut)
+from mhag import linear
 from mhag.groups import (Automorphism, PermGroup, aut_from_json, map_aut,
                          negation_aut)
+
+from conftest import inner, make_session, session_spec
 
 
 def _check_group_laws(g):
@@ -65,6 +68,27 @@ def test_group_from_json_kinds():
     assert len(perm.elements()) == 3
     with pytest.raises(GroupError):
         group_from_json({"kind": "icosahedral"})
+
+
+def test_table_mul_row_repeated_pair_is_refused():
+    # Five rows over two elements: (1, 1) twice.  The last row once won
+    # silently and the table read as Z/2.
+    spec = {"kind": "table", "elements": [0, 1],
+            "mul": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 0]]}
+    with pytest.raises(GroupError, match=r"table-mul-row: pair \(1, 1\)"):
+        group_from_json(spec)
+    spec["mul"].pop(3)
+    assert group_from_json(spec).op(1, 1) == 0
+
+
+def test_perm_product_table_stops_at_the_cap(monkeypatch):
+    # Products fill a table on first use, bounded like every basis table.
+    monkeypatch.setattr(linear, "MEMO_CAP", 5)
+    s4 = PermGroup.symmetric(4)
+    els = s4.elements()
+    for x, y in itertools.product(els[:4], repeat=2):
+        assert s4.op(x, y) == tuple(x[y[i]] for i in range(4))
+    assert len(s4._mul) == 5
 
 
 def test_parse_element_refuses_booleans():
@@ -171,6 +195,66 @@ class TestIdentityAndHashSlots:
             if a == b:
                 assert hash(a) == hash(b)
         assert signs[0] == signs[2] == signs[4] and signs[1] == signs[3]
+
+
+class TestInterning:
+    """Each group interns its automorphisms: one map of one group is one
+    object, however it is built, so equality is identity."""
+
+    s3 = PermGroup.symmetric(3)
+
+    def test_equality_is_identity(self):
+        assert "__eq__" not in vars(Automorphism)
+        assert "__hash__" not in vars(Automorphism)
+
+    def test_every_path_gives_the_same_object(self):
+        els = self.s3.elements()
+        g, h = (1, 2, 0), (1, 0, 2)
+        phi = inner_aut(self.s3, g)
+        assert Automorphism(self.s3, {x: phi(x) for x in els}) is phi
+        assert map_aut(self.s3, {x: phi(x) for x in els}) is phi
+        assert aut_from_json(self.s3, {"kind": "inner", "by": list(g)}) is phi
+        assert phi.inverse() is inner_aut(self.s3, self.s3.inv(g))
+        assert phi.inverse().inverse() is phi
+        psi = inner_aut(self.s3, h)
+        assert psi.compose(phi) is inner_aut(self.s3, self.s3.op(h, g))
+        assert phi.compose(phi.inverse()) is identity_aut(self.s3)
+        assert Automorphism(self.s3) is identity_aut(self.s3)
+        z = IntGroup()
+        assert negation_aut(z).compose(negation_aut(z)) is identity_aut(z)
+        assert Automorphism(z, sign=-1) is negation_aut(z)
+
+    def test_decoded_gradings_share_objects(self):
+        g = (2, 1, 0)
+        images = {"kind": "map", "images": [
+            list(self.s3.conj(g, x)) for x in self.s3.elements()]}
+        S = make_session(session_spec(
+            {"kind": "group", "group": {"kind": "symmetric", "n": 3}},
+            gradings=[[inner(g), images], [images, "identity"]]))
+        (a, b), (c, d) = S.gradings
+        assert a is b is c and a is not d
+        assert d is identity_aut(a.group)
+
+    def test_two_groups_share_nothing(self):
+        one, two = PermGroup.symmetric(3), PermGroup.symmetric(3)
+        g = (1, 2, 0)
+        f1, f2 = inner_aut(one, g), inner_aut(two, g)
+        assert f1 is not f2 and f1 != f2
+        assert not set(one._auts.values()) & set(two._auts.values())
+        with pytest.raises(GroupError, match="automorphism-group-mismatch"):
+            f1.compose(f2)
+        with pytest.raises(GroupError, match="automorphism-group-mismatch"):
+            identity_aut(IntGroup()).compose(identity_aut(IntGroup()))
+
+    def test_refused_maps_stay_out_of_the_registry(self):
+        z4 = TableGroup.cyclic(4)
+        known = {identity_aut(z4), negation_aut(z4)}
+        assert set(z4._auts.values()) == known
+        for images in ({i: (2 * i) % 4 for i in range(4)},     # not onto
+                       {0: 0, 1: 2, 2: 1, 3: 3}):              # not additive
+            with pytest.raises(GroupError):
+                map_aut(z4, images)
+        assert set(z4._auts.values()) == known
 
 
 class TestDerivationCache:

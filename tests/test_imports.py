@@ -9,6 +9,9 @@ left out: it imports to re-export.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,17 @@ def test_exports_resolve_and_cover_every_import():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(imported - set(mhag.__all__)) == []
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    # which every command would pay for at start-up.
+    code = ("import sys\n"
+            "import mhag.cli\n"
+            "from mhag.cli import eval_op, export_structure, run_verify\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"

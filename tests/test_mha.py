@@ -9,7 +9,7 @@ import pytest
 
 from mhag import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, StructureError)
-from mhag import mha
+from mhag import linear, mha
 from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
                          negation_aut)
 from mhag.linear import LinComb, lc_combine
@@ -161,7 +161,7 @@ class TestBasisTable:
         assert (5, 1, 2) not in A._tc and not A._tc
 
     def test_stops_growing_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(mha, "MEMO_CAP", 3)
+        monkeypatch.setattr(linear, "MEMO_CAP", 3)
         table, calls = self.recording()
         for k in range(6):
             assert table[k, 1] == k + 1

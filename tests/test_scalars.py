@@ -88,6 +88,15 @@ class TestPrimeField:
     def test_cross_modulus_mix_rejected(self):
         with pytest.raises(ValueError):
             FpElement(1, 7) + FpElement(1, 5)
+        with pytest.raises(ValueError, match="mixed prime fields"):
+            FpElement(1, 7) * FpElement(3, 11)
+
+    def test_a_factor_one_returns_the_other_operand(self):
+        one, x = self.F.one(), self.F.from_int(3)
+        assert one * x is x and x * one is x and 1 * x is x
+        assert x * 1 is x and FpElement(1, 7) * x is x
+        assert True * x == x and x * True == x
+        assert (x * x).value == 2 and (2 * x).value == 6
 
     def test_one_and_zero_are_shared(self):
         assert self.F.one() is self.F.one()
