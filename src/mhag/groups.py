@@ -4,10 +4,17 @@ automorphism pairs.
 Three element backends are provided:
 
 * :class:`TableGroup` — finite groups by multiplication table (validated);
-* :class:`PermGroup` — finite permutation groups closed from generators;
+* :class:`PermGroup` — finite permutation groups closed from generators,
+  whose elements are ``int`` indices in sorted image order (the JSON form
+  of an element is still its image list);
 * :class:`IntGroup` — the additive integers (the one infinite backend).
 
-An :class:`Automorphism` is stored extensionally (image tuple) for finite
+Element labels are what every table of the engine is keyed by, so a
+permutation group keeps them flat: an index hashes as itself, where an
+image tuple is hashed afresh on every read.  Diagnostics name an element
+by :func:`json_text` of its JSON form, whatever it is in memory.
+
+An :class:`Automorphism` is stored extensionally (image map) for finite
 groups and as a sign for the integers.  Each group interns its
 automorphisms: however one is built (decoded, composed, inverted or
 constructed directly), the same map of the same group is the same object.
@@ -155,7 +162,7 @@ class TableGroup(Group):
     def parse_element(self, data):
         if isinstance(data, list):
             data = tuple(data)
-        if _holds_bool(data) or data not in self._set:
+        if _holds_bool_or_float(data) or data not in self._set:
             raise GroupError(f"element-unknown: {data!r}")
         return data
 
@@ -172,21 +179,24 @@ class TableGroup(Group):
         return f"TableGroup(order={len(self._labels)})"
 
 
-def _perm_product(x, y):
-    """(x y)(i) = x(y(i)): apply y first."""
-    return tuple(map(x.__getitem__, y))
-
-
 class PermGroup(Group):
-    """A permutation group on ``{0, ..., n-1}``; elements are image tuples.
+    """A permutation group on ``{0, ..., n-1}``.
+
+    Each element is an ``int`` index: the position of its image tuple in
+    sorted order, so the identity is 0 and index order is image order.
+    Image lists appear only at the JSON boundary: :meth:`parse_element`
+    takes one and :meth:`element_to_json` gives one back, so the JSON a
+    session reads and writes is the same as with image tuples.  Every
+    table keyed by elements then hashes flat ints.
 
     The element set is the BFS closure of the generators (bounded at 20000
-    elements to catch runaway input).  Inverses are read from a dict filled
+    elements to catch runaway input).  Inverses are read from a list filled
     with the closure; products from a table filled on first use, since a
     full Cayley table of 20000 elements would hold 4 * 10**8 entries.
     """
 
     is_finite = True
+    identity = 0
     _CLOSURE_BOUND = 20000
 
     def __init__(self, n: int, generators: Iterable[Tuple[int, ...]]):
@@ -215,15 +225,21 @@ class PermGroup(Group):
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
-        self._elements = sorted(seen)
-        self._set = seen
-        self._inv = {}
-        for x in self._elements:
+        # The image tuple of each index, and the index of each image tuple.
+        self._images = sorted(seen)
+        self._index = {p: i for i, p in enumerate(self._images)}
+        self._inv = []
+        for x in self._images:
             out = [0] * n
             for i, xi in enumerate(x):
                 out[xi] = i
-            self._inv[x] = tuple(out)
-        self._mul = BasisTable(_perm_product)
+            self._inv.append(self._index[tuple(out)])
+        self._mul = BasisTable(self._product)
+
+    def _product(self, x, y):
+        """(x y)(i) = x(y(i)): apply y first."""
+        images = self._images
+        return self._index[tuple(map(images[x].__getitem__, images[y]))]
 
     def op(self, x, y):
         return self._mul[x, y]
@@ -231,24 +247,24 @@ class PermGroup(Group):
     def inv(self, x):
         return self._inv[x]
 
-    @property
-    def identity(self):
-        return tuple(range(self.n))
-
     def elements(self):
-        return list(self._elements)
+        return list(range(len(self._images)))
 
     def contains(self, x):
-        return x in self._set
+        return type(x) is int and 0 <= x < len(self._images)
 
     def parse_element(self, data):
-        x = tuple(data)
-        if _holds_bool(x) or x not in self._set:
-            raise GroupError(f"element-unknown: {data!r}")
-        return x
+        # Only a list of exact ints names a permutation: a bare index, a
+        # boolean or a float is refused.
+        if (isinstance(data, (list, tuple))
+                and all(type(v) is int for v in data)):
+            x = self._index.get(tuple(data))
+            if x is not None:
+                return x
+        raise GroupError(f"element-unknown: {data!r}")
 
     def element_to_json(self, x):
-        return list(x)
+        return list(self._images[x])
 
     @staticmethod
     def symmetric(n: int) -> "PermGroup":
@@ -261,7 +277,7 @@ class PermGroup(Group):
         return PermGroup(n, [transposition, cycle])
 
     def __repr__(self):
-        return f"PermGroup(n={self.n}, order={len(self._elements)})"
+        return f"PermGroup(n={self.n}, order={len(self._images)})"
 
 
 class IntGroup(Group):
@@ -309,15 +325,17 @@ def _validate_finite(group: Group, m: Dict, order: List) -> None:
         for y in order:
             if m[group.op(x, y)] != group.op(m[x], m[y]):
                 raise GroupError(
-                    f"automorphism-not-homomorphic: fails at ({x!r}, {y!r})"
-                )
+                    "automorphism-not-homomorphic: fails at "
+                    f"({json_text(group.element_to_json(x))}, "
+                    f"{json_text(group.element_to_json(y))})")
 
 
 class Automorphism:
     """A group automorphism in extensional normal form.
 
-    Finite backends store the full image map, keyed by the image tuple in
-    the group's canonical element order; the integer backend stores a sign.
+    Finite backends store the full image map, interned by the tuple of
+    images in the group's canonical element order; the integer backend
+    stores a sign.
     Constructors validate the homomorphism and bijection properties, then
     return the group's existing automorphism with the same key if there is
     one: so equal automorphisms of one group are one object, and equality
@@ -401,8 +419,10 @@ class Automorphism:
             return "Aut(x -> -x)" if self._sign == -1 else "Aut(id)"
         if self.is_identity():
             return "Aut(id)"
-        moved = {k: v for k, v in self._map.items() if k != v}
-        return f"Aut({moved})"
+        to_json = self.group.element_to_json
+        moved = ", ".join(f"{json_text(to_json(k))}: {json_text(to_json(v))}"
+                          for k, v in self._map.items() if k != v)
+        return f"Aut({{{moved}}})"
 
 
 def identity_aut(group: Group) -> Automorphism:
@@ -465,12 +485,21 @@ def aut_pair_identity(group: Group) -> AutPair:
 
 # -- JSON parsing -----------------------------------------------------------
 
-def _holds_bool(data) -> bool:
-    """Whether a JSON element holds a boolean, which a set lookup would take
-    for the integer 0 or 1."""
+def json_text(data) -> str:
+    """The repr of a JSON value with its lists shown as tuples: how a
+    diagnostic names an element or a basis label, so a permutation reads
+    as its image tuple, not as the index it is stored as."""
+    def tuples(v):
+        return tuple(map(tuples, v)) if isinstance(v, list) else v
+    return repr(tuples(data))
+
+
+def _holds_bool_or_float(data) -> bool:
+    """Whether a JSON element holds a boolean or a float, which a set
+    lookup would take for an equal integer (``True == 1 == 1.0``)."""
     if isinstance(data, (list, tuple)):
-        return any(_holds_bool(v) for v in data)
-    return isinstance(data, bool)
+        return any(_holds_bool_or_float(v) for v in data)
+    return isinstance(data, (bool, float))
 
 
 def group_from_json(spec) -> Group:
@@ -502,9 +531,10 @@ def group_from_json(spec) -> Group:
                          [tuple(json_int(v, "generator entry") for v in g)
                           for g in spec["generators"]])
     if kind == "table":
-        if any(_holds_bool(spec.get(k)) for k in ("elements", "table",
-                                                   "identity")):
-            raise GroupError("table-element: the group table holds a boolean")
+        if any(_holds_bool_or_float(spec.get(k))
+               for k in ("elements", "table", "identity")):
+            raise GroupError(
+                "table-element: the group table holds a boolean or a float")
         elements = [tuple(e) if isinstance(e, list) else e for e in spec["elements"]]
         n = len(elements)
         table = {}

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from .groups import Automorphism, Group
+from .groups import Automorphism, Group, json_text
 from .linear import BasisTable, LinComb, add_scaled, add_term, lc_combine
 from .scalars import Field, FpElement, RationalField, field_from_json, json_int
 
@@ -144,6 +144,10 @@ class MhaInstance:
     def label_to_json(self, label):
         raise NotImplementedError
 
+    def label_text(self, label) -> str:
+        """How a diagnostic names one basis label."""
+        return repr(label)
+
     # -- linear wrappers ------------------------------------------------------
     def lc(self, label, coeff=None) -> LinComb:
         return LinComb.unit(label, self.field.one() if coeff is None else coeff)
@@ -243,6 +247,9 @@ class _OnGroup(MhaInstance):
 
     def label_to_json(self, label):
         return self.group.element_to_json(label)
+
+    def label_text(self, label):
+        return json_text(self.label_to_json(label))
 
 
 class _OnPairs(_OnGroup):

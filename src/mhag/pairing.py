@@ -299,8 +299,10 @@ class Pairing:
             bad = first_difference(lhs, rhs, fixed, factors, factors)
             if bad is not None:
                 f, x, y = bad
+                F = B if on_a else A
                 return (f"pairing-product-law-fails({tag}): "
-                        f"{name}={f!r}, x={x!r}, y={y!r}")
+                        f"{name}={F.label_text(f)}, x={X.label_text(x)}, "
+                        f"y={X.label_text(y)}")
         # <S(a), b> = <a, S(b)>, with each antipode read once per label.
         to_b, to_a = form_rows(b_labels, True), form_rows(a_labels, False)
         lhs = {}
@@ -316,18 +318,19 @@ class Pairing:
         bad = first_difference(lhs, rhs, a_labels, b_labels)
         if bad is not None:
             la, lb = bad
-            return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
+            return (f"pairing-antipode-law-fails: a={A.label_text(la)}, "
+                    f"b={B.label_text(lb)}")
         # unit laws through the action units
         for la in a_labels:
             a = A.lc(la)
             e = B.local_unit_for([la])
             if not (self.pair(a, e) == A.counit(a)):
-                return f"pairing-unit-law-fails(B): a={la!r}"
+                return f"pairing-unit-law-fails(B): a={A.label_text(la)}"
         for lb in b_labels:
             b = B.lc(lb)
             c = A.local_unit_for([lb])
             if not (self.pair(c, b) == B.counit(b)):
-                return f"pairing-unit-law-fails(A): b={lb!r}"
+                return f"pairing-unit-law-fails(A): b={B.label_text(lb)}"
         return None
 
 

@@ -136,10 +136,18 @@ def rescaled_s3(dual=False):
 S3 = PermGroup.symmetric(3)
 
 
+def perm(image, group=S3):
+    """The element of a permutation group with this image tuple: its
+    index, as the JSON loader decodes it."""
+    return group.parse_element(list(image))
+
+
 def s3_gradings():
     """Two gradings of S3 by non-commuting inner automorphisms."""
-    return [AutPair(inner_aut(S3, (1, 0, 2)), inner_aut(S3, (1, 2, 0))),
-            AutPair(inner_aut(S3, (2, 0, 1)), inner_aut(S3, (0, 2, 1)))]
+    return [AutPair(inner_aut(S3, perm((1, 0, 2))),
+                    inner_aut(S3, perm((1, 2, 0)))),
+            AutPair(inner_aut(S3, perm((2, 0, 1))),
+                    inner_aut(S3, perm((0, 2, 1))))]
 
 
 def memo_cases():

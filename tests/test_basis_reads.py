@@ -769,14 +769,16 @@ def _ref_dcp_assoc(P, g, xl, yl, zl):
 
 
 def _ref_perm_op(group, x, y):
-    return tuple(x[y[i]] for i in range(group.n))
+    """x y by composing image tuples: (x y)(i) = x(y(i))."""
+    px, py = group.element_to_json(x), group.element_to_json(y)
+    return group.parse_element([px[py[i]] for i in range(group.n)])
 
 
 def _ref_perm_inv(group, x):
     out = [0] * group.n
-    for i, xi in enumerate(x):
+    for i, xi in enumerate(group.element_to_json(x)):
         out[xi] = i
-    return tuple(out)
+    return group.parse_element(out)
 
 
 # -- the comparisons ---------------------------------------------------------------
@@ -1028,10 +1030,11 @@ def test_cases_match_the_former_list(gradings, n_capped, monkeypatch):
 
 
 _PERM_GROUPS = [
+    PermGroup.symmetric(3),
     PermGroup.symmetric(4),
     group_from_json({"kind": "perm", "degree": 6,
                      "generators": [[1, 2, 3, 4, 5, 0], [5, 4, 3, 2, 1, 0]]})]
-_PERM_IDS = ["s4", "perm-dihedral-6"]
+_PERM_IDS = ["s3", "s4", "perm-dihedral-6"]
 
 
 @pytest.mark.parametrize("group", _PERM_GROUPS, ids=_PERM_IDS)

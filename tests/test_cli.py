@@ -177,6 +177,19 @@ class TestVerify:
         assert report["status"] == "pass"
 
 
+def test_duality_diagnostic_names_permutations(capsys, tmp_path):
+    """Labels in a diagnostic read as image tuples, as in the JSON."""
+    spec = write_spec(tmp_path, session_spec(group_instance("symmetric", 3),
+                                             corrupt="antipode-sign"))
+    rc, out, _ = run_cli(capsys, "verify", "--spec", spec,
+                         "--suite", "cograded")
+    assert rc == 1
+    axioms = json.loads(out)["suites"][0]["axioms"]
+    duality, = [a for a in axioms if a["axiom"] == "pairing-duality"]
+    assert duality["counterexample"] == {
+        "diagnostic": "pairing-antipode-law-fails: a=(0, 1, 2), b=(0, 1, 2)"}
+
+
 class TestOracleCompare:
     def test_runs_only_oracle_suite(self, capsys, z2_spec):
         rc, out, _ = run_cli(capsys, "oracle-compare", "--spec", z2_spec)
@@ -636,6 +649,38 @@ class TestInputDiagnostics:
         assert rc == 2 and out == ""
         assert err.startswith("error: session-instance: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("group, aut, shown", [
+        ("symmetric", inner((1.0, 0, 2)), "[1.0, 0, 2]"),
+        ("cyclic", {"kind": "inner", "by": 1.0}, "1.0"),
+        ("symmetric", {"kind": "map", "images": [
+            [0, 1, 2], [0.0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1],
+            [2, 1, 0]]}, "[0.0, 2, 1]"),
+        ("symmetric", {"kind": "inner", "by": 3}, "3"),
+        ("symmetric", {"kind": "inner", "by": True}, "True"),
+    ], ids=["s3-inner-float", "cyclic-inner-float", "s3-map-float",
+            "s3-bare-index", "s3-boolean"])
+    def test_malformed_group_element_exits_two(self, capsys, tmp_path,
+                                               group, aut, shown):
+        """A float equals an int and a bool is one, so a lookup alone
+        would take either for an element; a bare index names none on a
+        permutation group."""
+        spec = write_spec(tmp_path, session_spec(
+            group_instance(group, 3), gradings=[[IDENT, aut]]))
+        rc, out, err = run_cli(capsys, "export", "--spec", spec)
+        assert (rc, out) == (2, "")
+        assert err == f"error: session-gradings: element-unknown: {shown}\n"
+
+    def test_non_homomorphic_map_names_permutations(self, capsys, tmp_path):
+        swapped = {"kind": "map", "images": [
+            [0, 1, 2], [1, 0, 2], [0, 2, 1], [1, 2, 0], [2, 0, 1],
+            [2, 1, 0]]}
+        spec = write_spec(tmp_path, session_spec(
+            group_instance("symmetric", 3), gradings=[[IDENT, swapped]]))
+        rc, out, err = run_cli(capsys, "export", "--spec", spec)
+        assert (rc, out) == (2, "")
+        assert err == ("error: session-gradings: automorphism-not-homomorphic"
+                       ": fails at ((0, 2, 1), (1, 0, 2))\n")
 
     @pytest.mark.parametrize("field, value", [
         ("mul", [5]), ("mul", 7), ("antipode", [[0, 0, "1"], 2]),

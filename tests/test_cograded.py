@@ -14,6 +14,8 @@ from mhag.groups import (AutPair, PermGroup, TableGroup, aut_pair_inv,
 from mhag.linear import LinComb
 from mhag.oracle import group_antipode, group_comul_covered, group_counit
 
+from conftest import perm
+
 Z4 = TableGroup.cyclic(4)
 S3 = PermGroup.symmetric(3)
 PZ4 = GroupPairing(Z4)
@@ -95,7 +97,7 @@ class TestCoveredComul:
 
 
 class TestCrossingAction:
-    GRADINGS = [AutPair(inner_aut(S3, g), inner_aut(S3, h))
+    GRADINGS = [AutPair(inner_aut(S3, perm(g)), inner_aut(S3, perm(h)))
                 for g in [(1, 0, 2), (1, 2, 0)]
                 for h in [(0, 2, 1), (2, 1, 0)]]
 
@@ -109,7 +111,7 @@ class TestCrossingAction:
     def test_target_is_conjugated_grading(self):
         t_act, p = self.GRADINGS[0], self.GRADINGS[3]
         tgt, _ = crossing_apply(PS3, t_act, p, LinComb.unit((
-            (0, 1, 2), (1, 0, 2))))
+            perm((0, 1, 2)), perm((1, 0, 2)))))
         assert tgt == aut_pair_mul(aut_pair_mul(t_act, p), aut_pair_inv(t_act))
 
     def test_composition(self):

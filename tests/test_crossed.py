@@ -17,7 +17,7 @@ from mhag.linear import MEMO_CAP, LinComb
 from mhag.oracle import group_mul
 
 from conftest import (IDENT, NEG, S3, engine_cases, group_instance,
-                      make_session, memo_cases, s3_gradings, sampled,
+                      make_session, memo_cases, perm, s3_gradings, sampled,
                       session_spec)
 
 Z4 = TableGroup.cyclic(4)
@@ -89,7 +89,7 @@ class TestTwistMemo:
     def test_table_belongs_to_the_pairing(self):
         g = s3_gradings()[0]
         P, Q = GroupPairing(S3), GroupPairing(S3)
-        lb, la = (1, 2, 0), (0, 2, 1)
+        lb, la = perm((1, 2, 0)), perm((0, 2, 1))
         twist_map(P, g, LinComb.unit((lb, la)))
         assert (g, lb, la) in P._twc
         assert not Q._twc
@@ -174,7 +174,8 @@ class TestProductMemo:
     def test_table_belongs_to_the_pairing(self):
         g = s3_gradings()[0]
         P, Q = GroupPairing(S3), GroupPairing(S3)
-        x, y = ((1, 2, 0), (0, 2, 1)), ((2, 0, 1), (1, 0, 2))
+        x = (perm((1, 2, 0)), perm((0, 2, 1)))
+        y = (perm((2, 0, 1)), perm((1, 0, 2)))
         dcp_mul(P, g, LinComb.unit(x), LinComb.unit(y))
         assert (g, x, y) in P._dcp
         assert not Q._dcp

@@ -11,7 +11,7 @@ from mhag import linear
 from mhag.groups import (Automorphism, PermGroup, aut_from_json, map_aut,
                          negation_aut)
 
-from conftest import inner, make_session, session_spec
+from conftest import inner, make_session, perm, session_spec
 
 
 def _check_group_laws(g):
@@ -36,7 +36,7 @@ def test_symmetric_group():
     g = PermGroup.symmetric(3)
     assert g.is_finite and len(g.elements()) == 6
     _check_group_laws(g)
-    a, b = (1, 0, 2), (0, 2, 1)
+    a, b = perm((1, 0, 2), g), perm((0, 2, 1), g)
     assert g.op(a, b) != g.op(b, a)  # non-abelian
 
 
@@ -86,8 +86,9 @@ def test_perm_product_table_stops_at_the_cap(monkeypatch):
     monkeypatch.setattr(linear, "MEMO_CAP", 5)
     s4 = PermGroup.symmetric(4)
     els = s4.elements()
+    img = s4.element_to_json
     for x, y in itertools.product(els[:4], repeat=2):
-        assert s4.op(x, y) == tuple(x[y[i]] for i in range(4))
+        assert img(s4.op(x, y)) == [img(x)[img(y)[i]] for i in range(4)]
     assert len(s4._mul) == 5
 
 
@@ -95,10 +96,55 @@ def test_parse_element_refuses_booleans():
     # False == 0 and True == 1, so a set lookup alone would accept them.
     z2, s3 = TableGroup.cyclic(2), PermGroup.symmetric(3)
     for group, data in [(z2, False), (z2, True), (s3, [1, True, 2]),
-                        (s3, [False, 1, 2])]:
+                        (s3, [False, 1, 2]), (s3, [True, False, 2]),
+                        (s3, True)]:
         with pytest.raises(GroupError, match="element-unknown"):
             group.parse_element(data)
-    assert z2.parse_element(1) == 1 and s3.parse_element([1, 0, 2]) == (1, 0, 2)
+    assert z2.parse_element(1) == 1 and s3.parse_element([1, 0, 2]) == 2
+
+
+def test_parse_element_refuses_floats_and_bare_indices():
+    # 1.0 == 1, so a lookup alone would accept a float; an element of a
+    # permutation group is an image list, never its index.
+    z2, s3 = TableGroup.cyclic(2), PermGroup.symmetric(3)
+    for group, data in [(z2, 1.0), (z2, [1]), (s3, [1.0, 0, 2]),
+                        (s3, 3), (s3, 0.0), (s3, [[1], 0, 2]), (s3, [0, 1]),
+                        (s3, "012")]:
+        with pytest.raises(GroupError, match="element-unknown"):
+            group.parse_element(data)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_perm_elements_are_sorted_image_indices(n):
+    """Element i is the i-th image tuple in sorted order; JSON carries
+    image lists both ways."""
+    g = PermGroup.symmetric(n)
+    images = sorted(itertools.permutations(range(n)))
+    assert g.elements() == list(range(len(images)))
+    assert g.identity == 0 and images[0] == tuple(range(n))
+    for i, p in enumerate(images):
+        assert g.parse_element(list(p)) == i
+        assert g.element_to_json(i) == list(p)
+    for x in g.elements():
+        assert g.contains(x)
+        assert g.element_to_json(g.parse_element(g.element_to_json(x))) \
+            == g.element_to_json(x)
+    assert not any(g.contains(x) for x in (-1, len(images), True, 0.0))
+
+
+def test_table_group_refuses_float_elements():
+    with pytest.raises(GroupError, match="table-element"):
+        group_from_json({"kind": "table", "elements": [0, 1.0],
+                         "mul": [[0, 0, 0], [0, 1, 1], [1, 0, 1],
+                                 [1, 1, 0]]})
+
+
+def test_automorphism_repr_names_image_tuples():
+    s3 = PermGroup.symmetric(3)
+    phi = inner_aut(s3, perm((0, 2, 1), s3))
+    assert repr(phi) == ("Aut({(1, 0, 2): (2, 1, 0), (1, 2, 0): (2, 0, 1), "
+                         "(2, 0, 1): (1, 2, 0), (2, 1, 0): (1, 0, 2)})")
+    assert repr(identity_aut(s3)) == "Aut(id)"
 
 
 class TestAutomorphisms:
@@ -111,7 +157,7 @@ class TestAutomorphisms:
             assert i.apply(x) == x
 
     def test_inner_is_homomorphism(self):
-        g = (1, 2, 0)
+        g = perm((1, 2, 0), self.s3)
         phi = inner_aut(self.s3, g)
         for x, y in itertools.product(self.s3.elements(), repeat=2):
             assert phi.apply(self.s3.op(x, y)) == self.s3.op(
@@ -119,21 +165,21 @@ class TestAutomorphisms:
 
     def test_compose_order(self):
         # compose(self, other) applies other first
-        a = inner_aut(self.s3, (1, 0, 2))
-        b = inner_aut(self.s3, (0, 2, 1))
-        x = (1, 2, 0)
+        a = inner_aut(self.s3, perm((1, 0, 2), self.s3))
+        b = inner_aut(self.s3, perm((0, 2, 1), self.s3))
+        x = perm((1, 2, 0), self.s3)
         assert a.compose(b).apply(x) == a.apply(b.apply(x))
 
     def test_inverse(self):
-        phi = inner_aut(self.s3, (2, 0, 1))
+        phi = inner_aut(self.s3, perm((2, 0, 1), self.s3))
         psi = phi.inverse()
         for x in self.s3.elements():
             assert psi.apply(phi.apply(x)) == x
 
     def test_equality_and_hash(self):
-        assert inner_aut(self.s3, (0, 1, 2)) == identity_aut(self.s3)
-        assert hash(inner_aut(self.s3, (1, 0, 2))) == hash(
-            inner_aut(self.s3, (1, 0, 2)))
+        e, t = perm((0, 1, 2), self.s3), perm((1, 0, 2), self.s3)
+        assert inner_aut(self.s3, e) == identity_aut(self.s3)
+        assert hash(inner_aut(self.s3, t)) == hash(inner_aut(self.s3, t))
 
     def test_map_aut_validated(self):
         z4 = TableGroup.cyclic(4)
@@ -158,7 +204,7 @@ class TestIdentityAndHashSlots:
 
     def test_is_identity(self):
         z = IntGroup()
-        g = (1, 2, 0)
+        g = perm((1, 2, 0), self.s3)
         assert identity_aut(self.s3).is_identity()
         assert identity_aut(z).is_identity()
         assert Automorphism(z, sign=1).is_identity()
@@ -166,9 +212,9 @@ class TestIdentityAndHashSlots:
             inner_aut(self.s3, self.s3.inv(g)))
         assert roundtrip.is_identity()
         assert all(roundtrip(x) == x for x in self.s3.elements())
-        assert inner_aut(self.s3, (0, 1, 2)).is_identity()
+        assert inner_aut(self.s3, perm((0, 1, 2), self.s3)).is_identity()
         assert not inner_aut(self.s3, g).is_identity()
-        assert not inner_aut(self.s3, (1, 0, 2)).is_identity()
+        assert not inner_aut(self.s3, perm((1, 0, 2), self.s3)).is_identity()
         assert not Automorphism(z, sign=-1).is_identity()
         assert not negation_aut(z).is_identity()
         z4 = TableGroup.cyclic(4)
@@ -209,11 +255,11 @@ class TestInterning:
 
     def test_every_path_gives_the_same_object(self):
         els = self.s3.elements()
-        g, h = (1, 2, 0), (1, 0, 2)
+        g, h = perm((1, 2, 0), self.s3), perm((1, 0, 2), self.s3)
         phi = inner_aut(self.s3, g)
         assert Automorphism(self.s3, {x: phi(x) for x in els}) is phi
         assert map_aut(self.s3, {x: phi(x) for x in els}) is phi
-        assert aut_from_json(self.s3, {"kind": "inner", "by": list(g)}) is phi
+        assert aut_from_json(self.s3, {"kind": "inner", "by": [1, 2, 0]}) is phi
         assert phi.inverse() is inner_aut(self.s3, self.s3.inv(g))
         assert phi.inverse().inverse() is phi
         psi = inner_aut(self.s3, h)
@@ -226,8 +272,10 @@ class TestInterning:
 
     def test_decoded_gradings_share_objects(self):
         g = (2, 1, 0)
+        s3 = self.s3
         images = {"kind": "map", "images": [
-            list(self.s3.conj(g, x)) for x in self.s3.elements()]}
+            s3.element_to_json(s3.conj(perm(g, s3), x))
+            for x in s3.elements()]}
         S = make_session(session_spec(
             {"kind": "group", "group": {"kind": "symmetric", "n": 3}},
             gradings=[[inner(g), images], [images, "identity"]]))
@@ -237,7 +285,7 @@ class TestInterning:
 
     def test_two_groups_share_nothing(self):
         one, two = PermGroup.symmetric(3), PermGroup.symmetric(3)
-        g = (1, 2, 0)
+        g = perm((1, 2, 0), one)
         f1, f2 = inner_aut(one, g), inner_aut(two, g)
         assert f1 is not f2 and f1 != f2
         assert not set(one._auts.values()) & set(two._auts.values())
@@ -301,7 +349,8 @@ def test_aut_from_json_kinds():
     assert aut_from_json(z, "negation").apply(2) == -2
     s3 = PermGroup.symmetric(3)
     phi = aut_from_json(s3, {"kind": "inner", "by": [1, 0, 2]})
-    assert phi.apply((0, 2, 1)) == s3.conj((1, 0, 2), (0, 2, 1))
+    x = perm((0, 2, 1), s3)
+    assert phi.apply(x) == s3.conj(perm((1, 0, 2), s3), x)
     z3 = TableGroup.cyclic(3)
     psi = aut_from_json(z3, {"kind": "map", "images": [0, 2, 1]})
     assert psi.apply(1) == 2
@@ -347,9 +396,8 @@ class TestAutPairStructure:
         """The second leg of a product is conjugated through the right
         factor's first leg, not just composed; a non-abelian instance
         distinguishes the two."""
-        b = inner_aut(self.s3, (1, 0, 2))
-        c = inner_aut(self.s3, (1, 2, 0))
-        d = inner_aut(self.s3, (2, 1, 0))
+        b, c, d = (inner_aut(self.s3, perm(g, self.s3))
+                   for g in ((1, 0, 2), (1, 2, 0), (2, 1, 0)))
         p, q = AutPair(identity_aut(self.s3), b), AutPair(c, d)
         twisted = aut_pair_mul(p, q).beta
         assert twisted != d.compose(b)

@@ -15,7 +15,7 @@ from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
 from mhag.linear import LinComb, lc_combine
 from mhag.session import _negate_antipode
 
-from conftest import H4_HOPF, rescaled_s3
+from conftest import H4_HOPF, perm, rescaled_s3
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -392,7 +392,7 @@ class TestFiniteDimHopf:
         fd = FiniteDimHopf.from_group(S3)
         els = S3.elements()
         idx = {g: i for i, g in enumerate(els)}
-        phi = inner_aut(S3, (1, 0, 2))
+        phi = inner_aut(S3, perm((1, 0, 2)))
         for g in els:
             assert fd.apply_aut(phi, fd.lc(idx[g])) == fd.lc(
                 idx[phi.apply(g)])
@@ -401,7 +401,7 @@ class TestFiniteDimHopf:
 
 def _aut_cases():
     """(name, instance, non-identity automorphism, basis labels)."""
-    phi = inner_aut(S3, (1, 2, 0))
+    phi = inner_aut(S3, perm((1, 2, 0)))
     inv3 = map_aut(Z3, {i: (-i) % 3 for i in range(3)})
     z = IntGroup()
     return [
@@ -444,4 +444,4 @@ class TestApplyAut:
     def test_identity_returns_the_value(self):
         inst = FiniteDimHopf.from_group(S3)
         x = inst.lc(2, Fraction(3))
-        assert inst.apply_aut(inner_aut(S3, (0, 1, 2)), x) is x
+        assert inst.apply_aut(inner_aut(S3, perm((0, 1, 2))), x) is x

@@ -13,7 +13,7 @@ from mhag.groups import AutPair, IntGroup, PermGroup, TableGroup, identity_aut
 from mhag.linear import LinComb, add_term
 from mhag.session import _plant
 
-from conftest import H4_HOPF, engine_cases
+from conftest import H4_HOPF, engine_cases, perm
 
 Z2 = TableGroup.cyclic(2)
 Z3 = TableGroup.cyclic(3)
@@ -205,26 +205,27 @@ def _first_duality_failure(P, a_labels, b_labels):
         a, y = A.lc(la), B.lc(lb2)
         if not (P.pair(a, B.mul(B.lc(lb1), y))
                 == P.pair(act("a<<b", lb1, la), y)):
-            return (f"pairing-product-law-fails(B): a={la!r}, x={lb1!r}, "
-                    f"y={lb2!r}")
+            return (f"pairing-product-law-fails(B): a={A.label_text(la)}, "
+                    f"x={B.label_text(lb1)}, y={B.label_text(lb2)}")
     for lb, la1, la2 in itertools.product(b_labels, a_labels, a_labels):
         b, y = B.lc(lb), A.lc(la2)
         if not (P.pair(A.mul(A.lc(la1), y), b)
                 == P.pair(y, act("b<<a", la1, lb))):
-            return (f"pairing-product-law-fails(A): b={lb!r}, x={la1!r}, "
-                    f"y={la2!r}")
+            return (f"pairing-product-law-fails(A): b={B.label_text(lb)}, "
+                    f"x={A.label_text(la1)}, y={A.label_text(la2)}")
     for la, lb in itertools.product(a_labels, b_labels):
         if not (P.pair(A._antipode_basis(la), B.lc(lb))
                 == P.pair(A.lc(la), B._antipode_basis(lb))):
-            return f"pairing-antipode-law-fails: a={la!r}, b={lb!r}"
+            return (f"pairing-antipode-law-fails: a={A.label_text(la)}, "
+                    f"b={B.label_text(lb)}")
     for la in a_labels:
         if not (P.pair(A.lc(la), B.local_unit_for([la]))
                 == A.counit(A.lc(la))):
-            return f"pairing-unit-law-fails(B): a={la!r}"
+            return f"pairing-unit-law-fails(B): a={A.label_text(la)}"
     for lb in b_labels:
         if not (P.pair(A.local_unit_for([lb]), B.lc(lb))
                 == B.counit(B.lc(lb))):
-            return f"pairing-unit-law-fails(A): b={lb!r}"
+            return f"pairing-unit-law-fails(A): b={B.label_text(lb)}"
     return None
 
 
@@ -264,9 +265,12 @@ Z3_235 = _rescaled_group_algebra(Z3, [2, 3, 5])
     (_perturbed_group(Z4, (0, 0), Fraction(2)), None),
     (_perturbed_group(Z4, (1, 3), Fraction(2)), None),
     (_perturbed_group(Z4, (3, 2), Fraction(2)), None),
-    (_perturbed_group(S3, ((0, 1, 2), (1, 0, 2)), Fraction(2)), None),
-    (_perturbed_group(S3, ((1, 2, 0), (1, 2, 0)), Fraction(2)), None),
-    (_perturbed_group(S3, ((2, 1, 0), (0, 2, 1)), Fraction(2)), None),
+    (_perturbed_group(S3, (perm((0, 1, 2)), perm((1, 0, 2))), Fraction(2)),
+     None),
+    (_perturbed_group(S3, (perm((1, 2, 0)), perm((1, 2, 0))), Fraction(2)),
+     None),
+    (_perturbed_group(S3, (perm((2, 1, 0)), perm((0, 2, 1))), Fraction(2)),
+     None),
     # Fails in the A-product law only.
     (_perturbed_group(Z4, (1, 0), Fraction(2)), [0]),
     # Fails at several y for the first failing (a, x).
@@ -304,3 +308,23 @@ def test_duality_reports_the_first_failing_triple(P, b_labels):
     diag = P.check_duality(a_labels, b_labels)
     assert diag is not None
     assert diag == _first_duality_failure(P, a_labels, b_labels)
+
+
+@pytest.mark.parametrize("P, diag", [
+    (_negated_antipode(GroupPairing(S3)),
+     "pairing-antipode-law-fails: a=(0, 1, 2), b=(0, 1, 2)"),
+    (_negated_antipode(DrinfeldPairing(S3, F7)),
+     "pairing-antipode-law-fails: a=((0, 1, 2), (0, 1, 2)), "
+     "b=((0, 1, 2), (0, 1, 2))"),
+    (_perturbed_group(S3, (perm((1, 2, 0)), perm((1, 2, 0))), Fraction(2)),
+     "pairing-product-law-fails(B): a=(0, 1, 2), x=(1, 2, 0), "
+     "y=(2, 0, 1)"),
+    (_negated_antipode(GroupPairing(Z4)),
+     "pairing-antipode-law-fails: a=0, b=0"),
+], ids=["antipode-sign-s3", "antipode-sign-double-s3-f7", "s3-012-012",
+        "antipode-sign-z4"])
+def test_duality_diagnostic_names_image_tuples(P, diag):
+    """A diagnostic names permutations by their image tuples, as the JSON
+    does, not by the indices they are stored as."""
+    assert P.check_duality(P.A.basis_labels(None),
+                           P.B.basis_labels(None)) == diag

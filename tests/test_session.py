@@ -13,7 +13,7 @@ from mhag.session import (CORRUPTIONS, INSTANCE_KINDS, DropFirstTermW,
 from mhag.groups import aut_pair_inv, aut_pair_mul
 
 from conftest import (H4_HOPF, IDENT, NEG, cyc_inv, group_instance,
-                      hopf_instance, inner, make_session, sampled,
+                      hopf_instance, inner, make_session, perm, sampled,
                       session_spec, write_spec)
 
 
@@ -82,7 +82,8 @@ class TestGradings:
             group_instance("symmetric", 3),
             gradings=[[inner((1, 0, 2)), inner((1, 2, 0))]]))
         g = S.gradings[0]
-        assert g.alpha.apply((0, 2, 1)) == S.group.conj((1, 0, 2), (0, 2, 1))
+        x = perm((0, 2, 1), S.group)
+        assert g.alpha.apply(x) == S.group.conj(perm((1, 0, 2), S.group), x)
 
     def test_structure_constant_gradings_live_on_trivial_carrier(self):
         # Instances given by bare structure constants carry no symmetry
