@@ -124,11 +124,8 @@ def test_perm_elements_are_sorted_image_indices(n):
     assert g.identity == 0 and images[0] == tuple(range(n))
     for i, p in enumerate(images):
         assert g.parse_element(list(p)) == i
-        assert g.element_to_json(i) == list(p)
-    for x in g.elements():
-        assert g.contains(x)
-        assert g.element_to_json(g.parse_element(g.element_to_json(x))) \
-            == g.element_to_json(x)
+        assert g.element_to_json(g.parse_element(list(p))) == list(p)
+        assert g.contains(i)
     assert not any(g.contains(x) for x in (-1, len(images), True, 0.0))
 
 
