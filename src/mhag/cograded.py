@@ -14,7 +14,10 @@ The second B-leg of the graded comultiplication is covered in one place,
 unit and returns the first legs, twisted, with the covered second legs as
 crossed values.  The right side of ``comul_covered``, the lhs of
 ``quasitri.qt_coproduct_first_residual`` and the lhs of
-``quasitri.w_intertwiner_residual_b`` read it.
+``quasitri.w_intertwiner_residual_b`` read it.  On a finite carrier B's
+unit is that right unit, whatever the cover, so the legs of the split are
+read from the pairing's table ``P._bsp``; over Z they are computed
+against each cover.
 
 Conventions
 -----------
@@ -35,12 +38,14 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .crossed import EngineError, b_left_into, dcp_mul, twist_inv, twist_map
 from .groups import AutPair
 from .linear import LinComb, add_scaled, add_term
-from .pairing import Pairing
+
+if TYPE_CHECKING:
+    from .pairing import Pairing
 
 
 def graded_counit(P: Pairing, value: LinComb):
@@ -53,27 +58,51 @@ def graded_counit(P: Pairing, value: LinComb):
     return total
 
 
+def _split_legs(P: Pairing, lb, right_g: AutPair, gamma_p, gamma_p_inv,
+                unit: LinComb) -> List[Tuple]:
+    """The legs ``(gamma(b1), gamma_p(b2), k)`` of the sum ``Delta_B(lb)``
+    covered on its second leg by the ``gamma_p_inv`` image of ``unit``,
+    with ``gamma = right_g.alpha``."""
+    B = P.B
+    t_b, aut = B.t_image, B.aut_basis
+    gamma = right_g.alpha
+    out = []
+    for l0, k0 in B.apply_aut(gamma_p_inv, unit).terms.items():
+        for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+            out.append((aut(gamma, b1), aut(gamma_p, b2c), k0 * c1))
+    return out
+
+
+def split_fill(P: Pairing, lb, right_g: AutPair, gamma_p,
+               gamma_p_inv) -> tuple:
+    """The legs of ``Delta_B(lb)`` covered by B's unit: the fill of
+    ``P._bsp``."""
+    return tuple(_split_legs(P, lb, right_g, gamma_p, gamma_p_inv,
+                             P.B.unit()))
+
+
 def b_split(P: Pairing, lb, scale, right_g: AutPair, gamma_p, gamma_p_inv,
             cover: LinComb) -> List[Tuple[object, Dict]]:
     """The B-leg of the graded coproduct, covered on its second leg: the
     pairs ``(gamma(b1), s2)`` of the sum ``Delta_B(lb)`` with ``gamma =
     right_g.alpha``, where ``s2`` is the term dict of ``scale * (1 |x|
-    gamma_p(b2)) * cover`` at ``right_g``.  The cover of ``b2`` is the
-    ``gamma_p_inv`` image of ``P.crossed_right_unit(right_g, cover)``, so
-    every sum is finite; pairs whose ``s2`` is zero are left out."""
-    B = P.B
-    t_b, aut = B.t_image, B.aut_basis
-    gamma = right_g.alpha
-    c0 = B.apply_aut(gamma_p_inv, P.crossed_right_unit(right_g, cover)).terms
+    gamma_p(b2)) * cover`` at ``right_g``; pairs whose ``s2`` is zero are
+    left out.  The cover of ``b2`` is the ``gamma_p_inv`` image of
+    ``P.crossed_right_unit(right_g, cover)``, so every sum is finite.  On
+    a finite carrier that is B's unit, whatever the cover, so the legs are
+    read from ``P._bsp``."""
+    if P.is_finite:
+        legs = P._bsp[lb, right_g, gamma_p, gamma_p_inv]
+    else:
+        legs = _split_legs(P, lb, right_g, gamma_p, gamma_p_inv,
+                           P.crossed_right_unit(right_g, cover))
     cover_items = cover.terms.items()
     out = []
-    for l0, k0 in c0.items():
-        for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
-            s2: Dict = {}
-            b_left_into(P, right_g, s2, scale * k0 * c1, aut(gamma_p, b2c),
-                        cover_items)
-            if s2:
-                out.append((aut(gamma, b1), s2))
+    for b1g, b2g, k in legs:
+        s2: Dict = {}
+        b_left_into(P, right_g, s2, scale * k, b2g, cover_items)
+        if s2:
+            out.append((b1g, s2))
     return out
 
 

@@ -171,6 +171,8 @@ class TableGroup(Group):
 
     @staticmethod
     def cyclic(n: int) -> "TableGroup":
+        if n < 1:
+            raise GroupError(f"cyclic-order: need n >= 1, got {n}")
         labels = list(range(n))
         table = {(a, b): (a + b) % n for a in labels for b in labels}
         return TableGroup(labels, table, 0)
@@ -594,22 +596,31 @@ def aut_from_json(group: Group, spec) -> Automorphism:
     if kind == "negation":
         return negation_aut(group)
     if kind == "inner":
-        return inner_aut(group, group.parse_element(spec["by"]))
+        return inner_aut(group, _aut_element(group, spec["by"]))
     if kind == "map":
         images = spec["images"]
         if isinstance(images, list):
             order = group.elements()
             if len(images) != len(order):
                 raise GroupError("aut-images-shape: image list length must equal group order")
-            m = {x: group.parse_element(v) for x, v in zip(order, images)}
+            m = {x: _aut_element(group, v) for x, v in zip(order, images)}
         elif isinstance(images, dict):
-            m = {group.parse_element(k_parsed): group.parse_element(v)
+            m = {_aut_element(group, k_parsed): _aut_element(group, v)
                  for k_parsed, v in _iter_map_items(images)}
         else:
             raise GroupError("aut-images-shape: images must be a list or an "
                              "object")
         return map_aut(group, m)
     raise GroupError(f"aut-kind-unknown: {kind!r}")
+
+
+def _aut_element(group: Group, data):
+    """The element an automorphism spec names.  A value that no element
+    lookup can hash, such as a nested list, names no element either."""
+    try:
+        return group.parse_element(data)
+    except TypeError:
+        raise GroupError(f"element-unknown: {data!r}") from None
 
 
 def _iter_map_items(images):

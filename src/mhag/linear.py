@@ -33,7 +33,9 @@ def label_key(label):
 # later misses are computed afresh.  The cap holds every basis product of a
 # finite S3 session with all 36 inner gradings (36 * 36**2 = 46 656), and
 # bounds every table over infinite carriers and every product table of a
-# large permutation group.
+# large permutation group.  The pairing's tables of W on a basis tensor
+# (``_wl``) and of split legs (``_bsp``) are read on finite carriers only,
+# and the cap bounds them too.
 MEMO_CAP = 1 << 16
 
 
@@ -44,12 +46,14 @@ class BasisTable(dict):
 
     Every basis table is one: the product, T-map, antipode and local-unit
     tables of an instance, the twist, product and action tables of a
-    pairing, its grading tables (the grading product, the inverse and
-    derived automorphisms of a grading, the second-leg automorphism of a
-    split, the crossing action and the second intertwiner law's
-    automorphisms), the covered-coproduct tables of the ``hopf`` suite,
-    and the product table of a permutation group.  It lives here, below
-    :mod:`mhag.groups`, so that a group can keep one too."""
+    pairing, its tables of W applied to one basis tensor (``_wl``) and of
+    the legs of one covered B-split (``_bsp``), its grading tables (the
+    grading product, the inverse and derived automorphisms of a grading,
+    the second-leg automorphism of a split, the crossing action and the
+    second intertwiner law's automorphisms), the covered-coproduct tables
+    of the ``hopf`` suite, and the product table of a permutation group.
+    It lives here, below :mod:`mhag.groups`, so that a group can keep one
+    too."""
 
     __slots__ = ("fill",)
 

@@ -30,12 +30,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from .cograded import split_fill
 from .crossed import dcp_fill, twist_fill
 from .groups import (AutPair, Automorphism, Group, GroupError, aut_pair_inv,
                      aut_pair_mul)
 from .linear import BasisTable, LinComb, add_scaled, add_term
 from .mha import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, MhaInstance)
+from .quasitri import w_left_fill
 from .scalars import Field, RationalField
 
 
@@ -90,6 +92,14 @@ class Pairing:
         # and crossed.dcp_mul.
         self._twc = BasisTable(partial(twist_fill, self))
         self._dcp = BasisTable(partial(dcp_fill, self))
+        # W applied from the left to one basis tensor, keyed (binv,
+        # grading, the B-label or the crossed slot's two labels, A-label),
+        # and the legs of the covered split of one B-label, keyed
+        # (b_label, right_g, gamma_p, gamma_p_inv): see quasitri._w_left
+        # and cograded.b_split.  They are read on finite carriers only
+        # (see is_finite).
+        self._wl = BasisTable(partial(w_left_fill, self))
+        self._bsp = BasisTable(partial(split_fill, self))
         # Basis actions, keyed (variant, actor, target): see act_into.
         self._act = BasisTable(self._act_basis)
         # The grading tables, filled lazily because the grading group may
@@ -109,6 +119,16 @@ class Pairing:
         self.pair_mul = aut_pair_mul
         self.cop_first_leg = True
         self.skew = False
+
+    @property
+    def is_finite(self) -> bool:
+        """Whether both instances are unital, i.e. the carrier is finite.
+        Only then are W on a basis tensor and the legs of a covered split
+        read from ``_wl`` and ``_bsp``: B's unit covers every split, so its
+        legs do not depend on the cover, and the keys are few and recur.
+        Over an infinite carrier sampled keys rarely recur, and both are
+        computed afresh."""
+        return self.A.is_unital and self.B.is_unital
 
     def pair_basis(self, la, lb):
         """The form on basis labels: equal labels pair to 1, others to 0."""

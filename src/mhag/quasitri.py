@@ -8,7 +8,10 @@ solvers on W keep every application a finite exact sum.
 
 W is applied from the left in one place, ``_w_left``: its A-leg
 multiplies one A-label of a flat tensor value, its B-leg (twisted when
-asked) one plain B-label or one crossed slot.  The left R-multiplier, the
+asked) one plain B-label or one crossed slot.  W is linear, so its value
+on one basis tensor, ``w_left_fill``, fixes it; on a finite carrier that
+value is read from the pairing's table ``P._wl``, and over Z it is
+computed afresh for each term.  The left R-multiplier, the
 W_13 W_23 and W_12 W_13 sides of the two coproduct identities of W, the
 plain W of its inverse law and the W step of both sides of the two
 intertwiner laws are calls to it; the right-hand sides of
@@ -38,14 +41,16 @@ the second intertwiner law (``P._wbaut``).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .cograded import b_split, comul_apply_full, xi_on_legs
 from .crossed import a_left_into, b_left_into
 from .groups import AutPair
 from .linear import LinComb, add_scaled, add_term
 from .mha import MhaInstance
-from .pairing import Pairing
+
+if TYPE_CHECKING:
+    from .pairing import Pairing
 
 
 def _lmul(X: MhaInstance, lx, y: Dict) -> Dict:
@@ -60,19 +65,11 @@ def _lmul(X: MhaInstance, lx, y: Dict) -> Dict:
     return out
 
 
-def _w_left(P: Pairing, terms: Dict, b_at, a_at: int, binv=None) -> Dict:
-    """``W * value`` for a flat tensor value given as a term dict.  Each term
-    ``(wb, wa)`` of the canonical multiplier multiplies ``wa`` into the
-    A-label at position ``a_at`` and ``wb``, twisted by ``binv`` when one
-    is given, into the plain B-label at ``b_at`` or, when ``b_at`` is
-    ``(i, grading)``, into the crossed slot at ``i, i+1`` at that
-    grading."""
-    if not terms:                   # an intertwiner lhs is often zero
-        return {}
+def _w_terms(P: Pairing, terms: Dict, b_at, a_at: int, binv) -> Dict:
+    """``W * value``, computed term by term (see ``_w_left``; ``binv`` is
+    ``None`` for no twist)."""
     a_mul, aut = P.A.mul_basis, P.B.aut_basis
     candidates = P.w.candidates_left
-    if binv is not None and binv.is_identity():
-        binv = None
     out: Dict[Tuple, object] = {}
     if type(b_at) is tuple:
         i, grading = b_at
@@ -105,6 +102,52 @@ def _w_left(P: Pairing, terms: Dict, b_at, a_at: int, binv=None) -> Dict:
                 for la2, c2 in s_a.items():
                     k[a_at] = la2
                     add_term(out, tuple(k), c1 * c2)
+    return out
+
+
+def w_left_fill(P: Pairing, binv, grading, *labels) -> tuple:
+    """W applied from the left to one basis tensor: the fill of ``P._wl``.
+    ``labels`` are the plain B-label and the A-label, or, when ``grading``
+    is not ``None``, the two labels of a crossed slot at that grading and
+    the A-label.  The result is a tuple of terms, each the new labels in
+    the same places followed by the coefficient."""
+    b_at = 0 if grading is None else (0, grading)
+    image = _w_terms(P, {labels: P.field.one()}, b_at, len(labels) - 1, binv)
+    return tuple(k + (c,) for k, c in image.items())
+
+
+def _w_left(P: Pairing, terms: Dict, b_at, a_at: int, binv=None) -> Dict:
+    """``W * value`` for a flat tensor value given as a term dict.  Each term
+    ``(wb, wa)`` of the canonical multiplier multiplies ``wa`` into the
+    A-label at position ``a_at`` and ``wb``, twisted by ``binv`` when one
+    is given, into the plain B-label at ``b_at`` or, when ``b_at`` is
+    ``(i, grading)``, into the crossed slot at ``i, i+1`` at that
+    grading.  W is linear, so it is fixed by its value on each basis
+    tensor, which a finite carrier reads from ``P._wl`` (see
+    ``Pairing.is_finite``); over Z it is computed term by term."""
+    if not terms:                   # an intertwiner lhs is often zero
+        return {}
+    if binv is not None and binv.is_identity():
+        binv = None
+    if not P.is_finite:
+        return _w_terms(P, terms, b_at, a_at, binv)
+    wl = P._wl
+    out: Dict[Tuple, object] = {}
+    if type(b_at) is tuple:
+        i, grading = b_at
+        j = i + 1
+        for key, c in terms.items():
+            k = list(key)
+            for l1a, l1b, la2, cw in wl[binv, grading, key[i], key[j],
+                                        key[a_at]]:
+                k[i], k[j], k[a_at] = l1a, l1b, la2
+                add_term(out, tuple(k), c * cw)
+        return out
+    for key, c in terms.items():
+        k = list(key)
+        for lb1, la2, cw in wl[binv, None, key[b_at], key[a_at]]:
+            k[b_at], k[a_at] = lb1, la2
+            add_term(out, tuple(k), c * cw)
     return out
 
 

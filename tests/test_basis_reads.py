@@ -13,6 +13,12 @@ rescaled structure-constant pairing and H4 have basis images whose
 coefficients are not 1, so only they see a dropped coefficient, and only
 H4 has an antipode that is not an involution.
 
+The former bodies of ``quasitri._w_left`` and ``cograded.b_split``, which
+computed W on every basis tensor and every split afresh, are compared with
+the two maps that read the pairing's tables ``_wl`` and ``_bsp`` on a
+finite carrier, over these pairings and an S3 session with
+``drop-r-term`` planted.
+
 Four former bodies that did not read a table are kept as well: the case
 scheduler that built a list and decoded every tuple by mixed radix, the
 ``dcp-associativity`` residual that multiplied one-term values, and the
@@ -22,25 +28,28 @@ permutation product and inverse that worked index by index.
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import pytest
 
-from mhag import EnumSpec, suites
-from mhag.cograded import comul_covered, graded_antipode, xi_on_legs
-from mhag.crossed import (_move, a_left_into, b_embed_left, commutation_residual,
-                          dcp_assoc_residual, dcp_mul, twist_inv, twist_map)
-from mhag.groups import AutPair, PermGroup, aut_pair_inv, group_from_json
+from mhag import EnumSpec, linear, suites
+from mhag.cograded import b_split, comul_covered, graded_antipode, xi_on_legs
+from mhag.crossed import (_move, a_left_into, b_embed_left, b_left_into,
+                          commutation_residual, dcp_assoc_residual, dcp_mul,
+                          twist_inv, twist_map)
+from mhag.groups import (AutPair, PermGroup, aut_pair_inv, group_from_json,
+                         identity_aut)
 from mhag.linear import LinComb, add_scaled, add_term
 from mhag.pairing import PairingError
-from mhag.quasitri import (qt_coproduct_first_residual,
+from mhag.quasitri import (_w_left, qt_coproduct_first_residual,
                            qt_coproduct_second_residual, r_apply,
                            w_coproduct_a_residual, w_coproduct_b_residual,
                            w_intertwiner_residual_a, w_intertwiner_residual_b,
                            w_inverse_residual)
 
 from conftest import (IDENT, engine_cases, group_instance, inner, make_session,
-                      s3_36_gradings, session_spec)
+                      s3_36_gradings, s3_gradings, session_spec)
 
 CASES = engine_cases()
 IDS = [c[0] for c in CASES]
@@ -712,6 +721,67 @@ def _ref_w_intertwiner_b(P, p, q, b, m, u):
     return LinComb(lhs_terms), LinComb(rhs_terms)
 
 
+# -- former bodies: the two maps the pairing now tables --------------------------
+
+def _ref_w_left(P, terms, b_at, a_at, binv=None):
+    if not terms:
+        return {}
+    a_mul, aut = P.A.mul_basis, P.B.aut_basis
+    candidates = P.w.candidates_left
+    if binv is not None and binv.is_identity():
+        binv = None
+    out = {}
+    if type(b_at) is tuple:
+        i, grading = b_at
+        for key, c in terms.items():
+            la, k, y = key[a_at], list(key), ((key[i:i + 2], c),)
+            for wb, wa, cw in candidates((la,)):
+                s_a = a_mul(wa, la).terms
+                if not s_a:
+                    continue
+                s_b = {}
+                b_left_into(P, grading, s_b, cw,
+                            wb if binv is None else aut(binv, wb), y)
+                for (l1a, l1b), c1 in s_b.items():
+                    k[i], k[i + 1] = l1a, l1b
+                    for la2, c2 in s_a.items():
+                        k[a_at] = la2
+                        add_term(out, tuple(k), c1 * c2)
+        return out
+    b_mul = P.B.mul_basis
+    for key, c in terms.items():
+        la, lb, k = key[a_at], key[b_at], list(key)
+        for wb, wa, cw in candidates((la,)):
+            s_a = a_mul(wa, la).terms
+            if not s_a:
+                continue
+            cc = c * cw
+            for lb1, c1 in b_mul(wb if binv is None else aut(binv, wb),
+                                 lb).terms.items():
+                k[b_at], c1 = lb1, cc * c1
+                for la2, c2 in s_a.items():
+                    k[a_at] = la2
+                    add_term(out, tuple(k), c1 * c2)
+    return out
+
+
+def _ref_b_split(P, lb, scale, right_g, gamma_p, gamma_p_inv, cover):
+    B = P.B
+    t_b, aut = B.t_image, B.aut_basis
+    gamma = right_g.alpha
+    c0 = B.apply_aut(gamma_p_inv, P.crossed_right_unit(right_g, cover)).terms
+    cover_items = cover.terms.items()
+    out = []
+    for l0, k0 in c0.items():
+        for (b1, b2c), c1 in t_b(1, lb, l0).terms.items():
+            s2 = {}
+            b_left_into(P, right_g, s2, scale * k0 * c1, aut(gamma_p, b2c),
+                        cover_items)
+            if s2:
+                out.append((aut(gamma, b1), s2))
+    return out
+
+
 # -- former bodies: suites and groups ----------------------------------------------
 
 def _ref_decode(i, pools):
@@ -984,6 +1054,95 @@ class TestBasisReads:
             b, mb = inp.value(inp.b), inp.value(inp.b)
             assert w_intertwiner_residual_b(P, p, q, b, mb, u) == \
                 _ref_w_intertwiner_b(P, p, q, b, mb, u)
+
+
+# The pairing tables of W on a basis tensor and of the covered split: the
+# cases of engine_cases and an S3 session with ``drop-r-term`` planted, whose
+# W table must hold the planted W.
+TABLE_CASES = engine_cases() + [
+    ("s3-drop-r-term",
+     lambda: make_session(session_spec(group_instance("symmetric", 3),
+                                       corrupt="drop-r-term")).P,
+     s3_gradings(), [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
+]
+
+
+def _w_left_layouts(inp, gradings):
+    """(slot families, b_at, a_at) of flat tensors that W multiplies: plain
+    B-slots and crossed slots, with the A-label before or after them."""
+    a1, b1 = [(l,) for l in inp.a], [(l,) for l in inp.b]
+    out = [([b1, a1], 0, 1), ([a1, b1, b1], 2, 0), ([b1, b1, a1], 1, 2)]
+    for g in gradings:
+        out += [([inp.ab, a1], (0, g), 2), ([inp.ab, inp.ab], (0, g), 2),
+                ([a1, inp.ab], (1, g), 0)]
+    return out
+
+
+def _twists(P, gradings):
+    """``None``, an identity automorphism and every ``beta^-1`` of the
+    gradings, as ``_w_left`` is passed them."""
+    identity = identity_aut(gradings[0].alpha.group)
+    return [None, identity] + list(dict.fromkeys(
+        P._gaut[g].beta_inv for g in gradings))
+
+
+def _check_w_left(P, inp, gradings):
+    for slots, b_at, a_at in _w_left_layouts(inp, gradings):
+        for binv in _twists(P, gradings):
+            value = inp.tensor(slots, 3)
+            expected = _ref_w_left(P, value.terms, b_at, a_at, binv)
+            # The first call fills the table, the second reads it.
+            for _ in range(2):
+                assert _w_left(P, value.terms, b_at, a_at, binv) == expected
+
+
+def _check_b_split(P, inp, gradings):
+    for p, q in _pairs(gradings):
+        # The second-leg automorphisms of a split, and of the second
+        # intertwiner law, which differ on S3.
+        for gamma_p, gamma_p_inv in (P._split[p, q], P._wbaut[p, q][:2]):
+            for _ in range(2):
+                lb = inp.rng.choice(inp.b)
+                scale = inp.rng.choice(inp.coeffs)
+                cover = inp.value(inp.ab, 3)
+                expected = _ref_b_split(P, lb, scale, q, gamma_p,
+                                        gamma_p_inv, cover)
+                for _ in range(2):
+                    assert b_split(P, lb, scale, q, gamma_p, gamma_p_inv,
+                                   cover) == expected
+
+
+@pytest.mark.parametrize("case", TABLE_CASES,
+                         ids=[c[0] for c in TABLE_CASES])
+class TestPairingTables:
+    """``_w_left`` and ``b_split`` against their former bodies, on
+    multi-term values and covers with mixed coefficients.  A finite carrier
+    fills ``P._wl`` and ``P._bsp``; Z, the one infinite carrier here,
+    leaves both empty."""
+
+    def test_w_left(self, case):
+        P, gradings, inp = _setup(case)
+        _check_w_left(P, inp, gradings)
+        assert bool(P._wl) == (case[0] != "z-sign")
+        assert not P._bsp
+
+    def test_b_split(self, case):
+        P, gradings, inp = _setup(case)
+        _check_b_split(P, inp, gradings)
+        assert bool(P._bsp) == (case[0] != "z-sign")
+        assert not P._wl
+
+
+def test_full_tables_compute_misses_afresh(monkeypatch):
+    """At the cap both tables stop growing, and a key they do not hold is
+    computed again, to the same values."""
+    cap = 5
+    monkeypatch.setattr(linear, "MEMO_CAP", cap)
+    P, gradings, inp = _setup(TABLE_CASES[IDS.index("s3-inner")])
+    for _ in range(3):
+        _check_w_left(P, inp, gradings)
+        _check_b_split(P, inp, gradings)
+        assert len(P._wl) == cap and len(P._bsp) == cap
 
 
 # Exact-rank checks: they schedule no case, and on 36 gradings they take

@@ -658,8 +658,11 @@ class TestInputDiagnostics:
             [2, 1, 0]]}, "[0.0, 2, 1]"),
         ("symmetric", {"kind": "inner", "by": 3}, "3"),
         ("symmetric", {"kind": "inner", "by": True}, "True"),
+        ("cyclic", {"kind": "inner", "by": [[1]]}, "[[1]]"),
+        ("cyclic", {"kind": "map", "images": [0, [[2]], 1]}, "[[2]]"),
     ], ids=["s3-inner-float", "cyclic-inner-float", "s3-map-float",
-            "s3-bare-index", "s3-boolean"])
+            "s3-bare-index", "s3-boolean", "cyclic-inner-nested-list",
+            "cyclic-map-nested-list"])
     def test_malformed_group_element_exits_two(self, capsys, tmp_path,
                                                group, aut, shown):
         """A float equals an int and a bool is one, so a lookup alone
@@ -670,6 +673,21 @@ class TestInputDiagnostics:
         rc, out, err = run_cli(capsys, "export", "--spec", spec)
         assert (rc, out) == (2, "")
         assert err == f"error: session-gradings: element-unknown: {shown}\n"
+
+    @pytest.mark.parametrize("instance, n", [
+        (group_instance("cyclic", 0), 0),
+        (group_instance("cyclic", -2), -2),
+        ({"kind": "drinfeld-double", "group": {"kind": "cyclic", "n": 0}}, 0),
+    ], ids=["cyclic-zero", "cyclic-negative", "double-over-cyclic-zero"])
+    def test_cyclic_order_below_one_exits_two(self, capsys, tmp_path,
+                                              instance, n):
+        """A cyclic group of order below one is refused by its order, not
+        by the identity missing from its empty element list."""
+        spec = write_spec(tmp_path, session_spec(instance))
+        rc, out, err = run_cli(capsys, "export", "--spec", spec)
+        assert (rc, out) == (2, "")
+        assert err == ("error: session-instance: cyclic-order: need n >= 1, "
+                       f"got {n}\n")
 
     def test_non_homomorphic_map_names_permutations(self, capsys, tmp_path):
         swapped = {"kind": "map", "images": [
