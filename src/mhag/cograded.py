@@ -14,10 +14,11 @@ The second B-leg of the graded comultiplication is covered in one place,
 unit and returns the first legs, twisted, with the covered second legs as
 crossed values.  The right side of ``comul_covered``, the lhs of
 ``quasitri.qt_coproduct_first_residual`` and the lhs of
-``quasitri.w_intertwiner_residual_b`` read it.  On a finite carrier B's
+``quasitri.w_intertwiner_residual_b`` read it.  When B is unital its
 unit is that right unit, whatever the cover, so the legs of the split are
-read from the pairing's table ``P._bsp``; over Z they are computed
-against each cover.
+read from the pairing's table ``P._bsp``: on every workload over 95 % of
+the splits repeat their legs, over Z too.  Only a non-unital B, the
+double over Z, computes them against each cover.
 
 Conventions
 -----------
@@ -88,10 +89,10 @@ def b_split(P: Pairing, lb, scale, right_g: AutPair, gamma_p, gamma_p_inv,
     right_g.alpha``, where ``s2`` is the term dict of ``scale * (1 |x|
     gamma_p(b2)) * cover`` at ``right_g``; pairs whose ``s2`` is zero are
     left out.  The cover of ``b2`` is the ``gamma_p_inv`` image of
-    ``P.crossed_right_unit(right_g, cover)``, so every sum is finite.  On
-    a finite carrier that is B's unit, whatever the cover, so the legs are
+    ``P.crossed_right_unit(right_g, cover)``, so every sum is finite.
+    When B is unital that is B's unit, whatever the cover, so the legs are
     read from ``P._bsp``."""
-    if P.is_finite:
+    if P.B.is_unital:
         legs = P._bsp[lb, right_g, gamma_p, gamma_p_inv]
     else:
         legs = _split_legs(P, lb, right_g, gamma_p, gamma_p_inv,

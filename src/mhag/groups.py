@@ -618,9 +618,10 @@ def _aut_element(group: Group, data):
     """The element an automorphism spec names.  A value that no element
     lookup can hash, such as a nested list, names no element either."""
     try:
-        return group.parse_element(data)
+        hash(tuple(data) if isinstance(data, list) else data)
     except TypeError:
         raise GroupError(f"element-unknown: {data!r}") from None
+    return group.parse_element(data)
 
 
 def _iter_map_items(images):

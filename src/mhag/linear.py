@@ -33,9 +33,9 @@ def label_key(label):
 # later misses are computed afresh.  The cap holds every basis product of a
 # finite S3 session with all 36 inner gradings (36 * 36**2 = 46 656), and
 # bounds every table over infinite carriers and every product table of a
-# large permutation group.  The pairing's tables of W on a basis tensor
-# (``_wl``) and of split legs (``_bsp``) are read on finite carriers only,
-# and the cap bounds them too.
+# large permutation group.  It bounds the pairing's tables of W on a basis
+# tensor (``_wl``, read on finite group and structure-constant pairings)
+# and of split legs (``_bsp``, read whenever B is unital, Z included) too.
 MEMO_CAP = 1 << 16
 
 

@@ -9,9 +9,11 @@ solvers on W keep every application a finite exact sum.
 W is applied from the left in one place, ``_w_left``: its A-leg
 multiplies one A-label of a flat tensor value, its B-leg (twisted when
 asked) one plain B-label or one crossed slot.  W is linear, so its value
-on one basis tensor, ``w_left_fill``, fixes it; on a finite carrier that
-value is read from the pairing's table ``P._wl``, and over Z it is
-computed afresh for each term.  The left R-multiplier, the
+on one basis tensor, ``w_left_fill``, fixes it; where those basis tensors
+recur (``P.w_from_table``: the group pairing of a finite group and the
+structure-constant pairings) that value is read from the pairing's table
+``P._wl``, and elsewhere (Z, the double) it is computed afresh for each
+term.  The left R-multiplier, the
 W_13 W_23 and W_12 W_13 sides of the two coproduct identities of W, the
 plain W of its inverse law and the W step of both sides of the two
 intertwiner laws are calls to it; the right-hand sides of
@@ -123,13 +125,13 @@ def _w_left(P: Pairing, terms: Dict, b_at, a_at: int, binv=None) -> Dict:
     is given, into the plain B-label at ``b_at`` or, when ``b_at`` is
     ``(i, grading)``, into the crossed slot at ``i, i+1`` at that
     grading.  W is linear, so it is fixed by its value on each basis
-    tensor, which a finite carrier reads from ``P._wl`` (see
-    ``Pairing.is_finite``); over Z it is computed term by term."""
+    tensor, read from ``P._wl`` when ``P.w_from_table`` is set; else it
+    is computed term by term."""
     if not terms:                   # an intertwiner lhs is often zero
         return {}
     if binv is not None and binv.is_identity():
         binv = None
-    if not P.is_finite:
+    if not P.w_from_table:
         return _w_terms(P, terms, b_at, a_at, binv)
     wl = P._wl
     out: Dict[Tuple, object] = {}

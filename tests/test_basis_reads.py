@@ -15,9 +15,10 @@ H4 has an antipode that is not an involution.
 
 The former bodies of ``quasitri._w_left`` and ``cograded.b_split``, which
 computed W on every basis tensor and every split afresh, are compared with
-the two maps that read the pairing's tables ``_wl`` and ``_bsp`` on a
-finite carrier, over these pairings and an S3 session with
-``drop-r-term`` planted.
+the two maps that read the pairing's tables ``_wl`` (where
+``w_from_table`` is set) and ``_bsp`` (whenever B is unital), over these
+pairings, an S3 session with ``drop-r-term`` planted and, for the split,
+the double over Z, whose B has no unit.
 
 Four former bodies that did not read a table are kept as well: the case
 scheduler that built a list and decoded every tuple by mixed radix, the
@@ -38,10 +39,10 @@ from mhag.cograded import b_split, comul_covered, graded_antipode, xi_on_legs
 from mhag.crossed import (_move, a_left_into, b_embed_left, b_left_into,
                           commutation_residual, dcp_assoc_residual, dcp_mul,
                           twist_inv, twist_map)
-from mhag.groups import (AutPair, PermGroup, aut_pair_inv, group_from_json,
-                         identity_aut)
+from mhag.groups import (AutPair, IntGroup, PermGroup, aut_pair_inv,
+                         group_from_json, identity_aut, negation_aut)
 from mhag.linear import LinComb, add_scaled, add_term
-from mhag.pairing import PairingError
+from mhag.pairing import DrinfeldPairing, PairingError
 from mhag.quasitri import (_w_left, qt_coproduct_first_residual,
                            qt_coproduct_second_residual, r_apply,
                            w_coproduct_a_residual, w_coproduct_b_residual,
@@ -1116,21 +1117,36 @@ def _check_b_split(P, inp, gradings):
                          ids=[c[0] for c in TABLE_CASES])
 class TestPairingTables:
     """``_w_left`` and ``b_split`` against their former bodies, on
-    multi-term values and covers with mixed coefficients.  A finite carrier
-    fills ``P._wl`` and ``P._bsp``; Z, the one infinite carrier here,
-    leaves both empty."""
+    multi-term values and covers with mixed coefficients.  W fills
+    ``P._wl`` on every pairing here but Z and the double, which compute it
+    afresh; every B here is unital, so every split fills ``P._bsp``."""
 
     def test_w_left(self, case):
         P, gradings, inp = _setup(case)
         _check_w_left(P, inp, gradings)
-        assert bool(P._wl) == (case[0] != "z-sign")
+        assert bool(P._wl) == (case[0] not in ("z-sign", "double-f10007"))
         assert not P._bsp
 
     def test_b_split(self, case):
         P, gradings, inp = _setup(case)
         _check_b_split(P, inp, gradings)
-        assert bool(P._bsp) == (case[0] != "z-sign")
+        assert P._bsp
         assert not P._wl
+
+
+def test_b_split_on_a_non_unital_b():
+    """The double over Z has no unit, so the cover of a split depends on
+    the value it covers: its legs are computed against each cover and
+    ``P._bsp`` stays empty."""
+    Z = IntGroup()
+    i, neg = identity_aut(Z), negation_aut(Z)
+    case = ("double-z", lambda: DrinfeldPairing(Z),
+            [AutPair(i, i), AutPair(neg, i), AutPair(i, neg)],
+            [Fraction(3, 2), -2, 5, Fraction(-1, 7)])
+    P, gradings, inp = _setup(case)
+    assert not P.B.is_unital
+    _check_b_split(P, inp, gradings)
+    assert not P._bsp
 
 
 def test_full_tables_compute_misses_afresh(monkeypatch):

@@ -355,6 +355,20 @@ def test_aut_from_json_kinds():
         aut_from_json(z3, {"kind": "outer"})
 
 
+def test_aut_element_names_only_unhashable_values(monkeypatch):
+    """A nested list names no element; a TypeError raised by a group's own
+    parser on a hashable value is not taken for bad input."""
+    z3 = TableGroup.cyclic(3)
+    with pytest.raises(GroupError, match=r"element-unknown: \[\[1\]\]"):
+        aut_from_json(z3, {"kind": "inner", "by": [[1]]})
+
+    def broken(data):
+        raise TypeError("parser fault")
+    monkeypatch.setattr(z3, "parse_element", broken)
+    with pytest.raises(TypeError, match="parser fault"):
+        aut_from_json(z3, {"kind": "inner", "by": 1})
+
+
 @pytest.mark.parametrize("images", [{"1": -1}, {"1": 7}, {"1": 1}])
 def test_map_aut_on_the_integers_is_refused(images):
     # An image map on Z was once dropped, so negation and a non-automorphism
