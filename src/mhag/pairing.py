@@ -477,8 +477,8 @@ class FiniteDimPairing(Pairing):
         self.field = A.field
         self.name = "finite-dim"
         self.w = CanonicalW(self)
-        # A structure-constant instance is small (H4, a rescaled S3), so
-        # its basis tensors recur as S3's do.
+        # The structure-constant instances here are small (H4, a rescaled
+        # S3; no workload runs one), so their basis tensors recur as S3's.
         self.w_from_table = True
 
     @staticmethod
