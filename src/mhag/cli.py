@@ -22,8 +22,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
-from .cograded import (comul_covered, crossing_apply, graded_antipode,
-                       graded_counit)
+from .cograded import (comul_covered, comul_right_into, crossing_apply,
+                       graded_antipode, graded_counit)
 from .crossed import commutation_residual, dcp_mul, twist_inv, twist_map
 from .linear import LinComb, label_key
 from .quasitri import r_apply
@@ -171,7 +171,8 @@ def export_structure(S: Session) -> Dict:
     """Structure constants of a finite session: the multiplication tensor
     of every graded component and the covered comultiplication images of
     all basis elements for every grading split, in basis-lexicographic
-    order."""
+    order.  Products are read from ``P._dcp`` and each image is summed by
+    ``comul_right_into``, label by label."""
     if not S.finite:
         raise SessionError("export requires a finite instance")
     P = S.P
@@ -180,33 +181,44 @@ def export_structure(S: Session) -> Dict:
     # Each crossed label and grading is rendered once, and each coproduct
     # row takes its A and B slots from those renderings; the document
     # shares the rendered lists wherever the same label or grading recurs.
+    # So does each coproduct image: a term list is kept once per rendered
+    # text (labels and ``to_str`` coefficients), and ``_dump`` writes its
+    # repeats from one string.
     shown = {x: _lab(S, "ab", x) for x in crossed}
     a_shown = {a: lab[0] for (a, _), lab in shown.items()}
     b_shown = {b: lab[1] for (_, b), lab in shown.items()}
+    units = {x: LinComb.unit(x) for x in crossed}
     gradings = [(g, grading_to_json(g)) for g in S.gradings]
     components = []
     for g, g_json in gradings:
         entries = []
         for x in crossed:
             for y in crossed:
-                prod = dcp_mul(P, g, LinComb.unit(x), LinComb.unit(y))
+                prod = LinComb(dict(P._dcp[g, x, y]))
                 for lab, c in prod.sorted_items():
                     entries.append([shown[x], shown[y], shown[lab],
                                     to_str(c)])
         components.append({"grading": g_json, "mul": entries})
+    term_lists: Dict = {}
     splits = []
     for p, p_json in gradings:
         for q, q_json in gradings:
+            gamma_p, gamma_p_inv = P._split[p, q]
             images = []
             for x in crossed:
                 for cover in crossed:
-                    half = comul_covered(
-                        P, LinComb.unit(x), p, q, LinComb.unit(cover),
-                        side="right")
-                    images.append([shown[x], shown[cover], [
-                        [a_shown[a1], b_shown[b1], a_shown[a2], b_shown[b2],
-                         to_str(c)]
-                        for (a1, b1, a2, b2), c in half.sorted_items()]])
+                    half: Dict = {}
+                    comul_right_into(P, half, x, 1, q, gamma_p, gamma_p_inv,
+                                     units[cover])
+                    key = tuple((lab, to_str(c))
+                                for lab, c in LinComb(half).sorted_items())
+                    terms = term_lists.get(key)
+                    if terms is None:
+                        terms = term_lists[key] = [
+                            [a_shown[a1], b_shown[b1], a_shown[a2],
+                             b_shown[b2], c]
+                            for (a1, b1, a2, b2), c in key]
+                    images.append([shown[x], shown[cover], terms])
             splits.append({"left": p_json, "right": q_json,
                            "side": "right", "images": images})
     return {"gradings": [g_json for _, g_json in gradings],

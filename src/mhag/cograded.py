@@ -12,7 +12,9 @@ first slot.
 The second B-leg of the graded comultiplication is covered in one place,
 ``b_split``: it splits one B-label by ``Delta_B`` against a finite right
 unit and returns the first legs, twisted, with the covered second legs as
-crossed values.  The right side of ``comul_covered``, the lhs of
+crossed values.  The right side of ``comul_covered`` adds the image of
+one basis term at a time through its core ``comul_right_into``, which
+the export calls label by label; that core, the lhs of
 ``quasitri.qt_coproduct_first_residual`` and the lhs of
 ``quasitri.w_intertwiner_residual_b`` read it.  When B is unital its
 unit is that right unit, whatever the cover, so the legs of the split are
@@ -107,6 +109,21 @@ def b_split(P: Pairing, lb, scale, right_g: AutPair, gamma_p, gamma_p_inv,
     return out
 
 
+def comul_right_into(P: Pairing, out: Dict, xl, scale, right_g: AutPair,
+                     gamma_p, gamma_p_inv, cover: LinComb) -> None:
+    """Add ``scale`` times the right-covered coproduct of the basis term
+    ``xl`` (see ``comul_covered``) to the term dict ``out``; ``gamma_p``
+    and ``gamma_p_inv`` are the split's entry of ``P._split``."""
+    t_a, cop_first = P.A.t_image, P.cop_first_leg
+    la, lb = xl
+    for lb1g, s2 in b_split(P, lb, scale, right_g, gamma_p, gamma_p_inv,
+                            cover):
+        for (a_t, b_t), c2 in s2.items():
+            for (a1c, a2), c3 in t_a(3, la, a_t).terms.items():
+                first, second = (a2, a1c) if cop_first else (a1c, a2)
+                add_term(out, (first, lb1g, second, b_t), c2 * c3)
+
+
 def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
                   cover: LinComb, side: str = "right") -> LinComb:
     """Covered graded comultiplication of a homogeneous value ``x`` (at the
@@ -122,19 +139,13 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
     emitted on which slot (a defect planted for mutation testing).
     """
     A, B = P.A, P.B
-    t_a, cop_first = A.t_image, P.cop_first_leg
     gamma_p, gamma_p_inv = P._split[left_g, right_g]
     out: Dict[Tuple, object] = {}
 
     if side == "right":
-        for (la, lb), cx in x.terms.items():
-            for lb1g, s2 in b_split(P, lb, cx, right_g, gamma_p, gamma_p_inv,
-                                    cover):
-                for (a_t, b_t), c2 in s2.items():
-                    for (a1c, a2), c3 in t_a(3, la, a_t).terms.items():
-                        first, second = ((a2, a1c) if cop_first
-                                         else (a1c, a2))
-                        add_term(out, (first, lb1g, second, b_t), c2 * c3)
+        for xl, cx in x.terms.items():
+            comul_right_into(P, out, xl, cx, right_g, gamma_p, gamma_p_inv,
+                             cover)
         return LinComb(out)
 
     if side != "left":
@@ -144,6 +155,7 @@ def comul_covered(P: Pairing, x: LinComb, left_g: AutPair, right_g: AutPair,
             "left-covered-comultiplication-requires-unital-B")
     alpha, beta = left_g
     gamma = right_g.alpha
+    t_a, cop_first = A.t_image, P.cop_first_leg
     t_b, aut, b_mul, act_into = B.t_image, B.aut_basis, B.mul_basis, P.act_into
     one = P.field.one()
     one_b = B.unit().terms

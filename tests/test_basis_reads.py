@@ -18,7 +18,10 @@ computed W on every basis tensor and every split afresh, are compared with
 the two maps that read the pairing's tables ``_wl`` (where
 ``w_from_table`` is set) and ``_bsp`` (whenever B is unital), over these
 pairings, an S3 session with ``drop-r-term`` planted and, for the split,
-the double over Z, whose B has no unit.
+the double over Z, whose B has no unit.  The term-level core of the
+right-covered coproduct, ``comul_right_into``, summed over the terms of
+a value, is compared with ``comul_covered`` and its former body on these
+pairings and an S3 session with ``swap-delta-legs`` planted.
 
 Four former bodies that did not read a table are kept as well: the case
 scheduler that built a list and decoded every tuple by mixed radix, the
@@ -35,7 +38,8 @@ from typing import Dict, List, Tuple
 import pytest
 
 from mhag import EnumSpec, linear, suites
-from mhag.cograded import b_split, comul_covered, graded_antipode, xi_on_legs
+from mhag.cograded import (b_split, comul_covered, comul_right_into,
+                           graded_antipode, xi_on_legs)
 from mhag.crossed import (_move, a_left_into, b_embed_left, b_left_into,
                           commutation_residual, dcp_assoc_residual, dcp_mul,
                           twist_inv, twist_map)
@@ -1134,19 +1138,56 @@ class TestPairingTables:
         assert not P._wl
 
 
+def _double_z_case():
+    Z = IntGroup()
+    i, neg = identity_aut(Z), negation_aut(Z)
+    return ("double-z", lambda: DrinfeldPairing(Z),
+            [AutPair(i, i), AutPair(neg, i), AutPair(i, neg)],
+            [Fraction(3, 2), -2, 5, Fraction(-1, 7)])
+
+
 def test_b_split_on_a_non_unital_b():
     """The double over Z has no unit, so the cover of a split depends on
     the value it covers: its legs are computed against each cover and
     ``P._bsp`` stays empty."""
-    Z = IntGroup()
-    i, neg = identity_aut(Z), negation_aut(Z)
-    case = ("double-z", lambda: DrinfeldPairing(Z),
-            [AutPair(i, i), AutPair(neg, i), AutPair(i, neg)],
-            [Fraction(3, 2), -2, 5, Fraction(-1, 7)])
-    P, gradings, inp = _setup(case)
+    P, gradings, inp = _setup(_double_z_case())
     assert not P.B.is_unital
     _check_b_split(P, inp, gradings)
     assert not P._bsp
+
+
+# The cases of engine_cases, an S3 session with ``swap-delta-legs``
+# planted, whose core must emit the A-legs swapped, and the double over Z,
+# whose split is computed against each cover.
+CORE_CASES = engine_cases() + [
+    ("s3-swap-delta-legs",
+     lambda: make_session(session_spec(group_instance("symmetric", 3),
+                                       corrupt="swap-delta-legs")).P,
+     s3_gradings(), [Fraction(3, 2), -2, 5, Fraction(-1, 7)]),
+    _double_z_case(),
+]
+
+
+@pytest.mark.parametrize("case", CORE_CASES, ids=[c[0] for c in CORE_CASES])
+def test_comul_right_into(case):
+    """The core added over the terms of a multi-term x, with their
+    coefficients, is the right-covered coproduct of x, as a term dict."""
+    P, gradings, inp = _setup(case)
+    assert P.cop_first_leg == (case[0] != "s3-swap-delta-legs")
+    nonzero = 0
+    for p, q in _pairs(gradings):
+        gamma_p, gamma_p_inv = P._split[p, q]
+        for _ in range(3):
+            x, cover = inp.value(inp.ab, 3), inp.value(inp.ab, 3)
+            out: Dict = {}
+            for xl, cx in x.terms.items():
+                comul_right_into(P, out, xl, cx, q, gamma_p, gamma_p_inv,
+                                 cover)
+            assert out == comul_covered(P, x, p, q, cover, "right").terms
+            assert out == \
+                _ref_comul_covered(P, x, p, q, cover, "right").terms
+            nonzero += bool(out)
+    assert nonzero
 
 
 def test_full_tables_compute_misses_afresh(monkeypatch):

@@ -279,6 +279,24 @@ class TestExport:
         S = _EXPORT_CASES[name]()
         assert export_structure(S) == _ref_export_structure(S)
 
+    # (term lists, distinct texts): the 5184 images of S3's four splits
+    # repeat 1296 texts; the double's one split repeats none.
+    @pytest.mark.parametrize("name, n_lists, n_texts", [
+        ("s3-inner", 5184, 1296), ("double-z3-f7", 6561, 6561)])
+    def test_split_term_lists_shared_exactly_when_rendered_alike(
+            self, name, n_lists, n_texts):
+        """Two coproduct term lists are one object exactly when their JSON
+        is equal: ``_dump`` then writes every repeat from one string, and
+        no two lists that render differently are merged."""
+        out = export_structure(_EXPORT_CASES[name]())
+        lists = [im[2] for sp in out["splits"] for im in sp["images"]]
+        ids_by_text = {}
+        for terms in lists:
+            ids_by_text.setdefault(json.dumps(terms), set()).add(id(terms))
+        assert all(len(ids) == 1 for ids in ids_by_text.values())
+        assert len({id(terms) for terms in lists}) == len(ids_by_text)
+        assert (len(lists), len(ids_by_text)) == (n_lists, n_texts)
+
 
 def _stdlib_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -9,10 +9,10 @@ import pytest
 
 from mhag import (DrinfeldDouble, DualDrinfeld, FiniteDimHopf,
                   FunctionAlgebra, GroupAlgebra, StructureError)
-from mhag import linear, mha
+from mhag import linear
 from mhag.groups import (IntGroup, PermGroup, TableGroup, inner_aut, map_aut,
                          negation_aut)
-from mhag.linear import LinComb, lc_combine
+from mhag.linear import BasisTable, LinComb, lc_combine
 from mhag.session import _negate_antipode
 
 from conftest import H4_HOPF, perm, rescaled_s3
@@ -136,7 +136,7 @@ class TestBasisTable:
         def fill(*key):
             calls.append(key)
             return sum(key)
-        return mha.BasisTable(fill), calls
+        return BasisTable(fill), calls
 
     def test_miss_calls_fill_once_with_the_key_items(self):
         table, calls = self.recording()

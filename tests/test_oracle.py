@@ -13,8 +13,7 @@ from pathlib import Path
 from mhag import DrinfeldPairing, GroupPairing, comul_covered, dcp_mul, r_apply
 from mhag.cograded import graded_antipode, graded_counit
 from mhag.groups import AutPair, TableGroup, identity_aut, map_aut
-from mhag.linear import LinComb
-from mhag.mha import BasisTable
+from mhag.linear import BasisTable, LinComb
 from mhag.oracle import (double_antipode, double_comul_covered_brute,
                          double_mul, group_antipode, group_comul_covered,
                          group_counit, group_mul, group_r_apply_left)
